@@ -58,11 +58,18 @@ class SigmoidSegment:
                 f"sigmoid center {self.center} must be the segment midpoint {mid}"
             )
 
+    def denominator(self, x: np.ndarray) -> np.ndarray:
+        """The position-only part of the transition, 1 + exp(-(x - center))."""
+        return 1.0 + np.exp(-(np.asarray(x, dtype=float) - self.center))
+
+    @staticmethod
+    def blend(t_before, t_after, denominator: np.ndarray) -> np.ndarray:
+        """Transition values from the plateau levels and the denominators;
+        the levels may be columns, one row per profile."""
+        return t_before + (t_after - t_before) / denominator
+
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self.t_before + (self.t_after - self.t_before) / (
-            1.0 + np.exp(-(x - self.center))
-        )
+        return self.blend(self.t_before, self.t_after, self.denominator(x))
 
 
 @dataclass(frozen=True)
@@ -139,6 +146,15 @@ class AmbientProfile:
         return ambient_at(self, x)
 
 
+def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
+    """Index of the segment holding each position; a domain error outside."""
+    total = profile.total_length_cm
+    if np.any(arr < 0.0) or np.any(arr > total):
+        raise ValueError(f"position outside furnace [0, {total}] cm")
+    idx = np.searchsorted(profile._starts, arr, side="right") - 1
+    return np.minimum(idx, len(profile.segments) - 1)
+
+
 def ambient_at(profile: AmbientProfile, x):
     """Evaluate the ambient field at position(s) x in cm.
 
@@ -146,19 +162,75 @@ def ambient_at(profile: AmbientProfile, x):
     [0, total_length_cm] are a domain error.
     """
     arr = np.asarray(x, dtype=float)
-    total = profile.total_length_cm
-    if np.any(arr < 0.0) or np.any(arr > total):
-        raise ValueError(f"position outside furnace [0, {total}] cm")
-    idx = np.searchsorted(profile._starts, arr, side="right") - 1
-    idx = np.minimum(idx, len(profile.segments) - 1)
+    idx = _segment_index(profile, arr)
+    if arr.ndim == 0:
+        return float(profile.segments[int(idx)].evaluate(arr))
     out = np.empty(arr.shape, dtype=float)
     for i, seg in enumerate(profile.segments):
         mask = idx == i
         if np.any(mask):
             out[mask] = seg.evaluate(arr[mask])
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
     return out
+
+
+def geometry_key(profile: AmbientProfile) -> tuple:
+    """Everything of a profile except its plateau and transition levels.
+
+    Profiles with equal keys differ only in ConstantSegment.level and in
+    SigmoidSegment.t_before/t_after, which is what ``FieldRows`` batches
+    over.  The cooling blend enters whole: its exponential depends on its
+    endpoint temperatures.
+    """
+    return tuple(
+        seg if isinstance(seg, ExpLinearBlendSegment)
+        else (type(seg), seg.x_start, seg.x_end, getattr(seg, "center", None))
+        for seg in profile.segments
+    )
+
+
+class FieldRows:
+    """The ambient field of profiles sharing one ``geometry_key``, at fixed
+    positions, as one row per profile.
+
+    Row r equals ``ambient_at(profiles[r], x)`` bit for bit: it applies the
+    same segment formulas to the same positions.  What depends on position
+    alone (the segment of every position, the sigmoid denominators and the
+    cooling blend) is computed once, here.
+    """
+
+    def __init__(self, template: AmbientProfile, x: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        idx = _segment_index(template, x)
+        self.size = x.size
+        self._parts = []
+        for i, seg in enumerate(template.segments):
+            where = np.flatnonzero(idx == i)
+            if where.size == 0:
+                continue
+            # positions from a sorted array form one run: a slice is cheaper
+            span = slice(where[0], where[-1] + 1)
+            sel = span if where[-1] - where[0] + 1 == where.size else where
+            if isinstance(seg, SigmoidSegment):
+                shared = seg.denominator(x[sel])
+            elif isinstance(seg, ExpLinearBlendSegment):
+                shared = seg.evaluate(x[sel])
+            else:
+                shared = None
+            self._parts.append((i, sel, shared))
+
+    def __call__(self, profiles) -> np.ndarray:
+        out = np.empty((len(profiles), self.size))
+        for i, sel, shared in self._parts:
+            segs = [p.segments[i] for p in profiles]
+            if isinstance(segs[0], SigmoidSegment):
+                before = np.array([s.t_before for s in segs])[:, None]
+                after = np.array([s.t_after for s in segs])[:, None]
+                out[:, sel] = SigmoidSegment.blend(before, after, shared)
+            elif shared is not None:
+                out[:, sel] = shared
+            else:
+                out[:, sel] = np.array([s.level for s in segs])[:, None]
+        return out
 
 
 def build_profile(

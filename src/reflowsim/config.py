@@ -55,6 +55,10 @@ class RunConfig:
     verdict_csv: str | None = None
     candidates_csv: str | None = None
 
+    def __post_init__(self):
+        if self.workers < 0:
+            raise ValueError(f"workers must be 0 (all cores) or positive, got {self.workers}")
+
     def resolved_workers(self) -> int:
         return self.workers if self.workers > 0 else (os.cpu_count() or 1)
 

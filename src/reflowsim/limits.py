@@ -83,67 +83,79 @@ class LimitVerdict:
         return all(c.passed for c in self.checks)
 
 
-def _first_upward_crossing(times, temps, level, end_idx):
-    """Time of the first upward crossing of level within samples [0, end_idx].
+def crossing_time(t0, t1, y0, y1, level):
+    """Where the line through (t0, y0) and (t1, y1) meets level."""
+    return t0 + (t1 - t0) * (level - y0) / (y1 - y0)
 
-    Returns None if the level is not reached there.  A trace already at or
-    above the level at its first sample crosses at t[0].
+
+def _rise_times(times, temps, end_idx) -> list[float | None]:
+    """Per row, the time from the first upward crossing of 150 degC to that
+    of 190 degC, both within samples [0, end_idx[row]].
+
+    None where either level is not reached there.  A row already at or above
+    a level at its first sample crosses it at t[0].
     """
-    segment = temps[: end_idx + 1]
-    reached = np.nonzero(segment >= level)[0]
-    if reached.size == 0:
-        return None
-    j = int(reached[0])
-    if j == 0:
-        return float(times[0])
-    t0, t1 = times[j - 1], times[j]
-    y0, y1 = temps[j - 1], temps[j]
-    return float(t0 + (t1 - t0) * (level - y0) / (y1 - y0))
+    levels = (RISE_BAND_LOW_C, RISE_BAND_HIGH_C)
+    # per row and level, the first sample at or above it, or 0 if none is
+    firsts = np.argmax(temps[:, None, :] >= np.array(levels)[:, None], axis=2)
+    out = []
+    for row, js, end in zip(temps, firsts.tolist(), end_idx.tolist()):
+        crossings = []
+        for level, j in zip(levels, js):
+            if j > end or not row[j] >= level:
+                break
+            if j == 0:
+                crossings.append(times[0])
+            else:
+                crossings.append(crossing_time(times[j - 1], times[j], row[j - 1], row[j], level))
+        out.append(float(crossings[1] - crossings[0]) if len(crossings) == 2 else None)
+    return out
 
 
-def _measure_above(times, temps, level) -> float:
-    """Total time the linear interpolant spends strictly above level."""
+def _measure_above(times, temps, level) -> np.ndarray:
+    """Per row, the total time the linear interpolant spends strictly above
+    level."""
     t0, t1 = times[:-1], times[1:]
-    y0, y1 = temps[:-1], temps[1:]
+    y0, y1 = temps[:, :-1], temps[:, 1:]
     width = t1 - t0
     both_above = (y0 > level) & (y1 > level)
     up = (y0 <= level) & (y1 > level)
     down = (y0 > level) & (y1 <= level)
     # Crossing segments have y1 != y0 by construction, so the masked
     # divisions below never see a zero denominator.
-    frac_up = np.zeros_like(width)
+    frac_up = np.zeros(y0.shape)
     np.divide(y1 - level, y1 - y0, out=frac_up, where=up)
-    frac_down = np.zeros_like(width)
+    frac_down = np.zeros(y0.shape)
     np.divide(y0 - level, y0 - y1, out=frac_down, where=down)
-    return float(np.sum(width * (both_above + frac_up + frac_down)))
+    return np.sum(width * (both_above + frac_up + frac_down), axis=1)
+
+
+def metrics_rows(times, temps, dt: float) -> list[TraceMetrics]:
+    """The five metrics of every row of temps, all sampled at times.
+
+    Slopes are forward differences at the sample interval dt.  The rise time
+    is measured on the rising pass only: first upward crossings of 150 degC
+    and 190 degC at or before the peak.
+    """
+    if temps.shape[1] < 2:
+        raise ValueError("metrics need at least 2 samples")
+    slopes = np.diff(temps, axis=1) / dt
+    peak_idx = np.argmax(temps, axis=1)
+    columns = zip(
+        slopes.max(axis=1).tolist(),
+        slopes.min(axis=1).tolist(),
+        _rise_times(times, temps, peak_idx),
+        _measure_above(times, temps, MELT_C).tolist(),
+        temps[np.arange(len(temps)), peak_idx].tolist(),
+        times[peak_idx].tolist(),
+    )
+    return [TraceMetrics(*values) for values in columns]
 
 
 def compute_metrics(trace: ThermalTrace) -> TraceMetrics:
-    """Extract the five manufacturability metrics from a trace.
-
-    Slopes are forward differences at the trace's native sample interval.
-    The rise time is measured on the rising pass only: first upward crossings
-    of 150 degC and 190 degC at or before the peak.
-    """
-    if len(trace) < 2:
-        raise ValueError("metrics need at least 2 samples")
-    times = trace.times
-    temps = trace.temps
-    slopes = np.diff(temps) / trace.dt
-    peak_idx = int(np.argmax(temps))
-
-    t_low = _first_upward_crossing(times, temps, RISE_BAND_LOW_C, peak_idx)
-    t_high = _first_upward_crossing(times, temps, RISE_BAND_HIGH_C, peak_idx)
-    rise = None if t_low is None or t_high is None else t_high - t_low
-
-    return TraceMetrics(
-        max_slope=float(np.max(slopes)),
-        min_slope=float(np.min(slopes)),
-        rise_time_150_190=rise,
-        duration_above_217=_measure_above(times, temps, MELT_C),
-        peak_temp=float(temps[peak_idx]),
-        peak_time=float(times[peak_idx]),
-    )
+    """Extract the five manufacturability metrics from a trace: the one-row
+    case of ``metrics_rows``."""
+    return metrics_rows(trace.times, trace.temps[None], trace.dt)[0]
 
 
 def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> LimitVerdict:

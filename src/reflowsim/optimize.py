@@ -10,25 +10,51 @@ Three strategies over simulated traces:
 * the same joint sweep minimizing the asymmetry of the above-217 pass, with
   reflow area as tie-breaker.
 
-Every grid point is an independent pure evaluation; reductions use total
-deterministic orderings, so results do not depend on evaluation order or on
-the worker count.
+The joint sweeps evaluate, at each belt speed, every setpoint combination
+whose ambient profile has the same segment geometry as one 2-D array, in row
+blocks: field, RK4 recursion, metrics, reflow area and symmetry.  Rows never
+mix, so each candidate equals the one the per-candidate chain (build_profile,
+simulate, compute_metrics, check_limits, reflow_area, symmetry_score) builds,
+bit for bit; the scalar functions are the one-row cases of the same kernels.
+Reductions use total deterministic orderings, so results do not depend on
+evaluation order or on the worker count.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
 
-from .ambient import build_profile
-from .limits import MELT_C, LimitVerdict, ProcessLimits, TraceMetrics, check_limits, compute_metrics
+from .ambient import FieldRows, build_profile, geometry_key
+from .limits import (
+    MELT_C,
+    LimitVerdict,
+    ProcessLimits,
+    TraceMetrics,
+    check_limits,
+    compute_metrics,
+    crossing_time,
+    metrics_rows,
+)
 from .oven import OvenLayout, ParameterRanges, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate
+from .thermal import (
+    SimulationGrid,
+    ThermalTrace,
+    WeldingModel,
+    integrate_rows,
+    simulate,
+    stage_positions,
+)
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
+DEFAULT_OFFSET_STEP = 0.5
+# Bytes of the largest transient array of the batched sweep; sets how many
+# rows a block holds.
+_BLOCK_BYTES = 1 << 18
 
 
 def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -46,34 +72,91 @@ def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
     return values
 
 
-def _above_intervals(times, temps, level) -> list[tuple[float, float]]:
-    """Maximal intervals where the linear interpolant strictly exceeds level.
+def _melt_passes(times, temps):
+    """Per row: the number of maximal intervals where the linear interpolant
+    strictly exceeds 217 degC, and the first start and last end among them.
 
     Crossing endpoints are interpolated; intervals that touch at a single
-    point (the trace grazing the level from above) are merged.
+    point (the trace grazing the level from above) count as one.
     """
-    intervals = []
-    inside = temps[0] > level
-    start = times[0] if inside else None
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        y0, y1 = temps[i], temps[i + 1]
-        if not inside and y1 > level >= y0:
-            start = t0 + (t1 - t0) * (level - y0) / (y1 - y0)
-            inside = True
-        elif inside and y1 <= level:
-            end = t0 + (t1 - t0) * (y0 - level) / (y0 - y1)
-            intervals.append((start, end))
-            inside = False
-    if inside:
-        intervals.append((start, times[-1]))
-    merged = [intervals[0]] if intervals else []
-    for lo, hi in intervals[1:]:
-        if lo - merged[-1][1] <= 1e-9:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+    level = MELT_C
+    y0, y1 = temps[:, :-1], temps[:, 1:]
+    up_r, up_c = np.nonzero((y1 > level) & (level >= y0))
+    down_r, down_c = np.nonzero((y0 > level) & (y1 <= level))
+    starts = crossing_time(times[up_c], times[up_c + 1], temps[up_r, up_c],
+                           temps[up_r, up_c + 1], level)
+    # negating both factors of the ratio is exact, so downward crossings
+    # round as (y0 - level) / (y0 - y1) would
+    ends = crossing_time(times[down_c], times[down_c + 1], temps[down_r, down_c],
+                         temps[down_r, down_c + 1], level)
+    # a row above the level at its first (last) sample starts (ends) there
+    first_in = np.flatnonzero(temps[:, 0] > level)
+    last_in = np.flatnonzero(temps[:, -1] > level)
+    start_rows = np.concatenate((first_in, up_r))
+    starts = np.concatenate((np.full(first_in.size, times[0]), starts))
+    order = np.argsort(start_rows, kind="stable")
+    start_rows, starts = start_rows[order], starts[order]
+    end_rows = np.concatenate((down_r, last_in))
+    ends = np.concatenate((ends, np.full(last_in.size, times[-1])))
+    ends = ends[np.argsort(end_rows, kind="stable")]
+    # starts[i] and ends[i] now bound the i-th interval, ordered by row
+    touching = (start_rows[1:] == start_rows[:-1]) & (starts[1:] - ends[:-1] <= 1e-9)
+    n = len(temps)
+    passes = np.bincount(start_rows, minlength=n) - np.bincount(
+        start_rows[1:][touching], minlength=n
+    )
+    if starts.size == 0:
+        return passes, np.zeros(n), np.zeros(n)
+    # rows without a pass get a neighbour's bounds, which nothing reads
+    first = np.searchsorted(start_rows, np.arange(n), side="left")
+    last = np.searchsorted(start_rows, np.arange(n), side="right") - 1
+    return passes, starts[np.minimum(first, starts.size - 1)], ends[last]
+
+
+def _reflow_area_rows(xs, temps) -> np.ndarray:
+    """Per row, the area between the interpolant over xs and the melting
+    line where the row exceeds it."""
+    h = np.diff(xs)
+    y0 = temps[:, :-1] - MELT_C
+    y1 = temps[:, 1:] - MELT_C
+    both = (y0 > 0) & (y1 > 0)
+    up = (y0 <= 0) & (y1 > 0)
+    down = (y0 > 0) & (y1 <= 0)
+    dy = y1 - y0
+    area = np.where(both, 0.5 * h * (y0 + y1), 0.0)
+    # Crossing segments have dy != 0, so the masked divisions are safe.
+    np.divide(0.5 * h * y1 * y1, dy, out=area, where=up)
+    np.divide(0.5 * h * y0 * y0, -dy, out=area, where=down)
+    return np.sum(area, axis=1)
+
+
+def _area_axis(domain: str, times, positions):
+    if domain == "position":
+        return positions
+    if domain == "time":
+        return times
+    raise ValueError(f"domain must be 'position' or 'time', got {domain!r}")
+
+
+def _symmetry_rows(times, temps, offset_step: float):
+    """Per row, the symmetry score (None unless the row has exactly one
+    above-217 pass) and the number of passes."""
+    passes, t1s, t2s = _melt_passes(times, temps)
+    scores = []
+    for row, (n, t1, t2) in enumerate(zip(passes.tolist(), t1s.tolist(), t2s.tolist())):
+        if n != 1:
+            scores.append(None)
+            continue
+        center = 0.5 * (t1 + t2)
+        k = int(np.floor(0.5 * (t2 - t1) / offset_step + 1e-9))
+        if k == 0:
+            scores.append(0.0)
+            continue
+        offsets = (np.arange(k) + 1) * offset_step
+        left = np.interp(center - offsets, times, temps[row])
+        right = np.interp(center + offsets, times, temps[row])
+        scores.append(float(np.sum((left - right) ** 2)))
+    return scores, passes
 
 
 def reflow_area(trace: ThermalTrace, domain: str = "position") -> float:
@@ -83,27 +166,11 @@ def reflow_area(trace: ThermalTrace, domain: str = "position") -> float:
     piecewise-linear traces.  ``domain`` selects the integration variable:
     "position" (degC * cm) or "time" (degC * s).
     """
-    if domain == "position":
-        xs = trace.positions
-    elif domain == "time":
-        xs = trace.times
-    else:
-        raise ValueError(f"domain must be 'position' or 'time', got {domain!r}")
-    h = np.diff(xs)
-    y0 = trace.temps[:-1] - MELT_C
-    y1 = trace.temps[1:] - MELT_C
-    both = (y0 > 0) & (y1 > 0)
-    up = (y0 <= 0) & (y1 > 0)
-    down = (y0 > 0) & (y1 <= 0)
-    dy = y1 - y0
-    area = np.where(both, 0.5 * h * (y0 + y1), 0.0)
-    # Crossing segments have dy != 0, so the masked divisions are safe.
-    np.divide(0.5 * h * y1 * y1, dy, out=area, where=up)
-    np.divide(0.5 * h * y0 * y0, -dy, out=area, where=down)
-    return float(np.sum(area))
+    xs = _area_axis(domain, trace.times, trace.positions)
+    return float(_reflow_area_rows(xs, trace.temps[None])[0])
 
 
-def symmetry_score(trace: ThermalTrace, offset_step: float = 0.5) -> float:
+def symmetry_score(trace: ThermalTrace, offset_step: float = DEFAULT_OFFSET_STEP) -> float:
     """Sum of squared temperature mismatches at mirrored offsets around the
     center of the above-217 pass.
 
@@ -118,23 +185,15 @@ def symmetry_score(trace: ThermalTrace, offset_step: float = 0.5) -> float:
         If the trace never exceeds 217 degC, or exceeds it on more than one
         disjoint interval.
     """
-    intervals = _above_intervals(trace.times, trace.temps, MELT_C)
-    if not intervals:
+    scores, passes = _symmetry_rows(trace.times, trace.temps[None], offset_step)
+    if passes[0] == 0:
         raise ValueError("trace never exceeds 217 degC; symmetry undefined")
-    if len(intervals) > 1:
+    if passes[0] > 1:
         raise ValueError(
-            f"trace exceeds 217 degC on {len(intervals)} disjoint intervals; "
+            f"trace exceeds 217 degC on {passes[0]} disjoint intervals; "
             "symmetry undefined"
         )
-    t1, t2 = intervals[0]
-    center = 0.5 * (t1 + t2)
-    k = int(np.floor(0.5 * (t2 - t1) / offset_step + 1e-9))
-    if k == 0:
-        return 0.0
-    offsets = (np.arange(k) + 1) * offset_step
-    left = np.interp(center - offsets, trace.times, trace.temps)
-    right = np.interp(center + offsets, trace.times, trace.temps)
-    return float(np.sum((left - right) ** 2))
+    return scores[0]
 
 
 @dataclass(frozen=True)
@@ -214,38 +273,59 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
-def _evaluate_temp_combo(
-    layout: OvenLayout,
-    weight: float,
-    coefficient: float,
+def _evaluate_speed(
+    model: WeldingModel,
+    grid: SimulationGrid,
+    limits: ProcessLimits,
+    area_domain: str,
+    speed: float,
+    params: list[ProcessParameters],
+    profiles: list,
+) -> list[SweepCandidate]:
+    """Candidates of profiles sharing one geometry_key at one belt speed.
+
+    Rows go through in blocks sized so that no transient array exceeds
+    _BLOCK_BYTES.
+    """
+    x_nodes, x_mid = stage_positions(profiles[0].total_length_cm, speed, grid.dt)
+    field_nodes = FieldRows(profiles[0], x_nodes)
+    field_mid = FieldRows(profiles[0], x_mid)
+    # the samples integrate_rows keeps: every stride-th node
+    times = np.arange((x_nodes.size - 1) // grid.stride + 1) * grid.dt_out
+    xs = _area_axis(area_domain, times, (speed / 60.0) * times)
+    block = max(1, _BLOCK_BYTES // (8 * x_nodes.size))
+    out = []
+    for lo in range(0, len(profiles), block):
+        rows = slice(lo, lo + block)
+        y0 = np.array([p.tt5 for p in params[rows]])
+        temps = np.ascontiguousarray(integrate_rows(
+            field_nodes(profiles[rows]), field_mid(profiles[rows]), y0, model.coefficient, grid
+        ))
+        metrics = metrics_rows(times, temps, grid.dt_out)
+        areas = _reflow_area_rows(xs, temps).tolist()
+        symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP)
+        for p, m, area, sym in zip(params[rows], metrics, areas, symmetry):
+            p = replace(p, belt_speed=speed)
+            out.append(SweepCandidate(p, m, area, sym, check_limits(m, limits).passed))
+    return out
+
+
+def _evaluate_group(
+    model: WeldingModel,
     grid: SimulationGrid,
     limits: ProcessLimits,
     area_domain: str,
     speeds: tuple[float, ...],
-    temps: tuple[float, float, float, float],
-) -> list[SweepCandidate]:
-    """Evaluate one setpoint combination across all sweep speeds.
-
-    Top-level so process pools can pickle it; the ambient profile is shared
-    across the speeds because it does not depend on the belt speed.
+    group: tuple[list[ProcessParameters], list],
+) -> list[list[SweepCandidate]]:
+    """Evaluate setpoint combinations whose profiles share one geometry_key
+    at every sweep speed; one list of candidates per combination, in speed
+    order.  Top-level so process pools can pickle it.
     """
-    tt1, tt2, tt3, tt4 = temps
-    base = ProcessParameters(tt1=tt1, tt2=tt2, tt3=tt3, tt4=tt4)
-    profile = build_profile(layout, base, weight)
-    model = WeldingModel(coefficient)
-    out = []
-    for v in speeds:
-        p = replace(base, belt_speed=v)
-        trace = simulate(profile, p, model, grid)
-        metrics = compute_metrics(trace)
-        verdict = check_limits(metrics, limits)
-        area = reflow_area(trace, area_domain)
-        try:
-            symmetry = symmetry_score(trace)
-        except ValueError:
-            symmetry = None
-        out.append(SweepCandidate(p, metrics, area, symmetry, verdict.passed))
-    return out
+    params, profiles = group
+    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles)
+                for v in speeds]
+    return [list(cands) for cands in zip(*by_speed)]
 
 
 def _sweep_grid(
@@ -258,24 +338,36 @@ def _sweep_grid(
     area_domain: str,
     workers: int,
 ) -> list[SweepCandidate]:
-    combos = [
-        (tt1, tt2, tt3, tt4)
+    """Every grid candidate, ordered by setpoint combination, then speed."""
+    _area_axis(area_domain, None, None)  # reject a bad domain before any work
+    model = WeldingModel(coefficient)
+    params = [
+        ProcessParameters(tt1=tt1, tt2=tt2, tt3=tt3, tt4=tt4)
         for tt1 in inclusive_grid(*ranges.tt1, ranges.temp_step)
         for tt2 in inclusive_grid(*ranges.tt2, ranges.temp_step)
         for tt3 in inclusive_grid(*ranges.tt3, ranges.temp_step)
         for tt4 in inclusive_grid(*ranges.tt4, ranges.temp_step)
     ]
     speeds = tuple(inclusive_grid(*ranges.belt_speed, ranges.speed_step))
-    evaluate = partial(
-        _evaluate_temp_combo, layout, weight, coefficient, grid, limits, area_domain, speeds
-    )
+    profiles = [build_profile(layout, p, weight) for p in params]
+    groups: dict[tuple, list[int]] = {}
+    for i, profile in enumerate(profiles):
+        groups.setdefault(geometry_key(profile), []).append(i)
+    # with a pool, split the groups so the workers get similar shares
+    size = len(params) if workers <= 1 else math.ceil(len(params) / (4 * workers))
+    pieces = [idx[lo : lo + size] for idx in groups.values() for lo in range(0, len(idx), size)]
+    jobs = [([params[i] for i in idx], [profiles[i] for i in idx]) for idx in pieces]
+    evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds)
     if workers > 1:
-        chunk = max(1, len(combos) // (workers * 8))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(evaluate, combos, chunksize=chunk))
+            batches = list(pool.map(evaluate, jobs))
     else:
-        batches = [evaluate(c) for c in combos]
-    return [cand for batch in batches for cand in batch]
+        batches = [evaluate(job) for job in jobs]
+    per_combo = [None] * len(params)
+    for idx, batch in zip(pieces, batches):
+        for i, cands in zip(idx, batch):
+            per_combo[i] = cands
+    return [cand for cands in per_combo for cand in cands]
 
 
 def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters, factor: int) -> ParameterRanges:

@@ -19,6 +19,7 @@ simple, loop-based oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +38,9 @@ class WeldingModel:
     coefficient: float
 
     def __post_init__(self):
-        if self.coefficient <= 0:
+        if not (math.isfinite(self.coefficient) and self.coefficient > 0):
             raise ValueError(
-                f"welding coefficient must be positive, got {self.coefficient}"
+                f"welding coefficient must be positive and finite, got {self.coefficient}"
             )
 
 
@@ -51,10 +52,12 @@ class SimulationGrid:
     dt_out: float = 0.5
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
+        for name in ("dt", "dt_out"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         ratio = self.dt_out / self.dt
-        if self.dt_out <= 0 or abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("dt_out must be a positive integer multiple of dt")
 
     @property
@@ -129,6 +132,43 @@ def _rk4_coefficients(e: float) -> tuple[float, float, float, float]:
     return a, ba, bb, bc
 
 
+def stage_positions(total_cm: float, belt_speed: float, dt: float):
+    """Positions of the RK4 nodes and of the half-step midpoints, in cm.
+
+    The step count is chosen so all stage positions stay inside the furnace;
+    the trailing fraction of a step (when the transit time is not a multiple
+    of dt) is not integrated.
+    """
+    t_end = total_cm * 60.0 / belt_speed
+    n_steps = int(np.floor(t_end / dt + _TIME_EPS))
+    if n_steps < 1:
+        raise ValueError("integration step exceeds the furnace transit time")
+    node_times = np.arange(n_steps + 1) * dt
+    x_nodes = np.clip(position_at_time(belt_speed, node_times), 0.0, total_cm)
+    x_mid = np.clip(position_at_time(belt_speed, node_times[:-1] + 0.5 * dt), 0.0, total_cm)
+    return x_nodes, x_mid
+
+
+def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: SimulationGrid):
+    """RK4 traces of many ambient fields at once, one per row.
+
+    t_amb_nodes has one more column than t_amb_mid; both are overwritten.
+    Returns every grid.stride-th node of each row.  Rows do not interact, so
+    a row comes out the same whatever else is in the batch.
+    """
+    a, ba, bb, bc = _rk4_coefficients(coefficient * grid.dt)
+    # y[0] = y0; y[n] = A*y[n-1] + forcing[n-1]: a first-order IIR recursion,
+    # with forcing = ba*T(node) + bb*T(mid) + bc*T(next node).
+    driven = np.empty(t_amb_nodes.shape)
+    driven[:, 0] = y0
+    forcing = driven[:, 1:]
+    np.multiply(ba, t_amb_nodes[:, :-1], out=forcing)
+    forcing += np.multiply(bb, t_amb_mid, out=t_amb_mid)
+    forcing += np.multiply(bc, t_amb_nodes[:, 1:], out=t_amb_nodes[:, 1:])
+    del t_amb_nodes, t_amb_mid  # let a batch's fields go before the filter runs
+    return lfilter([1.0], [1.0, -a], driven, axis=1)[:, :: grid.stride]
+
+
 def simulate(
     profile: AmbientProfile,
     params: ProcessParameters,
@@ -140,10 +180,9 @@ def simulate(
     Starts at the exterior temperature at the furnace entry and steps until
     the conveyor reaches the furnace end; the returned trace holds every
     stride-th integration node, i.e. samples every grid.dt_out seconds.
-    Integration never evaluates the ambient field beyond the furnace end:
-    the step count is chosen so all stage positions stay inside, and the
-    trailing fraction of a step (when the transit time is not a multiple of
-    dt) is not part of the uniform output grid.
+    Integration never evaluates the ambient field beyond the furnace end
+    (see ``stage_positions``).  This is the one-row case of
+    ``integrate_rows``.
 
     Pure function: identical inputs produce bit-identical traces.
     """
@@ -151,29 +190,10 @@ def simulate(
     v = params.belt_speed
     if v <= 0:
         raise ValueError(f"belt_speed must be positive, got {v}")
-    q = model.coefficient
-    dt = grid.dt
-    total = profile.total_length_cm
-    t_end = total * 60.0 / v
-    n_steps = int(np.floor(t_end / dt + _TIME_EPS))
-    if n_steps < 1:
-        raise ValueError("integration step exceeds the furnace transit time")
-
-    node_times = np.arange(n_steps + 1) * dt
-    x_nodes = np.clip(position_at_time(v, node_times), 0.0, total)
-    x_mid = np.clip(position_at_time(v, node_times[:-1] + 0.5 * dt), 0.0, total)
-    t_amb_nodes = ambient_at(profile, x_nodes)
-    t_amb_mid = ambient_at(profile, x_mid)
-
-    a, ba, bb, bc = _rk4_coefficients(q * dt)
-    forcing = ba * t_amb_nodes[:-1] + bb * t_amb_mid + bc * t_amb_nodes[1:]
-    y0 = params.tt5
-    # y[0] = y0; y[n] = A*y[n-1] + forcing[n-1]: a first-order IIR recursion.
-    driven = np.concatenate(([y0], forcing))
-    temps = lfilter([1.0], [1.0, -a], driven)
-
-    out = temps[:: grid.stride]
-    return ThermalTrace.from_temps(grid.dt_out, v, out)
+    x_nodes, x_mid = stage_positions(profile.total_length_cm, v, grid.dt)
+    temps = integrate_rows(ambient_at(profile, x_nodes)[None], ambient_at(profile, x_mid)[None],
+                           params.tt5, model.coefficient, grid)
+    return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
 
 def euler_reference(

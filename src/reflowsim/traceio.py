@@ -43,8 +43,9 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
     Raises
     ------
     ValueError
-        Malformed header, non-numeric cells, non-monotone or non-uniform time
-        (beyond 1e-6 s), time not starting at 0, or position data that
+        Malformed header, non-numeric or non-finite cells, non-monotone or
+        non-uniform time (beyond 1e-6 s), time not starting at 0, a belt
+        speed that is not positive and finite, or position data that
         contradicts the belt speed; messages name the offending row.
     """
     comment_speed = None
@@ -83,6 +84,10 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
             data[i] = [float(c) for c in cells]
         except ValueError:
             raise ValueError(f"{path}: row {lineno}: non-numeric value") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        (lineno, cells), col = rows[bad[0][0]], bad[0][1]
+        raise ValueError(f"{path}: row {lineno}: non-finite value {cells[col].strip()!r}")
 
     times = data[:, 0]
     temps = data[:, -1]
@@ -115,8 +120,8 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
             f"{path}: no x column and no belt speed given; pass belt_speed "
             f"or add a '{_SPEED_COMMENT} ...' comment"
         )
-    if speed <= 0:
-        raise ValueError(f"{path}: belt_speed must be positive, got {speed}")
+    if not (np.isfinite(speed) and speed > 0):
+        raise ValueError(f"{path}: belt_speed must be positive and finite, got {speed}")
 
     if n_cols == 3:
         expected_x = (speed / 60.0) * np.arange(len(times)) * dt

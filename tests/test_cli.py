@@ -266,3 +266,12 @@ oven:
     def test_workers_resolution(self):
         assert RunConfig(workers=3).resolved_workers() == 3
         assert RunConfig(workers=0).resolved_workers() >= 1
+
+    def test_negative_workers_rejected(self, capsys):
+        with pytest.raises(ValueError, match="got -3"):
+            RunConfig(workers=-3)
+        with pytest.raises(ValueError, match="got -2"):
+            config_from_dict({"sweep": {"workers": -2}})
+        code, out, err = run_cli(capsys, "optimize-area", "--workers", "-3")
+        assert code != 0 and out == ""
+        assert "workers must be 0 (all cores) or positive, got -3" in err

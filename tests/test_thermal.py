@@ -183,6 +183,17 @@ class TestGridAndModelValidation:
         with pytest.raises(ValueError):
             SimulationGrid(dt=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["dt", "dt_out"])
+    def test_grid_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            SimulationGrid(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_model_rejects_non_finite_coefficient(self, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            WeldingModel(value)
+
     def test_grid_stride(self):
         assert SimulationGrid(0.1, 0.5).stride == 5
         assert SimulationGrid(0.25, 0.25).stride == 1

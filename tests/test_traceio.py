@@ -102,6 +102,20 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match="row 3"):
             load_trace_csv(path, belt_speed=70.0)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_cell_names_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"t_s,temp_c\n0.0,25.0\n0.5,26.0\n1.0,{cell}\n")
+        with pytest.raises(ValueError, match=f"row 4: non-finite value '{cell}'"):
+            load_trace_csv(path, belt_speed=70.0)
+
+    @pytest.mark.parametrize("speed", ["nan", "inf"])
+    def test_non_finite_comment_speed(self, tmp_path, speed):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"# belt_speed_cm_min = {speed}\nt_s,temp_c\n0.0,25.0\n0.5,26.0\n")
+        with pytest.raises(ValueError, match=f"must be positive and finite, got {speed}"):
+            load_trace_csv(path)
+
     def test_wrong_column_count_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,temp_c\n0.0,25.0\n0.5,26.0,1.0\n")
