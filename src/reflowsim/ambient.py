@@ -165,11 +165,16 @@ def ambient_at(profile: AmbientProfile, x):
     idx = _segment_index(profile, arr)
     if arr.ndim == 0:
         return float(profile.segments[int(idx)].evaluate(arr))
-    out = np.empty(arr.shape, dtype=float)
+    # every plateau in one gather from the table of levels; only the
+    # segments that vary with x are masked and evaluated
+    levels = np.array([seg.level if isinstance(seg, ConstantSegment) else np.nan
+                       for seg in profile.segments])
+    out = levels[idx]
     for i, seg in enumerate(profile.segments):
-        mask = idx == i
-        if np.any(mask):
-            out[mask] = seg.evaluate(arr[mask])
+        if not isinstance(seg, ConstantSegment):
+            mask = idx == i
+            if np.any(mask):
+                out[mask] = seg.evaluate(arr[mask])
     return out
 
 

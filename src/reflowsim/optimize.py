@@ -18,6 +18,14 @@ simulate, compute_metrics, check_limits, reflow_area, symmetry_score) builds,
 bit for bit; the scalar functions are the one-row cases of the same kernels.
 Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
+
+The speed sweep evaluates its one profile at every grid speed as rows of
+padded 2-D arrays, in row blocks: positions, field and RK4 recursion for a
+block at once (``thermal.simulate_speeds``), then metrics and limit checks
+per row over that row's own samples.  Padding only follows a row's end and
+the recursion is causal, so each SpeedCheck equals the one the per-speed
+chain (build_profile, simulate, compute_metrics, check_limits) builds, bit
+for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +44,6 @@ from .limits import (
     ProcessLimits,
     TraceMetrics,
     check_limits,
-    compute_metrics,
     crossing_time,
     metrics_rows,
 )
@@ -46,8 +53,10 @@ from .thermal import (
     ThermalTrace,
     WeldingModel,
     integrate_rows,
-    simulate,
+    simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
+    simulate_speeds,
     stage_positions,
+    step_counts,
 )
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
@@ -233,16 +242,26 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
+    Speeds go through in blocks sized so that no array of positions or
+    fields exceeds _BLOCK_BYTES.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
+    speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
+    longest = int(step_counts(profile.total_length_cm, speeds, grid.dt).max())
+    times = np.arange(longest // grid.stride + 1) * grid.dt_out
+    block = max(1, _BLOCK_BYTES // (8 * (longest + 1)))
     per_speed = []
-    for v in inclusive_grid(speed_range[0], speed_range[1], speed_step):
-        p = replace(params, belt_speed=v)
-        metrics = compute_metrics(simulate(profile, p, model, grid))
-        per_speed.append(SpeedCheck(v, metrics, check_limits(metrics, limits)))
+    for lo in range(0, len(speeds), block):
+        rows = speeds[lo : lo + block]
+        temps, n_samples = simulate_speeds(profile, params.tt5, model, grid, rows)
+        # each row's metrics over its own samples only: padding would change
+        # the order of the sums
+        for v, row, n in zip(rows, temps, n_samples.tolist()):
+            metrics = metrics_rows(times[:n], row[None, :n], grid.dt_out)[0]
+            per_speed.append(SpeedCheck(v, metrics, check_limits(metrics, limits)))
     feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
 
@@ -287,7 +306,8 @@ def _evaluate_speed(
     Rows go through in blocks sized so that no transient array exceeds
     _BLOCK_BYTES.
     """
-    x_nodes, x_mid = stage_positions(profiles[0].total_length_cm, speed, grid.dt)
+    x_nodes, x_mid, _ = stage_positions(profiles[0].total_length_cm, [speed], grid.dt)
+    x_nodes, x_mid = x_nodes[0], x_mid[0]
     field_nodes = FieldRows(profiles[0], x_nodes)
     field_mid = FieldRows(profiles[0], x_mid)
     # the samples integrate_rows keeps: every stride-th node

@@ -8,6 +8,7 @@ an unheated exit region.  Zone setpoints are wired to five controller slots
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +98,13 @@ class ProcessParameters:
     tt4: float = 255.0
     tt5: float = 25.0
     belt_speed: float = 70.0
+
+    def __post_init__(self):
+        values = (self.tt1, self.tt2, self.tt3, self.tt4, self.tt5, self.belt_speed)
+        if not all(map(math.isfinite, values)):  # one cheap test: sweeps build many
+            names = ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed")
+            name, value = next(nv for nv in zip(names, values) if not math.isfinite(nv[1]))
+            raise ValueError(f"{name} must be finite, got {value}")
 
     def slot_temperature(self, slot: str) -> float:
         try:
@@ -206,10 +214,11 @@ def validate_parameters(
 def position_at_time(belt_speed: float, t: float):
     """Conveyor position (cm) after t seconds at belt_speed cm/min.
 
-    Accepts scalar or ndarray t.  The cm/min -> cm/s conversion lives here
-    and nowhere else.
+    Accepts scalar or ndarray t, and a scalar or ndarray belt_speed that
+    broadcasts against it.  The cm/min -> cm/s conversion lives here and
+    nowhere else.
     """
-    if belt_speed <= 0:
+    if np.any(np.asarray(belt_speed) <= 0):
         raise ValueError(f"belt_speed must be positive, got {belt_speed}")
     if np.any(np.asarray(t) < 0):
         raise ValueError("time must be non-negative")

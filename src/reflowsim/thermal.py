@@ -29,6 +29,9 @@ from .ambient import AmbientProfile, ambient_at
 from .oven import ProcessParameters, position_at_time
 
 _TIME_EPS = 1e-9
+# Most RK4 steps one trace may take: the default furnace at 65 cm/min with
+# dt of about 0.2 ms; a row of them takes 16 MB per array.
+_MAX_STEPS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -88,10 +91,10 @@ class ThermalTrace:
             raise ValueError("trace must not be empty")
         if not (times.shape == positions.shape == temps.shape):
             raise ValueError("times, positions and temps must have equal length")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.belt_speed <= 0:
-            raise ValueError("belt_speed must be positive")
+        for name in ("dt", "belt_speed"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         expected_t = np.arange(times.size) * self.dt
         if np.max(np.abs(times - expected_t)) > 1e-9:
             raise ValueError("sample times must be uniform: t[i] = i * dt")
@@ -132,31 +135,64 @@ def _rk4_coefficients(e: float) -> tuple[float, float, float, float]:
     return a, ba, bb, bc
 
 
-def stage_positions(total_cm: float, belt_speed: float, dt: float):
-    """Positions of the RK4 nodes and of the half-step midpoints, in cm.
+def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
+    """RK4 steps that cross the furnace at each belt speed: the whole steps
+    of dt that fit in the transit time.
 
-    The step count is chosen so all stage positions stay inside the furnace;
-    the trailing fraction of a step (when the transit time is not a multiple
-    of dt) is not integrated.
+    The trailing fraction of a step (when the transit time is not a multiple
+    of dt) is not integrated.  Raises before anything is allocated when a
+    speed would need more than _MAX_STEPS steps, or less than one.
     """
-    t_end = total_cm * 60.0 / belt_speed
-    n_steps = int(np.floor(t_end / dt + _TIME_EPS))
-    if n_steps < 1:
+    speeds = np.asarray(belt_speeds, dtype=float)
+    if not np.all(speeds > 0):
+        raise ValueError(f"belt_speed must be positive, got {np.min(speeds)}")
+    t_end = total_cm * 60.0 / speeds
+    n_steps = np.floor(t_end / dt + _TIME_EPS)
+    worst = np.max(n_steps)
+    if not worst <= _MAX_STEPS:
+        raise ValueError(
+            f"dt = {dt} s needs {worst:.0f} integration steps to cross the furnace; "
+            f"the limit is {_MAX_STEPS}"
+        )
+    if np.min(n_steps) < 1:
         raise ValueError("integration step exceeds the furnace transit time")
-    node_times = np.arange(n_steps + 1) * dt
-    x_nodes = np.clip(position_at_time(belt_speed, node_times), 0.0, total_cm)
-    x_mid = np.clip(position_at_time(belt_speed, node_times[:-1] + 0.5 * dt), 0.0, total_cm)
-    return x_nodes, x_mid
+    return n_steps.astype(np.int64)
+
+
+def stage_positions(total_cm: float, belt_speeds, dt: float):
+    """Positions of the RK4 nodes and of the half-step midpoints, in cm, one
+    row per belt speed, and each row's step count.
+
+    A row's stage positions up to its own step count stay inside the
+    furnace.  Shorter rows are padded to the longest by running on past the
+    exit, where the clip holds them at the furnace end.
+    """
+    speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
+    n_steps = step_counts(total_cm, speeds, dt)
+    node_times = np.arange(n_steps.max() + 1) * dt
+    v = speeds[:, None]
+    x_nodes = np.clip(position_at_time(v, node_times), 0.0, total_cm)
+    x_mid = np.clip(position_at_time(v, node_times[:-1] + 0.5 * dt), 0.0, total_cm)
+    return x_nodes, x_mid, n_steps
 
 
 def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: SimulationGrid):
     """RK4 traces of many ambient fields at once, one per row.
 
     t_amb_nodes has one more column than t_amb_mid; both are overwritten.
-    Returns every grid.stride-th node of each row.  Rows do not interact, so
-    a row comes out the same whatever else is in the batch.
+    Returns every grid.stride-th node of each row.  Rows do not interact,
+    and the recursion is causal, so a row's first columns come out the same
+    whatever else is in the batch and however long the rows are.  Refuses
+    a step whose recursion is unstable: |A| >= 1, which holds from
+    e = coefficient * dt of about 2.785 on.
     """
-    a, ba, bb, bc = _rk4_coefficients(coefficient * grid.dt)
+    e = coefficient * grid.dt
+    a, ba, bb, bc = _rk4_coefficients(e)
+    if not abs(a) < 1.0:
+        raise ValueError(
+            f"RK4 step is unstable: coefficient {coefficient} * dt {grid.dt} = e {e:.6g}, "
+            f"where |A| = {abs(a):.6g} must stay below 1 (e below about 2.785)"
+        )
     # y[0] = y0; y[n] = A*y[n-1] + forcing[n-1]: a first-order IIR recursion,
     # with forcing = ba*T(node) + bb*T(mid) + bc*T(next node).
     driven = np.empty(t_amb_nodes.shape)
@@ -167,6 +203,21 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
     forcing += np.multiply(bc, t_amb_nodes[:, 1:], out=t_amb_nodes[:, 1:])
     del t_amb_nodes, t_amb_mid  # let a batch's fields go before the filter runs
     return lfilter([1.0], [1.0, -a], driven, axis=1)[:, :: grid.stride]
+
+
+def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
+                    grid: SimulationGrid, belt_speeds):
+    """RK4 traces of one profile at several belt speeds, one row per speed.
+
+    Returns every stride-th node of each row and each row's sample count;
+    row r is valid up to its count.  Past its own step count a row holds
+    padding, and the recursion is causal, so its valid samples equal a
+    one-row run bit for bit.
+    """
+    x_nodes, x_mid, n_steps = stage_positions(profile.total_length_cm, belt_speeds, grid.dt)
+    temps = integrate_rows(ambient_at(profile, x_nodes), ambient_at(profile, x_mid),
+                           y0, model.coefficient, grid)
+    return temps, n_steps // grid.stride + 1
 
 
 def simulate(
@@ -182,17 +233,13 @@ def simulate(
     stride-th integration node, i.e. samples every grid.dt_out seconds.
     Integration never evaluates the ambient field beyond the furnace end
     (see ``stage_positions``).  This is the one-row case of
-    ``integrate_rows``.
+    ``simulate_speeds``.
 
     Pure function: identical inputs produce bit-identical traces.
     """
     grid = grid if grid is not None else SimulationGrid()
     v = params.belt_speed
-    if v <= 0:
-        raise ValueError(f"belt_speed must be positive, got {v}")
-    x_nodes, x_mid = stage_positions(profile.total_length_cm, v, grid.dt)
-    temps = integrate_rows(ambient_at(profile, x_nodes)[None], ambient_at(profile, x_mid)[None],
-                           params.tt5, model.coefficient, grid)
+    temps, _ = simulate_speeds(profile, params.tt5, model, grid, [v])
     return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
 

@@ -45,8 +45,9 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
     ValueError
         Malformed header, non-numeric or non-finite cells, non-monotone or
         non-uniform time (beyond 1e-6 s), time not starting at 0, a belt
-        speed that is not positive and finite, or position data that
-        contradicts the belt speed; messages name the offending row.
+        speed comment that is not a number, a belt speed that is not
+        positive and finite, or position data that contradicts the belt
+        speed; messages name the offending row or line.
     """
     comment_speed = None
     header = None
@@ -58,7 +59,13 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
                 continue
             if line.startswith("#"):
                 if line.startswith(_SPEED_COMMENT):
-                    comment_speed = float(line[len(_SPEED_COMMENT):].strip())
+                    text = line[len(_SPEED_COMMENT):].strip()
+                    try:
+                        comment_speed = float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {lineno}: belt speed comment {text!r} is not a number"
+                        ) from None
                 continue
             if header is None:
                 header = line

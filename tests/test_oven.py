@@ -179,3 +179,9 @@ class TestProcessParameters:
     def test_unknown_slot(self):
         with pytest.raises(ValueError, match="slot"):
             ProcessParameters().slot_temperature("TT9")
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed"])
+    def test_rejects_non_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
+            ProcessParameters(**{name: value})

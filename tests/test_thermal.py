@@ -9,9 +9,11 @@ from reflowsim import (
     ThermalTrace,
     WeldingModel,
     euler_reference,
+    feasible_speed_interval,
     resample,
     simulate,
 )
+from reflowsim.thermal import _MAX_STEPS, stage_positions, step_counts
 from helpers import naive_rk4
 
 
@@ -169,6 +171,13 @@ class TestThermalTraceInvariants:
         with pytest.raises(ValueError, match="empty"):
             ThermalTrace.from_temps(0.5, 70.0, [])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", ["dt", "belt_speed"])
+    def test_rejects_non_finite_timing(self, name, value):
+        timing = {"dt": 0.5, "belt_speed": 70.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            ThermalTrace.from_temps(timing["dt"], timing["belt_speed"], [25.0, 26.0])
+
     def test_arrays_read_only(self, default_trace):
         with pytest.raises(ValueError):
             default_trace.temps[0] = 0.0
@@ -203,3 +212,40 @@ class TestGridAndModelValidation:
             WeldingModel(0.0)
         with pytest.raises(ValueError, match="positive"):
             WeldingModel(-0.01)
+
+
+class TestIntegrationBoundary:
+    """The RK4 stability bound and the step cap, checked by validation
+    alone: no test here allocates an oversized trace."""
+
+    def test_unstable_step_is_rejected(self, profile, params):
+        # e = 30 * 0.1 = 3 puts |A| above 1: the recursion would run to inf
+        with pytest.raises(ValueError, match=r"coefficient 30 \* dt 0.1 = e 3\b"):
+            simulate(profile, params, WeldingModel(30))
+
+    def test_stable_step_just_below_the_bound(self, profile, params):
+        trace = simulate(profile, params, WeldingModel(27.8))  # e = 2.78
+        assert np.all(np.isfinite(trace.temps))
+
+    def test_speed_sweep_rejects_an_unstable_step(self, layout, params):
+        with pytest.raises(ValueError, match="RK4 step is unstable"):
+            feasible_speed_interval(layout, params, 0.8, 30.0, speed_step=5.0)
+
+    def test_step_count_is_capped(self):
+        # 402 s in steps of 1e-7 s: 4e9 steps, 30 GiB per array
+        with pytest.raises(ValueError, match=r"dt = 1e-07 s needs 40\d{8} integration steps"):
+            step_counts(435.5, 65.0, 1e-7)
+
+    def test_stage_positions_refuses_past_the_cap(self):
+        # just past the cap, so a missing check would allocate megabytes, not gigabytes
+        with pytest.raises(ValueError, match=f"the limit is {_MAX_STEPS}"):
+            stage_positions(435.5, [100.0, 65.0], 402.0 / (_MAX_STEPS + 10))
+
+    def test_stage_positions_pad_rows_with_the_furnace_end(self):
+        x_nodes, x_mid, n_steps = stage_positions(435.5, [100.0, 65.0], 0.1)
+        assert n_steps.tolist() == [2613, 4020]
+        assert x_nodes.shape == (2, 4021) and x_mid.shape == (2, 4020)
+        assert np.all(x_nodes[0, 2613:] == 435.5) and x_nodes[0, 2612] < 435.5
+        single, _, _ = stage_positions(435.5, 100.0, 0.1)
+        assert np.array_equal(single[0], x_nodes[0, :2614])
+

@@ -116,6 +116,12 @@ class TestMalformedFiles:
         with pytest.raises(ValueError, match=f"must be positive and finite, got {speed}"):
             load_trace_csv(path)
 
+    def test_malformed_comment_speed_names_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("# a trace\n# belt_speed_cm_min = fast\nt_s,temp_c\n0.0,25.0\n0.5,26.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv: line 2: belt speed comment 'fast'"):
+            load_trace_csv(path)
+
     def test_wrong_column_count_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("t_s,temp_c\n0.0,25.0\n0.5,26.0,1.0\n")
