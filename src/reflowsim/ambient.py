@@ -155,11 +155,12 @@ def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
     return np.minimum(idx, len(profile.segments) - 1)
 
 
-def ambient_at(profile: AmbientProfile, x):
+def ambient_at(profile: AmbientProfile, x, out=None):
     """Evaluate the ambient field at position(s) x in cm.
 
-    Scalar in, float out; array in, ndarray out.  Positions outside
-    [0, total_length_cm] are a domain error.
+    Scalar in, float out; array in, ndarray out (written into ``out`` when
+    given, an array of x's shape).  Positions outside [0, total_length_cm]
+    are a domain error.
     """
     arr = np.asarray(x, dtype=float)
     idx = _segment_index(profile, arr)
@@ -169,7 +170,8 @@ def ambient_at(profile: AmbientProfile, x):
     # segments that vary with x are masked and evaluated
     levels = np.array([seg.level if isinstance(seg, ConstantSegment) else np.nan
                        for seg in profile.segments])
-    out = levels[idx]
+    # idx is in range; "clip" lets take write into out without a copy
+    out = np.take(levels, idx, out=out, mode="clip")
     for i, seg in enumerate(profile.segments):
         if not isinstance(seg, ConstantSegment):
             mask = idx == i
@@ -223,8 +225,10 @@ class FieldRows:
                 shared = None
             self._parts.append((i, sel, shared))
 
-    def __call__(self, profiles) -> np.ndarray:
-        out = np.empty((len(profiles), self.size))
+    def __call__(self, profiles, out=None) -> np.ndarray:
+        """One row per profile, written into ``out`` when given."""
+        if out is None:
+            out = np.empty((len(profiles), self.size))
         for i, sel, shared in self._parts:
             segs = [p.segments[i] for p in profiles]
             if isinstance(segs[0], SigmoidSegment):

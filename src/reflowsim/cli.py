@@ -17,6 +17,8 @@ import argparse
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .ambient import build_profile, fit_blend_weight
 from .calibrate import calibrate_coefficient
 from .config import RunConfig, load_config
@@ -126,9 +128,9 @@ def cmd_field(args) -> int:
     profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
     dx = args.dx if args.dx is not None else cfg.field_dx
     xs = inclusive_grid(0.0, profile.total_length_cm, dx)
+    temps = profile(np.array(xs)).tolist()
     lines = ["position_cm,temp_c"]
-    for x in xs:
-        lines.append(f"{x:.1f},{profile(x):.4f}")
+    lines += [f"{x:.1f},{temp:.4f}" for x, temp in zip(xs, temps)]
     _write_lines(args.out if args.out else cfg.field_csv, lines)
     return 0
 

@@ -52,6 +52,8 @@ from .thermal import (
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
+    _Buffers,
+    _view,
     integrate_rows,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
     simulate_speeds,
@@ -61,8 +63,8 @@ from .thermal import (
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
 DEFAULT_OFFSET_STEP = 0.5
-# Bytes of the largest transient array of the batched sweep; sets how many
-# rows a block holds.
+# Bytes of a block's largest array per stage (its field at the nodes, say);
+# sets how many rows a block holds.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -242,8 +244,8 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through in blocks sized so that no array of positions or
-    fields exceeds _BLOCK_BYTES.
+    Speeds go through in blocks of as many rows as fit _BLOCK_BYTES at the
+    slowest speed's node count; every block reuses the same buffers.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
@@ -253,10 +255,11 @@ def feasible_speed_interval(
     longest = int(step_counts(profile.total_length_cm, speeds, grid.dt).max())
     times = np.arange(longest // grid.stride + 1) * grid.dt_out
     block = max(1, _BLOCK_BYTES // (8 * (longest + 1)))
+    buffers = _Buffers(block * (2 * longest + 1))
     per_speed = []
     for lo in range(0, len(speeds), block):
         rows = speeds[lo : lo + block]
-        temps, n_samples = simulate_speeds(profile, params.tt5, model, grid, rows)
+        temps, n_samples = simulate_speeds(profile, params.tt5, model, grid, rows, buffers)
         # each row's metrics over its own samples only: padding would change
         # the order of the sums
         for v, row, n in zip(rows, temps, n_samples.tolist()):
@@ -292,6 +295,13 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
+def _sweep_buffers(total_cm: float, speeds, dt: float) -> _Buffers:
+    """Buffers that fit a block of ``_evaluate_speed`` at every speed."""
+    n_steps = step_counts(total_cm, speeds, dt)
+    rows = np.maximum(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+    return _Buffers(int(np.max(rows * (2 * n_steps + 1))))
+
+
 def _evaluate_speed(
     model: WeldingModel,
     grid: SimulationGrid,
@@ -300,27 +310,35 @@ def _evaluate_speed(
     speed: float,
     params: list[ProcessParameters],
     profiles: list,
+    buffers: _Buffers,
 ) -> list[SweepCandidate]:
     """Candidates of profiles sharing one geometry_key at one belt speed.
 
-    Rows go through in blocks sized so that no transient array exceeds
-    _BLOCK_BYTES.
+    Rows go through in blocks of as many rows as fit _BLOCK_BYTES per
+    stage, all in the same buffers.
     """
-    x_nodes, x_mid, _ = stage_positions(profiles[0].total_length_cm, [speed], grid.dt)
-    x_nodes, x_mid = x_nodes[0], x_mid[0]
-    field_nodes = FieldRows(profiles[0], x_nodes)
-    field_mid = FieldRows(profiles[0], x_mid)
+    x_nodes, x_mid, _ = stage_positions(profiles[0].total_length_cm, [speed], grid.dt,
+                                        buffers.stages)
+    field_nodes = FieldRows(profiles[0], x_nodes[0])
+    field_mid = FieldRows(profiles[0], x_mid[0])
+    n_steps = x_mid.shape[1]
+    n_samples = n_steps // grid.stride + 1
     # the samples integrate_rows keeps: every stride-th node
-    times = np.arange((x_nodes.size - 1) // grid.stride + 1) * grid.dt_out
+    times = np.arange(n_samples) * grid.dt_out
     xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-    block = max(1, _BLOCK_BYTES // (8 * x_nodes.size))
+    block = max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
     out = []
     for lo in range(0, len(profiles), block):
         rows = slice(lo, lo + block)
+        n_rows = len(profiles[rows])
+        nodes = _view(buffers.field, (n_rows, n_steps + 1))
+        mid = _view(buffers.field[nodes.size :], (n_rows, n_steps))
+        field_nodes(profiles[rows], out=nodes)
+        field_mid(profiles[rows], out=mid)
         y0 = np.array([p.tt5 for p in params[rows]])
-        temps = np.ascontiguousarray(integrate_rows(
-            field_nodes(profiles[rows]), field_mid(profiles[rows]), y0, model.coefficient, grid
-        ))
+        temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
+                               _view(buffers.forcing, mid.shape),
+                               _view(buffers.samples, (n_rows, n_samples)))
         metrics = metrics_rows(times, temps, grid.dt_out)
         areas = _reflow_area_rows(xs, temps).tolist()
         symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP)
@@ -337,13 +355,17 @@ def _evaluate_group(
     area_domain: str,
     speeds: tuple[float, ...],
     group: tuple[list[ProcessParameters], list],
+    buffers: _Buffers | None = None,
 ) -> list[list[SweepCandidate]]:
     """Evaluate setpoint combinations whose profiles share one geometry_key
     at every sweep speed; one list of candidates per combination, in speed
-    order.  Top-level so process pools can pickle it.
+    order.  Without buffers it makes its own, for all its speeds.
+    Top-level so process pools can pickle it.
     """
     params, profiles = group
-    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles)
+    if buffers is None:
+        buffers = _sweep_buffers(profiles[0].total_length_cm, speeds, grid.dt)
+    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles, buffers)
                 for v in speeds]
     return [list(cands) for cands in zip(*by_speed)]
 
@@ -382,7 +404,8 @@ def _sweep_grid(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(evaluate, jobs))
     else:
-        batches = [evaluate(job) for job in jobs]
+        buffers = _sweep_buffers(layout.total_length_cm, speeds, grid.dt)
+        batches = [evaluate(job, buffers) for job in jobs]
     per_combo = [None] * len(params)
     for idx, batch in zip(pieces, batches):
         for i, cands in zip(idx, batch):

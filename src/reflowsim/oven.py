@@ -216,10 +216,15 @@ def position_at_time(belt_speed: float, t: float):
 
     Accepts scalar or ndarray t, and a scalar or ndarray belt_speed that
     broadcasts against it.  The cm/min -> cm/s conversion lives here and
-    nowhere else.
+    nowhere else.  A belt speed that is not positive and finite, or a time
+    that is negative or not finite, is refused with the first such value.
     """
-    if np.any(np.asarray(belt_speed) <= 0):
-        raise ValueError(f"belt_speed must be positive, got {belt_speed}")
-    if np.any(np.asarray(t) < 0):
-        raise ValueError("time must be non-negative")
+    speed = np.asarray(belt_speed, dtype=float)
+    ok = np.isfinite(speed) & (speed > 0)
+    if not np.all(ok):
+        raise ValueError(f"belt_speed must be positive and finite, got {speed[~ok].flat[0]}")
+    times = np.asarray(t, dtype=float)
+    ok = np.isfinite(times) & (times >= 0)
+    if not np.all(ok):
+        raise ValueError(f"time must be non-negative and finite, got {times[~ok].flat[0]}")
     return (belt_speed / SECONDS_PER_MINUTE) * t

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from reflowsim import load_trace_csv
+from reflowsim import ambient_at, build_profile, inclusive_grid, load_trace_csv
 from reflowsim.cli import main
 from reflowsim.config import RunConfig, config_from_dict, load_config
 
@@ -40,6 +42,25 @@ class TestFieldCommand:
         lines = out.splitlines()
         assert lines[0] == "position_cm,temp_c"
         assert lines[-1] == "435.5,25.0000"
+
+    @pytest.mark.parametrize("flags", [
+        [],
+        ["--tt1", "185", "--tt2", "185", "--tt3", "245", "--tt4", "245"],
+        ["--tt1", "165", "--tt2", "205", "--tt3", "225", "--tt4", "265", "--dx", "0.37"],
+    ], ids=["default", "merged-plateaus", "off-grid-dx"])
+    def test_rows_equal_point_by_point_evaluation(self, capsys, tmp_path, flags):
+        # the dump evaluates the profile once on the whole grid; every row must
+        # read as if each position were evaluated alone
+        out_path = tmp_path / "field.csv"
+        code, _, _ = run_cli(capsys, "field", "--out", str(out_path), *flags)
+        assert code == 0
+        cfg = config_from_dict({})
+        values = dict(zip(flags[::2], flags[1::2]))
+        params = replace(cfg.params, **{k[2:]: float(v) for k, v in values.items() if k != "--dx"})
+        profile = build_profile(cfg.layout, params, cfg.blend_weight)
+        xs = inclusive_grid(0.0, profile.total_length_cm, float(values.get("--dx", cfg.field_dx)))
+        expected = ["position_cm,temp_c"] + [f"{x:.1f},{ambient_at(profile, x):.4f}" for x in xs]
+        assert out_path.read_text().splitlines() == expected
 
 
 class TestSimulateCommand:

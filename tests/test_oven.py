@@ -165,6 +165,15 @@ class TestPositionAtTime:
         with pytest.raises(ValueError, match="non-negative"):
             position_at_time(70.0, -1.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_speed_or_time(self, value):
+        with pytest.raises(ValueError, match=f"belt_speed must be positive and finite, got {value}"):
+            position_at_time(value, 1.0)
+        with pytest.raises(ValueError, match=f"belt_speed must be positive and finite, got {value}"):
+            position_at_time(np.array([70.0, value]), 1.0)
+        with pytest.raises(ValueError, match=f"time must be non-negative and finite, got {value}"):
+            position_at_time(70.0, np.array([0.0, 30.0, value]))
+
     def test_vectorized(self):
         t = np.array([0.0, 30.0, 60.0])
         np.testing.assert_allclose(position_at_time(70.0, t), [0.0, 35.0, 70.0])

@@ -241,6 +241,24 @@ class TestIntegrationBoundary:
         with pytest.raises(ValueError, match=f"the limit is {_MAX_STEPS}"):
             stage_positions(435.5, [100.0, 65.0], 402.0 / (_MAX_STEPS + 10))
 
+    def test_euler_reference_refuses_past_the_cap(self, profile, params):
+        # 70 cm/min crosses in 373.3 s: 2,785,714 Euler steps of 0.134 ms
+        with pytest.raises(ValueError, match=r"dt = 0.000134 s needs 2785714 integration steps"):
+            euler_reference(profile, params, WeldingModel(0.021), 402.0 / 3e6)
+
+    def test_resample_refuses_past_the_cap(self, default_trace):
+        dt_out = default_trace.duration / (_MAX_STEPS + 10)
+        with pytest.raises(ValueError, match=f"dt_out = {dt_out} s needs {_MAX_STEPS + 10} "
+                                             f"intervals to span the trace; the limit is"):
+            resample(default_trace, dt_out)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -0.1])
+    def test_euler_and_resample_name_a_bad_step(self, profile, params, default_trace, value):
+        with pytest.raises(ValueError, match=f"dt must be positive and finite, got {value}"):
+            euler_reference(profile, params, WeldingModel(0.021), value)
+        with pytest.raises(ValueError, match=f"dt_out must be positive and finite, got {value}"):
+            resample(default_trace, value)
+
     def test_stage_positions_pad_rows_with_the_furnace_end(self):
         x_nodes, x_mid, n_steps = stage_positions(435.5, [100.0, 65.0], 0.1)
         assert n_steps.tolist() == [2613, 4020]
