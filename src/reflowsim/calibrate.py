@@ -139,6 +139,8 @@ def calibrate_coefficient(
     cands = [float(c) for c in candidates]
     if not cands:
         raise ValueError("candidates must not be empty")
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
     grid = grid if grid is not None else SimulationGrid()
     profile = build_profile(layout, params, weight)
 

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from .ambient import build_profile, fit_blend_weight
 from .calibrate import calibrate_coefficient
-from .config import RunConfig, load_config
+from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (
     OptimizationResult,
@@ -30,8 +29,7 @@ from .optimize import (
     minimize_area,
     most_symmetric,
 )
-from .oven import ProcessParameters
-from .thermal import SimulationGrid, WeldingModel, simulate
+from .thermal import WeldingModel, simulate
 from .traceio import load_trace_csv, write_trace_csv
 
 
@@ -55,32 +53,32 @@ def _add_common_flags(sub: argparse.ArgumentParser) -> None:
                      help="reflow-area integration variable")
 
 
+# Flag destination -> the (section, key) of the configuration it overrides.
+FLAG_KEYS = {
+    **{name: ("params", name) for name in ("tt1", "tt2", "tt3", "tt4", "belt_speed")},
+    "coefficient": ("model", "coefficient"),
+    "blend_weight": ("model", "blend_weight"),
+    "dt": ("grid", "dt"),
+    "dt_out": ("grid", "dt_out"),
+    "speed_step": ("sweep", "speed_step"),
+    "workers": ("sweep", "workers"),
+    "area_domain": ("sweep", "area_domain"),
+    "refine_rounds": ("calibration", "refine_rounds"),
+    "dx": ("output", "field_dx"),
+    "field_csv": ("output", "field_csv"),  # field --out
+    "trace_csv": ("output", "trace_csv"),  # simulate --out
+    "verdict_csv": ("output", "verdict_csv"),
+    "candidates_csv": ("output", "candidates_csv"),
+}
+
+
 def _resolve_config(args) -> RunConfig:
-    cfg = load_config(args.config)
-    params = cfg.params
-    for name in ("tt1", "tt2", "tt3", "tt4"):
-        value = getattr(args, name, None)
+    overrides: dict[str, dict] = {}
+    for dest, (section, key) in FLAG_KEYS.items():
+        value = getattr(args, dest, None)
         if value is not None:
-            params = replace(params, **{name: value})
-    if getattr(args, "belt_speed", None) is not None:
-        params = replace(params, belt_speed=args.belt_speed)
-    cfg = replace(cfg, params=params)
-    if getattr(args, "coefficient", None) is not None:
-        cfg = replace(cfg, coefficient=args.coefficient)
-    if getattr(args, "blend_weight", None) is not None:
-        cfg = replace(cfg, blend_weight=args.blend_weight)
-    if getattr(args, "dt", None) is not None or getattr(args, "dt_out", None) is not None:
-        cfg = replace(
-            cfg,
-            grid=SimulationGrid(
-                dt=args.dt if args.dt is not None else cfg.grid.dt,
-                dt_out=args.dt_out if args.dt_out is not None else cfg.grid.dt_out,
-            ),
-        )
-    if getattr(args, "workers", None) is not None:
-        cfg = replace(cfg, workers=args.workers)
-    if getattr(args, "area_domain", None) is not None:
-        cfg = replace(cfg, area_domain=args.area_domain)
+            overrides.setdefault(section, {})[key] = value
+    cfg = merge_config(load_config(args.config), overrides)
     cfg.validate()
     return cfg
 
@@ -123,15 +121,25 @@ def _print_metrics(metrics) -> None:
     print(f"peak_time_s:          {_fmt(metrics.peak_time)}")
 
 
+def _report_limits(cfg: RunConfig, trace, header: str) -> int:
+    metrics = compute_metrics(trace)
+    verdict = check_limits(metrics, cfg.limits)
+    print(header)
+    _print_metrics(metrics)
+    _print_verdict(verdict)
+    if cfg.verdict_csv:
+        _write_lines(cfg.verdict_csv, _verdict_csv_lines(verdict))
+    return 0
+
+
 def cmd_field(args) -> int:
     cfg = _resolve_config(args)
     profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
-    dx = args.dx if args.dx is not None else cfg.field_dx
-    xs = inclusive_grid(0.0, profile.total_length_cm, dx)
+    xs = inclusive_grid(0.0, profile.total_length_cm, cfg.field_dx)
     temps = profile(np.array(xs)).tolist()
     lines = ["position_cm,temp_c"]
     lines += [f"{x:.1f},{temp:.4f}" for x, temp in zip(xs, temps)]
-    _write_lines(args.out if args.out else cfg.field_csv, lines)
+    _write_lines(cfg.field_csv, lines)
     return 0
 
 
@@ -139,41 +147,21 @@ def cmd_simulate(args) -> int:
     cfg = _resolve_config(args)
     profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
     trace = simulate(profile, cfg.params, WeldingModel(cfg.coefficient), cfg.grid)
-    out = args.out if args.out else cfg.trace_csv
-    write_trace_csv(trace, out)
-    metrics = compute_metrics(trace)
-    verdict = check_limits(metrics, cfg.limits)
-    print(f"trace written to {out} ({len(trace)} samples, dt={trace.dt:g} s)")
-    _print_metrics(metrics)
-    _print_verdict(verdict)
-    verdict_csv = args.verdict_csv if args.verdict_csv else cfg.verdict_csv
-    if verdict_csv:
-        _write_lines(verdict_csv, _verdict_csv_lines(verdict))
-    return 0
+    write_trace_csv(trace, cfg.trace_csv)
+    return _report_limits(
+        cfg, trace, f"trace written to {cfg.trace_csv} ({len(trace)} samples, dt={trace.dt:g} s)"
+    )
 
 
 def cmd_check(args) -> int:
     cfg = _resolve_config(args)
     trace = load_trace_csv(args.trace, belt_speed=args.trace_belt_speed)
-    metrics = compute_metrics(trace)
-    verdict = check_limits(metrics, cfg.limits)
-    print(f"checked {args.trace} ({len(trace)} samples)")
-    _print_metrics(metrics)
-    _print_verdict(verdict)
-    verdict_csv = args.verdict_csv if args.verdict_csv else cfg.verdict_csv
-    if verdict_csv:
-        _write_lines(verdict_csv, _verdict_csv_lines(verdict))
-    return 0
+    return _report_limits(cfg, trace, f"checked {args.trace} ({len(trace)} samples)")
 
 
 def cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
     measured = load_trace_csv(args.measured, belt_speed=args.trace_belt_speed)
-    refine = (
-        args.refine_rounds
-        if args.refine_rounds is not None
-        else cfg.calibration_refine_rounds
-    )
     result = calibrate_coefficient(
         measured,
         cfg.layout,
@@ -181,10 +169,11 @@ def cmd_calibrate(args) -> int:
         cfg.blend_weight,
         cfg.coefficient_candidates,
         grid=cfg.grid,
-        refine_rounds=refine,
+        refine_rounds=cfg.calibration_refine_rounds,
     )
     print(f"coefficient candidates: {len(result.scores)} evaluated "
-          f"({len(cfg.coefficient_candidates)} on the base grid, refine_rounds={refine})")
+          f"({len(cfg.coefficient_candidates)} on the base grid, "
+          f"refine_rounds={cfg.calibration_refine_rounds})")
     print(f"{'coefficient':>12}{'discrepancy':>16}{'pearson':>12}")
     for s in result.scores:
         print(f"{s.coefficient:>12.6f}{s.discrepancy:>16.6f}{s.pearson:>12.6f}")
@@ -205,10 +194,10 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def _sweep_header(cfg: RunConfig, objective: str, tie_break: str) -> None:
+def _sweep_header(cfg: RunConfig, objective: str) -> None:
     r = cfg.ranges
     print(f"objective: {objective}")
-    print(f"tie-break: {tie_break}")
+    print("tie-break: lexicographically smallest (tt1, tt2, tt3, tt4, belt_speed)")
     print(
         "grid: "
         f"tt1 [{r.tt1[0]:g},{r.tt1[1]:g}] step {r.temp_step:g}; "
@@ -232,7 +221,7 @@ def _candidates_csv_lines(result: OptimizationResult) -> list[str]:
     return lines
 
 
-def _report_joint(cfg: RunConfig, result: OptimizationResult, args) -> int:
+def _report_joint(cfg: RunConfig, result: OptimizationResult) -> int:
     print(f"candidates evaluated: {result.candidates_evaluated}")
     feasible = sum(1 for c in result.candidates if c.feasible)
     print(f"feasible candidates:  {feasible}")
@@ -253,19 +242,17 @@ def _report_joint(cfg: RunConfig, result: OptimizationResult, args) -> int:
         print(f"  reflow area:     {b.area:.4f}")
         print(f"  symmetry score:  {_fmt(b.symmetry) or 'undefined'}")
         print(f"  peak temp:       {b.metrics.peak_temp:.4f}")
-    candidates_csv = args.candidates_csv if args.candidates_csv else cfg.candidates_csv
-    if candidates_csv:
-        _write_lines(candidates_csv, _candidates_csv_lines(result))
+    if cfg.candidates_csv:
+        _write_lines(cfg.candidates_csv, _candidates_csv_lines(result))
     return 0
 
 
 def cmd_optimize_speed(args) -> int:
     cfg = _resolve_config(args)
-    step = args.speed_step if args.speed_step is not None else cfg.speed_sweep_step
     print("objective: largest belt speed satisfying all process limits")
     print(
         f"grid: belt_speed [{cfg.ranges.belt_speed[0]:g},"
-        f"{cfg.ranges.belt_speed[1]:g}] step {step:g}"
+        f"{cfg.ranges.belt_speed[1]:g}] step {cfg.speed_sweep_step:g}"
     )
     sweep = feasible_speed_interval(
         cfg.layout,
@@ -273,7 +260,7 @@ def cmd_optimize_speed(args) -> int:
         cfg.blend_weight,
         cfg.coefficient,
         speed_range=cfg.ranges.belt_speed,
-        speed_step=step,
+        speed_step=cfg.speed_sweep_step,
         grid=cfg.grid,
         limits=cfg.limits,
     )
@@ -283,8 +270,7 @@ def cmd_optimize_speed(args) -> int:
         print("max feasible: none")
     else:
         print(f"max feasible: {sweep.max_feasible:.4f}")
-    candidates_csv = args.candidates_csv if args.candidates_csv else cfg.candidates_csv
-    if candidates_csv:
+    if cfg.candidates_csv:
         lines = ["v,feasible,max_slope,min_slope,rise_150_190,time_above_217,peak"]
         for c in sweep.per_speed:
             m = c.metrics
@@ -293,32 +279,28 @@ def cmd_optimize_speed(args) -> int:
                 f"{m.max_slope:.4f},{m.min_slope:.4f},{_fmt(m.rise_time_150_190)},"
                 f"{m.duration_above_217:.4f},{m.peak_temp:.4f}"
             )
-        _write_lines(candidates_csv, lines)
+        _write_lines(cfg.candidates_csv, lines)
     return 0
 
 
-def cmd_optimize_area(args) -> int:
+def _run_joint(args, sweep, objective: str) -> int:
     cfg = _resolve_config(args)
-    _sweep_header(cfg, "minimal reflow area among feasible candidates",
-                  "lexicographically smallest (tt1, tt2, tt3, tt4, belt_speed)")
-    result = minimize_area(
+    _sweep_header(cfg, objective)
+    result = sweep(
         cfg.layout, cfg.ranges, cfg.blend_weight, cfg.coefficient,
         grid=cfg.grid, limits=cfg.limits, area_domain=cfg.area_domain,
         refine_rounds=cfg.sweep_refine_rounds, workers=cfg.resolved_workers(),
     )
-    return _report_joint(cfg, result, args)
+    return _report_joint(cfg, result)
+
+
+def cmd_optimize_area(args) -> int:
+    return _run_joint(args, minimize_area, "minimal reflow area among feasible candidates")
 
 
 def cmd_optimize_symmetry(args) -> int:
-    cfg = _resolve_config(args)
-    _sweep_header(cfg, "lexicographic (symmetry score, reflow area) among feasible candidates",
-                  "lexicographically smallest (tt1, tt2, tt3, tt4, belt_speed)")
-    result = most_symmetric(
-        cfg.layout, cfg.ranges, cfg.blend_weight, cfg.coefficient,
-        grid=cfg.grid, limits=cfg.limits, area_domain=cfg.area_domain,
-        refine_rounds=cfg.sweep_refine_rounds, workers=cfg.resolved_workers(),
-    )
-    return _report_joint(cfg, result, args)
+    return _run_joint(args, most_symmetric,
+                      "lexicographic (symmetry score, reflow area) among feasible candidates")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -331,12 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("field", help="dump the ambient temperature field as CSV")
     _add_common_flags(p)
     p.add_argument("--dx", type=float, help="sampling step along the furnace, cm")
-    p.add_argument("--out", help="output CSV (default stdout)")
+    p.add_argument("--out", dest="field_csv", metavar="OUT", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("simulate", help="simulate a trace, report metrics and verdict")
     _add_common_flags(p)
-    p.add_argument("--out", help="trace CSV path (default trace.csv)")
+    p.add_argument("--out", dest="trace_csv", metavar="OUT",
+                   help="trace CSV path (default trace.csv)")
     p.add_argument("--verdict-csv", help="also write the verdict table as CSV")
     p.set_defaults(func=cmd_simulate)
 

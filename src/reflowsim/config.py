@@ -4,13 +4,16 @@ An empty configuration reproduces the stock scenario: the standard furnace,
 default setpoints (175/195/235/255/25 at 70 cm/min), coefficient 0.021,
 blend weight 0.8, dt 0.1 s with 0.5 s output sampling.  Unknown keys anywhere
 in the file are errors, and the resolved parameters must sit inside the
-configured adjustable ranges before any computation runs.
+configured adjustable ranges before any computation runs.  Section keys
+come from the dataclass fields (see SECTIONS); each value is converted by its
+field's type annotation.
 """
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
@@ -73,56 +76,139 @@ class RunConfig:
             raise ValueError(
                 f"area_domain must be 'position' or 'time', got {self.area_domain!r}"
             )
-        if self.field_dx <= 0:
-            raise ValueError("field_dx must be positive")
-        if self.speed_sweep_step <= 0:
-            raise ValueError("speed sweep step must be positive")
+        for name in ("field_dx", "speed_sweep_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        for name in ("sweep_refine_rounds", "calibration_refine_rounds"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be 0 or positive, got {getattr(self, name)}")
         if not self.coefficient_candidates:
             raise ValueError("coefficient candidate grid must not be empty")
         if not self.weight_candidates:
             raise ValueError("weight candidate grid must not be empty")
 
 
-def _require_keys(section: str, mapping, allowed: tuple[str, ...]) -> None:
-    if not isinstance(mapping, dict):
-        raise ValueError(f"config section {section or 'root'!r} must be a mapping")
-    unknown = sorted(set(mapping) - set(allowed))
+# Each section names either the RunConfig field holding a dataclass, whose
+# fields are then the section's keys, or a {key: RunConfig field} mapping.
+SECTIONS: dict[str, str | dict[str, str]] = {
+    **{name: name for name in ("params", "grid", "ranges", "limits")},
+    "model": {"coefficient": "coefficient", "blend_weight": "blend_weight"},
+    "sweep": {
+        "speed_step": "speed_sweep_step",
+        "refine_rounds": "sweep_refine_rounds",
+        "area_domain": "area_domain",
+        "workers": "workers",
+    },
+    "calibration": {
+        "coefficients": "coefficient_candidates",
+        "weights": "weight_candidates",
+        "refine_rounds": "calibration_refine_rounds",
+    },
+    "output": {
+        key: key for key in ("field_dx", "trace_csv", "field_csv", "verdict_csv", "candidates_csv")
+    },
+}
+
+
+def _expect(ok: bool, value):
+    if not ok:
+        raise TypeError(f"unexpected value {value!r}")
+    return value
+
+
+def _number(value) -> float:
+    return float(_expect(not isinstance(value, bool), value))
+
+
+def _integer(value) -> int:
+    number = _number(value)
+    return int(_expect(number.is_integer(), number))
+
+
+def _numbers(value, size: int | None = None) -> tuple[float, ...]:
+    ok = isinstance(value, list) and size in (None, len(value))
+    return tuple(_number(v) for v in _expect(ok, value))
+
+
+# Field annotation -> (converter, what the value must be).  A converter raises
+# TypeError or ValueError on a bad value.
+_CONVERTERS = {
+    "float": (_number, "a number"),
+    "int": (_integer, "an integer"),
+    "str": (lambda v: _expect(isinstance(v, str), v), "a string"),
+    "str | None": (lambda v: _expect(v is None or isinstance(v, str), v), "a string or null"),
+    "tuple[float, float]": (lambda v: _numbers(v, 2), "a [low, high] pair of numbers"),
+    "tuple[float, ...]": (_numbers, "a list of numbers"),
+    # each zone is read by _layout
+    "tuple[ZoneSpec, ...]": (lambda v: _expect(isinstance(v, list), v), "a list of zones"),
+}
+
+
+def _fields_of(cls) -> dict:
+    return {f.name: f for f in fields(cls)}
+
+
+_RUN_FIELDS = _fields_of(RunConfig)
+
+
+def _require_keys(where: str, node, allowed) -> None:
+    if not isinstance(node, dict):
+        raise ValueError(f"config section {where or 'root'!r} must be a mapping")
+    unknown = sorted(set(node) - set(allowed), key=str)  # YAML keys need not be strings
     if unknown:
-        where = f"{section}." if section else ""
-        raise ValueError(f"unknown config key {where}{unknown[0]!r}")
+        prefix = f"{where}." if where else ""
+        raise ValueError(f"unknown config key {prefix}{unknown[0]!r}")
 
 
-def _pair(section: str, key: str, value) -> tuple[float, float]:
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ValueError(f"config key {section}.{key} must be a [low, high] pair")
-    return (float(value[0]), float(value[1]))
+def _values(where: str, node, fields_by_key: dict) -> dict:
+    """Check a mapping's keys and convert each value by its field's annotation."""
+    _require_keys(where, node, fields_by_key)
+    for key, f in fields_by_key.items():
+        if key not in node and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config key {where} needs {key!r}")
+    values = {}
+    for key, value in node.items():
+        convert, expected = _CONVERTERS[fields_by_key[key].type]
+        try:
+            values[key] = convert(value)
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"config key {where}.{key} must be {expected}, got {value!r}"
+            ) from None
+    return values
 
 
-def _layout_from_config(node) -> OvenLayout:
-    _require_keys("oven", node, ("total_length_cm", "zones"))
-    for key in ("total_length_cm", "zones"):
-        if key not in node:
-            raise ValueError(f"config section 'oven' needs key {key!r}")
-    if not isinstance(node["zones"], list):
-        raise ValueError("config key oven.zones must be a list")
-    zones = []
-    for i, z in enumerate(node["zones"]):
-        _require_keys(
-            f"oven.zones[{i}]", z, ("name", "kind", "start_cm", "end_cm", "setpoint_slot")
-        )
-        for key in ("name", "kind", "start_cm", "end_cm"):
-            if key not in z:
-                raise ValueError(f"config key oven.zones[{i}] needs {key!r}")
-        zones.append(
-            ZoneSpec(
-                name=str(z["name"]),
-                kind=str(z["kind"]),
-                start_cm=float(z["start_cm"]),
-                end_cm=float(z["end_cm"]),
-                setpoint_slot=z.get("setpoint_slot"),
-            )
-        )
-    return OvenLayout(tuple(zones), float(node["total_length_cm"]))
+def _layout(node) -> OvenLayout:
+    values = _values("oven", node, _fields_of(OvenLayout))
+    zones = tuple(
+        ZoneSpec(**_values(f"oven.zones[{i}]", zone, _fields_of(ZoneSpec)))
+        for i, zone in enumerate(values["zones"])
+    )
+    return OvenLayout(zones, values["total_length_cm"])
+
+
+def merge_config(cfg: RunConfig, data: dict | None) -> RunConfig:
+    """Apply a {section: {key: value}} mapping on top of cfg.
+
+    Unknown sections and keys raise.  All keys given for a nested section are
+    replaced in one step, so grid.dt and grid.dt_out are checked together.
+    """
+    data = data or {}
+    _require_keys("", data, ("oven", *SECTIONS))
+    changes = {}
+    for section, node in data.items():
+        target = SECTIONS.get(section)
+        if section == "oven":
+            changes["layout"] = _layout(node)
+        elif isinstance(target, str):
+            current = getattr(cfg, target)
+            changes[target] = replace(current, **_values(section, node, _fields_of(current)))
+        else:
+            by_key = {key: _RUN_FIELDS[name] for key, name in target.items()}
+            for key, value in _values(section, node, by_key).items():
+                changes[target[key]] = value
+    return replace(cfg, **changes)
 
 
 def config_from_dict(data: dict | None) -> RunConfig:
@@ -130,136 +216,7 @@ def config_from_dict(data: dict | None) -> RunConfig:
 
     Missing sections and keys fall back to the defaults; unknown keys raise.
     """
-    data = data or {}
-    if not isinstance(data, dict):
-        raise ValueError("configuration root must be a mapping")
-    _require_keys(
-        "",
-        data,
-        ("oven", "params", "model", "grid", "ranges", "limits", "sweep",
-         "calibration", "output"),
-    )
-    cfg = RunConfig()
-
-    if "oven" in data:
-        cfg = replace(cfg, layout=_layout_from_config(data["oven"]))
-
-    node = data.get("params", {})
-    _require_keys("params", node, ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed"))
-    p = cfg.params
-    cfg = replace(
-        cfg,
-        params=ProcessParameters(
-            tt1=float(node.get("tt1", p.tt1)),
-            tt2=float(node.get("tt2", p.tt2)),
-            tt3=float(node.get("tt3", p.tt3)),
-            tt4=float(node.get("tt4", p.tt4)),
-            tt5=float(node.get("tt5", p.tt5)),
-            belt_speed=float(node.get("belt_speed", p.belt_speed)),
-        ),
-    )
-
-    node = data.get("model", {})
-    _require_keys("model", node, ("coefficient", "blend_weight"))
-    cfg = replace(
-        cfg,
-        coefficient=float(node.get("coefficient", cfg.coefficient)),
-        blend_weight=float(node.get("blend_weight", cfg.blend_weight)),
-    )
-
-    node = data.get("grid", {})
-    _require_keys("grid", node, ("dt", "dt_out"))
-    cfg = replace(
-        cfg,
-        grid=SimulationGrid(
-            dt=float(node.get("dt", cfg.grid.dt)),
-            dt_out=float(node.get("dt_out", cfg.grid.dt_out)),
-        ),
-    )
-
-    node = data.get("ranges", {})
-    _require_keys(
-        "ranges",
-        node,
-        ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed", "temp_step", "speed_step"),
-    )
-    r = cfg.ranges
-    cfg = replace(
-        cfg,
-        ranges=ParameterRanges(
-            tt1=_pair("ranges", "tt1", node["tt1"]) if "tt1" in node else r.tt1,
-            tt2=_pair("ranges", "tt2", node["tt2"]) if "tt2" in node else r.tt2,
-            tt3=_pair("ranges", "tt3", node["tt3"]) if "tt3" in node else r.tt3,
-            tt4=_pair("ranges", "tt4", node["tt4"]) if "tt4" in node else r.tt4,
-            tt5=_pair("ranges", "tt5", node["tt5"]) if "tt5" in node else r.tt5,
-            belt_speed=_pair("ranges", "belt_speed", node["belt_speed"])
-            if "belt_speed" in node
-            else r.belt_speed,
-            temp_step=float(node.get("temp_step", r.temp_step)),
-            speed_step=float(node.get("speed_step", r.speed_step)),
-        ),
-    )
-
-    node = data.get("limits", {})
-    _require_keys(
-        "limits",
-        node,
-        ("slope_max", "slope_min", "rise_150_190", "time_above_217", "peak"),
-    )
-    lim = cfg.limits
-    cfg = replace(
-        cfg,
-        limits=ProcessLimits(
-            slope_max=float(node.get("slope_max", lim.slope_max)),
-            slope_min=float(node.get("slope_min", lim.slope_min)),
-            rise_150_190=_pair("limits", "rise_150_190", node["rise_150_190"])
-            if "rise_150_190" in node
-            else lim.rise_150_190,
-            time_above_217=_pair("limits", "time_above_217", node["time_above_217"])
-            if "time_above_217" in node
-            else lim.time_above_217,
-            peak=_pair("limits", "peak", node["peak"]) if "peak" in node else lim.peak,
-        ),
-    )
-
-    node = data.get("sweep", {})
-    _require_keys("sweep", node, ("speed_step", "refine_rounds", "area_domain", "workers"))
-    cfg = replace(
-        cfg,
-        speed_sweep_step=float(node.get("speed_step", cfg.speed_sweep_step)),
-        sweep_refine_rounds=int(node.get("refine_rounds", cfg.sweep_refine_rounds)),
-        area_domain=str(node.get("area_domain", cfg.area_domain)),
-        workers=int(node.get("workers", cfg.workers)),
-    )
-
-    node = data.get("calibration", {})
-    _require_keys("calibration", node, ("coefficients", "weights", "refine_rounds"))
-    cfg = replace(
-        cfg,
-        coefficient_candidates=tuple(float(c) for c in node["coefficients"])
-        if "coefficients" in node
-        else cfg.coefficient_candidates,
-        weight_candidates=tuple(float(w) for w in node["weights"])
-        if "weights" in node
-        else cfg.weight_candidates,
-        calibration_refine_rounds=int(
-            node.get("refine_rounds", cfg.calibration_refine_rounds)
-        ),
-    )
-
-    node = data.get("output", {})
-    _require_keys(
-        "output", node, ("field_dx", "trace_csv", "field_csv", "verdict_csv", "candidates_csv")
-    )
-    cfg = replace(
-        cfg,
-        field_dx=float(node.get("field_dx", cfg.field_dx)),
-        trace_csv=str(node.get("trace_csv", cfg.trace_csv)),
-        field_csv=node.get("field_csv", cfg.field_csv),
-        verdict_csv=node.get("verdict_csv", cfg.verdict_csv),
-        candidates_csv=node.get("candidates_csv", cfg.candidates_csv),
-    )
-    return cfg
+    return merge_config(RunConfig(), data)
 
 
 def load_config(path: str | None) -> RunConfig:

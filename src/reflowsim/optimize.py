@@ -70,8 +70,8 @@ _BLOCK_BYTES = 1 << 18
 
 def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
     """Uniform grid from lo by step, always containing both endpoints."""
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not step > 0:  # also refuses NaN
+        raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError("grid upper bound below lower bound")
     n = int(np.floor((hi - lo) / step + 1e-9))
@@ -471,6 +471,8 @@ def _optimize(
     limits = limits if limits is not None else ProcessLimits()
     if objective not in ("area", "symmetry"):
         raise ValueError(f"unknown objective {objective!r}")
+    if refine_rounds < 0:
+        raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
 
     def sort_key(c: SweepCandidate):
         return objective_key(objective, c)

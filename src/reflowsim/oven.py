@@ -141,8 +141,12 @@ class ParameterRanges:
             lo, hi = getattr(self, name)
             if lo > hi:
                 raise ValueError(f"range for {name} has lower bound above upper")
-        if self.temp_step <= 0 or self.speed_step <= 0:
-            raise ValueError("enumeration steps must be positive")
+        for name in ("temp_step", "speed_step"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"enumeration steps must be positive and finite, got {name}={value}"
+                )
 
     def interval(self, name: str) -> tuple[float, float]:
         return getattr(self, name)
