@@ -87,6 +87,12 @@ class RunConfig:
             raise ValueError("coefficient candidate grid must not be empty")
         if not self.weight_candidates:
             raise ValueError("weight candidate grid must not be empty")
+        # the blend weights that build_profile accepts; NaN fails both bounds
+        for key, weights in (("model.blend_weight", (self.blend_weight,)),
+                             ("calibration.weights", self.weight_candidates)):
+            for w in weights:
+                if not 0.0 <= w <= 1.0:
+                    raise ValueError(f"{key} must lie in [0, 1], got {w}")
 
 
 # Each section names either the RunConfig field holding a dataclass, whose

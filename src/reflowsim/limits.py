@@ -9,7 +9,7 @@ for piecewise-linear traces whose vertices are sample nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -88,74 +88,155 @@ def crossing_time(t0, t1, y0, y1, level):
     return t0 + (t1 - t0) * (level - y0) / (y1 - y0)
 
 
-def _rise_times(times, temps, end_idx) -> list[float | None]:
-    """Per row, the time from the first upward crossing of 150 degC to that
-    of 190 degC, both within samples [0, end_idx[row]].
+def _slope_extremes(temps, dt: float, segments):
+    """Per row, the largest and the smallest forward-difference slope over
+    the segments where ``segments`` holds; the others count as -inf and
+    +inf, so padding never wins."""
+    slopes = np.diff(temps, axis=1)
+    slopes /= dt
+    return (np.max(slopes, axis=1, where=segments, initial=-np.inf),
+            np.min(slopes, axis=1, where=segments, initial=np.inf))
 
-    None where either level is not reached there.  A row already at or above
-    a level at its first sample crosses it at t[0].
-    """
-    levels = (RISE_BAND_LOW_C, RISE_BAND_HIGH_C)
-    # per row and level, the first sample at or above it, or 0 if none is
-    firsts = np.argmax(temps[:, None, :] >= np.array(levels)[:, None], axis=2)
-    out = []
-    for row, js, end in zip(temps, firsts.tolist(), end_idx.tolist()):
-        crossings = []
-        for level, j in zip(levels, js):
-            if j > end or not row[j] >= level:
-                break
-            if j == 0:
-                crossings.append(times[0])
-            else:
-                crossings.append(crossing_time(times[j - 1], times[j], row[j - 1], row[j], level))
-        out.append(float(crossings[1] - crossings[0]) if len(crossings) == 2 else None)
+
+def _first_crossings(times, temps, level, end_idx) -> np.ndarray:
+    """Per row, the first upward crossing of level within samples
+    [0, end_idx[row]]; NaN where the row does not reach it there.  A row
+    already at or above level at its first sample crosses it at t[0]."""
+    reached = temps >= level
+    # the first sample at or above level, or 0 if none is
+    first = np.argmax(reached, axis=1)
+    rows = np.arange(len(temps))
+    hit = reached[rows, first] & (first <= end_idx)
+    out = np.full(len(temps), np.nan)
+    out[hit & (first == 0)] = times[0]
+    # inside a row, the sample before the first hit lies below level, so
+    # these denominators are positive
+    r = np.flatnonzero(hit & (first > 0))
+    j = first[r]
+    out[r] = crossing_time(times[j - 1], times[j], temps[r, j - 1], temps[r, j], level)
     return out
 
 
-def _measure_above(times, temps, level) -> np.ndarray:
-    """Per row, the total time the linear interpolant spends strictly above
-    level."""
-    t0, t1 = times[:-1], times[1:]
+def _rise_times(times, temps, end_idx) -> np.ndarray:
+    """Per row, the time from the first upward crossing of 150 degC to that
+    of 190 degC, both within samples [0, end_idx[row]]; NaN where either
+    level is not reached there."""
+    return (_first_crossings(times, temps, RISE_BAND_HIGH_C, end_idx)
+            - _first_crossings(times, temps, RISE_BAND_LOW_C, end_idx))
+
+
+def _time_above_terms(times, temps, level) -> np.ndarray:
+    """Per row and segment, the time the linear interpolant spends strictly
+    above level."""
     y0, y1 = temps[:, :-1], temps[:, 1:]
-    width = t1 - t0
-    both_above = (y0 > level) & (y1 > level)
-    up = (y0 <= level) & (y1 > level)
-    down = (y0 > level) & (y1 <= level)
-    # Crossing segments have y1 != y0 by construction, so the masked
-    # divisions below never see a zero denominator.
-    frac_up = np.zeros(y0.shape)
-    np.divide(y1 - level, y1 - y0, out=frac_up, where=up)
-    frac_down = np.zeros(y0.shape)
-    np.divide(y0 - level, y0 - y1, out=frac_down, where=down)
-    return np.sum(width * (both_above + frac_up + frac_down), axis=1)
+    above0, above1 = y0 > level, y1 > level
+    terms = (above0 & above1).astype(float)
+    # only the few segments that enter or leave the set take a fraction;
+    # they have y1 != y0, so neither division sees a zero denominator
+    r, c = np.nonzero(above0 != above1)
+    a, b = y0[r, c], y1[r, c]
+    terms[r, c] = np.where(b > level, (b - level) / (b - a), (a - level) / (a - b))
+    terms *= np.diff(times)
+    return terms
 
 
-def metrics_rows(times, temps, dt: float) -> list[TraceMetrics]:
-    """The five metrics of every row of temps, all sampled at times.
+def _prefix_sums(terms, counts) -> np.ndarray:
+    """Per row r, ``np.sum(terms[r, :counts[r]])``, bit for bit.
 
-    Slopes are forward differences at the sample interval dt.  The rise time
-    is measured on the rising pass only: first upward crossings of 150 degC
-    and 190 degC at or before the peak.
+    Summing zeros in the padding would change numpy's pairwise summation
+    order, so each row is reduced over its own columns only; without
+    padding, all rows go in one call.
     """
-    if temps.shape[1] < 2:
+    counts = np.asarray(counts)
+    if counts.size and counts.min() == terms.shape[1]:
+        return np.sum(terms, axis=1)
+    return np.array([np.add.reduce(row[:n]) for row, n in zip(terms, counts.tolist())])
+
+
+@dataclass(frozen=True, eq=False)
+class MetricColumns:
+    """The metrics of many rows, one array per metric.
+
+    rise_time_150_190 is NaN where a row has none.  As a sequence it holds
+    each row's TraceMetrics.
+    """
+
+    max_slope: np.ndarray
+    min_slope: np.ndarray
+    rise_time_150_190: np.ndarray
+    duration_above_217: np.ndarray
+    peak_temp: np.ndarray
+    peak_time: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.peak_temp)
+
+    def __iter__(self):
+        return map(_row_metrics, *(getattr(self, f.name).tolist() for f in fields(self)))
+
+    def __getitem__(self, row: int) -> TraceMetrics:
+        return _row_metrics(*(getattr(self, f.name)[row].item() for f in fields(self)))
+
+
+def _row_metrics(max_slope, min_slope, rise, *rest) -> TraceMetrics:
+    # NaN marks a missing rise time; it is the only value not equal to itself
+    return TraceMetrics(max_slope, min_slope, rise if rise == rise else None, *rest)
+
+
+def metrics_rows(times, temps, dt: float, lengths=None) -> MetricColumns:
+    """The five metrics of every row of temps, sampled at times, one array
+    per metric.
+
+    Row r is measured over its first lengths[r] samples, or over all of
+    them without lengths.  What follows is padding: it may hold any finite
+    values and changes nothing.  Each row's values equal a one-row call on
+    its own samples, bit for bit: the extremes see -inf or +inf in the
+    padding, and the time above 217 degC sums each row's own terms (see
+    ``_prefix_sums``).  Slopes are forward differences at the sample interval
+    dt.  The rise time is measured on the rising pass only: first upward
+    crossings of 150 degC and 190 degC at or before the peak.
+    """
+    n_rows, width = temps.shape
+    lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
+    if width < 2 or np.any(lengths < 2):
         raise ValueError("metrics need at least 2 samples")
-    slopes = np.diff(temps, axis=1) / dt
-    peak_idx = np.argmax(temps, axis=1)
-    columns = zip(
-        slopes.max(axis=1).tolist(),
-        slopes.min(axis=1).tolist(),
+    if np.any(lengths > width):
+        raise ValueError(f"row lengths exceed the {width} columns of temps")
+    valid = np.arange(width) < lengths[:, None]
+    max_slope, min_slope = _slope_extremes(temps, dt, valid[:, 1:])
+    peak_idx = np.argmax(np.where(valid, temps, -np.inf), axis=1)
+    return MetricColumns(
+        max_slope,
+        min_slope,
         _rise_times(times, temps, peak_idx),
-        _measure_above(times, temps, MELT_C).tolist(),
-        temps[np.arange(len(temps)), peak_idx].tolist(),
-        times[peak_idx].tolist(),
+        _prefix_sums(_time_above_terms(times, temps, MELT_C), lengths - 1),
+        temps[np.arange(n_rows), peak_idx],
+        times[peak_idx],
     )
-    return [TraceMetrics(*values) for values in columns]
 
 
 def compute_metrics(trace: ThermalTrace) -> TraceMetrics:
     """Extract the five manufacturability metrics from a trace: the one-row
     case of ``metrics_rows``."""
     return metrics_rows(trace.times, trace.temps[None], trace.dt)[0]
+
+
+def check_rows(columns: MetricColumns, limits: ProcessLimits | None = None) -> np.ndarray:
+    """Pass masks of many rows, one row per limit in ``check_limits``
+    order: the columnar case of ``check_limits``.  A NaN rise time (none
+    measured) fails its limit."""
+    limits = limits if limits is not None else ProcessLimits()
+
+    def within(values, bounds):
+        return (bounds[0] <= values) & (values <= bounds[1])
+
+    return np.array([
+        columns.max_slope <= limits.slope_max,
+        columns.min_slope >= limits.slope_min,
+        within(columns.rise_time_150_190, limits.rise_150_190),
+        within(columns.duration_above_217, limits.time_above_217),
+        within(columns.peak_temp, limits.peak),
+    ])
 
 
 def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> LimitVerdict:

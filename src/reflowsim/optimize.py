@@ -11,21 +11,23 @@ Three strategies over simulated traces:
   reflow area as tie-breaker.
 
 The joint sweeps evaluate, at each belt speed, every setpoint combination
-whose ambient profile has the same segment geometry as one 2-D array, in row
-blocks: field, RK4 recursion, metrics, reflow area and symmetry.  Rows never
-mix, so each candidate equals the one the per-candidate chain (build_profile,
-simulate, compute_metrics, check_limits, reflow_area, symmetry_score) builds,
-bit for bit; the scalar functions are the one-row cases of the same kernels.
+whose ambient profile has the same segment geometry as one 2-D array.  Field
+and RK4 recursion run in RK4 blocks of rows; these write their samples into
+a wider sample block, on which metrics (one array per metric), limit pass
+masks, reflow area and symmetry run once.  Rows never mix, so each candidate
+equals the one the per-candidate chain (build_profile, simulate,
+compute_metrics, check_limits, reflow_area, symmetry_score) builds, bit for
+bit; the scalar functions are the one-row cases of the same kernels.
 Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
 
 The speed sweep evaluates its one profile at every grid speed as rows of
-padded 2-D arrays, in row blocks: positions, field and RK4 recursion for a
-block at once (``thermal.simulate_speeds``), then metrics and limit checks
-per row over that row's own samples.  Padding only follows a row's end and
-the recursion is causal, so each SpeedCheck equals the one the per-speed
-chain (build_profile, simulate, compute_metrics, check_limits) builds, bit
-for bit.
+padded 2-D arrays: positions, field and RK4 recursion per RK4 block
+(``thermal.simulate_speeds``), then metrics once per sample block, each row
+over its own samples, and a limit check per speed.  Padding only follows a
+row's end and the recursion is causal, so each SpeedCheck equals the one the
+per-speed chain (build_profile, simulate, compute_metrics, check_limits)
+builds, bit for bit.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ from .limits import (
     LimitVerdict,
     ProcessLimits,
     TraceMetrics,
+    _prefix_sums,
     check_limits,
+    check_rows,
     crossing_time,
     metrics_rows,
 )
@@ -64,7 +68,8 @@ from .thermal import (
 DEFAULT_SPEED_SWEEP_STEP = 0.1
 DEFAULT_OFFSET_STEP = 0.5
 # Bytes of a block's largest array per stage (its field at the nodes, say);
-# sets how many rows a block holds.
+# sets how many rows an RK4 block holds, and how many rows of samples a
+# sample block holds.
 _BLOCK_BYTES = 1 << 18
 
 
@@ -128,16 +133,18 @@ def _reflow_area_rows(xs, temps) -> np.ndarray:
     """Per row, the area between the interpolant over xs and the melting
     line where the row exceeds it."""
     h = np.diff(xs)
-    y0 = temps[:, :-1] - MELT_C
-    y1 = temps[:, 1:] - MELT_C
-    both = (y0 > 0) & (y1 > 0)
-    up = (y0 <= 0) & (y1 > 0)
-    down = (y0 > 0) & (y1 <= 0)
-    dy = y1 - y0
-    area = np.where(both, 0.5 * h * (y0 + y1), 0.0)
-    # Crossing segments have dy != 0, so the masked divisions are safe.
-    np.divide(0.5 * h * y1 * y1, dy, out=area, where=up)
-    np.divide(0.5 * h * y0 * y0, -dy, out=area, where=down)
+    y = temps - MELT_C
+    y0, y1 = y[:, :-1], y[:, 1:]
+    above = y > 0
+    above0, above1 = above[:, :-1], above[:, 1:]
+    area = y0 + y1
+    area *= 0.5 * h
+    area[~(above0 & above1)] = 0.0
+    # the few segments that cross the line hold a triangle; they have
+    # y1 != y0, so neither division sees a zero denominator
+    r, c = np.nonzero(above0 != above1)
+    a, b, w = y0[r, c], y1[r, c], 0.5 * h[c]
+    area[r, c] = np.where(b > 0, w * b * b / (b - a), w * a * a / -(b - a))
     return np.sum(area, axis=1)
 
 
@@ -149,25 +156,44 @@ def _area_axis(domain: str, times, positions):
     raise ValueError(f"domain must be 'position' or 'time', got {domain!r}")
 
 
+def _interp_rows(x, times, temps) -> np.ndarray:
+    """``np.interp(x[r], times, temps[r])`` for every row r, bit for bit.
+
+    The bracketing sample j (times[j] <= x < times[j+1]) comes from one
+    ``searchsorted``, then np.interp's own formula applies: a query on a
+    sample, at or past the last one or before the first returns that
+    sample, any other slope * (x - times[j]) + temps[j].  (np.interp's
+    fallback for a NaN result needs non-finite samples.)
+    """
+    j = np.searchsorted(times, x, side="right") - 1
+    last = len(times) - 1
+    rows = np.arange(len(temps))[:, None]
+    on_sample = np.clip(j, 0, last)
+    lo = np.minimum(on_sample, last - 1)
+    slope = (temps[rows, lo + 1] - temps[rows, lo]) / (times[lo + 1] - times[lo])
+    between = (j >= 0) & (j < last) & (x != times[on_sample])
+    return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
+
+
 def _symmetry_rows(times, temps, offset_step: float):
     """Per row, the symmetry score (None unless the row has exactly one
-    above-217 pass) and the number of passes."""
+    above-217 pass) and the number of passes.
+
+    The k offset pairs of all rows with one pass are interpolated at once,
+    in a rows x max(k) array; each row's squares are summed over its own k
+    columns, as ``symmetry_score`` sums them.
+    """
     passes, t1s, t2s = _melt_passes(times, temps)
-    scores = []
-    for row, (n, t1, t2) in enumerate(zip(passes.tolist(), t1s.tolist(), t2s.tolist())):
-        if n != 1:
-            scores.append(None)
-            continue
-        center = 0.5 * (t1 + t2)
-        k = int(np.floor(0.5 * (t2 - t1) / offset_step + 1e-9))
-        if k == 0:
-            scores.append(0.0)
-            continue
-        offsets = (np.arange(k) + 1) * offset_step
-        left = np.interp(center - offsets, times, temps[row])
-        right = np.interp(center + offsets, times, temps[row])
-        scores.append(float(np.sum((left - right) ** 2)))
-    return scores, passes
+    one = np.flatnonzero(passes == 1)
+    t1, t2 = t1s[one], t2s[one]
+    center = (0.5 * (t1 + t2))[:, None]
+    k = np.floor(0.5 * (t2 - t1) / offset_step + 1e-9).astype(np.int64)
+    offsets = (np.arange(k.max(initial=0)) + 1) * offset_step
+    left = _interp_rows(center - offsets, times, temps[one])
+    right = _interp_rows(center + offsets, times, temps[one])
+    scores = np.zeros(len(temps))
+    scores[one] = _prefix_sums((left - right) ** 2, k)
+    return [s if n == 1 else None for s, n in zip(scores.tolist(), passes.tolist())], passes
 
 
 def reflow_area(trace: ThermalTrace, domain: str = "position") -> float:
@@ -244,27 +270,38 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through in blocks of as many rows as fit _BLOCK_BYTES at the
-    slowest speed's node count; every block reuses the same buffers.
+    Speeds go through in RK4 blocks of as many rows as fit _BLOCK_BYTES at
+    the slowest speed's node count, which write their samples into a
+    sample block of several RK4 blocks; the metrics then run once per
+    sample block, each row over its own samples.  Every block reuses the
+    same buffers.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
-    longest = int(step_counts(profile.total_length_cm, speeds, grid.dt).max())
-    times = np.arange(longest // grid.stride + 1) * grid.dt_out
+    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    n_samples = n_steps // grid.stride + 1
+    longest = int(n_steps.max())
+    times = np.arange(n_samples.max()) * grid.dt_out
     block = max(1, _BLOCK_BYTES // (8 * (longest + 1)))
     buffers = _Buffers(block * (2 * longest + 1))
+    wide = _sample_block_rows(block, len(times), buffers.samples.size)
     per_speed = []
-    for lo in range(0, len(speeds), block):
-        rows = speeds[lo : lo + block]
-        temps, n_samples = simulate_speeds(profile, params.tt5, model, grid, rows, buffers)
-        # each row's metrics over its own samples only: padding would change
-        # the order of the sums
-        for v, row, n in zip(rows, temps, n_samples.tolist()):
-            metrics = metrics_rows(times[:n], row[None, :n], grid.dt_out)[0]
-            per_speed.append(SpeedCheck(v, metrics, check_limits(metrics, limits)))
+    for lo in range(0, len(speeds), wide):
+        lengths = n_samples[lo : lo + wide]
+        temps = _view(buffers.samples, (len(lengths), lengths.max()))
+        for r0 in range(0, len(lengths), block):
+            part = temps[r0 : r0 + block]
+            _, counts = simulate_speeds(profile, params.tt5, model, grid,
+                                        speeds[lo + r0 : lo + r0 + len(part)], buffers, part)
+            # the columns past this RK4 block's longest row hold its last
+            # sample, so no stale value enters the padding
+            part[:, counts.max() :] = part[:, counts.max() - 1, None]
+        metrics = metrics_rows(times[: temps.shape[1]], temps, grid.dt_out, lengths)
+        for v, m in zip(speeds[lo : lo + wide], metrics):
+            per_speed.append(SpeedCheck(v, m, check_limits(m, limits)))
     feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
 
@@ -295,6 +332,14 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
+def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
+    """Rows of a sample block: whole RK4 blocks, as many as keep its samples
+    within _BLOCK_BYTES and within the shared samples buffer of ``capacity``
+    floats, which always holds one RK4 block's samples."""
+    fit = min(_BLOCK_BYTES // (8 * n_samples), capacity // n_samples)
+    return max(1, fit // rk4_rows) * rk4_rows
+
+
 def _sweep_buffers(total_cm: float, speeds, dt: float) -> _Buffers:
     """Buffers that fit a block of ``_evaluate_speed`` at every speed."""
     n_steps = step_counts(total_cm, speeds, dt)
@@ -314,8 +359,10 @@ def _evaluate_speed(
 ) -> list[SweepCandidate]:
     """Candidates of profiles sharing one geometry_key at one belt speed.
 
-    Rows go through in blocks of as many rows as fit _BLOCK_BYTES per
-    stage, all in the same buffers.
+    Rows go through in RK4 blocks of as many rows as fit _BLOCK_BYTES per
+    stage, all in the same buffers.  The RK4 blocks write their samples into
+    consecutive rows of a sample block, and metrics, limit checks, reflow
+    area and symmetry run once per sample block.
     """
     x_nodes, x_mid, _ = stage_positions(profiles[0].total_length_cm, [speed], grid.dt,
                                         buffers.stages)
@@ -327,24 +374,27 @@ def _evaluate_speed(
     times = np.arange(n_samples) * grid.dt_out
     xs = _area_axis(area_domain, times, (speed / 60.0) * times)
     block = max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+    wide = _sample_block_rows(block, n_samples, buffers.samples.size)
     out = []
-    for lo in range(0, len(profiles), block):
-        rows = slice(lo, lo + block)
-        n_rows = len(profiles[rows])
-        nodes = _view(buffers.field, (n_rows, n_steps + 1))
-        mid = _view(buffers.field[nodes.size :], (n_rows, n_steps))
-        field_nodes(profiles[rows], out=nodes)
-        field_mid(profiles[rows], out=mid)
-        y0 = np.array([p.tt5 for p in params[rows]])
-        temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
-                               _view(buffers.forcing, mid.shape),
-                               _view(buffers.samples, (n_rows, n_samples)))
+    for lo in range(0, len(profiles), wide):
+        temps = _view(buffers.samples, (min(wide, len(profiles) - lo), n_samples))
+        for r0 in range(0, len(temps), block):
+            rows = slice(lo + r0, lo + min(r0 + block, len(temps)))
+            n_rows = rows.stop - rows.start
+            nodes = _view(buffers.field, (n_rows, n_steps + 1))
+            mid = _view(buffers.field[nodes.size :], (n_rows, n_steps))
+            field_nodes(profiles[rows], out=nodes)
+            field_mid(profiles[rows], out=mid)
+            y0 = np.array([p.tt5 for p in params[rows]])
+            integrate_rows(nodes, mid, y0, model.coefficient, grid,
+                           _view(buffers.forcing, mid.shape), temps[r0 : r0 + n_rows])
         metrics = metrics_rows(times, temps, grid.dt_out)
+        feasible = check_rows(metrics, limits).all(axis=0).tolist()
         areas = _reflow_area_rows(xs, temps).tolist()
         symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP)
-        for p, m, area, sym in zip(params[rows], metrics, areas, symmetry):
-            p = replace(p, belt_speed=speed)
-            out.append(SweepCandidate(p, m, area, sym, check_limits(m, limits).passed))
+        for p, m, area, sym, ok in zip(params[lo : lo + wide], metrics, areas, symmetry,
+                                       feasible):
+            out.append(SweepCandidate(replace(p, belt_speed=speed), m, area, sym, ok))
     return out
 
 

@@ -74,6 +74,12 @@ class SimulationGrid:
         return int(round(self.dt_out / self.dt))
 
 
+def _check_timing(dt: float, belt_speed: float) -> None:
+    for name, value in (("dt", dt), ("belt_speed", belt_speed)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 @dataclass(frozen=True)
 class ThermalTrace:
     """Uniformly sampled weld-center temperature series.
@@ -97,10 +103,7 @@ class ThermalTrace:
             raise ValueError("trace must not be empty")
         if not (times.shape == positions.shape == temps.shape):
             raise ValueError("times, positions and temps must have equal length")
-        for name in ("dt", "belt_speed"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+        _check_timing(self.dt, self.belt_speed)
         expected_t = np.arange(times.size) * self.dt
         if np.max(np.abs(times - expected_t)) > 1e-9:
             raise ValueError("sample times must be uniform: t[i] = i * dt")
@@ -115,6 +118,7 @@ class ThermalTrace:
     @classmethod
     def from_temps(cls, dt: float, belt_speed: float, temps) -> "ThermalTrace":
         """Build a trace from temperatures alone; times/positions are derived."""
+        _check_timing(dt, belt_speed)  # before they scale the derived arrays
         temps = np.asarray(temps, dtype=float)
         times = np.arange(temps.size) * dt
         positions = (belt_speed / 60.0) * times
@@ -280,10 +284,10 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
 
     t_amb_nodes has one more column than t_amb_mid; both are overwritten.
     Returns every grid.stride-th node of each row.  ``forcing`` (the shape
-    of t_amb_mid) and ``out`` (rows x samples) are optional buffers that a
-    caller running many blocks passes each time.  Refuses a step whose
-    recursion is unstable: |A| >= 1, which holds from e = coefficient * dt
-    of about 2.785 on.
+    of t_amb_mid) and ``out`` (rows x samples, rows need not be adjacent)
+    are optional buffers that a caller running many blocks passes each
+    time.  Refuses a step whose recursion is unstable: |A| >= 1, which holds
+    from e = coefficient * dt of about 2.785 on.
 
     The recursion y[n+1] = A*y[n] + f[n] runs from kept sample to kept
     sample, s = grid.stride nodes apart,
@@ -331,7 +335,9 @@ class _Buffers:
     """Flat arrays that the blocks of one sweep share: stage positions,
     fields, forcing and samples.  Each block takes the start of each in its
     own shape, so their pages are touched once per sweep, not once per
-    block.  The four are rows of one allocation: glibc keeps that block
+    block.  A sample row is far shorter than its stage row, so the samples
+    array holds a sample block: the rows of several RK4 blocks, measured
+    at once.  The four are rows of one allocation: glibc keeps that block
     for the next sweep, where four separate ones went back to the system
     and were faulted in again on every call.  Without a size, every block
     allocates its own arrays."""
@@ -344,14 +350,17 @@ class _Buffers:
 
 
 def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
-                    grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None):
+                    grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None,
+                    out=None):
     """RK4 traces of one profile at several belt speeds, one row per speed.
 
     Returns every stride-th node of each row and each row's sample count;
     row r is valid up to its count.  Past its own step count a row holds
     padding, and the recursion is causal, so its valid samples equal a
     one-row run bit for bit.  ``buffers`` need 2 * steps + 1 floats per row
-    of the longest.
+    of the longest.  The samples go to the first columns of ``out`` when
+    given (one row per speed, at least as many columns as the longest row
+    has samples; its rows need not be adjacent), else to buffers.samples.
     """
     buffers = buffers if buffers is not None else _Buffers()
     speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
@@ -359,9 +368,10 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
     # nodes and midpoints in one evaluation
     nodes, mid = _split(ambient_at(profile, x, out=_view(buffers.field, x.shape)))
     n_samples = mid.shape[1] // grid.stride + 1
+    if out is None:
+        out = _view(buffers.samples, (len(speeds), n_samples))
     temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
-                           _view(buffers.forcing, mid.shape),
-                           _view(buffers.samples, (len(speeds), n_samples)))
+                           _view(buffers.forcing, mid.shape), out[:, :n_samples])
     return temps, n_steps // grid.stride + 1
 
 

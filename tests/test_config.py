@@ -207,6 +207,32 @@ class TestSteps:
             inclusive_grid(0.0, 1.0, math.nan)
 
 
+class TestBlendWeights:
+    @pytest.mark.parametrize("argv,text,message", [
+        (["optimize-speed"], "model: {blend_weight: 1.5}",
+         "model.blend_weight must lie in [0, 1], got 1.5"),
+        (["optimize-area"], "model: {blend_weight: .nan}",
+         "model.blend_weight must lie in [0, 1], got nan"),
+        (["optimize-speed", "--blend-weight", "1.5"], "",
+         "model.blend_weight must lie in [0, 1], got 1.5"),
+        (["field", "--blend-weight", "-0.1"], "",
+         "model.blend_weight must lie in [0, 1], got -0.1"),
+        (["calibrate", "m.csv", "--fit-blend"], "calibration: {weights: [0.5, 1.5]}",
+         "calibration.weights must lie in [0, 1], got 1.5"),
+        (["calibrate", "m.csv", "--fit-blend"], "calibration: {weights: [.nan]}",
+         "calibration.weights must lie in [0, 1], got nan"),
+    ])
+    def test_refused_before_any_output(self, capsys, tmp_path, argv, text, message):
+        code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_bounds_are_accepted(self):
+        config_from_dict({"model": {"blend_weight": 0.0},
+                          "calibration": {"weights": [0.0, 1.0]}}).validate()
+        config_from_dict({"model": {"blend_weight": 1.0}}).validate()
+
+
 class TestReadme:
     def rows(self):
         """(section, key, flag cell, default cell) of the key reference table."""
