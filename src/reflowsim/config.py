@@ -17,6 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
+from .ambient import DEFAULT_BLEND_WEIGHT
 from .limits import ProcessLimits
 from .oven import (
     OvenLayout,
@@ -29,7 +30,6 @@ from .oven import (
 from .thermal import SimulationGrid
 
 DEFAULT_COEFFICIENT = 0.021
-DEFAULT_BLEND_WEIGHT = 0.8
 DEFAULT_COEFFICIENT_CANDIDATES = (0.0200, 0.0205, 0.0210, 0.0215, 0.0220)
 DEFAULT_WEIGHT_CANDIDATES = (0.6, 0.7, 0.8, 0.9, 1.0)
 

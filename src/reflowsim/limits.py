@@ -9,6 +9,7 @@ for piecewise-linear traces whose vertices are sample nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -125,16 +126,23 @@ def _rise_times(times, temps, end_idx) -> np.ndarray:
             - _first_crossings(times, temps, RISE_BAND_LOW_C, end_idx))
 
 
+def _super_level_segments(temps, level):
+    """The segments of each row's linear interpolant against the strict
+    super-level set {T > level}: a mask of those whose two ends both lie
+    above level, and the row-major (row, segment) indices of those with one
+    end above it, which cross it.  A crossing segment has y1 != y0."""
+    above = temps > level
+    above0, above1 = above[:, :-1], above[:, 1:]
+    return above0 & above1, np.nonzero(above0 != above1)
+
+
 def _time_above_terms(times, temps, level) -> np.ndarray:
     """Per row and segment, the time the linear interpolant spends strictly
     above level."""
-    y0, y1 = temps[:, :-1], temps[:, 1:]
-    above0, above1 = y0 > level, y1 > level
-    terms = (above0 & above1).astype(float)
-    # only the few segments that enter or leave the set take a fraction;
-    # they have y1 != y0, so neither division sees a zero denominator
-    r, c = np.nonzero(above0 != above1)
-    a, b = y0[r, c], y1[r, c]
+    inside, (r, c) = _super_level_segments(temps, level)
+    terms = inside.astype(float)
+    # only the few crossing segments take a fraction
+    a, b = temps[r, c], temps[r, c + 1]
     terms[r, c] = np.where(b > level, (b - level) / (b - a), (a - level) / (a - b))
     terms *= np.diff(times)
     return terms
@@ -221,22 +229,33 @@ def compute_metrics(trace: ThermalTrace) -> TraceMetrics:
     return metrics_rows(trace.times, trace.temps[None], trace.dt)[0]
 
 
+def _bounds(limits: ProcessLimits):
+    """The five limits in check order: (limit name, TraceMetrics field,
+    lower, upper), with None for an open side."""
+    return (
+        ("max_slope", "max_slope", None, limits.slope_max),
+        ("min_slope", "min_slope", limits.slope_min, None),
+        ("rise_time_150_190", "rise_time_150_190", *limits.rise_150_190),
+        ("time_above_217", "duration_above_217", *limits.time_above_217),
+        ("peak_temp", "peak_temp", *limits.peak),
+    )
+
+
+def _within(value, lower, upper):
+    """lower <= value <= upper, for a float or elementwise for an array; an
+    open side (None) holds everywhere, and NaN fails."""
+    lower = -math.inf if lower is None else lower
+    upper = math.inf if upper is None else upper
+    return (lower <= value) & (value <= upper)
+
+
 def check_rows(columns: MetricColumns, limits: ProcessLimits | None = None) -> np.ndarray:
     """Pass masks of many rows, one row per limit in ``check_limits``
     order: the columnar case of ``check_limits``.  A NaN rise time (none
     measured) fails its limit."""
     limits = limits if limits is not None else ProcessLimits()
-
-    def within(values, bounds):
-        return (bounds[0] <= values) & (values <= bounds[1])
-
-    return np.array([
-        columns.max_slope <= limits.slope_max,
-        columns.min_slope >= limits.slope_min,
-        within(columns.rise_time_150_190, limits.rise_150_190),
-        within(columns.duration_above_217, limits.time_above_217),
-        within(columns.peak_temp, limits.peak),
-    ])
+    return np.array([_within(getattr(columns, field), lower, upper)
+                     for _, field, lower, upper in _bounds(limits)])
 
 
 def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> LimitVerdict:
@@ -245,45 +264,9 @@ def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> 
     An absent rise time fails its limit; nothing raises.
     """
     limits = limits if limits is not None else ProcessLimits()
-    rise = metrics.rise_time_150_190
-    checks = (
-        LimitCheck(
-            "max_slope",
-            metrics.max_slope,
-            None,
-            limits.slope_max,
-            metrics.max_slope <= limits.slope_max,
-        ),
-        LimitCheck(
-            "min_slope",
-            metrics.min_slope,
-            limits.slope_min,
-            None,
-            metrics.min_slope >= limits.slope_min,
-        ),
-        LimitCheck(
-            "rise_time_150_190",
-            rise,
-            limits.rise_150_190[0],
-            limits.rise_150_190[1],
-            rise is not None
-            and limits.rise_150_190[0] <= rise <= limits.rise_150_190[1],
-        ),
-        LimitCheck(
-            "time_above_217",
-            metrics.duration_above_217,
-            limits.time_above_217[0],
-            limits.time_above_217[1],
-            limits.time_above_217[0]
-            <= metrics.duration_above_217
-            <= limits.time_above_217[1],
-        ),
-        LimitCheck(
-            "peak_temp",
-            metrics.peak_temp,
-            limits.peak[0],
-            limits.peak[1],
-            limits.peak[0] <= metrics.peak_temp <= limits.peak[1],
-        ),
-    )
+    checks = []
+    for name, field, lower, upper in _bounds(limits):
+        measured = getattr(metrics, field)
+        value = math.nan if measured is None else measured
+        checks.append(LimitCheck(name, measured, lower, upper, _within(value, lower, upper)))
     return LimitVerdict(checks)

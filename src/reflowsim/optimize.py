@@ -46,6 +46,7 @@ from .limits import (
     ProcessLimits,
     TraceMetrics,
     _prefix_sums,
+    _super_level_segments,
     check_limits,
     check_rows,
     crossing_time,
@@ -96,15 +97,13 @@ def _melt_passes(times, temps):
     point (the trace grazing the level from above) count as one.
     """
     level = MELT_C
-    y0, y1 = temps[:, :-1], temps[:, 1:]
-    up_r, up_c = np.nonzero((y1 > level) & (level >= y0))
-    down_r, down_c = np.nonzero((y0 > level) & (y1 <= level))
-    starts = crossing_time(times[up_c], times[up_c + 1], temps[up_r, up_c],
-                           temps[up_r, up_c + 1], level)
+    _, (r, c) = _super_level_segments(temps, level)
     # negating both factors of the ratio is exact, so downward crossings
     # round as (y0 - level) / (y0 - y1) would
-    ends = crossing_time(times[down_c], times[down_c + 1], temps[down_r, down_c],
-                         temps[down_r, down_c + 1], level)
+    at = crossing_time(times[c], times[c + 1], temps[r, c], temps[r, c + 1], level)
+    up = temps[r, c + 1] > level
+    up_r, starts = r[up], at[up]
+    down_r, ends = r[~up], at[~up]
     # a row above the level at its first (last) sample starts (ends) there
     first_in = np.flatnonzero(temps[:, 0] > level)
     last_in = np.flatnonzero(temps[:, -1] > level)
@@ -134,16 +133,12 @@ def _reflow_area_rows(xs, temps) -> np.ndarray:
     line where the row exceeds it."""
     h = np.diff(xs)
     y = temps - MELT_C
-    y0, y1 = y[:, :-1], y[:, 1:]
-    above = y > 0
-    above0, above1 = above[:, :-1], above[:, 1:]
-    area = y0 + y1
+    inside, (r, c) = _super_level_segments(temps, MELT_C)
+    area = y[:, :-1] + y[:, 1:]
     area *= 0.5 * h
-    area[~(above0 & above1)] = 0.0
-    # the few segments that cross the line hold a triangle; they have
-    # y1 != y0, so neither division sees a zero denominator
-    r, c = np.nonzero(above0 != above1)
-    a, b, w = y0[r, c], y1[r, c], 0.5 * h[c]
+    area[~inside] = 0.0
+    # the few segments that cross the line hold a triangle
+    a, b, w = y[r, c], y[r, c + 1], 0.5 * h[c]
     area[r, c] = np.where(b > 0, w * b * b / (b - a), w * a * a / -(b - a))
     return np.sum(area, axis=1)
 
@@ -285,7 +280,7 @@ def feasible_speed_interval(
     n_samples = n_steps // grid.stride + 1
     longest = int(n_steps.max())
     times = np.arange(n_samples.max()) * grid.dt_out
-    block = max(1, _BLOCK_BYTES // (8 * (longest + 1)))
+    block = _rk4_rows(longest)
     buffers = _Buffers(block * (2 * longest + 1))
     wide = _sample_block_rows(block, len(times), buffers.samples.size)
     per_speed = []
@@ -332,6 +327,12 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
+def _rk4_rows(n_steps: int) -> int:
+    """Rows of an RK4 block at n_steps steps: as many as keep one stage
+    array (n_steps + 1 floats a row) within _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+
+
 def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
     """Rows of a sample block: whole RK4 blocks, as many as keep its samples
     within _BLOCK_BYTES and within the shared samples buffer of ``capacity``
@@ -342,9 +343,8 @@ def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
 
 def _sweep_buffers(total_cm: float, speeds, dt: float) -> _Buffers:
     """Buffers that fit a block of ``_evaluate_speed`` at every speed."""
-    n_steps = step_counts(total_cm, speeds, dt)
-    rows = np.maximum(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
-    return _Buffers(int(np.max(rows * (2 * n_steps + 1))))
+    n_steps = step_counts(total_cm, speeds, dt).tolist()
+    return _Buffers(max(_rk4_rows(n) * (2 * n + 1) for n in n_steps))
 
 
 def _evaluate_speed(
@@ -373,7 +373,7 @@ def _evaluate_speed(
     # the samples integrate_rows keeps: every stride-th node
     times = np.arange(n_samples) * grid.dt_out
     xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-    block = max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+    block = _rk4_rows(n_steps)
     wide = _sample_block_rows(block, n_samples, buffers.samples.size)
     out = []
     for lo in range(0, len(profiles), wide):
@@ -523,6 +523,8 @@ def _optimize(
         raise ValueError(f"unknown objective {objective!r}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
 
     def sort_key(c: SweepCandidate):
         return objective_key(objective, c)

@@ -105,11 +105,15 @@ class ThermalTrace:
             raise ValueError("times, positions and temps must have equal length")
         _check_timing(self.dt, self.belt_speed)
         expected_t = np.arange(times.size) * self.dt
-        if np.max(np.abs(times - expected_t)) > 1e-9:
+        # written as not-within so that a NaN time or position fails too
+        if not np.max(np.abs(times - expected_t)) <= 1e-9:
             raise ValueError("sample times must be uniform: t[i] = i * dt")
         expected_x = (self.belt_speed / 60.0) * times
-        if np.max(np.abs(positions - expected_x)) > 1e-9:
+        if not np.max(np.abs(positions - expected_x)) <= 1e-9:
             raise ValueError("positions must satisfy x[i] = (belt_speed/60) * t[i]")
+        bad = np.flatnonzero(~np.isfinite(temps))
+        if bad.size:
+            raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
         for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
             arr = arr.copy()
             arr.setflags(write=False)

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from reflowsim import (
+    LimitCheck,
     ProcessLimits,
     SimulationGrid,
     ThermalTrace,
@@ -179,6 +180,22 @@ class TestCheckLimits:
         )
         for before, after in zip(tight.checks, relaxed.checks):
             assert after.passed or not before.passed
+
+    def test_checks_report_custom_bounds(self):
+        limits = ProcessLimits(slope_max=2.5, slope_min=-2.0, rise_150_190=(70.0, 75.0),
+                               time_above_217=(30.0, 100.0), peak=(235.0, 255.0))
+        m = metrics_all_pass(max_slope=2.6, min_slope=-1.5, rise_time_150_190=72.0,
+                             duration_above_217=101.0, peak_temp=235.0)
+        assert check_limits(m, limits).checks == (
+            LimitCheck("max_slope", 2.6, None, 2.5, False),
+            LimitCheck("min_slope", -1.5, -2.0, None, True),
+            LimitCheck("rise_time_150_190", 72.0, 70.0, 75.0, True),
+            LimitCheck("time_above_217", 101.0, 30.0, 100.0, False),
+            LimitCheck("peak_temp", 235.0, 235.0, 255.0, True),
+        )
+        rise = check_limits(metrics_all_pass(rise_time_150_190=None), limits).checks[2]
+        assert rise == LimitCheck("rise_time_150_190", None, 70.0, 75.0, False)
+        assert all(type(c.passed) is bool for c in check_limits(m, limits).checks)
 
     def test_limits_validation(self):
         with pytest.raises(ValueError, match="interval"):

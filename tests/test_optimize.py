@@ -263,6 +263,12 @@ class TestJointSweeps:
         assert [c.key() for c in serial.candidates] == [c.key() for c in parallel.candidates]
         assert [c.area for c in serial.candidates] == [c.area for c in parallel.candidates]
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    @pytest.mark.parametrize("sweep", [minimize_area, most_symmetric])
+    def test_workers_below_one_are_refused(self, layout, sweep, workers):
+        with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+            sweep(layout, SMALL_RANGES, 0.8, 0.021, workers=workers)
+
     def test_infeasible_grid_returns_none(self, layout):
         ranges = ParameterRanges(
             tt1=(175.0, 175.0), tt2=(195.0, 195.0), tt3=(235.0, 235.0),

@@ -178,6 +178,18 @@ class TestThermalTraceInvariants:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
             ThermalTrace.from_temps(timing["dt"], timing["belt_speed"], [25.0, 26.0])
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_temps(self, value):
+        with pytest.raises(ValueError, match=f"temps must be finite: sample 1 is {value}"):
+            ThermalTrace.from_temps(0.5, 70.0, [25.0, value, 230.0, 240.0, 200.0])
+
+    @pytest.mark.parametrize("name", ["times", "positions"])
+    def test_rejects_nan_times_and_positions(self, name):
+        arrays = {"times": np.array([0.0, 0.5]), "positions": np.array([0.0, 70.0 / 120.0])}
+        arrays[name][1] = float("nan")
+        with pytest.raises(ValueError, match=name[:-1]):
+            ThermalTrace(0.5, 70.0, arrays["times"], arrays["positions"], np.array([25.0, 26.0]))
+
     def test_arrays_read_only(self, default_trace):
         with pytest.raises(ValueError):
             default_trace.temps[0] = 0.0
