@@ -146,21 +146,38 @@ class AmbientProfile:
         return ambient_at(self, x)
 
 
+def _check_inside(profile: AmbientProfile, arr: np.ndarray) -> None:
+    """A domain error naming the first position outside the furnace, NaN
+    included."""
+    total = profile.total_length_cm
+    # NaN fails both comparisons
+    inside = (arr >= 0.0) & (arr <= total)
+    if not np.all(inside):
+        first = np.unravel_index(np.argmin(inside), arr.shape)
+        where = f"x[{', '.join(map(str, first))}]" if first else "x"
+        raise ValueError(
+            f"position outside furnace [0, {total}] cm: {where} = {arr[first]}"
+        )
+
+
 def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
     """Index of the segment holding each position; a domain error outside."""
-    total = profile.total_length_cm
-    if np.any(arr < 0.0) or np.any(arr > total):
-        raise ValueError(f"position outside furnace [0, {total}] cm")
+    _check_inside(profile, arr)
     idx = np.searchsorted(profile._starts, arr, side="right") - 1
     return np.minimum(idx, len(profile.segments) - 1)
 
 
-def ambient_at(profile: AmbientProfile, x, out=None):
+def _levels(profile: AmbientProfile) -> np.ndarray:
+    """Each segment's plateau level, NaN for the segments that vary with x."""
+    return np.array([seg.level if isinstance(seg, ConstantSegment) else np.nan
+                     for seg in profile.segments])
+
+
+def ambient_at(profile: AmbientProfile, x):
     """Evaluate the ambient field at position(s) x in cm.
 
-    Scalar in, float out; array in, ndarray out (written into ``out`` when
-    given, an array of x's shape).  Positions outside [0, total_length_cm]
-    are a domain error.
+    Scalar in, float out; array in, ndarray of x's shape out.  Positions
+    outside [0, total_length_cm], and NaN, are a domain error.
     """
     arr = np.asarray(x, dtype=float)
     idx = _segment_index(profile, arr)
@@ -168,16 +185,63 @@ def ambient_at(profile: AmbientProfile, x, out=None):
         return float(profile.segments[int(idx)].evaluate(arr))
     # every plateau in one gather from the table of levels; only the
     # segments that vary with x are masked and evaluated
-    levels = np.array([seg.level if isinstance(seg, ConstantSegment) else np.nan
-                       for seg in profile.segments])
-    # idx is in range; "clip" lets take write into out without a copy
-    out = np.take(levels, idx, out=out, mode="clip")
+    out = _levels(profile)[idx]
     for i, seg in enumerate(profile.segments):
         if not isinstance(seg, ConstantSegment):
             mask = idx == i
             if np.any(mask):
                 out[mask] = seg.evaluate(arr[mask])
     return out
+
+
+def _ambient_on_runs(profile: AmbientProfile, x: np.ndarray, cuts) -> np.ndarray:
+    """``ambient_at(profile, x)`` bit for bit, for a 2-D x whose rows are
+    non-decreasing runs: each row's columns up to cuts[0], from cuts[0] up
+    to cuts[1], and so on to its end, none of them empty.
+
+    Each run is range-checked by its first and last value only, and the
+    profile's segment starts are searched into it rather than every
+    position into the starts: segment i holds the run's positions from its
+    i-th bound up to its (i+1)-th.  side="left" puts a position on a start
+    in the later segment, as ``_segment_index`` does.  The plateaus are one
+    repeat of the table of levels; the sigmoid and cooling-blend segments
+    are evaluated on their own positions only, those of all runs at once.
+    """
+    rows, width = x.shape
+    edges = np.array([0, *cuts, width])
+    # NaN fails both comparisons
+    if not (x[:, edges[:-1]].min() >= 0.0
+            and x[:, edges[1:] - 1].max() <= profile.total_length_cm):
+        _check_inside(profile, x)
+    flat = x.reshape(-1)
+    # run k is flat[lo[k]:hi[k]]
+    offsets = np.arange(rows)[:, None] * width
+    lo, hi = (offsets + edges[:-1]).ravel(), (offsets + edges[1:]).ravel()
+    # bounds[k, i]: the flat index where segment i starts in run k; the
+    # last column is where the run ends
+    bounds = np.empty((lo.size, len(profile.segments) + 1), dtype=np.intp)
+    bounds[:, :-1] = [np.searchsorted(flat[a:b], profile._starts, side="left")
+                      for a, b in zip(lo.tolist(), hi.tolist())]
+    bounds[:, :-1] += lo[:, None]
+    bounds[:, -1] = hi
+    counts = bounds[:, 1:] - bounds[:, :-1]
+    values = np.repeat(np.tile(_levels(profile), lo.size), counts.ravel())
+    varying = [i for i, seg in enumerate(profile.segments)
+               if not isinstance(seg, ConstantSegment)]
+    if varying:
+        # the flat indices of the varying segments' ranges, segment by segment
+        lengths = counts[:, varying].T.ravel()
+        ends = np.cumsum(lengths)
+        where = (np.repeat(bounds[:, varying].T.ravel() - (ends - lengths), lengths)
+                 + np.arange(ends[-1]))
+        xv = flat[where]
+        stop = 0
+        for i, size in zip(varying, counts[:, varying].sum(axis=0).tolist()):
+            part = slice(stop, stop + size)
+            xv[part] = profile.segments[i].evaluate(xv[part])
+            stop += size
+        values[where] = xv
+    return values.reshape(x.shape)
 
 
 def geometry_key(profile: AmbientProfile) -> tuple:

@@ -32,10 +32,20 @@ class ProcessLimits:
     peak: tuple[float, float] = (240.0, 250.0)
 
     def __post_init__(self):
+        # a NaN bound would fail every candidate silently
+        for name in ("slope_max", "slope_min"):
+            if math.isnan(getattr(self, name)):
+                raise ValueError(f"{name} must not be NaN, got {getattr(self, name)}")
+        if self.slope_min > self.slope_max:
+            raise ValueError(
+                f"slope_min {self.slope_min} is above slope_max {self.slope_max}"
+            )
         for name in ("rise_150_190", "time_above_217", "peak"):
             lo, hi = getattr(self, name)
+            if math.isnan(lo) or math.isnan(hi):
+                raise ValueError(f"{name} bounds must not be NaN, got ({lo}, {hi})")
             if lo > hi:
-                raise ValueError(f"{name} interval has lower bound above upper")
+                raise ValueError(f"{name} interval has lower bound above upper: ({lo}, {hi})")
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientProfile, ambient_at
+from .ambient import AmbientProfile, _ambient_on_runs, ambient_at
 from .oven import ProcessParameters, position_at_time
 
 _TIME_EPS = 1e-9
@@ -358,6 +358,12 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
                     out=None):
     """RK4 traces of one profile at several belt speeds, one row per speed.
 
+    The ambient field comes from ``ambient._ambient_on_runs``: a row's node
+    positions and its midpoints are each non-decreasing, so the profile's
+    segment starts are searched into those two runs instead of every
+    position into the starts, with values equal to ``ambient_at`` bit for
+    bit.
+
     Returns every stride-th node of each row and each row's sample count;
     row r is valid up to its count.  Past its own step count a row holds
     padding, and the recursion is causal, so its valid samples equal a
@@ -369,8 +375,9 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
     buffers = buffers if buffers is not None else _Buffers()
     speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
     x, n_steps = _stages(profile.total_length_cm, speeds, grid.dt, buffers.stages)
-    # nodes and midpoints in one evaluation
-    nodes, mid = _split(ambient_at(profile, x, out=_view(buffers.field, x.shape)))
+    # nodes and midpoints in one evaluation: each row is two sorted runs
+    cut = _split(x)[0].shape[1]
+    nodes, mid = _split(_ambient_on_runs(profile, x, (cut,)))
     n_samples = mid.shape[1] // grid.stride + 1
     if out is None:
         out = _view(buffers.samples, (len(speeds), n_samples))

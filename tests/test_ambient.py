@@ -17,6 +17,7 @@ from reflowsim import (
     fit_blend_weight,
     simulate,
 )
+from reflowsim.ambient import FieldRows
 from reflowsim.oven import OvenLayout, ZoneSpec
 
 
@@ -237,3 +238,24 @@ class TestFitBlendWeight:
     def test_empty_candidates(self, layout, params, default_trace):
         with pytest.raises(ValueError, match="empty"):
             fit_blend_weight(default_trace, layout, params, 0.021, [])
+
+
+class TestPositionDomain:
+    @pytest.mark.parametrize("x, message", [
+        (float("nan"), "x = nan"),
+        (-0.1, "x = -0.1"),
+        ([1.0, float("nan")], "x[1] = nan"),
+        ([[1.0, 2.0], [435.5, 436.0]], "x[1, 1] = 436.0"),
+        ([float("inf"), -1.0], "x[0] = inf"),
+    ])
+    def test_ambient_at_names_the_first_bad_position(self, profile, x, message):
+        with pytest.raises(ValueError) as exc:
+            ambient_at(profile, x)
+        assert str(exc.value) == f"position outside furnace [0, 435.5] cm: {message}"
+
+    def test_field_rows_refuse_nan(self, profile):
+        with pytest.raises(ValueError, match=r"outside furnace \[0, 435.5\] cm: x\[1\] = nan"):
+            FieldRows(profile, [1.0, float("nan")])
+
+    def test_empty_array_evaluates_to_empty(self, profile):
+        assert ambient_at(profile, np.array([])).shape == (0,)

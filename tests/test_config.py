@@ -265,3 +265,16 @@ class TestReadme:
     def test_key_table_flags_match_the_cli(self):
         flagged = {(s, k) for s, k, flag, _ in self.rows() if flag}
         assert flagged == set(FLAG_KEYS.values())
+
+
+class TestLimitBounds:
+    @pytest.mark.parametrize("text, message", [
+        ("limits: {peak: [.nan, 250]}", "peak bounds must not be NaN, got (nan, 250.0)"),
+        ("limits: {slope_max: .nan}", "slope_max must not be NaN, got nan"),
+        ("limits: {slope_min: 4}", "slope_min 4.0 is above slope_max 3.0"),
+    ])
+    def test_refused_before_any_output(self, capsys, tmp_path, text, message):
+        code, out, err = run_cli(capsys, "optimize-speed", "--config",
+                                 write_config(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert message in err

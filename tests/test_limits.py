@@ -5,12 +5,14 @@ from hypothesis import given, strategies as st
 from reflowsim import (
     LimitCheck,
     ProcessLimits,
+    ProcessParameters,
     SimulationGrid,
     ThermalTrace,
     TraceMetrics,
     WeldingModel,
     check_limits,
     compute_metrics,
+    resample,
     simulate,
 )
 from helpers import brute_force_above_duration, piecewise_trace
@@ -206,3 +208,44 @@ class TestCheckLimits:
             metrics_all_pass(min_slope=5.0)
         with pytest.raises(ValueError, match="non-negative"):
             metrics_all_pass(duration_above_217=-1.0)
+
+
+class TestLimitBounds:
+    @pytest.mark.parametrize("overrides, message", [
+        (dict(slope_max=float("nan")), "slope_max must not be NaN, got nan"),
+        (dict(slope_min=float("nan")), "slope_min must not be NaN, got nan"),
+        (dict(peak=(float("nan"), 250.0)), "peak bounds must not be NaN, got (nan, 250.0)"),
+        (dict(rise_150_190=(60.0, float("nan"))),
+         "rise_150_190 bounds must not be NaN, got (60.0, nan)"),
+        (dict(time_above_217=(float("nan"),) * 2),
+         "time_above_217 bounds must not be NaN, got (nan, nan)"),
+        (dict(slope_min=4.0), "slope_min 4.0 is above slope_max 3.0"),
+        (dict(slope_max=-3.5), "slope_min -3.0 is above slope_max -3.5"),
+    ])
+    def test_refused_naming_the_field_and_value(self, overrides, message):
+        with pytest.raises(ValueError) as exc:
+            ProcessLimits(**overrides)
+        assert str(exc.value) == message
+
+    def test_equal_and_infinite_bounds_are_accepted(self):
+        ProcessLimits(slope_max=1.0, slope_min=1.0, peak=(245.0, 245.0))
+        ProcessLimits(slope_max=float("inf"), slope_min=-float("inf"),
+                      time_above_217=(0.0, float("inf")))
+
+
+@given(
+    speed=st.integers(650, 1000).map(lambda tenths: tenths / 10.0),
+    dt_out=st.sampled_from([0.5, 1.0]),
+    k=st.integers(2, 5),
+)
+def test_metrics_invariant_under_refined_resampling(profile, speed, dt_out, k):
+    """Resampling at dt / k keeps the piecewise-linear interpolant and its
+    vertices, so the five metrics stay within 1e-9."""
+    params = ProcessParameters(belt_speed=speed)
+    trace = simulate(profile, params, WeldingModel(0.021), SimulationGrid(0.1, dt_out))
+    before = compute_metrics(trace)
+    after = compute_metrics(resample(trace, trace.dt / k))
+    assert before.rise_time_150_190 is not None
+    for name in ("max_slope", "min_slope", "rise_time_150_190", "duration_above_217",
+                 "peak_temp"):
+        assert getattr(after, name) == pytest.approx(getattr(before, name), abs=1e-9, rel=0)
