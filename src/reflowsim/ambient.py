@@ -194,6 +194,13 @@ def ambient_at(profile: AmbientProfile, x):
     return out
 
 
+def _concat_ranges(starts, lengths) -> np.ndarray:
+    """The integers from starts[k] up to starts[k] + lengths[k], range after
+    range, as one array, without a loop over the ranges."""
+    ends = np.cumsum(lengths)
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
+
+
 def _ambient_on_runs(profile: AmbientProfile, x: np.ndarray, cuts) -> np.ndarray:
     """``ambient_at(profile, x)`` bit for bit, for a 2-D x whose rows are
     non-decreasing runs: each row's columns up to cuts[0], from cuts[0] up
@@ -230,10 +237,7 @@ def _ambient_on_runs(profile: AmbientProfile, x: np.ndarray, cuts) -> np.ndarray
                if not isinstance(seg, ConstantSegment)]
     if varying:
         # the flat indices of the varying segments' ranges, segment by segment
-        lengths = counts[:, varying].T.ravel()
-        ends = np.cumsum(lengths)
-        where = (np.repeat(bounds[:, varying].T.ravel() - (ends - lengths), lengths)
-                 + np.arange(ends[-1]))
+        where = _concat_ranges(bounds[:, varying].T.ravel(), counts[:, varying].T.ravel())
         xv = flat[where]
         stop = 0
         for i, size in zip(varying, counts[:, varying].sum(axis=0).tolist()):

@@ -268,6 +268,17 @@ def check_rows(columns: MetricColumns, limits: ProcessLimits | None = None) -> n
                      for _, field, lower, upper in _bounds(limits)])
 
 
+def verdict_rows(rows, columns: MetricColumns, limits: ProcessLimits | None = None):
+    """The ``check_limits`` verdict of every row, from one ``check_rows``
+    call: the columnar case of ``check_limits``.  rows are the TraceMetrics
+    of columns, in order; each LimitCheck holds its row's own value."""
+    limits = limits if limits is not None else ProcessLimits()
+    bounds = _bounds(limits)
+    return [LimitVerdict(tuple(LimitCheck(name, getattr(m, field), lower, upper, ok)
+                               for (name, field, lower, upper), ok in zip(bounds, passed)))
+            for m, passed in zip(rows, check_rows(columns, limits).T.tolist())]
+
+
 def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> LimitVerdict:
     """Check the five metrics against their bounds (all inclusive).
 

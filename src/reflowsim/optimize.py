@@ -22,12 +22,12 @@ Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
 
 The speed sweep evaluates its one profile at every grid speed as rows of
-padded 2-D arrays: positions, field and RK4 recursion per RK4 block
-(``thermal.simulate_speeds``), then metrics once per sample block, each row
-over its own samples, and a limit check per speed.  Padding only follows a
-row's end and the recursion is causal, so each SpeedCheck equals the one the
-per-speed chain (build_profile, simulate, compute_metrics, check_limits)
-builds, bit for bit.
+padded 2-D arrays: RK4 recursion per RK4 block, with positions, field and
+forcing only where the profile varies (``thermal.simulate_speeds``), then
+metrics and limit masks once per sample block, each row over its own
+samples.  Padding only follows a row's end and the recursion is causal, so
+each SpeedCheck equals the one the per-speed chain (build_profile,
+simulate, compute_metrics, check_limits) builds, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +51,7 @@ from .limits import (
     check_rows,
     crossing_time,
     metrics_rows,
+    verdict_rows,
 )
 from .oven import OvenLayout, ParameterRanges, ProcessParameters
 from .thermal import (
@@ -58,10 +59,12 @@ from .thermal import (
     ThermalTrace,
     WeldingModel,
     _Buffers,
+    _Plateaus,
+    _simulate_rows,
     _view,
+    check_step,
     integrate_rows,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
-    simulate_speeds,
     stage_positions,
     step_counts,
 )
@@ -265,23 +268,29 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through in RK4 blocks of as many rows as fit _BLOCK_BYTES at
-    the slowest speed's node count, which write their samples into a
-    sample block of several RK4 blocks; the metrics then run once per
-    sample block, each row over its own samples.  Every block reuses the
-    same buffers.
+    Speeds go through ``thermal.simulate_speeds``'s plateau-compacted
+    kernel in RK4 blocks of as many rows as keep its largest array per stage
+    within _BLOCK_BYTES: the nodes of a row's varying samples, or its
+    samples, at the speed that needs the most.  The blocks write their
+    samples into a sample block of several RK4 blocks; the metrics and the
+    limit masks then run once per sample block, each row over its own
+    samples.  Every block reuses the same buffers.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
-    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    speed_rows = np.array(speeds)
+    n_steps = step_counts(profile.total_length_cm, speed_rows, grid.dt)
     n_samples = n_steps // grid.stride + 1
-    longest = int(n_steps.max())
     times = np.arange(n_samples.max()) * grid.dt_out
-    block = _rk4_rows(longest)
-    buffers = _Buffers(block * (2 * longest + 1))
+    # every speed's compacted row, padded to the slowest: no block's rows
+    # need more
+    plan = _Plateaus(profile, speed_rows, grid.dt, grid.stride, int(n_steps.max()))
+    varying = int(plan.varying_counts().max())
+    block = _rk4_rows(max(varying * (grid.stride + 1), len(times)))
+    buffers = plan.buffers(block, max(block * len(times), _BLOCK_BYTES // 8))
     wide = _sample_block_rows(block, len(times), buffers.samples.size)
     per_speed = []
     for lo in range(0, len(speeds), wide):
@@ -289,14 +298,17 @@ def feasible_speed_interval(
         temps = _view(buffers.samples, (len(lengths), lengths.max()))
         for r0 in range(0, len(lengths), block):
             part = temps[r0 : r0 + block]
-            _, counts = simulate_speeds(profile, params.tt5, model, grid,
-                                        speeds[lo + r0 : lo + r0 + len(part)], buffers, part)
+            rows = slice(lo + r0, lo + r0 + len(part))
+            _, counts = _simulate_rows(profile, params.tt5, model, grid, speed_rows[rows],
+                                       n_steps[rows], buffers, part)
             # the columns past this RK4 block's longest row hold its last
             # sample, so no stale value enters the padding
             part[:, counts.max() :] = part[:, counts.max() - 1, None]
         metrics = metrics_rows(times[: temps.shape[1]], temps, grid.dt_out, lengths)
-        for v, m in zip(speeds[lo : lo + wide], metrics):
-            per_speed.append(SpeedCheck(v, m, check_limits(m, limits)))
+        # the verdicts hold the very values of the rows' TraceMetrics
+        row_metrics = list(metrics)
+        per_speed += map(SpeedCheck, speeds[lo : lo + wide], row_metrics,
+                         verdict_rows(row_metrics, metrics, limits))
     feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
 
@@ -327,10 +339,11 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
-def _rk4_rows(n_steps: int) -> int:
-    """Rows of an RK4 block at n_steps steps: as many as keep one stage
-    array (n_steps + 1 floats a row) within _BLOCK_BYTES, at least one."""
-    return max(1, _BLOCK_BYTES // (8 * (n_steps + 1)))
+def _rk4_rows(row_floats: int) -> int:
+    """Rows of an RK4 block whose largest array per stage (the field at the
+    nodes, say) takes row_floats floats a row: as many as keep it within
+    _BLOCK_BYTES, at least one."""
+    return max(1, _BLOCK_BYTES // (8 * row_floats))
 
 
 def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
@@ -344,7 +357,7 @@ def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
 def _sweep_buffers(total_cm: float, speeds, dt: float) -> _Buffers:
     """Buffers that fit a block of ``_evaluate_speed`` at every speed."""
     n_steps = step_counts(total_cm, speeds, dt).tolist()
-    return _Buffers(max(_rk4_rows(n) * (2 * n + 1) for n in n_steps))
+    return _Buffers(max(_rk4_rows(n + 1) * (2 * n + 1) for n in n_steps))
 
 
 def _evaluate_speed(
@@ -373,7 +386,7 @@ def _evaluate_speed(
     # the samples integrate_rows keeps: every stride-th node
     times = np.arange(n_samples) * grid.dt_out
     xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-    block = _rk4_rows(n_steps)
+    block = _rk4_rows(n_steps + 1)
     wide = _sample_block_rows(block, n_samples, buffers.samples.size)
     out = []
     for lo in range(0, len(profiles), wide):
@@ -433,6 +446,7 @@ def _sweep_grid(
     """Every grid candidate, ordered by setpoint combination, then speed."""
     _area_axis(area_domain, None, None)  # reject a bad domain before any work
     model = WeldingModel(coefficient)
+    check_step(coefficient, grid.dt)
     params = [
         ProcessParameters(tt1=tt1, tt2=tt2, tt3=tt3, tt4=tt4)
         for tt1 in inclusive_grid(*ranges.tt1, ranges.temp_step)

@@ -215,13 +215,20 @@ def validate_parameters(
     return report
 
 
+def cm_per_second(belt_speed):
+    """A belt speed in cm/min as cm/s, unchecked: the cm/min -> cm/s
+    conversion lives here and nowhere else, so ``position_at_time(v, t)``
+    is ``cm_per_second(v) * t`` bit for bit."""
+    return belt_speed / SECONDS_PER_MINUTE
+
+
 def position_at_time(belt_speed: float, t: float):
     """Conveyor position (cm) after t seconds at belt_speed cm/min.
 
     Accepts scalar or ndarray t, and a scalar or ndarray belt_speed that
-    broadcasts against it.  The cm/min -> cm/s conversion lives here and
-    nowhere else.  A belt speed that is not positive and finite, or a time
-    that is negative or not finite, is refused with the first such value.
+    broadcasts against it.  A belt speed that is not positive and finite, or
+    a time that is negative or not finite, is refused with the first such
+    value.
     """
     speed = np.asarray(belt_speed, dtype=float)
     ok = np.isfinite(speed) & (speed > 0)
@@ -231,4 +238,4 @@ def position_at_time(belt_speed: float, t: float):
     ok = np.isfinite(times) & (times >= 0)
     if not np.all(ok):
         raise ValueError(f"time must be non-negative and finite, got {times[~ok].flat[0]}")
-    return (belt_speed / SECONDS_PER_MINUTE) * t
+    return cm_per_second(belt_speed) * t

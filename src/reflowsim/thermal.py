@@ -16,7 +16,16 @@ trace is one vectorized ambient evaluation plus a first-order linear
 recursion.  Only every stride-th node is kept, so the recursion is stepped
 from kept sample to kept sample and run as a chunked, scaled cumulative sum
 (``integrate_rows``): numpy elementwise operations and ``cumsum`` only, so
-rows never interact.  A forward-Euler reference integrator is kept as a
+rows never interact.  Steps with e = coefficient * dt from about 1.2956 on
+are refused (``check_step``): there Ba turns negative, and a step is no
+longer a weighted mean of y and the ambient.
+
+Most of the furnace is plateau, where every step has the same forcing.
+``simulate_speeds`` therefore evaluates the field, forcing and Horner sums
+of several speeds only for the samples that touch a sigmoid, the cooling
+blend or a segment join; a sample inside a plateau takes its level's sum,
+computed once by the same operations, so every value is bit-identical to
+the full-field path.  A forward-Euler reference integrator is kept as a
 deliberately simple, loop-based oracle.
 """
 
@@ -27,8 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientProfile, _ambient_on_runs, ambient_at
-from .oven import ProcessParameters, position_at_time
+from .ambient import AmbientProfile, _ambient_on_runs, _concat_ranges, _levels, ambient_at
+from .oven import ProcessParameters, cm_per_second, position_at_time
 
 _TIME_EPS = 1e-9
 # Most RK4 steps one trace may take: the default furnace at 65 cm/min with
@@ -38,6 +47,10 @@ _MAX_STEPS = 2_000_000
 # columns (which bounds the length of one cumulative sum).
 _CHUNK_GROWTH = 4.0
 _MAX_CHUNK = 4096
+# Largest e = coefficient * dt (exclusive) that ``check_step`` accepts: the
+# root of 1 - e + e^2/2 - e^3/4, where Ba = (e/6) * (1 - e + e^2/2 - e^3/4)
+# changes sign.
+_MAX_E = 1.2955977425220848
 
 
 @dataclass(frozen=True)
@@ -149,6 +162,23 @@ def _rk4_coefficients(e: float) -> tuple[float, float, float, float]:
     return a, ba, bb, bc
 
 
+def check_step(coefficient: float, dt: float) -> None:
+    """Refuse an RK4 step e = coefficient * dt at or above _MAX_E.
+
+    Below it the four weights of a step (A on y, Ba, Bb and Bc on the
+    ambient at the node, the midpoint and the next node) are non-negative
+    and sum to 1: each step is a weighted mean, so the trace stays within
+    the range of its start and the ambient, and the recursion cannot grow.
+    """
+    e = coefficient * dt
+    if not e < _MAX_E:
+        raise ValueError(
+            f"RK4 step is unstable: coefficient {coefficient} * dt {dt} = e {e:.6g}, "
+            f"at or above {_MAX_E:.9g}, where the weight of a step's first node turns "
+            "negative and the trace can leave the ambient range"
+        )
+
+
 def _capped(count: float, name: str, step: float, what: str) -> int:
     """count as an int, or a ValueError naming the step when it exceeds
     _MAX_STEPS (or is not a number): checked before anything that size is
@@ -181,20 +211,24 @@ def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
 
 def _view(buffer, shape) -> np.ndarray:
     """A C-contiguous array of the given shape: the start of a flat buffer
-    shared between blocks, or a new array without one."""
-    if buffer is None:
+    shared between blocks, or a new array without one or when it is too
+    small."""
+    size = math.prod(shape)
+    if buffer is None or buffer.size < size:
         return np.empty(shape)
-    return buffer[: math.prod(shape)].reshape(shape)
+    return buffer[:size].reshape(shape)
 
 
-def _stages(total_cm: float, speeds: np.ndarray, dt: float, buffer=None):
+def _stages(total_cm: float, speeds: np.ndarray, dt: float, buffer=None, n_steps=None):
     """Stage positions of each speed's row: the RK4 nodes, then the half-step
-    midpoints, in one array, and each row's step count."""
-    n_steps = step_counts(total_cm, speeds, dt)
+    midpoints, in one array, and each row's step count (computed unless
+    given)."""
+    n_steps = step_counts(total_cm, speeds, dt) if n_steps is None else n_steps
     n = int(n_steps.max())
     node_times = np.arange(n + 1) * dt
-    # cm per second: rate * t is position_at_time(speed, t), bit for bit
-    rate = position_at_time(speeds, 1.0)[:, None]
+    # rate * t is position_at_time(speed, t), bit for bit; the step counts
+    # have checked the speeds
+    rate = cm_per_second(speeds)[:, None]
     x = _view(buffer, (len(speeds), 2 * n + 1))
     np.multiply(rate, node_times, out=x[:, : n + 1])
     np.multiply(rate, node_times[:-1] + 0.5 * dt, out=x[:, n + 1 :])
@@ -282,6 +316,34 @@ def _sample_scan(out, b: float, y0):
     return out
 
 
+def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g):
+    """The RK4 forcing of each step and its Horner sums between kept samples.
+
+    f[n] = ba*T(node n) + bb*T(mid n) + bc*T(node n+1), into ``forcing``
+    (the shape of t_amb_mid; both fields are overwritten), then
+
+        g[k] = sum_j A**(s-1-j) * f[k*s + j],   s = stride,
+
+    for each column k of g, in Horner form.  Both the sweep kernels and the
+    plateau sums of ``simulate_speeds`` go through here, so equal fields
+    give equal sums bit for bit.
+    """
+    a, ba, bb, bc = coefficients
+    np.multiply(ba, t_amb_nodes[:, :-1], out=forcing)
+    forcing += np.multiply(bb, t_amb_mid, out=t_amb_mid)
+    forcing += np.multiply(bc, t_amb_nodes[:, 1:], out=t_amb_nodes[:, 1:])
+    f = forcing[:, : g.shape[1] * stride]
+    if stride == 1:
+        np.copyto(g, f)
+    else:
+        np.multiply(f[:, 0::stride], a, out=g)
+        g += f[:, 1::stride]
+        for j in range(2, stride):
+            g *= a
+            g += f[:, j::stride]
+    return g
+
+
 def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: SimulationGrid,
                    forcing=None, out=None):
     """RK4 traces of many ambient fields at once, one per row.
@@ -290,26 +352,20 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
     Returns every grid.stride-th node of each row.  ``forcing`` (the shape
     of t_amb_mid) and ``out`` (rows x samples, rows need not be adjacent)
     are optional buffers that a caller running many blocks passes each
-    time.  Refuses a step whose recursion is unstable: |A| >= 1, which holds
-    from e = coefficient * dt of about 2.785 on.
+    time.  The step must have |A| < 1, which the callers that simulate
+    ensure with ``check_step``.
 
     The recursion y[n+1] = A*y[n] + f[n] runs from kept sample to kept
     sample, s = grid.stride nodes apart,
 
         z[k+1] = A**s * z[k] + g[k],   g[k] = sum_j A**(s-1-j) * f[k*s + j],
 
-    with g in Horner form and z from ``_sample_scan``.  Only elementwise
-    operations and cumulative sums along the rows are used, so rows do not
-    interact and a row's first samples come out the same, bit for bit,
-    whatever else is in the batch and however long the rows are.
+    with g from ``_forcing_sums`` and z from ``_sample_scan``.  Only
+    elementwise operations and cumulative sums along the rows are used, so
+    rows do not interact and a row's first samples come out the same, bit
+    for bit, whatever else is in the batch and however long the rows are.
     """
-    e = coefficient * grid.dt
-    a, ba, bb, bc = _rk4_coefficients(e)
-    if not abs(a) < 1.0:
-        raise ValueError(
-            f"RK4 step is unstable: coefficient {coefficient} * dt {grid.dt} = e {e:.6g}, "
-            f"where |A| = {abs(a):.6g} must stay below 1 (e below about 2.785)"
-        )
+    coefficients = _rk4_coefficients(coefficient * grid.dt)
     s = grid.stride
     rows, n_steps = t_amb_mid.shape
     n_samples = n_steps // s + 1
@@ -317,40 +373,172 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
         forcing = np.empty((rows, n_steps))
     if out is None:
         out = np.empty((rows, n_samples))
-    # f[n] = ba*T(node n) + bb*T(mid n) + bc*T(node n+1)
-    np.multiply(ba, t_amb_nodes[:, :-1], out=forcing)
-    forcing += np.multiply(bb, t_amb_mid, out=t_amb_mid)
-    forcing += np.multiply(bc, t_amb_nodes[:, 1:], out=t_amb_nodes[:, 1:])
-    # g by Horner, straight into the sample columns
-    f = forcing[:, : (n_samples - 1) * s]
-    g = out[:, 1:]
-    if s == 1:
-        np.copyto(g, f)
-    else:
-        np.multiply(f[:, 0::s], a, out=g)
-        g += f[:, 1::s]
-        for j in range(2, s):
-            g *= a
-            g += f[:, j::s]
-    return _sample_scan(out, a**s, y0)
+    _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, s, forcing, out[:, 1:])
+    return _sample_scan(out, coefficients[0] ** s, y0)
 
 
 class _Buffers:
-    """Flat arrays that the blocks of one sweep share: stage positions,
-    fields, forcing and samples.  Each block takes the start of each in its
-    own shape, so their pages are touched once per sweep, not once per
-    block.  A sample row is far shorter than its stage row, so the samples
-    array holds a sample block: the rows of several RK4 blocks, measured
-    at once.  The four are rows of one allocation: glibc keeps that block
-    for the next sweep, where four separate ones went back to the system
-    and were faulted in again on every call.  Without a size, every block
-    allocates its own arrays."""
+    """Flat arrays that the blocks of one sweep share, so that their pages
+    are touched once per sweep, not once per block; each block takes the
+    start of each in its own shape (see ``_view``).  The joint sweep keeps
+    stage positions, fields and forcing in ``stages``, ``field`` and
+    ``forcing``; ``simulate_speeds`` keeps the stage positions, then the
+    field, of its varying samples in ``stages`` and their forcing and
+    Horner sums in ``forcing``.  ``samples`` holds a sample block: the rows
+    of several RK4 blocks, measured at once.
 
-    def __init__(self, size: int | None = None):
-        if size is None:
+    All are parts of one allocation: glibc keeps that block for the next
+    sweep, where separate ones went back to the system and were faulted in
+    again on every call.  ``size`` floats each, or the sizes given by name
+    (none for a name not given); without any, every block allocates its own
+    arrays."""
+
+    _NAMES = ("stages", "field", "forcing", "samples")
+
+    def __init__(self, size: int | None = None, **sizes):
+        if size is None and not sizes:
             self.stages = self.field = self.forcing = self.samples = None
-        else:
-            self.stages, self.field, self.forcing, self.samples = np.empty((4, size))
+            return
+        sizes = [sizes.get(name, size or 0) for name in self._NAMES]
+        flat = np.empty(sum(sizes))
+        for name, stop, n in zip(self._NAMES, np.cumsum(sizes).tolist(), sizes):
+            setattr(self, name, flat[stop - n : stop])
+
+
+def _reach(rate, starts, dt: float, n: int) -> np.ndarray:
+    """Per row and segment start: the first node j (of 0..n) whose position
+    rate * (j*dt) is at least the start, and the first midpoint j (of
+    0..n-1) whose position rate * (j*dt + dt/2) is; n + 1 and n where none
+    is.  Shape (2, rows, starts), nodes first.
+
+    These are the positions ``_stages`` computes, with the same operations,
+    so the indices are where a sorted search of the starts into its rows
+    lands (the clip to the furnace changes no comparison with a start
+    inside it).  An estimate from a division is moved to them one step at a
+    time; it is off by one at most.
+    """
+    offset = np.array([0.0, 0.5 * dt])[:, None, None]
+    last = np.array([n + 1, n])[:, None, None]
+    j = np.clip(np.ceil(starts / (rate * dt) - offset / dt), 0, last).astype(np.int64)
+    while True:
+        up = (j < last) & (rate * (j * dt + offset) < starts)
+        if not up.any():
+            break
+        j += up
+    while True:
+        down = (j > 0) & (rate * ((j - 1) * dt + offset) >= starts)
+        if not down.any():
+            break
+        j -= down
+    return j
+
+
+class _Plateaus:
+    """How the samples of a block of speed rows lie on the profile's segments.
+
+    Sample k of a row (k < K = n // stride, the row's Horner sums) spans the
+    steps from kept node k*s to (k+1)*s: those nodes and the midpoints
+    k*s .. (k+1)*s - 1.  Per row, the samples from first[:, i] to
+    last[:, i] lie wholly inside segment i, and those from last[:, i] to
+    the next segment's first (K after the last segment) cross the join
+    after it.  Rows are padded to n steps past their own end, where the
+    positions stay at the furnace end.
+
+    A sample wholly inside a ``ConstantSegment`` sees its level at every
+    stage, so its Horner sum is that level's.  Every other sample, inside a
+    sigmoid or the cooling blend or across a join, needs its own field:
+    ``runs`` lists them as (segment, or None across a join; rows; first
+    samples; sample counts).
+    """
+
+    def __init__(self, profile: AmbientProfile, speeds: np.ndarray, dt: float, stride: int,
+                 n: int):
+        s = stride
+        self.profile, self.dt, self.stride, self.k_end = profile, dt, s, n // s
+        # rate * t is position_at_time(speed, t), bit for bit
+        self.rate = cm_per_second(speeds)
+        nodes, mids = _reach(self.rate[:, None], profile._starts, dt, n)
+        # a midpoint lies at or past its node, so it reaches a start no later
+        first = np.minimum(-(-nodes // s), self.k_end)
+        # inside segment i up to the sample whose node (k+1)*s and midpoint
+        # (k+1)*s - 1 come before the next segment's first ones
+        last = np.full_like(first, self.k_end)
+        last[:, :-1] = np.minimum(nodes[:, 1:] - 1, mids[:, 1:]) // s
+        last = np.maximum(np.minimum(last, self.k_end), first)
+        after = np.full_like(first, self.k_end)
+        after[:, :-1] = first[:, 1:]
+        self.inside, self.across = last - first, after - last
+        rows = np.arange(len(speeds))
+        self.levels = _levels(profile)
+        self.runs = [(profile.segments[i], rows, first[:, i], self.inside[:, i])
+                     for i in np.flatnonzero(np.isnan(self.levels))]
+        self.runs.append((None, np.repeat(rows, len(self.levels)), last.ravel(),
+                          self.across.ravel()))
+
+    def varying_counts(self) -> np.ndarray:
+        """Per row, the samples that need their own field."""
+        return sum(np.bincount(rows, counts, minlength=len(self.rate)).astype(np.int64)
+                   for _, rows, _, counts in self.runs)
+
+    def buffers(self, rows: int, samples: int) -> _Buffers:
+        """Buffers that hold the compacted arrays of any ``rows`` of these
+        rows, and ``samples`` samples."""
+        most = rows * int(self.varying_counts().max(initial=0))
+        s = self.stride
+        return _Buffers(stages=most * (2 * s + 1), forcing=most * (s + 1), samples=samples)
+
+    def sums(self, coefficients, buffers: _Buffers, g) -> np.ndarray:
+        """Every Horner sum of the block into g (rows x K): each plateau
+        sample's from its level, each other sample's from the field at its
+        own stages."""
+        s, dt = self.stride, self.dt
+        rows = np.concatenate([r for _, r, _, _ in self.runs])
+        starts = np.concatenate([f for _, _, f, _ in self.runs])
+        counts = np.concatenate([c for _, _, _, c in self.runs])
+        samples = _concat_ranges(starts, counts)
+        n_varying = samples.size
+        # a sample's nodes, then its midpoints: rate * (j*dt [+ dt/2]), as
+        # in _stages (j*dt is exact in floats: j is an integer).  One column
+        # per sample, so each stage is a contiguous row.
+        x = _view(buffers.stages, (2 * s + 1, n_varying))
+        nodes, mids = x[: s + 1], x[s + 1 :]
+        j0 = (samples * s).astype(float)
+        np.add(j0, np.arange(s + 1.0)[:, None], out=nodes)
+        np.add(j0, np.arange(float(s))[:, None], out=mids)
+        x *= dt
+        mids += 0.5 * dt
+        x *= np.repeat(self.rate[rows], counts)
+        np.clip(x, 0.0, self.profile.total_length_cm, out=x)
+        # the field: one segment's formula on the samples inside it, and
+        # ambient_at on those across a join
+        stop = 0
+        for segment, _, _, n in self.runs:
+            part = slice(stop, stop + int(n.sum()))
+            x[:, part] = (segment.evaluate(x[:, part]) if segment is not None
+                          else ambient_at(self.profile, x[:, part]))
+            stop = part.stop
+        forcing = _view(buffers.forcing, (s + 1, n_varying))
+        varying = _forcing_sums(nodes.T, mids.T, coefficients, s, forcing[:s].T, forcing[s:].T)
+        # per row: segment i's inside samples (its level's sum, or a
+        # placeholder), then those across the join after it
+        plateau = ~np.isnan(self.levels)
+        level_sums = np.zeros((len(self.levels), 2))
+        level_sums[plateau, 0] = _plateau_sums(self.levels[plateau], coefficients, s)
+        filled = np.repeat(np.tile(level_sums.ravel(), len(g)),
+                           np.stack((self.inside, self.across), axis=2).ravel())
+        filled[np.repeat(rows, counts) * self.k_end + samples] = varying[:, 0]
+        np.copyto(g, filled.reshape(g.shape))
+        return g
+
+
+def _plateau_sums(levels, coefficients, stride: int) -> np.ndarray:
+    """The Horner sum of a sample that sees one level at every stage, for
+    each level, from ``_forcing_sums`` itself."""
+    nodes = np.repeat(levels[:, None], stride + 1, axis=1)
+    sums = np.empty((len(levels), 1))
+    _forcing_sums(nodes, nodes[:, 1:].copy(), coefficients, stride,
+                  np.empty((len(levels), stride)), sums)
+    return sums[:, 0]
 
 
 def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
@@ -358,31 +546,59 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
                     out=None):
     """RK4 traces of one profile at several belt speeds, one row per speed.
 
-    The ambient field comes from ``ambient._ambient_on_runs``: a row's node
-    positions and its midpoints are each non-decreasing, so the profile's
-    segment starts are searched into those two runs instead of every
-    position into the starts, with values equal to ``ambient_at`` bit for
-    bit.
+    Most of a trace crosses plateaus, where every step has the same forcing
+    and every sample between two kept nodes the same Horner sum.  So the
+    field, forcing and Horner sums are computed only for the samples that
+    touch a sigmoid, the cooling blend or a segment join (see
+    ``_Plateaus``), at their own stage positions; every other sample takes
+    its level's sum, computed once by the same operations
+    (``_forcing_sums``).  Where each row meets each segment start comes from
+    the exact position formula (``_reach``); the field is the segment's own
+    formula, or ``ambient_at`` across a join.  So every value equals what
+    ``_stages``, ``ambient_at`` and ``integrate_rows`` give at every node,
+    bit for bit.
+
+    One row costs less on that full-field path (``_stages``, the sorted-run
+    field ``ambient._ambient_on_runs`` and ``integrate_rows``) than the
+    compaction's fixed work, so a single speed takes it; the two paths are
+    equal bit for bit.
 
     Returns every stride-th node of each row and each row's sample count;
     row r is valid up to its count.  Past its own step count a row holds
     padding, and the recursion is causal, so its valid samples equal a
-    one-row run bit for bit.  ``buffers`` need 2 * steps + 1 floats per row
-    of the longest.  The samples go to the first columns of ``out`` when
-    given (one row per speed, at least as many columns as the longest row
-    has samples; its rows need not be adjacent), else to buffers.samples.
+    one-row run bit for bit.  ``buffers`` hold the compacted stage
+    positions and fields (``stages``) and the forcing (``forcing``); a part
+    too small for a block is replaced by a new array.  The samples go to
+    the first columns of ``out`` when given (one row per speed, at least as
+    many columns as the longest row has samples; its rows need not be
+    adjacent), else to buffers.samples.
     """
-    buffers = buffers if buffers is not None else _Buffers()
     speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
-    x, n_steps = _stages(profile.total_length_cm, speeds, grid.dt, buffers.stages)
-    # nodes and midpoints in one evaluation: each row is two sorted runs
-    cut = _split(x)[0].shape[1]
-    nodes, mid = _split(_ambient_on_runs(profile, x, (cut,)))
-    n_samples = mid.shape[1] // grid.stride + 1
+    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    return _simulate_rows(profile, y0, model, grid, speeds, n_steps, buffers, out)
+
+
+def _simulate_rows(profile: AmbientProfile, y0, model: WeldingModel, grid: SimulationGrid,
+                   speeds: np.ndarray, n_steps: np.ndarray, buffers: _Buffers | None = None,
+                   out=None):
+    """``simulate_speeds`` for speeds whose step counts are known."""
+    check_step(model.coefficient, grid.dt)
+    buffers = buffers if buffers is not None else _Buffers()
+    n_samples = int(n_steps.max()) // grid.stride + 1
     if out is None:
         out = _view(buffers.samples, (len(speeds), n_samples))
-    temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
-                           _view(buffers.forcing, mid.shape), out[:, :n_samples])
+    out = out[:, :n_samples]
+    if len(speeds) > 1:
+        coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+        plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
+        plan.sums(coefficients, buffers, out[:, 1:])
+        temps = _sample_scan(out, coefficients[0] ** grid.stride, y0)
+    else:
+        x, _ = _stages(profile.total_length_cm, speeds, grid.dt, buffers.stages, n_steps)
+        # nodes and midpoints in one evaluation: each row is two sorted runs
+        nodes, mid = _split(_ambient_on_runs(profile, x, (_split(x)[0].shape[1],)))
+        temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
+                               _view(buffers.forcing, mid.shape), out)
     return temps, n_steps // grid.stride + 1
 
 

@@ -27,7 +27,13 @@ from reflowsim import (
     minimize_area,
     most_symmetric,
 )
-from reflowsim.limits import MetricColumns, _time_above_terms, check_rows, metrics_rows
+from reflowsim.limits import (
+    MetricColumns,
+    _time_above_terms,
+    check_rows,
+    metrics_rows,
+    verdict_rows,
+)
 
 # padding kinds: below every level, above each level, the row's maximum
 PADDING = ("low", 160.0, 200.0, 230.0, "max")
@@ -174,6 +180,22 @@ def test_check_rows_equals_check_limits(limits):
         passed = [p + c.passed for p, c in zip(passed, verdict.checks)]
     # every limit both passes and fails somewhere
     assert all(0 < p < len(columns) for p in passed)
+
+
+@pytest.mark.parametrize("limits", [
+    ProcessLimits(),
+    ProcessLimits(slope_max=2.5, slope_min=-2.0, rise_150_190=(70.0, 70.0),
+                  time_above_217=(30.0, 100.0), peak=(235.0, 255.0)),
+], ids=["default", "custom"])
+def test_verdict_rows_equal_check_limits(limits):
+    columns = bound_columns(limits)
+    rows = list(columns)
+    verdicts = verdict_rows(rows, columns, limits)
+    assert verdicts == [check_limits(m, limits) for m in rows]
+    assert all(type(c.passed) is bool for v in verdicts for c in v.checks)
+    # a missing rise time is reported as None and fails
+    missing = [v.checks[2] for m, v in zip(rows, verdicts) if m.rise_time_150_190 is None]
+    assert missing and all(c.measured is None and c.passed is False for c in missing)
 
 
 def test_missing_rise_time_fails_its_limit():

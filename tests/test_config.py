@@ -233,6 +233,30 @@ class TestBlendWeights:
         config_from_dict({"model": {"blend_weight": 1.0}}).validate()
 
 
+class TestStepBound:
+    """e = coefficient * dt at or above 1.29559774 lets the RK4 trace leave
+    the ambient range; the CLI refuses it before any stdout."""
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (["optimize-speed", "--coefficient", "30"], "",
+         "model.coefficient: RK4 step is unstable: coefficient 30.0 * dt 0.1 = e 3,"),
+        (["optimize-area", "--coefficient", "30"], "",
+         "model.coefficient: RK4 step is unstable: coefficient 30.0 * dt 0.1 = e 3,"),
+        (["simulate"], "model: {coefficient: 0.5}\ngrid: {dt: 2.6, dt_out: 2.6}",
+         "coefficient 0.5 * dt 2.6 = e 1.3,"),
+        (["calibrate", "m.csv"], "calibration: {coefficients: [0.02, 13.0]}",
+         "calibration.coefficients: RK4 step is unstable: coefficient 13.0 * dt 0.1"),
+    ])
+    def test_refused_before_any_output(self, capsys, tmp_path, argv, text, message):
+        code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_just_below_the_bound_is_accepted(self):
+        config_from_dict({"model": {"coefficient": 12.955},
+                          "calibration": {"coefficients": [0.021, 12.955]}}).validate()
+
+
 class TestReadme:
     def rows(self):
         """(section, key, flag cell, default cell) of the key reference table."""

@@ -1,19 +1,31 @@
+import math
+
 import numpy as np
 import pytest
 
 from reflowsim import (
     AmbientProfile,
     ConstantSegment,
+    ParameterRanges,
     ProcessParameters,
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
+    ambient_at,
     euler_reference,
     feasible_speed_interval,
+    minimize_area,
     resample,
     simulate,
 )
-from reflowsim.thermal import _MAX_STEPS, stage_positions, step_counts
+from reflowsim.thermal import (
+    _MAX_E,
+    _MAX_STEPS,
+    _rk4_coefficients,
+    check_step,
+    stage_positions,
+    step_counts,
+)
 from helpers import naive_rk4
 
 
@@ -236,8 +248,29 @@ class TestIntegrationBoundary:
             simulate(profile, params, WeldingModel(30))
 
     def test_stable_step_just_below_the_bound(self, profile, params):
-        trace = simulate(profile, params, WeldingModel(27.8))  # e = 2.78
-        assert np.all(np.isfinite(trace.temps))
+        # e = 2.78 keeps |A| below 1 but overshoots the ambient range by
+        # 1.28 degC: Ba < 0 from e = 1.29559774 on
+        with pytest.raises(ValueError, match=r"coefficient 27.8 \* dt 0.1 = e 2.78\b"):
+            simulate(profile, params, WeldingModel(27.8))
+        assert 12.955977 * 0.1 < _MAX_E  # e = 1.2955977
+        trace = simulate(profile, params, WeldingModel(12.955977))
+        field = ambient_at(profile, np.linspace(0.0, profile.total_length_cm, 20001))
+        assert field.min() - 1e-9 <= trace.temps.min()
+        assert trace.temps.max() <= field.max() + 1e-9
+
+    def test_bound_is_where_ba_turns_negative(self):
+        below = math.nextafter(_MAX_E, 0.0)
+        assert min(_rk4_coefficients(below)) >= 0.0
+        assert _rk4_coefficients(math.nextafter(_MAX_E, 2.0))[1] < 0.0
+        check_step(below, 1.0)
+        with pytest.raises(ValueError, match=r"coefficient 1.2955977425220848 \* dt 1.0"):
+            check_step(_MAX_E, 1.0)
+
+    def test_joint_sweep_rejects_an_overshooting_step(self, layout):
+        ranges = ParameterRanges(tt1=(165.0, 165.0), tt2=(185.0, 185.0), tt3=(225.0, 225.0),
+                                 tt4=(265.0, 265.0), belt_speed=(70.0, 70.0))
+        with pytest.raises(ValueError, match="RK4 step is unstable: coefficient 13.0"):
+            minimize_area(layout, ranges, 0.8, 13.0)
 
     def test_speed_sweep_rejects_an_unstable_step(self, layout, params):
         with pytest.raises(ValueError, match="RK4 step is unstable"):
