@@ -106,12 +106,21 @@ class ExpLinearBlendSegment:
         return (math.log(self.t_hot) - math.log(self.t_cold)) / (self.x_pre - self.x_post)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        linear = self.t_hot + (self.t_cold - self.t_hot) * (x - self.x_pre) / (
-            self.x_post - self.x_pre
-        )
-        exponential = self.t_hot * np.exp(self.rate * (x - self.x_pre))
-        return self.weight * linear + (1.0 - self.weight) * exponential
+        """weight * (t_hot + (t_cold - t_hot) * (x - x_pre) / (x_post - x_pre))
+        + (1 - weight) * t_hot * exp(rate * (x - x_pre)), operation by
+        operation, in two arrays."""
+        linear = np.asarray(np.asarray(x, dtype=float) - self.x_pre)
+        exponential = linear.copy()
+        exponential *= self.rate
+        np.exp(exponential, out=exponential)
+        exponential *= self.t_hot
+        exponential *= 1.0 - self.weight
+        linear *= self.t_cold - self.t_hot
+        linear /= self.x_post - self.x_pre
+        linear += self.t_hot
+        linear *= self.weight
+        linear += exponential
+        return linear
 
 
 Segment = ConstantSegment | SigmoidSegment | ExpLinearBlendSegment
@@ -263,50 +272,79 @@ def geometry_key(profile: AmbientProfile) -> tuple:
     )
 
 
+def _segment_parts(profile: AmbientProfile, x: np.ndarray, first: int = 0) -> list:
+    """``FieldRows`` parts of the positions x[..., first:]: all of them with
+    each one's segment, then the positions of each segment that varies with
+    x, as ``ambient_at`` evaluates them; a domain error outside the
+    furnace.  Index into x."""
+    idx = _segment_index(profile, x[..., first:])
+    parts = [(idx, (..., slice(first, None)))]
+    for i, seg in enumerate(profile.segments):
+        if not isinstance(seg, ConstantSegment):
+            where = np.nonzero(idx == i)
+            if where[0].size:
+                parts.append((i, (*where[:-1], where[-1] + first)))
+    return parts
+
+
+def _level_columns(profiles) -> np.ndarray:
+    """Per profile (rows) and segment, the two levels ``FieldRows.fill``
+    reads: a plateau's level twice, a sigmoid's t_before and t_after, NaN on
+    the cooling blend.  Shape (profiles, segments, 2)."""
+    return np.array([[(s.level, s.level) if isinstance(s, ConstantSegment)
+                      else (s.t_before, s.t_after) if isinstance(s, SigmoidSegment)
+                      else (np.nan, np.nan) for s in p.segments] for p in profiles])
+
+
 class FieldRows:
     """The ambient field of profiles sharing one ``geometry_key``, at fixed
-    positions, as one row per profile.
+    positions (an array of any shape), as one row per profile.
 
     Row r equals ``ambient_at(profiles[r], x)`` bit for bit: it applies the
     same segment formulas to the same positions.  What depends on position
     alone (the segment of every position, the sigmoid denominators and the
-    cooling blend) is computed once, here.
+    cooling blend) is computed once, here; ``parts`` gives the segments as
+    (segment index, index into x) pairs covering x when the caller knows
+    them, else they are looked up.  Nothing of x is kept.
     """
 
-    def __init__(self, template: AmbientProfile, x: np.ndarray):
+    def __init__(self, template: AmbientProfile, x: np.ndarray, parts=None):
         x = np.asarray(x, dtype=float)
-        idx = _segment_index(template, x)
-        self.size = x.size
+        self.shape = x.shape
         self._parts = []
-        for i, seg in enumerate(template.segments):
-            where = np.flatnonzero(idx == i)
-            if where.size == 0:
+        for i, sel in parts if parts is not None else _segment_parts(template, x):
+            at = x[sel]
+            if np.ndim(i):  # each position's own plateau level
+                self._parts.append(((slice(None), *sel), i, None, False))
                 continue
-            # positions from a sorted array form one run: a slice is cheaper
-            span = slice(where[0], where[-1] + 1)
-            sel = span if where[-1] - where[0] + 1 == where.size else where
+            seg = template.segments[i]
             if isinstance(seg, SigmoidSegment):
-                shared = seg.denominator(x[sel])
+                shared = seg.denominator(at)
             elif isinstance(seg, ExpLinearBlendSegment):
-                shared = seg.evaluate(x[sel])
+                shared = seg.evaluate(at)
             else:
                 shared = None
-            self._parts.append((i, sel, shared))
+            # the segment's levels broadcast over the part's positions
+            self._parts.append(((slice(None), *sel), np.full((1,) * at.ndim, i), shared,
+                                isinstance(seg, SigmoidSegment)))
 
     def __call__(self, profiles, out=None) -> np.ndarray:
         """One row per profile, written into ``out`` when given."""
+        return self.fill(_level_columns(profiles), out)
+
+    def fill(self, levels: np.ndarray, out=None) -> np.ndarray:
+        """One row per profile from its ``_level_columns`` row, written into
+        ``out`` (profiles x the shape of x) when given."""
         if out is None:
-            out = np.empty((len(profiles), self.size))
-        for i, sel, shared in self._parts:
-            segs = [p.segments[i] for p in profiles]
-            if isinstance(segs[0], SigmoidSegment):
-                before = np.array([s.t_before for s in segs])[:, None]
-                after = np.array([s.t_after for s in segs])[:, None]
-                out[:, sel] = SigmoidSegment.blend(before, after, shared)
+            out = np.empty((len(levels), *self.shape))
+        for sel, seg, shared, sigmoid in self._parts:
+            before = levels[:, seg, 0]
+            if sigmoid:
+                out[sel] = SigmoidSegment.blend(before, levels[:, seg, 1], shared)
             elif shared is not None:
-                out[:, sel] = shared
+                out[sel] = shared
             else:
-                out[:, sel] = np.array([s.level for s in segs])[:, None]
+                out[sel] = before
         return out
 
 

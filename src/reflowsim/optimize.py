@@ -11,9 +11,12 @@ Three strategies over simulated traces:
   reflow area as tie-breaker.
 
 The joint sweeps evaluate, at each belt speed, every setpoint combination
-whose ambient profile has the same segment geometry as one 2-D array.  Field
-and RK4 recursion run in RK4 blocks of rows; these write their samples into
-a wider sample block, on which metrics (one array per metric), limit pass
+whose ambient profile has the same segment geometry as one 2-D array, on
+the plateau-compacted kernel (``thermal._Plateaus``): field, forcing and
+Horner sums only for the samples that touch a sigmoid, the cooling blend or
+a segment join, laid out once per geometry and speed, and each plateau
+sample from its level's Horner sum.  RK4 blocks of rows write their samples
+into a sample block, on which metrics (one array per metric), limit pass
 masks, reflow area and symmetry run once.  Rows never mix, so each candidate
 equals the one the per-candidate chain (build_profile, simulate,
 compute_metrics, check_limits, reflow_area, symmetry_score) builds, bit for
@@ -22,8 +25,8 @@ Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
 
 The speed sweep evaluates its one profile at every grid speed as rows of
-padded 2-D arrays: RK4 recursion per RK4 block, with positions, field and
-forcing only where the profile varies (``thermal.simulate_speeds``), then
+padded 2-D arrays: RK4 recursion per RK4 block, on the same kernel
+(``thermal.simulate_speeds``), then
 metrics and limit masks once per sample block, each row over its own
 samples.  Padding only follows a row's end and the recursion is causal, so
 each SpeedCheck equals the one the per-speed chain (build_profile,
@@ -39,7 +42,7 @@ from functools import partial
 
 import numpy as np
 
-from .ambient import FieldRows, build_profile, geometry_key
+from .ambient import _level_columns, build_profile, geometry_key
 from .limits import (
     MELT_C,
     LimitVerdict,
@@ -60,12 +63,11 @@ from .thermal import (
     WeldingModel,
     _Buffers,
     _Plateaus,
+    _rk4_coefficients,
     _simulate_rows,
     _view,
     check_step,
-    integrate_rows,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
-    stage_positions,
     step_counts,
 )
 
@@ -354,10 +356,15 @@ def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
     return max(1, fit // rk4_rows) * rk4_rows
 
 
-def _sweep_buffers(total_cm: float, speeds, dt: float) -> _Buffers:
-    """Buffers that fit a block of ``_evaluate_speed`` at every speed."""
-    n_steps = step_counts(total_cm, speeds, dt).tolist()
-    return _Buffers(max(_rk4_rows(n + 1) * (2 * n + 1) for n in n_steps))
+def _block_buffers() -> _Buffers:
+    """Buffers for the blocks of a joint sweep: they hold every RK4 block
+    whose largest array per stage fits _BLOCK_BYTES, and its sample block.
+    The compacted field has 2s + 1 stages per varying sample against the
+    s + 1 nodes that size the block, so it takes less than twice that; the
+    forcing and the sample block take it once.  A larger block grows them.
+    """
+    floats = _BLOCK_BYTES // 8
+    return _Buffers(stages=2 * floats, forcing=floats, samples=floats)
 
 
 def _evaluate_speed(
@@ -367,40 +374,45 @@ def _evaluate_speed(
     area_domain: str,
     speed: float,
     params: list[ProcessParameters],
-    profiles: list,
+    template,
+    levels: np.ndarray,
     buffers: _Buffers,
 ) -> list[SweepCandidate]:
-    """Candidates of profiles sharing one geometry_key at one belt speed.
+    """Candidates of profiles sharing the geometry_key of ``template`` at one
+    belt speed; ``levels`` holds their ``_level_columns``.
 
-    Rows go through in RK4 blocks of as many rows as fit _BLOCK_BYTES per
-    stage, all in the same buffers.  The RK4 blocks write their samples into
-    consecutive rows of a sample block, and metrics, limit checks, reflow
-    area and symmetry run once per sample block.
+    The plateau-compacted kernel (``thermal._Plateaus``) lays out the speed's
+    samples once: the stage positions of those that touch a sigmoid, the
+    cooling blend or a segment join, what of their field depends on
+    position alone, and the Horner sums inside the cooling blend, which are
+    the same for every profile.  Rows then go through in RK4 blocks of as
+    many rows as keep the largest compacted array per stage (the varying
+    samples' nodes, or the samples) within _BLOCK_BYTES, all in the same
+    buffers, grown here when too small.  The RK4 blocks write their
+    samples into consecutive rows of a sample block, and metrics, limit
+    checks, reflow area and symmetry run once per sample block.
     """
-    x_nodes, x_mid, _ = stage_positions(profiles[0].total_length_cm, [speed], grid.dt,
-                                        buffers.stages)
-    field_nodes = FieldRows(profiles[0], x_nodes[0])
-    field_mid = FieldRows(profiles[0], x_mid[0])
-    n_steps = x_mid.shape[1]
-    n_samples = n_steps // grid.stride + 1
-    # the samples integrate_rows keeps: every stride-th node
+    s = grid.stride
+    speeds = np.array([speed])
+    n_steps = int(step_counts(template.total_length_cm, speeds, grid.dt)[0])
+    plan = _Plateaus(template, speeds, grid.dt, s, n_steps)
+    n_samples = n_steps // s + 1
+    # the samples the kernel keeps: every stride-th node
     times = np.arange(n_samples) * grid.dt_out
     xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-    block = _rk4_rows(n_steps + 1)
+    block = _rk4_rows(max(int(plan.varying_counts()[0]) * (s + 1), n_samples))
+    plan.buffers(block, block * n_samples, buffers)
     wide = _sample_block_rows(block, n_samples, buffers.samples.size)
+    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+    field = plan.field(buffers, coefficients)
+    y0 = np.array([p.tt5 for p in params])
     out = []
-    for lo in range(0, len(profiles), wide):
-        temps = _view(buffers.samples, (min(wide, len(profiles) - lo), n_samples))
+    for lo in range(0, len(params), wide):
+        temps = _view(buffers.samples, (min(wide, len(params) - lo), n_samples))
         for r0 in range(0, len(temps), block):
             rows = slice(lo + r0, lo + min(r0 + block, len(temps)))
-            n_rows = rows.stop - rows.start
-            nodes = _view(buffers.field, (n_rows, n_steps + 1))
-            mid = _view(buffers.field[nodes.size :], (n_rows, n_steps))
-            field_nodes(profiles[rows], out=nodes)
-            field_mid(profiles[rows], out=mid)
-            y0 = np.array([p.tt5 for p in params[rows]])
-            integrate_rows(nodes, mid, y0, model.coefficient, grid,
-                           _view(buffers.forcing, mid.shape), temps[r0 : r0 + n_rows])
+            plan.integrate(field, levels[rows], y0[rows], coefficients, buffers,
+                           temps[r0 : r0 + block])
         metrics = metrics_rows(times, temps, grid.dt_out)
         feasible = check_rows(metrics, limits).all(axis=0).tolist()
         areas = _reflow_area_rows(xs, temps).tolist()
@@ -422,13 +434,15 @@ def _evaluate_group(
 ) -> list[list[SweepCandidate]]:
     """Evaluate setpoint combinations whose profiles share one geometry_key
     at every sweep speed; one list of candidates per combination, in speed
-    order.  Without buffers it makes its own, for all its speeds.
-    Top-level so process pools can pickle it.
+    order.  The profiles' level columns are gathered once, for all speeds.
+    Without buffers it makes its own.  Top-level so process pools can
+    pickle it.
     """
     params, profiles = group
-    if buffers is None:
-        buffers = _sweep_buffers(profiles[0].total_length_cm, speeds, grid.dt)
-    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles, buffers)
+    buffers = buffers if buffers is not None else _block_buffers()
+    levels = _level_columns(profiles)
+    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles[0], levels,
+                                buffers)
                 for v in speeds]
     return [list(cands) for cands in zip(*by_speed)]
 
@@ -468,7 +482,7 @@ def _sweep_grid(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(evaluate, jobs))
     else:
-        buffers = _sweep_buffers(layout.total_length_cm, speeds, grid.dt)
+        buffers = _block_buffers()
         batches = [evaluate(job, buffers) for job in jobs]
     per_combo = [None] * len(params)
     for idx, batch in zip(pieces, batches):

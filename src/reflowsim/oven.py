@@ -139,6 +139,8 @@ class ParameterRanges:
     def __post_init__(self):
         for name in ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed"):
             lo, hi = getattr(self, name)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise ValueError(f"range for {name} must have finite bounds, got [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"range for {name} has lower bound above upper")
         for name in ("temp_step", "speed_step"):

@@ -21,22 +21,35 @@ are refused (``check_step``): there Ba turns negative, and a step is no
 longer a weighted mean of y and the ambient.
 
 Most of the furnace is plateau, where every step has the same forcing.
-``simulate_speeds`` therefore evaluates the field, forcing and Horner sums
-of several speeds only for the samples that touch a sigmoid, the cooling
-blend or a segment join; a sample inside a plateau takes its level's sum,
-computed once by the same operations, so every value is bit-identical to
-the full-field path.  A forward-Euler reference integrator is kept as a
-deliberately simple, loop-based oracle.
+The plateau-compacted kernel (``_Plateaus``) therefore evaluates the field,
+forcing and Horner sums only for the samples that touch a sigmoid, the
+cooling blend or a segment join; a sample inside a plateau takes its
+level's sum, computed once by the same operations, so every value is
+bit-identical to the full-field path.  It serves one profile at several
+speeds (``simulate_speeds``) and the profiles of one segment geometry at
+one speed (the joint sweep).  A forward-Euler reference integrator is kept
+as a deliberately simple, loop-based oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ambient import AmbientProfile, _ambient_on_runs, _concat_ranges, _levels, ambient_at
+from .ambient import (
+    AmbientProfile,
+    FieldRows,
+    SigmoidSegment,
+    _ambient_on_runs,
+    _concat_ranges,
+    _level_columns,
+    _levels,
+    _segment_parts,
+    ambient_at,
+)
 from .oven import ProcessParameters, cm_per_second, position_at_time
 
 _TIME_EPS = 1e-9
@@ -242,18 +255,17 @@ def _split(stages: np.ndarray):
     return stages[:, : n + 1], stages[:, n + 1 :]
 
 
-def stage_positions(total_cm: float, belt_speeds, dt: float, out=None):
+def stage_positions(total_cm: float, belt_speeds, dt: float):
     """Positions of the RK4 nodes and of the half-step midpoints, in cm, one
     row per belt speed, and each row's step count.
 
     A row's stage positions up to its own step count stay inside the
     furnace.  Shorter rows are padded to the longest by running on past the
     exit, where the clip holds them at the furnace end.  Both arrays are
-    views of one, which ``out`` (a flat buffer of at least
-    rows * (2 * steps + 1) floats) holds when given.
+    views of one.
     """
     speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
-    x, n_steps = _stages(total_cm, speeds, dt, out)
+    x, n_steps = _stages(total_cm, speeds, dt)
     return (*_split(x), n_steps)
 
 
@@ -319,28 +331,29 @@ def _sample_scan(out, b: float, y0):
 def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g):
     """The RK4 forcing of each step and its Horner sums between kept samples.
 
-    f[n] = ba*T(node n) + bb*T(mid n) + bc*T(node n+1), into ``forcing``
-    (the shape of t_amb_mid; both fields are overwritten), then
+    Steps run along the last axis.  f[n] = ba*T(node n) + bb*T(mid n) +
+    bc*T(node n+1), into ``forcing`` (the shape of t_amb_mid; both fields
+    are overwritten), then
 
         g[k] = sum_j A**(s-1-j) * f[k*s + j],   s = stride,
 
-    for each column k of g, in Horner form.  Both the sweep kernels and the
-    plateau sums of ``simulate_speeds`` go through here, so equal fields
-    give equal sums bit for bit.
+    for each k along the last axis of g, in Horner form.  The full-field
+    path, the compacted samples and the plateau sums of ``_Plateaus`` all
+    go through here, so equal fields give equal sums bit for bit.
     """
     a, ba, bb, bc = coefficients
-    np.multiply(ba, t_amb_nodes[:, :-1], out=forcing)
+    np.multiply(ba, t_amb_nodes[..., :-1], out=forcing)
     forcing += np.multiply(bb, t_amb_mid, out=t_amb_mid)
-    forcing += np.multiply(bc, t_amb_nodes[:, 1:], out=t_amb_nodes[:, 1:])
-    f = forcing[:, : g.shape[1] * stride]
+    forcing += np.multiply(bc, t_amb_nodes[..., 1:], out=t_amb_nodes[..., 1:])
+    f = forcing[..., : g.shape[-1] * stride]
     if stride == 1:
         np.copyto(g, f)
     else:
-        np.multiply(f[:, 0::stride], a, out=g)
-        g += f[:, 1::stride]
+        np.multiply(f[..., 0::stride], a, out=g)
+        g += f[..., 1::stride]
         for j in range(2, stride):
             g *= a
-            g += f[:, j::stride]
+            g += f[..., j::stride]
     return g
 
 
@@ -380,29 +393,36 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
 class _Buffers:
     """Flat arrays that the blocks of one sweep share, so that their pages
     are touched once per sweep, not once per block; each block takes the
-    start of each in its own shape (see ``_view``).  The joint sweep keeps
-    stage positions, fields and forcing in ``stages``, ``field`` and
-    ``forcing``; ``simulate_speeds`` keeps the stage positions, then the
-    field, of its varying samples in ``stages`` and their forcing and
-    Horner sums in ``forcing``.  ``samples`` holds a sample block: the rows
-    of several RK4 blocks, measured at once.
+    start of each in its own shape (see ``_view``).  The plateau-compacted
+    kernel (``_Plateaus``) keeps the stage positions, then the field, of its
+    varying samples in ``stages`` and their forcing and Horner sums in
+    ``forcing``; the one-row full-field path keeps its stage positions and
+    forcing there.  ``samples`` holds a sample block: the rows of several
+    RK4 blocks, measured at once.
 
     All are parts of one allocation: glibc keeps that block for the next
     sweep, where separate ones went back to the system and were faulted in
-    again on every call.  ``size`` floats each, or the sizes given by name
-    (none for a name not given); without any, every block allocates its own
-    arrays."""
+    again on every call.  Regions are sized by name; without any, every
+    block allocates its own arrays.
+    """
 
-    _NAMES = ("stages", "field", "forcing", "samples")
+    _NAMES = ("stages", "forcing", "samples")
 
-    def __init__(self, size: int | None = None, **sizes):
-        if size is None and not sizes:
-            self.stages = self.field = self.forcing = self.samples = None
-            return
-        sizes = [sizes.get(name, size or 0) for name in self._NAMES]
-        flat = np.empty(sum(sizes))
-        for name, stop, n in zip(self._NAMES, np.cumsum(sizes).tolist(), sizes):
-            setattr(self, name, flat[stop - n : stop])
+    def __init__(self, **sizes):
+        self.stages = self.forcing = self.samples = None
+        self.reserve(**sizes)
+
+    def reserve(self, **sizes) -> "_Buffers":
+        """Make each named region hold at least its number of floats.  When
+        one does not, all regions move to one new allocation, none smaller
+        than before; their contents are not kept."""
+        have = [0 if getattr(self, n) is None else getattr(self, n).size for n in self._NAMES]
+        want = [max(h, sizes.get(n, 0)) for n, h in zip(self._NAMES, have)]
+        if want != have:
+            flat = np.empty(sum(want))
+            for name, stop, n in zip(self._NAMES, np.cumsum(want).tolist(), want):
+                setattr(self, name, flat[stop - n : stop])
+        return self
 
 
 def _reach(rate, starts, dt: float, n: int) -> np.ndarray:
@@ -434,7 +454,12 @@ def _reach(rate, starts, dt: float, n: int) -> np.ndarray:
 
 
 class _Plateaus:
-    """How the samples of a block of speed rows lie on the profile's segments.
+    """The plateau-compacted RK4 kernel: how the samples of rows at several
+    belt speeds lie on the segments of one segment geometry (see
+    ``ambient.geometry_key``), and the samples of profiles with that
+    geometry computed from it.  It serves one profile at many speeds (the
+    speed sweep) and many profiles at one speed (a geometry group of the
+    joint sweep): profile p's row at speed r is output row p * speeds + r.
 
     Sample k of a row (k < K = n // stride, the row's Horner sums) spans the
     steps from kept node k*s to (k+1)*s: those nodes and the midpoints
@@ -444,20 +469,28 @@ class _Plateaus:
     after it.  Rows are padded to n steps past their own end, where the
     positions stay at the furnace end.
 
-    A sample wholly inside a ``ConstantSegment`` sees its level at every
-    stage, so its Horner sum is that level's.  Every other sample, inside a
-    sigmoid or the cooling blend or across a join, needs its own field:
-    ``runs`` lists them as (segment, or None across a join; rows; first
-    samples; sample counts).
+    Samples are of three kinds:
+
+    * wholly inside a ``ConstantSegment``: the sample sees its profile's
+      level at every stage, so its Horner sum is that level's;
+    * inside a sigmoid or across a join (``runs``): the field depends on
+      the profile's levels, so each profile's field, forcing and Horner
+      sums are computed at the sample's own stages;
+    * inside the cooling blend (``shared``): the field is the same for
+      every profile of the geometry, so the Horner sum is computed once.
+
+    ``runs`` and ``shared`` list (segment index, or None across a join;
+    rows; first samples; sample counts).  Stage positions and what of the
+    field depends on position alone are computed once (``field``).
     """
 
-    def __init__(self, profile: AmbientProfile, speeds: np.ndarray, dt: float, stride: int,
+    def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int,
                  n: int):
         s = stride
-        self.profile, self.dt, self.stride, self.k_end = profile, dt, s, n // s
+        self.template, self.dt, self.stride, self.k_end = template, dt, s, n // s
         # rate * t is position_at_time(speed, t), bit for bit
         self.rate = cm_per_second(speeds)
-        nodes, mids = _reach(self.rate[:, None], profile._starts, dt, n)
+        nodes, mids = _reach(self.rate[:, None], template._starts, dt, n)
         # a midpoint lies at or past its node, so it reaches a start no later
         first = np.minimum(-(-nodes // s), self.k_end)
         # inside segment i up to the sample whose node (k+1)*s and midpoint
@@ -469,66 +502,113 @@ class _Plateaus:
         after[:, :-1] = first[:, 1:]
         self.inside, self.across = last - first, after - last
         rows = np.arange(len(speeds))
-        self.levels = _levels(profile)
-        self.runs = [(profile.segments[i], rows, first[:, i], self.inside[:, i])
-                     for i in np.flatnonzero(np.isnan(self.levels))]
+        self.levels = _levels(template)
+        varying = [(i, rows, first[:, i], self.inside[:, i])
+                   for i in np.flatnonzero(np.isnan(self.levels)).tolist()]
+        sigmoid = [isinstance(template.segments[i], SigmoidSegment) for i, *_ in varying]
+        self.runs = [run for run, own in zip(varying, sigmoid) if own]
         self.runs.append((None, np.repeat(rows, len(self.levels)), last.ravel(),
                           self.across.ravel()))
+        self.shared = [run for run, own in zip(varying, sigmoid) if not own]
 
     def varying_counts(self) -> np.ndarray:
         """Per row, the samples that need their own field."""
         return sum(np.bincount(rows, counts, minlength=len(self.rate)).astype(np.int64)
-                   for _, rows, _, counts in self.runs)
+                   for _, rows, _, counts in self.runs + self.shared)
 
-    def buffers(self, rows: int, samples: int) -> _Buffers:
-        """Buffers that hold the compacted arrays of any ``rows`` of these
-        rows, and ``samples`` samples."""
+    @functools.cached_property
+    def varying(self) -> tuple[np.ndarray, np.ndarray]:
+        """The row and the sample of each sample in ``runs``, then in
+        ``shared``, run after run."""
+        runs = self.runs + self.shared
+        counts = np.concatenate([c for _, _, _, c in runs])
+        return (np.repeat(np.concatenate([r for _, r, _, _ in runs]), counts),
+                _concat_ranges(np.concatenate([f for _, _, f, _ in runs]), counts))
+
+    def buffers(self, rows: int, samples: int, buffers: _Buffers | None = None) -> _Buffers:
+        """Buffers that hold the compacted arrays of any ``rows`` output rows
+        and ``samples`` samples: ``buffers`` grown where too small, or new
+        ones."""
         most = rows * int(self.varying_counts().max(initial=0))
         s = self.stride
-        return _Buffers(stages=most * (2 * s + 1), forcing=most * (s + 1), samples=samples)
+        sizes = dict(stages=most * (2 * s + 1), forcing=most * (s + 1), samples=samples)
+        return (buffers if buffers is not None else _Buffers()).reserve(**sizes)
 
-    def sums(self, coefficients, buffers: _Buffers, g) -> np.ndarray:
-        """Every Horner sum of the block into g (rows x K): each plateau
-        sample's from its level, each other sample's from the field at its
-        own stages."""
+    def field(self, buffers: _Buffers, coefficients) -> tuple[FieldRows, np.ndarray]:
+        """The field rows of the samples in ``runs`` and the Horner sums of
+        those in ``shared``.
+
+        Each sample's s + 1 nodes, then its s midpoints, lie at
+        rate * (j*dt [+ dt/2]) as in ``_stages`` (j*dt is exact in floats: j
+        is an integer).  One column per sample, so each stage is a
+        contiguous row.  Positions and the shared samples' field and forcing
+        are computed in the buffers, which are free again on return.
+        """
         s, dt = self.stride, self.dt
-        rows = np.concatenate([r for _, r, _, _ in self.runs])
-        starts = np.concatenate([f for _, _, f, _ in self.runs])
-        counts = np.concatenate([c for _, _, _, c in self.runs])
-        samples = _concat_ranges(starts, counts)
-        n_varying = samples.size
-        # a sample's nodes, then its midpoints: rate * (j*dt [+ dt/2]), as
-        # in _stages (j*dt is exact in floats: j is an integer).  One column
-        # per sample, so each stage is a contiguous row.
-        x = _view(buffers.stages, (2 * s + 1, n_varying))
+        rows, samples = self.varying
+        x = _view(buffers.stages, (2 * s + 1, samples.size))
         nodes, mids = x[: s + 1], x[s + 1 :]
         j0 = (samples * s).astype(float)
         np.add(j0, np.arange(s + 1.0)[:, None], out=nodes)
         np.add(j0, np.arange(float(s))[:, None], out=mids)
         x *= dt
         mids += 0.5 * dt
-        x *= np.repeat(self.rate[rows], counts)
-        np.clip(x, 0.0, self.profile.total_length_cm, out=x)
-        # the field: one segment's formula on the samples inside it, and
-        # ambient_at on those across a join
-        stop = 0
-        for segment, _, _, n in self.runs:
-            part = slice(stop, stop + int(n.sum()))
-            x[:, part] = (segment.evaluate(x[:, part]) if segment is not None
-                          else ambient_at(self.profile, x[:, part]))
-            stop = part.stop
-        forcing = _view(buffers.forcing, (s + 1, n_varying))
-        varying = _forcing_sums(nodes.T, mids.T, coefficients, s, forcing[:s].T, forcing[s:].T)
-        # per row: segment i's inside samples (its level's sum, or a
-        # placeholder), then those across the join after it
+        x *= self.rate[rows]
+        np.clip(x, 0.0, self.template.total_length_cm, out=x)
+        # a sigmoid's formula on the samples inside it; across a join each
+        # stage's own segment, looked up as ambient_at does
+        parts, stop = [], 0
+        for segment, _, _, n in self.runs[:-1]:
+            parts.append((segment, (slice(None), slice(stop, stop + int(n.sum())))))
+            stop += int(n.sum())
+        own = stop + int(self.runs[-1][3].sum())
+        field = FieldRows(self.template, x[:, :own], parts + _segment_parts(self.template,
+                                                                             x[:, :own], stop))
+        stop = own
+        for segment, _, _, n in self.shared:
+            cols = slice(stop, stop + int(n.sum()))
+            x[:, cols] = self.template.segments[segment].evaluate(x[:, cols])
+            stop = cols.stop
+        forcing = _view(buffers.forcing, (s + 1, samples.size - own))
+        sums = _forcing_sums(nodes[:, own:].T, mids[:, own:].T, coefficients, s,
+                             forcing[:s].T, forcing[s:].T)
+        return field, sums[:, 0].copy()
+
+    def integrate(self, field: tuple[FieldRows, np.ndarray], levels: np.ndarray, y0, coefficients,
+                  buffers: _Buffers, out: np.ndarray) -> np.ndarray:
+        """The RK4 samples of profiles with these ``_level_columns`` at every
+        speed, from ``field``, into out (profiles * speeds rows, at least
+        K + 1 columns; rows need not be adjacent); y0 is a scalar or one per
+        output row.
+
+        Each plateau sample takes its level's Horner sum, from
+        ``_forcing_sums`` itself, and each shared sample its own; each
+        sample in ``runs`` gets each profile's field, forcing and Horner sum
+        at its stages, computed into the buffers.  Then ``_sample_scan``.
+        """
+        s = self.stride
+        rows, samples = self.varying
+        own, shared = field
+        stages = own.fill(levels, _view(buffers.stages, (len(levels), *own.shape)))
+        forcing = _view(buffers.forcing, (len(levels), s + 1, own.shape[1]))
+        # each sample is a row of _forcing_sums with one Horner sum
+        sums = _forcing_sums(
+            stages[:, : s + 1].swapaxes(1, 2), stages[:, s + 1 :].swapaxes(1, 2), coefficients,
+            s, forcing[:, :s].swapaxes(1, 2), forcing[:, s:].swapaxes(1, 2))
+        # per profile and row: segment i's inside samples (its level's sum,
+        # or a placeholder), then those across the join after it
         plateau = ~np.isnan(self.levels)
-        level_sums = np.zeros((len(self.levels), 2))
-        level_sums[plateau, 0] = _plateau_sums(self.levels[plateau], coefficients, s)
-        filled = np.repeat(np.tile(level_sums.ravel(), len(g)),
-                           np.stack((self.inside, self.across), axis=2).ravel())
-        filled[np.repeat(rows, counts) * self.k_end + samples] = varying[:, 0]
-        np.copyto(g, filled.reshape(g.shape))
-        return g
+        level_sums = np.zeros((len(levels), len(self.levels), 2))
+        level_sums[:, plateau, 0] = _plateau_sums(levels[:, plateau, 0].ravel(), coefficients,
+                                                  s).reshape(len(levels), -1)
+        counts = np.stack((self.inside, self.across), axis=2).ravel()
+        g = out[:, 1 : self.k_end + 1].reshape(len(levels), len(self.rate), self.k_end)
+        g[...] = np.repeat(np.tile(level_sums.reshape(len(levels), -1), len(self.rate)), counts,
+                           axis=1).reshape(g.shape)
+        n = own.shape[1]
+        g[:, rows[:n], samples[:n]] = sums[..., 0]
+        g[:, rows[n:], samples[n:]] = shared
+        return _sample_scan(out[:, : self.k_end + 1], coefficients[0] ** s, y0)
 
 
 def _plateau_sums(levels, coefficients, stride: int) -> np.ndarray:
@@ -554,9 +634,9 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
     its level's sum, computed once by the same operations
     (``_forcing_sums``).  Where each row meets each segment start comes from
     the exact position formula (``_reach``); the field is the segment's own
-    formula, or ``ambient_at`` across a join.  So every value equals what
-    ``_stages``, ``ambient_at`` and ``integrate_rows`` give at every node,
-    bit for bit.
+    formula, looked up as ``ambient_at`` does across a join.  So every value
+    equals what ``_stages``, ``ambient_at`` and ``integrate_rows`` give at
+    every node, bit for bit.
 
     One row costs less on that full-field path (``_stages``, the sorted-run
     field ``ambient._ambient_on_runs`` and ``integrate_rows``) than the
@@ -591,8 +671,8 @@ def _simulate_rows(profile: AmbientProfile, y0, model: WeldingModel, grid: Simul
     if len(speeds) > 1:
         coefficients = _rk4_coefficients(model.coefficient * grid.dt)
         plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
-        plan.sums(coefficients, buffers, out[:, 1:])
-        temps = _sample_scan(out, coefficients[0] ** grid.stride, y0)
+        temps = plan.integrate(plan.field(buffers, coefficients), _level_columns([profile]), y0,
+                               coefficients, buffers, out)
     else:
         x, _ = _stages(profile.total_length_cm, speeds, grid.dt, buffers.stages, n_steps)
         # nodes and midpoints in one evaluation: each row is two sorted runs

@@ -196,6 +196,14 @@ class TestSteps:
          "speed_sweep_step must be positive and finite, got nan"),
         (["optimize-area"], "ranges: {temp_step: .nan}",
          "enumeration steps must be positive and finite, got temp_step=nan"),
+        (["optimize-area"], "ranges: {tt1: [165, .inf]}",
+         "range for tt1 must have finite bounds, got [165.0, inf]"),
+        (["optimize-area"], "ranges: {tt1: [.nan, 185]}",
+         "range for tt1 must have finite bounds, got [nan, 185.0]"),
+        (["optimize-symmetry"], "ranges: {belt_speed: [-.inf, 100]}",
+         "range for belt_speed must have finite bounds, got [-inf, 100.0]"),
+        (["optimize-speed"], "ranges: {tt5: [25, .nan]}",
+         "range for tt5 must have finite bounds, got [25.0, nan]"),
     ])
     def test_bad_step_fails_with_empty_stdout(self, capsys, tmp_path, argv, text, message):
         code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, text))

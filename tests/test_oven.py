@@ -133,6 +133,18 @@ class TestValidateParameters:
         with pytest.raises(ValueError, match="steps"):
             ParameterRanges(temp_step=0.0)
 
+    @pytest.mark.parametrize("bounds, shown", [
+        ((165.0, float("inf")), "[165.0, inf]"),
+        ((float("nan"), 185.0), "[nan, 185.0]"),
+        ((float("-inf"), 185.0), "[-inf, 185.0]"),
+        ((float("nan"), float("nan")), "[nan, nan]"),
+    ])
+    @pytest.mark.parametrize("name", ["tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed"])
+    def test_ranges_refuse_non_finite_bounds(self, name, bounds, shown):
+        with pytest.raises(ValueError) as info:
+            ParameterRanges(**{name: bounds})
+        assert str(info.value) == f"range for {name} must have finite bounds, got {shown}"
+
 
 class TestPositionAtTime:
     def test_one_minute(self):

@@ -8,6 +8,7 @@ compute_metrics -> check_limits.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import reflowsim.optimize as optimize
@@ -24,6 +25,7 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.optimize import SpeedCheck, SpeedSweepResult
+from reflowsim.thermal import _Plateaus, _simulate_rows, step_counts
 
 DEFAULT = ProcessParameters(tt1=165.0, tt2=185.0, tt3=225.0, tt4=265.0)
 # tt1 = tt2 and tt3 = tt4 merge plateaus: fewer segments, other boundaries
@@ -83,10 +85,25 @@ def test_step_that_does_not_divide_the_range(layout):
 
 
 def test_speed_count_not_a_multiple_of_the_block(layout, monkeypatch):
-    # 4-row blocks over 13 speeds: three full blocks and a one-row tail
-    longest = 4020  # steps at 65 cm/min, dt = 0.1 s
-    monkeypatch.setattr(optimize, "_BLOCK_BYTES", 4 * 8 * (longest + 1))
+    # 4-row blocks over 13 speeds: three full blocks and a one-row tail.  A
+    # row's largest array per stage is the nodes of its varying samples.
+    grid = SimulationGrid()
+    speeds = np.array(inclusive_grid(65.0, 66.2, 0.1))
+    profile = build_profile(layout, DEFAULT, 0.8)
+    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
+    row_floats = int(plan.varying_counts().max()) * (grid.stride + 1)
+    assert row_floats > n_steps.max() // grid.stride + 1  # more than the samples
+    monkeypatch.setattr(optimize, "_BLOCK_BYTES", 4 * 8 * row_floats)
+    blocks = []
+
+    def counted(profile, y0, model, grid, speeds, *args):
+        blocks.append(len(speeds))
+        return _simulate_rows(profile, y0, model, grid, speeds, *args)
+
+    monkeypatch.setattr(optimize, "_simulate_rows", counted)
     assert_matches_chain(layout, DEFAULT, speed_range=(65.0, 66.2))
+    assert blocks == [4, 4, 4, 1]
 
 
 def test_rows_do_not_depend_on_the_block_size(layout, monkeypatch):
