@@ -22,9 +22,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .oven import OvenLayout, ProcessParameters
+from .oven import SETPOINT_SLOTS, OvenLayout, ProcessParameters
 
 DEFAULT_BLEND_WEIGHT = 0.8
+# the exterior temperature's column of a setpoint row
+_COLD_SLOT = SETPOINT_SLOTS.index("TT5")
 
 
 @dataclass(frozen=True)
@@ -372,12 +374,22 @@ def build_profile(
         If the layout lacks the expected region structure, the weight is
         outside [0, 1], or the cooling endpoints are not positive.
     """
+    segments, _ = _assemble(layout, params, weight)
+    return AmbientProfile(segments)
+
+
+def _assemble(layout: OvenLayout, params: ProcessParameters, weight: float):
+    """``build_profile``'s segments, and next to them each segment's level
+    sources: the ``SETPOINT_SLOTS`` indices of the setpoints that its two
+    ``_level_columns`` entries hold (a plateau's slot twice, a sigmoid's
+    slots before and after), or None for the cooling blend."""
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"blend weight must lie in [0, 1], got {weight}")
     heated = layout.heated_zones()
     if not heated:
         raise ValueError("layout has no heated zones")
     temps = [params.slot_temperature(z.setpoint_slot) for z in heated]
+    slots = [SETPOINT_SLOTS.index(z.setpoint_slot) for z in heated]
     cold = params.tt5
 
     # Last zone set hotter than the exterior: the cooling blend starts where
@@ -389,17 +401,20 @@ def build_profile(
             break
 
     segments: list[Segment] = []
+    sources: list[tuple[int, int] | None] = []
     first_heated_start = heated[0].start_cm
     if first_heated_start > 0.0:
         segments.append(ConstantSegment(0.0, first_heated_start, cold))
+        sources.append((_COLD_SLOT, _COLD_SLOT))
 
     if hot_idx is None:
         # Degenerate furnace: everything at the exterior temperature.
         segments.append(ConstantSegment(first_heated_start, layout.total_length_cm, cold))
-        return AmbientProfile(tuple(segments))
+        sources.append((_COLD_SLOT, _COLD_SLOT))
+        return tuple(segments), tuple(sources)
 
     run_start = heated[0].start_cm
-    run_temp = temps[0]
+    run_temp, run_slot = temps[0], slots[0]
     for i in range(hot_idx + 1):
         zone = heated[i]
         temp = temps[i]
@@ -414,15 +429,18 @@ def build_profile(
                     f"gap (missing before {zone.name!r})"
                 )
             segments.append(ConstantSegment(run_start, gap_start, run_temp))
+            sources.append((run_slot, run_slot))
             segments.append(
                 SigmoidSegment(
                     gap_start, gap_end, run_temp, temp, 0.5 * (gap_start + gap_end)
                 )
             )
+            sources.append((run_slot, slots[i]))
             run_start = gap_end
-            run_temp = temp
+            run_temp, run_slot = temp, slots[i]
         run_end = zone.end_cm
     segments.append(ConstantSegment(run_start, run_end, run_temp))
+    sources.append((run_slot, run_slot))
 
     blend_start = heated[hot_idx].end_cm
     blend_end = heated[-1].end_cm
@@ -438,9 +456,50 @@ def build_profile(
                 weight=weight,
             )
         )
+        sources.append(None)
     if blend_end < layout.total_length_cm:
         segments.append(ConstantSegment(blend_end, layout.total_length_cm, cold))
-    return AmbientProfile(tuple(segments))
+        sources.append((_COLD_SLOT, _COLD_SLOT))
+    return tuple(segments), tuple(sources)
+
+
+def _geometry_groups(layout: OvenLayout, setpoints: np.ndarray) -> list[np.ndarray]:
+    """The rows of ``setpoints`` (one column per ``SETPOINT_SLOTS`` slot)
+    grouped by the ``geometry_key`` of their ``build_profile``: each group's
+    row indices in order, the groups in the order of their first rows.
+
+    A profile's geometry is fixed by the last heated zone set apart from the
+    exterior (tt5), which zones differ from the next, and the cooling
+    blend's endpoint temperatures when it has one: its segment boundaries
+    follow from those alone, in ``_assemble``'s order.  (The zones past the
+    hot one are all at the exterior temperature, so the hot zone also fixes
+    which of them differ.)
+    """
+    heated = layout.heated_zones()
+    n = len(heated)
+    temps = setpoints[:, [SETPOINT_SLOTS.index(z.setpoint_slot) for z in heated]]
+    cold = setpoints[:, _COLD_SLOT]
+    hot = temps != cold[:, None]
+    # the hot zone, -1 when every zone is at the exterior temperature
+    hot_idx = np.where(hot.any(axis=1), n - 1 - np.argmax(hot[:, ::-1], axis=1), -1)
+    differ = temps[:, 1:] != temps[:, :-1]
+    blend = (hot_idx >= 0) & (hot_idx < n - 1)
+    t_hot = np.where(blend, temps[np.arange(len(temps)), hot_idx], 0.0)
+    t_cold = np.where(blend, cold, 0.0)
+    signature = np.column_stack((hot_idx, differ, t_hot, t_cold))
+    _, first, inverse, counts = np.unique(signature, axis=0, return_index=True,
+                                          return_inverse=True, return_counts=True)
+    members = np.split(np.argsort(inverse.ravel(), kind="stable"), np.cumsum(counts)[:-1])
+    return [members[g] for g in np.argsort(first)]
+
+
+def _gathered_levels(setpoints: np.ndarray, sources) -> np.ndarray:
+    """``_level_columns`` of the profiles that ``_assemble`` builds from the
+    rows of ``setpoints`` with these level sources, gathered from the
+    setpoints: shape (rows, segments, 2), NaN on the cooling blend."""
+    levels = setpoints[:, [s if s is not None else (0, 0) for s in sources]]
+    levels[:, [s is None for s in sources]] = np.nan
+    return levels
 
 
 @dataclass(frozen=True)

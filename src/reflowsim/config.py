@@ -15,10 +15,9 @@ import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 
-import yaml
-
 from .ambient import DEFAULT_BLEND_WEIGHT
 from .limits import ProcessLimits
+from .optimize import _grid_size, _sweep_size
 from .oven import (
     OvenLayout,
     ParameterRanges,
@@ -80,6 +79,10 @@ class RunConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
+        # the grids the commands build: bounded before any of them exists
+        _grid_size(0.0, self.layout.total_length_cm, self.field_dx, "output.field_dx")
+        _grid_size(*self.ranges.belt_speed, self.speed_sweep_step, "sweep.speed_step")
+        _sweep_size(self.ranges, "ranges.")
         for name in ("sweep_refine_rounds", "calibration_refine_rounds"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be 0 or positive, got {getattr(self, name)}")
@@ -237,6 +240,9 @@ def load_config(path: str | None) -> RunConfig:
     """Load a YAML configuration file; None or an empty file gives defaults."""
     if path is None:
         return RunConfig()
+    # imported here: a run without a configuration file never needs it
+    import yaml
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)

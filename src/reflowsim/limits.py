@@ -146,10 +146,11 @@ def _super_level_segments(temps, level):
     return above0 & above1, np.nonzero(above0 != above1)
 
 
-def _time_above_terms(times, temps, level) -> np.ndarray:
+def _time_above_terms(times, temps, level, segments=None) -> np.ndarray:
     """Per row and segment, the time the linear interpolant spends strictly
-    above level."""
-    inside, (r, c) = _super_level_segments(temps, level)
+    above level; segments is ``_super_level_segments(temps, level)`` when
+    the caller has it."""
+    inside, (r, c) = segments if segments is not None else _super_level_segments(temps, level)
     terms = inside.astype(float)
     # only the few crossing segments take a fraction
     a, b = temps[r, c], temps[r, c + 1]
@@ -201,7 +202,7 @@ def _row_metrics(max_slope, min_slope, rise, *rest) -> TraceMetrics:
     return TraceMetrics(max_slope, min_slope, rise if rise == rise else None, *rest)
 
 
-def metrics_rows(times, temps, dt: float, lengths=None) -> MetricColumns:
+def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColumns:
     """The five metrics of every row of temps, sampled at times, one array
     per metric.
 
@@ -212,7 +213,8 @@ def metrics_rows(times, temps, dt: float, lengths=None) -> MetricColumns:
     padding, and the time above 217 degC sums each row's own terms (see
     ``_prefix_sums``).  Slopes are forward differences at the sample interval
     dt.  The rise time is measured on the rising pass only: first upward
-    crossings of 150 degC and 190 degC at or before the peak.
+    crossings of 150 degC and 190 degC at or before the peak.  melt is
+    ``_super_level_segments(temps, MELT_C)`` when the caller has it.
     """
     n_rows, width = temps.shape
     lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
@@ -227,7 +229,7 @@ def metrics_rows(times, temps, dt: float, lengths=None) -> MetricColumns:
         max_slope,
         min_slope,
         _rise_times(times, temps, peak_idx),
-        _prefix_sums(_time_above_terms(times, temps, MELT_C), lengths - 1),
+        _prefix_sums(_time_above_terms(times, temps, MELT_C, melt), lengths - 1),
         temps[np.arange(n_rows), peak_idx],
         times[peak_idx],
     )

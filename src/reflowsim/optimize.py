@@ -10,17 +10,19 @@ Three strategies over simulated traces:
 * the same joint sweep minimizing the asymmetry of the above-217 pass, with
   reflow area as tie-breaker.
 
-The joint sweeps evaluate, at each belt speed, every setpoint combination
-whose ambient profile has the same segment geometry as one 2-D array, on
-the plateau-compacted kernel (``thermal._Plateaus``): field, forcing and
-Horner sums only for the samples that touch a sigmoid, the cooling blend or
-a segment join, laid out once per geometry and speed, and each plateau
-sample from its level's Horner sum.  RK4 blocks of rows write their samples
-into a sample block, on which metrics (one array per metric), limit pass
-masks, reflow area and symmetry run once.  Rows never mix, so each candidate
-equals the one the per-candidate chain (build_profile, simulate,
-compute_metrics, check_limits, reflow_area, symmetry_score) builds, bit for
-bit; the scalar functions are the one-row cases of the same kernels.
+The joint sweeps enumerate the setpoint lattice as one array and group its
+rows by the segment geometry of their ambient profiles, with one template
+profile per group.  At each belt speed they evaluate a group's rows as one
+2-D array, on the plateau-compacted kernel (``thermal._Plateaus``): field,
+forcing and Horner sums only for the samples that touch a sigmoid, the
+cooling blend or a segment join, laid out once per geometry and speed, and
+each plateau sample from its level's Horner sum.  RK4 blocks of rows write
+their samples into a sample block, on which metrics (one array per metric),
+limit pass masks, reflow area and symmetry run once.  Rows never mix, so
+each candidate equals the one the per-candidate chain (build_profile,
+simulate, compute_metrics, check_limits, reflow_area, symmetry_score)
+builds, bit for bit; the scalar functions are the one-row cases of the
+same kernels.
 Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
 
@@ -36,13 +38,13 @@ simulate, compute_metrics, check_limits) builds, bit for bit.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
-from .ambient import _level_columns, build_profile, geometry_key
+from .ambient import _assemble, _gathered_levels, _geometry_groups, build_profile
 from .limits import (
     MELT_C,
     LimitVerdict,
@@ -77,32 +79,63 @@ DEFAULT_OFFSET_STEP = 0.5
 # sets how many rows an RK4 block holds, and how many rows of samples a
 # sample block holds.
 _BLOCK_BYTES = 1 << 18
+# Most values one grid holds, and most candidates (setpoint combinations x
+# speeds) one joint sweep evaluates: both are checked before anything that
+# size is built.
+_MAX_GRID = 1_000_000
 
 
-def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
-    """Uniform grid from lo by step, always containing both endpoints."""
+def _grid_size(lo: float, hi: float, step: float, key: str = "step") -> int:
+    """How many values ``inclusive_grid(lo, hi, step)`` holds: the steps
+    from lo up to hi, and hi itself.  A ValueError names the key, the step
+    and the count when that exceeds _MAX_GRID (or is not a number), before
+    anything is built."""
     if not step > 0:  # also refuses NaN
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError("grid upper bound below lower bound")
-    n = int(np.floor((hi - lo) / step + 1e-9))
-    values = [round(lo + i * step, 9) for i in range(n + 1)]
-    if abs(values[-1] - hi) <= 1e-9:
-        values[-1] = hi
-    else:
-        values.append(hi)
-    return values
+    n = float(np.floor((hi - lo) / step + 1e-9))
+    # hi is a value of its own unless the last step lands within 1e-9 of it
+    size = n + 1 + (abs(round(lo + n * step, 9) - hi) > 1e-9) if n < 2**53 else n + 1
+    if not size <= _MAX_GRID:
+        count = f"{size:.0f}" if size < 2**53 else f"{size:.3g}"
+        raise ValueError(f"{key} = {step:g} makes {count} grid values over "
+                         f"[{lo:g}, {hi:g}]; the limit is {_MAX_GRID}")
+    return int(size)
 
 
-def _melt_passes(times, temps):
+def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
+    """Uniform grid from lo by step, always containing both endpoints; at
+    most _MAX_GRID values (see ``_grid_size``)."""
+    return [round(lo + i * step, 9) for i in range(_grid_size(lo, hi, step) - 1)] + [hi]
+
+
+def _sweep_size(ranges: ParameterRanges, prefix: str = "") -> int:
+    """How many candidates a joint sweep over ranges evaluates; a
+    ValueError naming the steps and the count when that exceeds _MAX_GRID,
+    before any grid is built.  prefix goes before the names of the steps."""
+    combos = math.prod(_grid_size(*getattr(ranges, name), ranges.temp_step, f"{prefix}temp_step")
+                       for name in ("tt1", "tt2", "tt3", "tt4"))
+    speeds = _grid_size(*ranges.belt_speed, ranges.speed_step, f"{prefix}speed_step")
+    if combos * speeds > _MAX_GRID:
+        raise ValueError(
+            f"{prefix}temp_step = {ranges.temp_step:g} and {prefix}speed_step = "
+            f"{ranges.speed_step:g} make {combos * speeds} candidates ({combos} setpoint "
+            f"combinations x {speeds} speeds); the limit is {_MAX_GRID}"
+        )
+    return combos * speeds
+
+
+def _melt_passes(times, temps, melt=None):
     """Per row: the number of maximal intervals where the linear interpolant
     strictly exceeds 217 degC, and the first start and last end among them.
 
     Crossing endpoints are interpolated; intervals that touch at a single
-    point (the trace grazing the level from above) count as one.
+    point (the trace grazing the level from above) count as one.  melt is
+    ``_super_level_segments(temps, MELT_C)`` when the caller has it.
     """
     level = MELT_C
-    _, (r, c) = _super_level_segments(temps, level)
+    _, (r, c) = melt if melt is not None else _super_level_segments(temps, level)
     # negating both factors of the ratio is exact, so downward crossings
     # round as (y0 - level) / (y0 - y1) would
     at = crossing_time(times[c], times[c + 1], temps[r, c], temps[r, c + 1], level)
@@ -133,12 +166,12 @@ def _melt_passes(times, temps):
     return passes, starts[np.minimum(first, starts.size - 1)], ends[last]
 
 
-def _reflow_area_rows(xs, temps) -> np.ndarray:
+def _reflow_area_rows(xs, temps, melt=None) -> np.ndarray:
     """Per row, the area between the interpolant over xs and the melting
-    line where the row exceeds it."""
+    line where the row exceeds it; melt as for ``_melt_passes``."""
     h = np.diff(xs)
     y = temps - MELT_C
-    inside, (r, c) = _super_level_segments(temps, MELT_C)
+    inside, (r, c) = melt if melt is not None else _super_level_segments(temps, MELT_C)
     area = y[:, :-1] + y[:, 1:]
     area *= 0.5 * h
     area[~inside] = 0.0
@@ -175,15 +208,15 @@ def _interp_rows(x, times, temps) -> np.ndarray:
     return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
 
 
-def _symmetry_rows(times, temps, offset_step: float):
+def _symmetry_rows(times, temps, offset_step: float, melt=None):
     """Per row, the symmetry score (None unless the row has exactly one
-    above-217 pass) and the number of passes.
+    above-217 pass) and the number of passes; melt as for ``_melt_passes``.
 
     The k offset pairs of all rows with one pass are interpolated at once,
     in a rows x max(k) array; each row's squares are summed over its own k
     columns, as ``symmetry_score`` sums them.
     """
-    passes, t1s, t2s = _melt_passes(times, temps)
+    passes, t1s, t2s = _melt_passes(times, temps, melt)
     one = np.flatnonzero(passes == 1)
     t1, t2 = t1s[one], t2s[one]
     center = (0.5 * (t1 + t2))[:, None]
@@ -373,13 +406,14 @@ def _evaluate_speed(
     limits: ProcessLimits,
     area_domain: str,
     speed: float,
-    params: list[ProcessParameters],
+    rows: list[tuple],
     template,
     levels: np.ndarray,
     buffers: _Buffers,
 ) -> list[SweepCandidate]:
-    """Candidates of profiles sharing the geometry_key of ``template`` at one
-    belt speed; ``levels`` holds their ``_level_columns``.
+    """Candidates of the setpoint rows (tt1..tt5) whose profiles share the
+    geometry_key of ``template``, at one belt speed; ``levels`` holds their
+    ``_level_columns``.
 
     The plateau-compacted kernel (``thermal._Plateaus``) lays out the speed's
     samples once: the stage positions of those that touch a sigmoid, the
@@ -390,7 +424,8 @@ def _evaluate_speed(
     samples' nodes, or the samples) within _BLOCK_BYTES, all in the same
     buffers, grown here when too small.  The RK4 blocks write their
     samples into consecutive rows of a sample block, and metrics, limit
-    checks, reflow area and symmetry run once per sample block.
+    checks, reflow area and symmetry run once per sample block, on one
+    crossing of the melting line.
     """
     s = grid.stride
     speeds = np.array([speed])
@@ -405,21 +440,23 @@ def _evaluate_speed(
     wide = _sample_block_rows(block, n_samples, buffers.samples.size)
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
     field = plan.field(buffers, coefficients)
-    y0 = np.array([p.tt5 for p in params])
+    y0 = np.array([row[4] for row in rows], dtype=float)
     out = []
-    for lo in range(0, len(params), wide):
-        temps = _view(buffers.samples, (min(wide, len(params) - lo), n_samples))
+    for lo in range(0, len(rows), wide):
+        temps = _view(buffers.samples, (min(wide, len(rows) - lo), n_samples))
         for r0 in range(0, len(temps), block):
-            rows = slice(lo + r0, lo + min(r0 + block, len(temps)))
-            plan.integrate(field, levels[rows], y0[rows], coefficients, buffers,
+            part = slice(lo + r0, lo + min(r0 + block, len(temps)))
+            plan.integrate(field, levels[part], y0[part], coefficients, buffers,
                            temps[r0 : r0 + block])
-        metrics = metrics_rows(times, temps, grid.dt_out)
+        melt = _super_level_segments(temps, MELT_C)
+        metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
         feasible = check_rows(metrics, limits).all(axis=0).tolist()
-        areas = _reflow_area_rows(xs, temps).tolist()
-        symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP)
-        for p, m, area, sym, ok in zip(params[lo : lo + wide], metrics, areas, symmetry,
-                                       feasible):
-            out.append(SweepCandidate(replace(p, belt_speed=speed), m, area, sym, ok))
+        areas = _reflow_area_rows(xs, temps, melt).tolist()
+        symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP, melt)
+        for row, m, area, sym, ok in zip(rows[lo : lo + wide], metrics, areas, symmetry,
+                                         feasible):
+            out.append(SweepCandidate(ProcessParameters(*row, belt_speed=speed), m, area, sym,
+                                      ok))
     return out
 
 
@@ -429,22 +466,51 @@ def _evaluate_group(
     limits: ProcessLimits,
     area_domain: str,
     speeds: tuple[float, ...],
-    group: tuple[list[ProcessParameters], list],
+    job: tuple,
     buffers: _Buffers | None = None,
 ) -> list[list[SweepCandidate]]:
-    """Evaluate setpoint combinations whose profiles share one geometry_key
-    at every sweep speed; one list of candidates per combination, in speed
-    order.  The profiles' level columns are gathered once, for all speeds.
-    Without buffers it makes its own.  Top-level so process pools can
-    pickle it.
+    """Evaluate a job of setpoint rows whose profiles share one geometry_key
+    at every sweep speed: (template profile, rows, their level columns).
+    One list of candidates per row, in speed order.  Without buffers it
+    makes its own.  Top-level so process pools can pickle it.
     """
-    params, profiles = group
+    template, rows, levels = job
     buffers = buffers if buffers is not None else _block_buffers()
-    levels = _level_columns(profiles)
-    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, params, profiles[0], levels,
+    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, rows, template, levels,
                                 buffers)
                 for v in speeds]
     return [list(cands) for cands in zip(*by_speed)]
+
+
+def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, workers: int):
+    """The lattice of the setpoint ranges, in sweep order, and the jobs that
+    cover it: (row indices, (template profile, rows, level columns)).
+
+    The lattice is one array of setpoint rows (tt1..tt4 from the ranges'
+    grids, tt5 at its ProcessParameters default), grouped by the geometry
+    of their profiles (``ambient._geometry_groups``).  Each group's first
+    row gives its template profile and, from the same assembly, the
+    setpoints its levels come from, so the rows' level columns are one
+    gather.  With a pool, the groups are split so the workers get similar
+    shares.
+    """
+    _sweep_size(ranges)
+    grids = [inclusive_grid(*getattr(ranges, name), ranges.temp_step)
+             for name in ("tt1", "tt2", "tt3", "tt4")]
+    rows = list(product(*grids, [ProcessParameters.tt5]))
+    setpoints = np.array(rows, dtype=float)
+    size = len(rows) if workers <= 1 else math.ceil(len(rows) / (4 * workers))
+    jobs = []
+    for idx in _geometry_groups(layout, setpoints):
+        first = ProcessParameters(*rows[idx[0]])
+        # the template is the profile build_profile gives any caller; its
+        # level sources come from the same assembly
+        template = build_profile(layout, first, weight)
+        levels = _gathered_levels(setpoints[idx], _assemble(layout, first, weight)[1])
+        for lo in range(0, len(idx), size):
+            piece = idx[lo : lo + size]
+            jobs.append((piece, (template, [rows[i] for i in piece], levels[lo : lo + size])))
+    return rows, jobs
 
 
 def _sweep_grid(
@@ -461,34 +527,23 @@ def _sweep_grid(
     _area_axis(area_domain, None, None)  # reject a bad domain before any work
     model = WeldingModel(coefficient)
     check_step(coefficient, grid.dt)
-    params = [
-        ProcessParameters(tt1=tt1, tt2=tt2, tt3=tt3, tt4=tt4)
-        for tt1 in inclusive_grid(*ranges.tt1, ranges.temp_step)
-        for tt2 in inclusive_grid(*ranges.tt2, ranges.temp_step)
-        for tt3 in inclusive_grid(*ranges.tt3, ranges.temp_step)
-        for tt4 in inclusive_grid(*ranges.tt4, ranges.temp_step)
-    ]
+    rows, jobs = _sweep_jobs(layout, ranges, weight, workers)
     speeds = tuple(inclusive_grid(*ranges.belt_speed, ranges.speed_step))
-    profiles = [build_profile(layout, p, weight) for p in params]
-    groups: dict[tuple, list[int]] = {}
-    for i, profile in enumerate(profiles):
-        groups.setdefault(geometry_key(profile), []).append(i)
-    # with a pool, split the groups so the workers get similar shares
-    size = len(params) if workers <= 1 else math.ceil(len(params) / (4 * workers))
-    pieces = [idx[lo : lo + size] for idx in groups.values() for lo in range(0, len(idx), size)]
-    jobs = [([params[i] for i in idx], [profiles[i] for i in idx]) for idx in pieces]
     evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds)
     if workers > 1:
+        # imported here: the pool's modules cost a one-process run start-up time
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(evaluate, jobs))
+            batches = list(pool.map(evaluate, [job for _, job in jobs]))
     else:
         buffers = _block_buffers()
-        batches = [evaluate(job, buffers) for job in jobs]
-    per_combo = [None] * len(params)
-    for idx, batch in zip(pieces, batches):
-        for i, cands in zip(idx, batch):
-            per_combo[i] = cands
-    return [cand for cands in per_combo for cand in cands]
+        batches = [evaluate(job, buffers) for _, job in jobs]
+    per_row = [None] * len(rows)
+    for (idx, _), batch in zip(jobs, batches):
+        for i, cands in zip(idx.tolist(), batch):
+            per_row[i] = cands
+    return [cand for cands in per_row for cand in cands]
 
 
 def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters, factor: int) -> ParameterRanges:

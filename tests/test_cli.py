@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -296,3 +300,19 @@ oven:
         code, out, err = run_cli(capsys, "optimize-area", "--workers", "-3")
         assert code != 0 and out == ""
         assert "workers must be 0 (all cores) or positive, got -3" in err
+
+
+def test_cli_import_loads_neither_the_pool_nor_yaml():
+    # what `import reflowsim.cli` loads beyond numpy: the process pool's
+    # modules load with workers > 1, yaml with a configuration file
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, numpy; before = set(sys.modules); import reflowsim.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.split()
+    assert "reflowsim.cli" in loaded
+    assert [m for m in loaded if m.split(".")[0] in ("multiprocessing", "yaml")] == []

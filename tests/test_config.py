@@ -11,6 +11,7 @@ import yaml
 
 from reflowsim import (
     ParameterRanges,
+    ProcessParameters,
     SimulationGrid,
     calibrate_coefficient,
     inclusive_grid,
@@ -18,6 +19,7 @@ from reflowsim import (
 )
 from reflowsim.cli import FLAG_KEYS, _resolve_config, build_parser, main
 from reflowsim.config import SECTIONS, RunConfig, config_from_dict, load_config
+from reflowsim.optimize import _MAX_GRID, _grid_size, _refined_ranges, _sweep_size
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -263,6 +265,55 @@ class TestStepBound:
     def test_just_below_the_bound_is_accepted(self):
         config_from_dict({"model": {"coefficient": 12.955},
                           "calibration": {"coefficients": [0.021, 12.955]}}).validate()
+
+
+class TestGridBounds:
+    """Every grid is counted before it is built: one of more than
+    _MAX_GRID values, or a joint sweep of more candidates, is refused before
+    any stdout, naming the key, the step and the count.  Nothing of the
+    refused size is ever allocated."""
+
+    @pytest.mark.parametrize("argv,text,message", [
+        (["field", "--dx", "1e-9"], "",
+         "output.field_dx = 1e-09 makes 435500000001 grid values over [0, 435.5]; "
+         "the limit is 1000000"),
+        (["optimize-speed", "--speed-step", "1e-9"], "",
+         "sweep.speed_step = 1e-09 makes 35000000001 grid values over [65, 100]"),
+        (["optimize-area"], "ranges: {tt1: [0, 1000000], tt2: [0, 1000000]}",
+         "ranges.temp_step = 5 and ranges.speed_step = 1 make 36000360000900 candidates "
+         "(1000010000025 setpoint combinations x 36 speeds); the limit is 1000000"),
+        (["optimize-symmetry"], "ranges: {tt1: [0, 10000000]}",
+         "ranges.temp_step = 5 makes 2000001 grid values over [0, 1e+07]"),
+        (["simulate"], "ranges: {belt_speed: [65, 100], speed_step: 1e-300}",
+         "ranges.speed_step = 1e-300 makes 3.5e+301 grid values over [65, 100]"),
+    ])
+    def test_refused_before_any_output(self, capsys, tmp_path, argv, text, message):
+        code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_library_boundary(self, layout):
+        with pytest.raises(ValueError, match="step = 1e-09 makes 1000000000 grid values"):
+            inclusive_grid(0.0, 1.0, 1e-9)
+        huge = ParameterRanges(tt1=(0.0, 1e6), tt2=(0.0, 1e6))
+        with pytest.raises(ValueError, match="make 36000360000900 candidates"):
+            minimize_area(layout, huge, 0.8, 0.021)
+
+    def test_the_bound_is_inclusive(self):
+        assert _grid_size(0.0, 999_999.0, 1.0) == _MAX_GRID
+        with pytest.raises(ValueError, match="makes 1000001 grid values"):
+            _grid_size(0.0, 1_000_000.0, 1.0)
+        # an off-grid upper bound is a value of its own
+        assert _grid_size(0.0, 999_998.5, 1.0) == _MAX_GRID
+
+    def test_defaults_and_refined_rounds_sit_below_the_bounds(self):
+        ranges = ParameterRanges()
+        assert _sweep_size(ranges) == 625 * 36
+        # a refinement round re-grids +/- one step at step / 5
+        best = ProcessParameters(tt1=175.0, tt2=195.0, tt3=235.0, tt4=255.0, belt_speed=80.0)
+        assert _sweep_size(_refined_ranges(ranges, best, 5)) == 11 ** 5
+        assert _grid_size(0.0, 435.5, RunConfig().field_dx) == 4356
+        RunConfig().validate()
 
 
 class TestReadme:
