@@ -161,9 +161,9 @@ def _check_inside(profile: AmbientProfile, arr: np.ndarray) -> None:
     """A domain error naming the first position outside the furnace, NaN
     included."""
     total = profile.total_length_cm
-    # NaN fails both comparisons
-    inside = (arr >= 0.0) & (arr <= total)
-    if not np.all(inside):
+    # NaN fails both comparisons, and is the minimum of any array it is in
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= total):
+        inside = (arr >= 0.0) & (arr <= total)
         first = np.unravel_index(np.argmin(inside), arr.shape)
         where = f"x[{', '.join(map(str, first))}]" if first else "x"
         raise ValueError(
@@ -172,10 +172,10 @@ def _check_inside(profile: AmbientProfile, arr: np.ndarray) -> None:
 
 
 def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
-    """Index of the segment holding each position; a domain error outside."""
+    """Index of the segment holding each position; a domain error outside.
+    The furnace end, which no later segment starts, belongs to the last."""
     _check_inside(profile, arr)
-    idx = np.searchsorted(profile._starts, arr, side="right") - 1
-    return np.minimum(idx, len(profile.segments) - 1)
+    return profile._starts[1:].searchsorted(arr, side="right")
 
 
 def _levels(profile: AmbientProfile) -> np.ndarray:
@@ -205,60 +205,6 @@ def ambient_at(profile: AmbientProfile, x):
     return out
 
 
-def _concat_ranges(starts, lengths) -> np.ndarray:
-    """The integers from starts[k] up to starts[k] + lengths[k], range after
-    range, as one array, without a loop over the ranges."""
-    ends = np.cumsum(lengths)
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(ends[-1] if ends.size else 0)
-
-
-def _ambient_on_runs(profile: AmbientProfile, x: np.ndarray, cuts) -> np.ndarray:
-    """``ambient_at(profile, x)`` bit for bit, for a 2-D x whose rows are
-    non-decreasing runs: each row's columns up to cuts[0], from cuts[0] up
-    to cuts[1], and so on to its end, none of them empty.
-
-    Each run is range-checked by its first and last value only, and the
-    profile's segment starts are searched into it rather than every
-    position into the starts: segment i holds the run's positions from its
-    i-th bound up to its (i+1)-th.  side="left" puts a position on a start
-    in the later segment, as ``_segment_index`` does.  The plateaus are one
-    repeat of the table of levels; the sigmoid and cooling-blend segments
-    are evaluated on their own positions only, those of all runs at once.
-    """
-    rows, width = x.shape
-    edges = np.array([0, *cuts, width])
-    # NaN fails both comparisons
-    if not (x[:, edges[:-1]].min() >= 0.0
-            and x[:, edges[1:] - 1].max() <= profile.total_length_cm):
-        _check_inside(profile, x)
-    flat = x.reshape(-1)
-    # run k is flat[lo[k]:hi[k]]
-    offsets = np.arange(rows)[:, None] * width
-    lo, hi = (offsets + edges[:-1]).ravel(), (offsets + edges[1:]).ravel()
-    # bounds[k, i]: the flat index where segment i starts in run k; the
-    # last column is where the run ends
-    bounds = np.empty((lo.size, len(profile.segments) + 1), dtype=np.intp)
-    bounds[:, :-1] = [np.searchsorted(flat[a:b], profile._starts, side="left")
-                      for a, b in zip(lo.tolist(), hi.tolist())]
-    bounds[:, :-1] += lo[:, None]
-    bounds[:, -1] = hi
-    counts = bounds[:, 1:] - bounds[:, :-1]
-    values = np.repeat(np.tile(_levels(profile), lo.size), counts.ravel())
-    varying = [i for i, seg in enumerate(profile.segments)
-               if not isinstance(seg, ConstantSegment)]
-    if varying:
-        # the flat indices of the varying segments' ranges, segment by segment
-        where = _concat_ranges(bounds[:, varying].T.ravel(), counts[:, varying].T.ravel())
-        xv = flat[where]
-        stop = 0
-        for i, size in zip(varying, counts[:, varying].sum(axis=0).tolist()):
-            part = slice(stop, stop + size)
-            xv[part] = profile.segments[i].evaluate(xv[part])
-            stop += size
-        values[where] = xv
-    return values.reshape(x.shape)
-
-
 def geometry_key(profile: AmbientProfile) -> tuple:
     """Everything of a profile except its plateau and transition levels.
 
@@ -274,21 +220,6 @@ def geometry_key(profile: AmbientProfile) -> tuple:
     )
 
 
-def _segment_parts(profile: AmbientProfile, x: np.ndarray, first: int = 0) -> list:
-    """``FieldRows`` parts of the positions x[..., first:]: all of them with
-    each one's segment, then the positions of each segment that varies with
-    x, as ``ambient_at`` evaluates them; a domain error outside the
-    furnace.  Index into x."""
-    idx = _segment_index(profile, x[..., first:])
-    parts = [(idx, (..., slice(first, None)))]
-    for i, seg in enumerate(profile.segments):
-        if not isinstance(seg, ConstantSegment):
-            where = np.nonzero(idx == i)
-            if where[0].size:
-                parts.append((i, (*where[:-1], where[-1] + first)))
-    return parts
-
-
 def _level_columns(profiles) -> np.ndarray:
     """Per profile (rows) and segment, the two levels ``FieldRows.fill``
     reads: a plateau's level twice, a sigmoid's t_before and t_after, NaN on
@@ -302,51 +233,43 @@ class FieldRows:
     """The ambient field of profiles sharing one ``geometry_key``, at fixed
     positions (an array of any shape), as one row per profile.
 
-    Row r equals ``ambient_at(profiles[r], x)`` bit for bit: it applies the
-    same segment formulas to the same positions.  What depends on position
-    alone (the segment of every position, the sigmoid denominators and the
-    cooling blend) is computed once, here; ``parts`` gives the segments as
-    (segment index, index into x) pairs covering x when the caller knows
-    them, else they are looked up.  Nothing of x is kept.
+    Row r equals ``ambient_at(profiles[r], x)`` bit for bit: each position
+    takes its segment's formula, as ambient_at applies it.  What depends on
+    position alone is computed once, here: each position's segment, the
+    sigmoid denominators and the cooling blend's values.  Nothing of x is
+    kept.
     """
 
-    def __init__(self, template: AmbientProfile, x: np.ndarray, parts=None):
+    def __init__(self, template: AmbientProfile, x):
         x = np.asarray(x, dtype=float)
         self.shape = x.shape
-        self._parts = []
-        for i, sel in parts if parts is not None else _segment_parts(template, x):
-            at = x[sel]
-            if np.ndim(i):  # each position's own plateau level
-                self._parts.append(((slice(None), *sel), i, None, False))
-                continue
-            seg = template.segments[i]
-            if isinstance(seg, SigmoidSegment):
-                shared = seg.denominator(at)
-            elif isinstance(seg, ExpLinearBlendSegment):
-                shared = seg.evaluate(at)
-            else:
-                shared = None
-            # the segment's levels broadcast over the part's positions
-            self._parts.append(((slice(None), *sel), np.full((1,) * at.ndim, i), shared,
-                                isinstance(seg, SigmoidSegment)))
-
-    def __call__(self, profiles, out=None) -> np.ndarray:
-        """One row per profile, written into ``out`` when given."""
-        return self.fill(_level_columns(profiles), out)
+        segment = _segment_index(template, x)
+        # each position's t_before and t_after in a flat level columns row
+        self._before = 2 * segment
+        self._after = self._before + 1
+        # off the sigmoids t_after = t_before, so any finite denominator
+        # leaves the level; a centre at the entry keeps exp from overflowing
+        centre = np.array([getattr(seg, "center", 0.0)
+                           for seg in template.segments])[segment]
+        self._denominator = 1.0 + np.exp(-(x - centre))
+        self._blends = []
+        for i, seg in enumerate(template.segments):
+            if isinstance(seg, ExpLinearBlendSegment):
+                at = segment == i
+                self._blends.append((at, seg.evaluate(x[at])))
 
     def fill(self, levels: np.ndarray, out=None) -> np.ndarray:
         """One row per profile from its ``_level_columns`` row, written into
         ``out`` (profiles x the shape of x) when given."""
         if out is None:
             out = np.empty((len(levels), *self.shape))
-        for sel, seg, shared, sigmoid in self._parts:
-            before = levels[:, seg, 0]
-            if sigmoid:
-                out[sel] = SigmoidSegment.blend(before, levels[:, seg, 1], shared)
-            elif shared is not None:
-                out[sel] = shared
-            else:
-                out[sel] = before
+        flat = levels.reshape(len(levels), -1)
+        before = flat.take(self._before, axis=1)
+        np.subtract(flat.take(self._after, axis=1), before, out=out)
+        out /= self._denominator
+        out += before
+        for at, values in self._blends:
+            out[:, at] = values
         return out
 
 

@@ -439,7 +439,7 @@ def _evaluate_speed(
     plan.buffers(block, block * n_samples, buffers)
     wide = _sample_block_rows(block, n_samples, buffers.samples.size)
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-    field = plan.field(buffers, coefficients)
+    field = plan.field(buffers)
     y0 = np.array([row[4] for row in rows], dtype=float)
     out = []
     for lo in range(0, len(rows), wide):
@@ -487,7 +487,7 @@ def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, work
     cover it: (row indices, (template profile, rows, level columns)).
 
     The lattice is one array of setpoint rows (tt1..tt4 from the ranges'
-    grids, tt5 at its ProcessParameters default), grouped by the geometry
+    grids, tt5 the one value of ranges.tt5), grouped by the geometry
     of their profiles (``ambient._geometry_groups``).  Each group's first
     row gives its template profile and, from the same assembly, the
     setpoints its levels come from, so the rows' level columns are one
@@ -497,7 +497,7 @@ def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, work
     _sweep_size(ranges)
     grids = [inclusive_grid(*getattr(ranges, name), ranges.temp_step)
              for name in ("tt1", "tt2", "tt3", "tt4")]
-    rows = list(product(*grids, [ProcessParameters.tt5]))
+    rows = list(product(*grids, [float(ranges.tt5[0])]))
     setpoints = np.array(rows, dtype=float)
     size = len(rows) if workers <= 1 else math.ceil(len(rows) / (4 * workers))
     jobs = []

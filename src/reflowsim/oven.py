@@ -124,7 +124,8 @@ class ParameterRanges:
     """Closed adjustable intervals per slot plus enumeration step sizes.
 
     Steps drive the exhaustive sweeps: temperatures advance by ``temp_step``
-    degC and belt speed by ``speed_step`` cm/min.
+    degC and belt speed by ``speed_step`` cm/min.  tt5, the exterior
+    temperature, is one value, which every swept candidate takes.
     """
 
     tt1: tuple[float, float] = (165.0, 185.0)
@@ -143,6 +144,11 @@ class ParameterRanges:
                 raise ValueError(f"range for {name} must have finite bounds, got [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"range for {name} has lower bound above upper")
+        if self.tt5[0] != self.tt5[1]:
+            raise ValueError(
+                f"range for tt5 must be a single value, got [{self.tt5[0]}, {self.tt5[1]}]: "
+                "tt5 is the exterior temperature, which no sweep varies"
+            )
         for name in ("temp_step", "speed_step"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

@@ -11,24 +11,24 @@ the step is constant, each step collapses to an affine update
 
     y[n+1] = A * y[n] + Ba * T(x_n) + Bb * T(x_n + dx/2) + Bc * T(x_n + dx)
 
-with scalar coefficients depending only on coefficient * dt, so the whole
-trace is one vectorized ambient evaluation plus a first-order linear
-recursion.  Only every stride-th node is kept, so the recursion is stepped
-from kept sample to kept sample and run as a chunked, scaled cumulative sum
-(``integrate_rows``): numpy elementwise operations and ``cumsum`` only, so
+with scalar coefficients depending only on coefficient * dt.  Only every
+stride-th node is kept, so the recursion is stepped from kept sample to kept
+sample (``_forcing_sums``) and run as a chunked, scaled cumulative sum
+(``_sample_scan``): numpy elementwise operations and ``cumsum`` only, so
 rows never interact.  Steps with e = coefficient * dt from about 1.2956 on
 are refused (``check_step``): there Ba turns negative, and a step is no
 longer a weighted mean of y and the ambient.
 
 Most of the furnace is plateau, where every step has the same forcing.
-The plateau-compacted kernel (``_Plateaus``) therefore evaluates the field,
-forcing and Horner sums only for the samples that touch a sigmoid, the
-cooling blend or a segment join; a sample inside a plateau takes its
-level's sum, computed once by the same operations, so every value is
-bit-identical to the full-field path.  It serves one profile at several
-speeds (``simulate_speeds``) and the profiles of one segment geometry at
-one speed (the joint sweep).  A forward-Euler reference integrator is kept
-as a deliberately simple, loop-based oracle.
+The one RK4 kernel (``_Plateaus``) therefore evaluates the field, forcing
+and Horner sums only for the samples that touch a sigmoid, the cooling
+blend or a segment join; a sample inside a plateau takes its level's sum,
+computed by the same operations, so every value is bit-identical to the
+recursion on the field at every node and midpoint.  It serves one profile
+at one speed (``simulate``), at several speeds (``simulate_speeds``) and
+the profiles of one segment geometry at one speed (the joint sweep).  A
+forward-Euler reference integrator is kept as a deliberately simple,
+loop-based oracle.
 """
 
 from __future__ import annotations
@@ -41,13 +41,10 @@ import numpy as np
 
 from .ambient import (
     AmbientProfile,
+    ConstantSegment,
     FieldRows,
     SigmoidSegment,
-    _ambient_on_runs,
-    _concat_ranges,
     _level_columns,
-    _levels,
-    _segment_parts,
     ambient_at,
 )
 from .oven import ProcessParameters, cm_per_second, position_at_time
@@ -132,13 +129,13 @@ class ThermalTrace:
         _check_timing(self.dt, self.belt_speed)
         expected_t = np.arange(times.size) * self.dt
         # written as not-within so that a NaN time or position fails too
-        if not np.max(np.abs(times - expected_t)) <= 1e-9:
+        if not np.abs(times - expected_t).max() <= 1e-9:
             raise ValueError("sample times must be uniform: t[i] = i * dt")
         expected_x = (self.belt_speed / 60.0) * times
-        if not np.max(np.abs(positions - expected_x)) <= 1e-9:
+        if not np.abs(positions - expected_x).max() <= 1e-9:
             raise ValueError("positions must satisfy x[i] = (belt_speed/60) * t[i]")
-        bad = np.flatnonzero(~np.isfinite(temps))
-        if bad.size:
+        if not np.isfinite(temps).all():
+            bad = np.flatnonzero(~np.isfinite(temps))
             raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
         for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
             arr = arr.copy()
@@ -212,12 +209,12 @@ def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
     speed would need more than _MAX_STEPS steps, or less than one.
     """
     speeds = np.asarray(belt_speeds, dtype=float)
-    if not np.all(speeds > 0):
+    if not (speeds > 0).all():
         raise ValueError(f"belt_speed must be positive, got {np.min(speeds)}")
     t_end = total_cm * 60.0 / speeds
     n_steps = np.floor(t_end / dt + _TIME_EPS)
-    _capped(np.max(n_steps), "dt", dt, "integration steps to cross the furnace")
-    if np.min(n_steps) < 1:
+    _capped(n_steps.max(), "dt", dt, "integration steps to cross the furnace")
+    if n_steps.min() < 1:
         raise ValueError("integration step exceeds the furnace transit time")
     return n_steps.astype(np.int64)
 
@@ -230,43 +227,6 @@ def _view(buffer, shape) -> np.ndarray:
     if buffer is None or buffer.size < size:
         return np.empty(shape)
     return buffer[:size].reshape(shape)
-
-
-def _stages(total_cm: float, speeds: np.ndarray, dt: float, buffer=None, n_steps=None):
-    """Stage positions of each speed's row: the RK4 nodes, then the half-step
-    midpoints, in one array, and each row's step count (computed unless
-    given)."""
-    n_steps = step_counts(total_cm, speeds, dt) if n_steps is None else n_steps
-    n = int(n_steps.max())
-    node_times = np.arange(n + 1) * dt
-    # rate * t is position_at_time(speed, t), bit for bit; the step counts
-    # have checked the speeds
-    rate = cm_per_second(speeds)[:, None]
-    x = _view(buffer, (len(speeds), 2 * n + 1))
-    np.multiply(rate, node_times, out=x[:, : n + 1])
-    np.multiply(rate, node_times[:-1] + 0.5 * dt, out=x[:, n + 1 :])
-    np.clip(x, 0.0, total_cm, out=x)
-    return x, n_steps
-
-
-def _split(stages: np.ndarray):
-    """The node and the midpoint columns of a ``_stages`` array."""
-    n = stages.shape[1] // 2
-    return stages[:, : n + 1], stages[:, n + 1 :]
-
-
-def stage_positions(total_cm: float, belt_speeds, dt: float):
-    """Positions of the RK4 nodes and of the half-step midpoints, in cm, one
-    row per belt speed, and each row's step count.
-
-    A row's stage positions up to its own step count stay inside the
-    furnace.  Shorter rows are padded to the longest by running on past the
-    exit, where the clip holds them at the furnace end.  Both arrays are
-    views of one.
-    """
-    speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
-    x, n_steps = _stages(total_cm, speeds, dt)
-    return (*_split(x), n_steps)
 
 
 def _chunk_width(b: float) -> int:
@@ -304,7 +264,7 @@ def _sample_scan(out, b: float, y0):
     # splitting the last axis keeps this a view of out
     body = out[:, 1 : 1 + n_full * width].reshape(rows, n_full, width)
     body *= grow
-    np.cumsum(body, axis=2, out=body)
+    body.cumsum(axis=2, out=body)
     # a chunk's start is what the two lines after this loop make of the
     # column before it, (start + end) * decay[-1]; Python floats do the same
     # IEEE operations without a numpy call per chunk
@@ -322,7 +282,7 @@ def _sample_scan(out, b: float, y0):
     if rest:
         tail = out[:, 1 + n_full * width :]
         tail *= grow[:rest]
-        np.cumsum(tail, axis=1, out=tail)
+        tail.cumsum(axis=1, out=tail)
         tail += starts[:, n_full:]
         tail *= decay[:rest]
     return out
@@ -337,9 +297,9 @@ def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g)
 
         g[k] = sum_j A**(s-1-j) * f[k*s + j],   s = stride,
 
-    for each k along the last axis of g, in Horner form.  The full-field
-    path, the compacted samples and the plateau sums of ``_Plateaus`` all
-    go through here, so equal fields give equal sums bit for bit.
+    for each k along the last axis of g, in Horner form.  Every sample of
+    ``_Plateaus``, a plateau's included, goes through here, so equal fields
+    give equal sums bit for bit.
     """
     a, ba, bb, bc = coefficients
     np.multiply(ba, t_amb_nodes[..., :-1], out=forcing)
@@ -357,48 +317,14 @@ def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g)
     return g
 
 
-def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: SimulationGrid,
-                   forcing=None, out=None):
-    """RK4 traces of many ambient fields at once, one per row.
-
-    t_amb_nodes has one more column than t_amb_mid; both are overwritten.
-    Returns every grid.stride-th node of each row.  ``forcing`` (the shape
-    of t_amb_mid) and ``out`` (rows x samples, rows need not be adjacent)
-    are optional buffers that a caller running many blocks passes each
-    time.  The step must have |A| < 1, which the callers that simulate
-    ensure with ``check_step``.
-
-    The recursion y[n+1] = A*y[n] + f[n] runs from kept sample to kept
-    sample, s = grid.stride nodes apart,
-
-        z[k+1] = A**s * z[k] + g[k],   g[k] = sum_j A**(s-1-j) * f[k*s + j],
-
-    with g from ``_forcing_sums`` and z from ``_sample_scan``.  Only
-    elementwise operations and cumulative sums along the rows are used, so
-    rows do not interact and a row's first samples come out the same, bit
-    for bit, whatever else is in the batch and however long the rows are.
-    """
-    coefficients = _rk4_coefficients(coefficient * grid.dt)
-    s = grid.stride
-    rows, n_steps = t_amb_mid.shape
-    n_samples = n_steps // s + 1
-    if forcing is None:
-        forcing = np.empty((rows, n_steps))
-    if out is None:
-        out = np.empty((rows, n_samples))
-    _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, s, forcing, out[:, 1:])
-    return _sample_scan(out, coefficients[0] ** s, y0)
-
-
 class _Buffers:
     """Flat arrays that the blocks of one sweep share, so that their pages
     are touched once per sweep, not once per block; each block takes the
     start of each in its own shape (see ``_view``).  The plateau-compacted
     kernel (``_Plateaus``) keeps the stage positions, then the field, of its
     varying samples in ``stages`` and their forcing and Horner sums in
-    ``forcing``; the one-row full-field path keeps its stage positions and
-    forcing there.  ``samples`` holds a sample block: the rows of several
-    RK4 blocks, measured at once.
+    ``forcing``.  ``samples`` holds a sample block: the rows of several RK4
+    blocks, measured at once.
 
     All are parts of one allocation: glibc keeps that block for the next
     sweep, where separate ones went back to the system and were faulted in
@@ -410,7 +336,8 @@ class _Buffers:
 
     def __init__(self, **sizes):
         self.stages = self.forcing = self.samples = None
-        self.reserve(**sizes)
+        if sizes:
+            self.reserve(**sizes)
 
     def reserve(self, **sizes) -> "_Buffers":
         """Make each named region hold at least its number of floats.  When
@@ -425,63 +352,65 @@ class _Buffers:
         return self
 
 
-def _reach(rate, starts, dt: float, n: int) -> np.ndarray:
-    """Per row and segment start: the first node j (of 0..n) whose position
-    rate * (j*dt) is at least the start, and the first midpoint j (of
-    0..n-1) whose position rate * (j*dt + dt/2) is; n + 1 and n where none
-    is.  Shape (2, rows, starts), nodes first.
+# the kept nodes just before and at an estimate of ``_reach``
+_PAIR = np.array([-1.0, 0.0])[:, None, None]
 
-    These are the positions ``_stages`` computes, with the same operations,
-    so the indices are where a sorted search of the starts into its rows
-    lands (the clip to the furnace changes no comparison with a start
-    inside it).  An estimate from a division is moved to them one step at a
-    time; it is off by one at most.
+
+def _reach(rate, starts, dt: float, stride: int, k_end: int) -> np.ndarray:
+    """Per row and segment start: the first kept node k (of 0..k_end) whose
+    position rate * ((k*stride) * dt) is at least the start, k_end + 1
+    where none is.  Shape (rows, starts).
+
+    These are the positions ``_Plateaus.field`` computes, with the same
+    operations, so the indices are where a sorted search of the starts into
+    the kept nodes lands (the clip to the furnace changes no comparison
+    with a start inside it).  The estimate k from a division is off by one
+    at most: its relative error is a few units in the last place, far below
+    1 / k_end.  So the answer is k - 1 plus how many of nodes k - 1 and k
+    lie below the start.
     """
-    offset = np.array([0.0, 0.5 * dt])[:, None, None]
-    last = np.array([n + 1, n])[:, None, None]
-    j = np.clip(np.ceil(starts / (rate * dt) - offset / dt), 0, last).astype(np.int64)
-    while True:
-        up = (j < last) & (rate * (j * dt + offset) < starts)
-        if not up.any():
-            break
-        j += up
-    while True:
-        down = (j > 0) & (rate * ((j - 1) * dt + offset) >= starts)
-        if not down.any():
-            break
-        j -= down
-    return j
+    k = np.ceil(starts / (rate * (stride * dt)))
+    # at k = 0 the node before lies at a negative position, below every start
+    below = rate * ((k + _PAIR) * stride * dt) < starts
+    k += below.sum(axis=0) - 1
+    np.minimum(k, k_end + 1, out=k)
+    return k.astype(np.int64)
+
+
+# The run code of the samples that need each profile's own field; a plateau's
+# samples carry the column of its Horner sum (0, 1, ...), and those inside
+# the cooling blend segment i carry -2 - i.
+_OWN = -1
 
 
 class _Plateaus:
     """The plateau-compacted RK4 kernel: how the samples of rows at several
     belt speeds lie on the segments of one segment geometry (see
     ``ambient.geometry_key``), and the samples of profiles with that
-    geometry computed from it.  It serves one profile at many speeds (the
-    speed sweep) and many profiles at one speed (a geometry group of the
-    joint sweep): profile p's row at speed r is output row p * speeds + r.
+    geometry computed from it.  It serves one profile at one speed
+    (``simulate``), one profile at many speeds (the speed sweep) and many
+    profiles at one speed (a geometry group of the joint sweep): profile
+    p's row at speed r is output row p * speeds + r.
 
     Sample k of a row (k < K = n // stride, the row's Horner sums) spans the
-    steps from kept node k*s to (k+1)*s: those nodes and the midpoints
-    k*s .. (k+1)*s - 1.  Per row, the samples from first[:, i] to
-    last[:, i] lie wholly inside segment i, and those from last[:, i] to
-    the next segment's first (K after the last segment) cross the join
-    after it.  Rows are padded to n steps past their own end, where the
-    positions stay at the furnace end.
+    steps from kept node k to kept node k + 1 (nodes k*s and (k+1)*s): those
+    nodes and the midpoints between.  Positions only grow along a row, so
+    the sample lies wholly inside a segment when both its kept nodes do.
+    Each row's samples fall into runs, in order: segment i's inside
+    samples, then the one across the join after it (none when no kept node
+    lies in the next segment).  ``counts`` holds each run's length.  Rows
+    are padded to n steps past their own end, where the positions stay at
+    the furnace end.
 
-    Samples are of three kinds:
+    Samples are of three kinds, told apart by their run's code (``codes``):
 
     * wholly inside a ``ConstantSegment``: the sample sees its profile's
       level at every stage, so its Horner sum is that level's;
-    * inside a sigmoid or across a join (``runs``): the field depends on
+    * inside a sigmoid or across a join (``_OWN``): the field depends on
       the profile's levels, so each profile's field, forcing and Horner
       sums are computed at the sample's own stages;
-    * inside the cooling blend (``shared``): the field is the same for
-      every profile of the geometry, so the Horner sum is computed once.
-
-    ``runs`` and ``shared`` list (segment index, or None across a join;
-    rows; first samples; sample counts).  Stage positions and what of the
-    field depends on position alone are computed once (``field``).
+    * inside the cooling blend: the field is the same for every profile of
+      the geometry, so the Horner sum is computed once.
     """
 
     def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int,
@@ -490,141 +419,113 @@ class _Plateaus:
         self.template, self.dt, self.stride, self.k_end = template, dt, s, n // s
         # rate * t is position_at_time(speed, t), bit for bit
         self.rate = cm_per_second(speeds)
-        nodes, mids = _reach(self.rate[:, None], template._starts, dt, n)
-        # a midpoint lies at or past its node, so it reaches a start no later
-        first = np.minimum(-(-nodes // s), self.k_end)
-        # inside segment i up to the sample whose node (k+1)*s and midpoint
-        # (k+1)*s - 1 come before the next segment's first ones
-        last = np.full_like(first, self.k_end)
-        last[:, :-1] = np.minimum(nodes[:, 1:] - 1, mids[:, 1:]) // s
-        last = np.maximum(np.minimum(last, self.k_end), first)
-        after = np.full_like(first, self.k_end)
-        after[:, :-1] = first[:, 1:]
-        self.inside, self.across = last - first, after - last
-        rows = np.arange(len(speeds))
-        self.levels = _levels(template)
-        varying = [(i, rows, first[:, i], self.inside[:, i])
-                   for i in np.flatnonzero(np.isnan(self.levels)).tolist()]
-        sigmoid = [isinstance(template.segments[i], SigmoidSegment) for i, *_ in varying]
-        self.runs = [run for run, own in zip(varying, sigmoid) if own]
-        self.runs.append((None, np.repeat(rows, len(self.levels)), last.ravel(),
-                          self.across.ravel()))
-        self.shared = [run for run, own in zip(varying, sigmoid) if not own]
+        reach = _reach(self.rate[:, None], template._starts, dt, s, self.k_end)
+        first = np.minimum(reach, self.k_end)
+        bounds = np.empty((len(speeds), 2 * first.shape[1] + 1), dtype=np.int64)
+        bounds[:, 0:-1:2] = first
+        # the sample across a join ends at the next segment's first kept node
+        bounds[:, 1:-2:2] = np.maximum(reach[:, 1:] - 1, first[:, :-1])
+        bounds[:, -2:] = self.k_end
+        self.counts = bounds[:, 1:] - bounds[:, :-1]
+        codes, self.middles, self.blends = [], [], []
+        for i, seg in enumerate(template.segments):
+            if isinstance(seg, ConstantSegment):
+                codes.append(len(self.middles))
+                self.middles.append(0.5 * (seg.x_start + seg.x_end))
+            elif isinstance(seg, SigmoidSegment):
+                codes.append(_OWN)
+            else:
+                codes.append(-2 - i)
+                self.blends.append(i)
+            codes.append(_OWN)
+        self.codes = np.array(codes)
 
     def varying_counts(self) -> np.ndarray:
         """Per row, the samples that need their own field."""
-        return sum(np.bincount(rows, counts, minlength=len(self.rate)).astype(np.int64)
-                   for _, rows, _, counts in self.runs + self.shared)
-
-    @functools.cached_property
-    def varying(self) -> tuple[np.ndarray, np.ndarray]:
-        """The row and the sample of each sample in ``runs``, then in
-        ``shared``, run after run."""
-        runs = self.runs + self.shared
-        counts = np.concatenate([c for _, _, _, c in runs])
-        return (np.repeat(np.concatenate([r for _, r, _, _ in runs]), counts),
-                _concat_ranges(np.concatenate([f for _, _, f, _ in runs]), counts))
+        return self.counts[:, self.codes < 0].sum(axis=1)
 
     def buffers(self, rows: int, samples: int, buffers: _Buffers | None = None) -> _Buffers:
         """Buffers that hold the compacted arrays of any ``rows`` output rows
         and ``samples`` samples: ``buffers`` grown where too small, or new
         ones."""
-        most = rows * int(self.varying_counts().max(initial=0))
+        most = rows * (int(self.varying_counts().max(initial=0)) + len(self.middles))
         s = self.stride
         sizes = dict(stages=most * (2 * s + 1), forcing=most * (s + 1), samples=samples)
         return (buffers if buffers is not None else _Buffers()).reserve(**sizes)
 
-    def field(self, buffers: _Buffers, coefficients) -> tuple[FieldRows, np.ndarray]:
-        """The field rows of the samples in ``runs`` and the Horner sums of
-        those in ``shared``.
+    def field(self, buffers: _Buffers):
+        """The field rows of one sample per plateau and of the own samples;
+        which column of their Horner sums (then of those inside the cooling
+        blend) each sample of each row takes; and the field of the samples
+        inside the cooling blend.
 
-        Each sample's s + 1 nodes, then its s midpoints, lie at
-        rate * (j*dt [+ dt/2]) as in ``_stages`` (j*dt is exact in floats: j
-        is an integer).  One column per sample, so each stage is a
-        contiguous row.  Positions and the shared samples' field and forcing
-        are computed in the buffers, which are free again on return.
+        A plateau's sample has every stage at the plateau's middle, so its
+        Horner sum is that of any sample wholly inside it.  The s + 1 nodes
+        of the others, then their s midpoints, lie at rate * (j*dt [+ dt/2])
+        (j*dt is exact in floats: j is an integer), one column per sample,
+        so each stage is a contiguous row.  Positions are computed in the
+        buffers, which are free again on return.
         """
-        s, dt = self.stride, self.dt
-        rows, samples = self.varying
-        x = _view(buffers.stages, (2 * s + 1, samples.size))
-        nodes, mids = x[: s + 1], x[s + 1 :]
-        j0 = (samples * s).astype(float)
-        np.add(j0, np.arange(s + 1.0)[:, None], out=nodes)
-        np.add(j0, np.arange(float(s))[:, None], out=mids)
-        x *= dt
-        mids += 0.5 * dt
-        x *= self.rate[rows]
-        np.clip(x, 0.0, self.template.total_length_cm, out=x)
-        # a sigmoid's formula on the samples inside it; across a join each
-        # stage's own segment, looked up as ambient_at does
-        parts, stop = [], 0
-        for segment, _, _, n in self.runs[:-1]:
-            parts.append((segment, (slice(None), slice(stop, stop + int(n.sum())))))
-            stop += int(n.sum())
-        own = stop + int(self.runs[-1][3].sum())
-        field = FieldRows(self.template, x[:, :own], parts + _segment_parts(self.template,
-                                                                             x[:, :own], stop))
-        stop = own
-        for segment, _, _, n in self.shared:
-            cols = slice(stop, stop + int(n.sum()))
-            x[:, cols] = self.template.segments[segment].evaluate(x[:, cols])
+        s, p = self.stride, len(self.middles)
+        # each sample's run code, row after row
+        source = self.codes[None].repeat(len(self.rate), axis=0).repeat(self.counts.ravel())
+        # the own samples, then the cooling blend's, segment by segment
+        parts = [np.flatnonzero(source == code) for code in (_OWN, *(-2 - i for i in self.blends))]
+        varying = np.concatenate(parts)
+        rows, samples = np.divmod(varying, self.k_end)
+        x = _view(buffers.stages, (2 * s + 1, p + samples.size))
+        x[:, :p] = self.middles
+        stages = x[:, p:]
+        # j: k*s + 0..s at the nodes, then k*s + 0..s-1 at the midpoints
+        np.add(samples * float(s), (np.arange(2 * s + 1.0) % (s + 1))[:, None], out=stages)
+        stages *= self.dt
+        stages[s + 1 :] += 0.5 * self.dt
+        stages *= self.rate[rows]
+        np.minimum(stages, self.template.total_length_cm, out=stages)
+        stop = end = p + parts[0].size
+        for i, blend in zip(self.blends, parts[1:]):
+            cols = slice(stop, stop + blend.size)
+            x[:, cols] = self.template.segments[i].evaluate(x[:, cols])
             stop = cols.stop
-        forcing = _view(buffers.forcing, (s + 1, samples.size - own))
-        sums = _forcing_sums(nodes[:, own:].T, mids[:, own:].T, coefficients, s,
-                             forcing[:s].T, forcing[s:].T)
-        return field, sums[:, 0].copy()
+        source[varying] = np.arange(p, p + varying.size)
+        return (FieldRows(self.template, x[:, :end]),
+                source.reshape(len(self.rate), self.k_end), x[:, end:].copy())
 
-    def integrate(self, field: tuple[FieldRows, np.ndarray], levels: np.ndarray, y0, coefficients,
-                  buffers: _Buffers, out: np.ndarray) -> np.ndarray:
+    def integrate(self, field, levels: np.ndarray, y0, coefficients, buffers: _Buffers,
+                  out: np.ndarray) -> np.ndarray:
         """The RK4 samples of profiles with these ``_level_columns`` at every
         speed, from ``field``, into out (profiles * speeds rows, at least
         K + 1 columns; rows need not be adjacent); y0 is a scalar or one per
         output row.
 
-        Each plateau sample takes its level's Horner sum, from
-        ``_forcing_sums`` itself, and each shared sample its own; each
-        sample in ``runs`` gets each profile's field, forcing and Horner sum
-        at its stages, computed into the buffers.  Then ``_sample_scan``.
+        Each profile's field at the plateau and own samples, then the
+        cooling blend's, go through one ``_forcing_sums`` in the buffers, a
+        column per sample; each sample of each output row then takes its
+        column's Horner sum.  Then ``_sample_scan``.
         """
-        s = self.stride
-        rows, samples = self.varying
-        own, shared = field
-        stages = own.fill(levels, _view(buffers.stages, (len(levels), *own.shape)))
-        forcing = _view(buffers.forcing, (len(levels), s + 1, own.shape[1]))
-        # each sample is a row of _forcing_sums with one Horner sum
-        sums = _forcing_sums(
-            stages[:, : s + 1].swapaxes(1, 2), stages[:, s + 1 :].swapaxes(1, 2), coefficients,
-            s, forcing[:, :s].swapaxes(1, 2), forcing[:, s:].swapaxes(1, 2))
-        # per profile and row: segment i's inside samples (its level's sum,
-        # or a placeholder), then those across the join after it
-        plateau = ~np.isnan(self.levels)
-        level_sums = np.zeros((len(levels), len(self.levels), 2))
-        level_sums[:, plateau, 0] = _plateau_sums(levels[:, plateau, 0].ravel(), coefficients,
-                                                  s).reshape(len(levels), -1)
-        counts = np.stack((self.inside, self.across), axis=2).ravel()
-        g = out[:, 1 : self.k_end + 1].reshape(len(levels), len(self.rate), self.k_end)
-        g[...] = np.repeat(np.tile(level_sums.reshape(len(levels), -1), len(self.rate)), counts,
-                           axis=1).reshape(g.shape)
-        n = own.shape[1]
-        g[:, rows[:n], samples[:n]] = sums[..., 0]
-        g[:, rows[n:], samples[n:]] = shared
+        s, profiles = self.stride, len(levels)
+        own, source, blend = field
+        m = own.shape[1]
+        width = profiles * m
+        stages = _view(buffers.stages, (2 * s + 1, width + blend.shape[1]))
+        own.fill(levels, stages[:, :width].reshape(2 * s + 1, profiles, m).swapaxes(0, 1))
+        stages[:, width:] = blend
+        forcing = _view(buffers.forcing, (s + 1, stages.shape[1]))
+        sums = _forcing_sums(stages[: s + 1].T, stages[s + 1 :].T, coefficients, s,
+                             forcing[:s].T, forcing[s:].T)[:, 0]
+        table = np.empty((profiles, m + blend.shape[1]))
+        table[:, :m] = sums[:width].reshape(profiles, m)
+        table[:, m:] = sums[width:]
+        g = out[:, 1 : self.k_end + 1].reshape(profiles, len(self.rate), self.k_end)
+        g[...] = table.take(source, axis=1)
         return _sample_scan(out[:, : self.k_end + 1], coefficients[0] ** s, y0)
-
-
-def _plateau_sums(levels, coefficients, stride: int) -> np.ndarray:
-    """The Horner sum of a sample that sees one level at every stage, for
-    each level, from ``_forcing_sums`` itself."""
-    nodes = np.repeat(levels[:, None], stride + 1, axis=1)
-    sums = np.empty((len(levels), 1))
-    _forcing_sums(nodes, nodes[:, 1:].copy(), coefficients, stride,
-                  np.empty((len(levels), stride)), sums)
-    return sums[:, 0]
 
 
 def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
                     grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None,
                     out=None):
-    """RK4 traces of one profile at several belt speeds, one row per speed.
+    """RK4 traces of one profile at one or more belt speeds, one row per
+    speed.
 
     Most of a trace crosses plateaus, where every step has the same forcing
     and every sample between two kept nodes the same Horner sum.  So the
@@ -633,15 +534,10 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
     ``_Plateaus``), at their own stage positions; every other sample takes
     its level's sum, computed once by the same operations
     (``_forcing_sums``).  Where each row meets each segment start comes from
-    the exact position formula (``_reach``); the field is the segment's own
-    formula, looked up as ``ambient_at`` does across a join.  So every value
-    equals what ``_stages``, ``ambient_at`` and ``integrate_rows`` give at
-    every node, bit for bit.
-
-    One row costs less on that full-field path (``_stages``, the sorted-run
-    field ``ambient._ambient_on_runs`` and ``integrate_rows``) than the
-    compaction's fixed work, so a single speed takes it; the two paths are
-    equal bit for bit.
+    the exact position formula (``_reach``), and the field is what
+    ``ambient_at`` gives at each stage position.  So every sample equals,
+    bit for bit, what the RK4 recursion gives with the field evaluated at
+    every node and midpoint.
 
     Returns every stride-th node of each row and each row's sample count;
     row r is valid up to its count.  Past its own step count a row holds
@@ -664,22 +560,14 @@ def _simulate_rows(profile: AmbientProfile, y0, model: WeldingModel, grid: Simul
     """``simulate_speeds`` for speeds whose step counts are known."""
     check_step(model.coefficient, grid.dt)
     buffers = buffers if buffers is not None else _Buffers()
-    n_samples = int(n_steps.max()) // grid.stride + 1
+    n, s = int(n_steps.max()), grid.stride
     if out is None:
-        out = _view(buffers.samples, (len(speeds), n_samples))
-    out = out[:, :n_samples]
-    if len(speeds) > 1:
-        coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-        plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
-        temps = plan.integrate(plan.field(buffers, coefficients), _level_columns([profile]), y0,
-                               coefficients, buffers, out)
-    else:
-        x, _ = _stages(profile.total_length_cm, speeds, grid.dt, buffers.stages, n_steps)
-        # nodes and midpoints in one evaluation: each row is two sorted runs
-        nodes, mid = _split(_ambient_on_runs(profile, x, (_split(x)[0].shape[1],)))
-        temps = integrate_rows(nodes, mid, y0, model.coefficient, grid,
-                               _view(buffers.forcing, mid.shape), out)
-    return temps, n_steps // grid.stride + 1
+        out = _view(buffers.samples, (len(speeds), n // s + 1))
+    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+    plan = _Plateaus(profile, speeds, grid.dt, s, n)
+    temps = plan.integrate(plan.field(buffers), _level_columns([profile]), y0, coefficients,
+                           buffers, out)
+    return temps, n_steps // s + 1
 
 
 def simulate(
@@ -693,8 +581,8 @@ def simulate(
     Starts at the exterior temperature at the furnace entry and steps until
     the conveyor reaches the furnace end; the returned trace holds every
     stride-th integration node, i.e. samples every grid.dt_out seconds.
-    Integration never evaluates the ambient field beyond the furnace end
-    (see ``stage_positions``).  This is the one-row case of
+    Integration never evaluates the ambient field beyond the furnace end:
+    stage positions are clipped to it.  This is the one-row case of
     ``simulate_speeds``.
 
     Pure function: identical inputs produce bit-identical traces.

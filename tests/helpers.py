@@ -4,6 +4,13 @@ Everything here deliberately avoids the library's own algorithms: the RK4
 reference runs the textbook four-stage loop instead of the affine/filter
 form, metrics come from dense resampling instead of interpolated crossings,
 and the sweep oracles are plain nested loops with explicit if-chains.
+
+One oracle is the exception: the full-field RK4 path (``stage_positions``,
+``integrate_rows``, ``full_field_rk4``) evaluates the ambient field at every
+node and midpoint, then reuses the library's ``_forcing_sums`` and
+``_sample_scan``.  It is the bit-identity oracle of the plateau-compacted
+kernel, which must give the same floats, not merely close ones; the
+textbook loop above checks its arithmetic only to a tolerance.
 """
 
 from __future__ import annotations
@@ -26,7 +33,10 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
+from reflowsim.ambient import ambient_at
 from reflowsim.limits import check_limits, compute_metrics
+from reflowsim.oven import cm_per_second
+from reflowsim.thermal import _forcing_sums, _rk4_coefficients, _sample_scan, step_counts
 
 
 def piecewise_trace(dt: float, belt_speed: float, vertices) -> ThermalTrace:
@@ -76,6 +86,50 @@ def naive_rk4(profile, params, coefficient, dt, dt_out):
         if (i + 1) % stride == 0:
             out.append(y)
     return ThermalTrace.from_temps(dt_out, v, np.array(out))
+
+
+def stage_positions(total_cm: float, belt_speeds, dt: float):
+    """Positions of the RK4 nodes and of the half-step midpoints, in cm, one
+    row per belt speed, and each row's step count.
+
+    A row's stage positions up to its own step count stay inside the
+    furnace.  Shorter rows are padded to the longest by running on past the
+    exit, where the clip holds them at the furnace end.  Both arrays are
+    views of one.
+    """
+    speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
+    n_steps = step_counts(total_cm, speeds, dt)
+    n = int(n_steps.max())
+    node_times = np.arange(n + 1) * dt
+    rate = cm_per_second(speeds)[:, None]
+    x = np.empty((len(speeds), 2 * n + 1))
+    np.multiply(rate, node_times, out=x[:, : n + 1])
+    np.multiply(rate, node_times[:-1] + 0.5 * dt, out=x[:, n + 1 :])
+    np.clip(x, 0.0, total_cm, out=x)
+    return x[:, : n + 1], x[:, n + 1 :], n_steps
+
+
+def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: SimulationGrid):
+    """RK4 traces of many ambient fields at once, one per row, from the
+    field at every node (one more column) and midpoint; both are
+    overwritten.  Returns every grid.stride-th node of each row: the affine
+    recursion y[n+1] = A*y[n] + f[n] stepped from kept sample to kept sample
+    through the library's ``_forcing_sums`` and ``_sample_scan``."""
+    coefficients = _rk4_coefficients(coefficient * grid.dt)
+    s = grid.stride
+    rows, n_steps = t_amb_mid.shape
+    out = np.empty((rows, n_steps // s + 1))
+    _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, s, np.empty((rows, n_steps)),
+                  out[:, 1:])
+    return _sample_scan(out, coefficients[0] ** s, y0)
+
+
+def full_field_rk4(profile, y0, coefficient: float, grid: SimulationGrid, belt_speeds):
+    """Every belt speed's row through the full field: stage positions,
+    ``ambient_at`` at every node and midpoint, ``integrate_rows``."""
+    x_nodes, x_mid, _ = stage_positions(profile.total_length_cm, belt_speeds, grid.dt)
+    return integrate_rows(ambient_at(profile, x_nodes), ambient_at(profile, x_mid), y0,
+                          coefficient, grid)
 
 
 def dense_resample(trace, step=0.001):

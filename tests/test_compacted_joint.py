@@ -9,8 +9,9 @@ with exact float equality:
 * the per-candidate chain: build_profile -> simulate -> compute_metrics ->
   check_limits -> reflow_area -> symmetry_score;
 * the full-field reference kept here: a geometry group's profiles as rows of
-  two full-width ``FieldRows`` (nodes and midpoints) through
-  ``integrate_rows``, measured by the same public functions.
+  two full-width ``FieldRows`` (nodes and midpoints) through the
+  ``integrate_rows`` oracle of ``tests/helpers.py``, measured by the same
+  public functions.
 """
 
 from dataclasses import replace
@@ -41,8 +42,9 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import FieldRows, geometry_key
-from reflowsim.thermal import integrate_rows, stage_positions
+from reflowsim.ambient import FieldRows, _level_columns, geometry_key
+
+from helpers import integrate_rows, stage_positions
 
 LAYOUT = default_layout()
 COEFFICIENT = 0.021
@@ -100,8 +102,10 @@ def full_field(ranges, weight, grid, limits, area_domain):
         y0 = np.array([params[i].tt5 for i in idx])
         for v in speeds:
             x_nodes, x_mid, _ = stage_positions(LAYOUT.total_length_cm, [v], grid.dt)
-            temps = integrate_rows(FieldRows(group[0], x_nodes[0])(group),
-                                   FieldRows(group[0], x_mid[0])(group), y0, COEFFICIENT, grid)
+            levels = _level_columns(group)
+            temps = integrate_rows(FieldRows(group[0], x_nodes[0]).fill(levels),
+                                   FieldRows(group[0], x_mid[0]).fill(levels), y0, COEFFICIENT,
+                                   grid)
             for i, row in zip(idx, temps):
                 trace = ThermalTrace.from_temps(grid.dt_out, v, row)
                 found[i, v] = measured(replace(params[i], belt_speed=v), trace, limits,

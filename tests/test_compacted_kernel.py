@@ -1,12 +1,12 @@
 """The plateau-compacted RK4 kernel of ``thermal.simulate_speeds``.
 
-With more than one row, simulate_speeds computes positions, field, forcing
-and Horner sums only for the samples that touch a sigmoid, the cooling
-blend or a segment join; every sample wholly inside a plateau takes its
-level's Horner sum.  Its samples must equal, with exact float equality,
-what the generic path gives: ``stage_positions``, ``ambient_at`` at every
-node and midpoint, and ``integrate_rows``.  One row takes that full-field
-path itself, so a row of a block must equal its one-row run.
+simulate_speeds computes positions, field, forcing and Horner sums only for
+the samples that touch a sigmoid, the cooling blend or a segment join; every
+sample wholly inside a plateau takes its level's Horner sum.  Its samples
+must equal, with exact float equality, what the full-field oracle of
+``tests/helpers.py`` gives: ``stage_positions``, ``ambient_at`` at every
+node and midpoint, and ``integrate_rows``.  A row of a block must also equal
+its one-row run.
 """
 
 from dataclasses import replace
@@ -23,20 +23,17 @@ from reflowsim import (
     ProcessParameters,
     SimulationGrid,
     WeldingModel,
-    ambient_at,
     build_profile,
     default_layout,
     feasible_speed_interval,
     inclusive_grid,
+    simulate,
 )
 from reflowsim.ambient import ConstantSegment
-from reflowsim.thermal import (
-    _Plateaus,
-    integrate_rows,
-    simulate_speeds,
-    stage_positions,
-    step_counts,
-)
+from reflowsim.oven import cm_per_second
+from reflowsim.thermal import _Plateaus, _reach, simulate_speeds, step_counts
+
+from helpers import full_field_rk4
 
 LAYOUT = default_layout()
 MODEL = WeldingModel(0.021)
@@ -52,17 +49,13 @@ SPEEDS = [65.0, 65.1, 70.3, 82.1, 99.9, 100.0]
 
 
 def full_field(profile, y0, grid, speeds):
-    """Every row through the generic path: stage positions, ambient_at at
-    every node and midpoint, integrate_rows."""
-    x_nodes, x_mid, _ = stage_positions(profile.total_length_cm, speeds, grid.dt)
-    return integrate_rows(ambient_at(profile, x_nodes), ambient_at(profile, x_mid), y0,
-                          MODEL.coefficient, grid)
+    return full_field_rk4(profile, y0, MODEL.coefficient, grid, speeds)
 
 
 def assert_equals_full_field(profile, grid, speeds, y0=25.0):
     temps, counts = simulate_speeds(profile, y0, MODEL, grid, speeds)
     assert np.array_equal(temps, full_field(profile, y0, grid, speeds))
-    # each row alone takes the full-field path
+    # each row alone gives the same samples
     for row, (v, count) in enumerate(zip(speeds, counts)):
         alone, _ = simulate_speeds(profile, y0, MODEL, grid, [v])
         assert np.array_equal(alone[0], temps[row, :count])
@@ -149,6 +142,25 @@ def test_speed_sweep_in_ragged_blocks(monkeypatch):
         assert np.array_equal(trace[0], alone[0])
 
 
+@pytest.mark.parametrize("grid", [(0.1, 0.5), (0.1, 0.1), (0.05, 0.25), (0.25, 0.5)])
+def test_reach_is_a_sorted_search_of_the_kept_nodes(grid):
+    """``_reach`` against ``np.searchsorted`` of the segment starts into the
+    position of every kept node, computed as the kernel computes it.  Near
+    38.8, 42.0 and 47.4 cm/min a start lies within rounding of a kept node,
+    where the estimate from one division is off by one."""
+    profile = build_profile(LAYOUT, DEFAULT, 0.8)
+    grid = SimulationGrid(*grid)
+    speeds = np.round(np.arange(30.0, 120.0, 0.1), 1)
+    k_end = int(step_counts(profile.total_length_cm, speeds, grid.dt).max()) // grid.stride
+    rate = cm_per_second(speeds)[:, None]
+    got = _reach(rate, profile._starts, grid.dt, grid.stride, k_end)
+    kept = rate * ((np.arange(k_end + 1) * grid.stride).astype(float) * grid.dt)
+    want = np.array([row.searchsorted(profile._starts, side="left") for row in kept])
+    assert np.array_equal(got, want)
+    estimate = np.ceil(profile._starts / (rate * (grid.stride * grid.dt)))
+    assert np.any(estimate != want)
+
+
 def test_buffers_too_small_are_replaced():
     profile = build_profile(LAYOUT, DEFAULT, 0.8)
     grid = SimulationGrid()
@@ -180,3 +192,31 @@ def test_lattice_setpoints_equal_the_full_field(temps, weight, speeds, grid, y0)
     params = replace(ProcessParameters(*temps), tt5=y0)
     profile = build_profile(LAYOUT, params, weight)
     assert_equals_full_field(profile, SimulationGrid(*grid), speeds, y0)
+
+
+# (dt, dt_out) pairs from dt 0.05, 0.1, 0.25 and dt_out 0.1, 0.5, 30 s
+ONE_ROW_GRIDS = [(dt, dt_out) for dt in (0.05, 0.1, 0.25) for dt_out in (0.1, 0.5, 30.0)
+                 if dt_out >= dt]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    temps=st.tuples(lattice("tt1"), lattice("tt2"), lattice("tt3"), lattice("tt4")),
+    weight=st.sampled_from([0.0, 0.5, 0.8, 1.0]),
+    speed=st.integers(650, 1000).map(lambda tenths: tenths / 10.0),
+    grid=st.sampled_from(ONE_ROW_GRIDS),
+)
+@example(temps=(185.0, 185.0, 245.0, 245.0), weight=0.8, speed=65.0, grid=(0.1, 0.5))
+@example(temps=(25.0, 25.0, 25.0, 25.0), weight=0.8, speed=100.0, grid=(0.05, 0.1))
+@example(temps=(165.0, 185.0, 225.0, 265.0), weight=0.5, speed=65.0, grid=(0.1, 500.0))
+def test_one_row_simulate_equals_the_full_field(temps, weight, speed, grid):
+    """``simulate`` is the one-row case of the compacted kernel.  dt_out 500 s
+    is longer than the 402 s transit at 65 cm/min: the trace is one sample."""
+    params = ProcessParameters(*temps, belt_speed=speed)
+    profile = build_profile(LAYOUT, params, weight)
+    grid = SimulationGrid(*grid)
+    trace = simulate(profile, params, MODEL, grid)
+    want = full_field_rk4(profile, params.tt5, MODEL.coefficient, grid, [speed])[0]
+    assert np.array_equal(trace.temps, want)
+    if grid.dt_out > 402.0:
+        assert trace.temps.tolist() == [params.tt5]

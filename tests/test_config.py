@@ -206,6 +206,8 @@ class TestSteps:
          "range for belt_speed must have finite bounds, got [-inf, 100.0]"),
         (["optimize-speed"], "ranges: {tt5: [25, .nan]}",
          "range for tt5 must have finite bounds, got [25.0, nan]"),
+        (["optimize-area"], "ranges: {tt5: [20, 30]}",
+         "range for tt5 must be a single value, got [20.0, 30.0]"),
     ])
     def test_bad_step_fails_with_empty_stdout(self, capsys, tmp_path, argv, text, message):
         code, out, err = run_cli(capsys, *argv, "--config", write_config(tmp_path, text))

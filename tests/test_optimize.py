@@ -7,6 +7,10 @@ from reflowsim import (
     SweepCandidate,
     ThermalTrace,
     TraceMetrics,
+    WeldingModel,
+    build_profile,
+    check_limits,
+    compute_metrics,
     feasible_speed_interval,
     inclusive_grid,
     minimize_area,
@@ -14,6 +18,7 @@ from reflowsim import (
     objective_eligible,
     objective_key,
     reflow_area,
+    simulate,
     symmetry_score,
 )
 from helpers import (
@@ -277,6 +282,22 @@ class TestJointSweeps:
         result = minimize_area(layout, ranges, 0.8, 0.021)
         assert result.best is None
         assert result.candidates_evaluated == 1
+
+    @pytest.mark.parametrize("sweep", [minimize_area, most_symmetric])
+    def test_candidates_take_the_exterior_temperature_of_the_ranges(self, layout, sweep):
+        ranges = ParameterRanges(
+            tt1=(175.0, 175.0), tt2=(195.0, 195.0), tt3=(235.0, 235.0),
+            tt4=(255.0, 255.0), tt5=(30.0, 30.0), belt_speed=(70.0, 70.0),
+        )
+        (cand,) = sweep(layout, ranges, 0.8, 0.021).candidates
+        params = ProcessParameters(175.0, 195.0, 235.0, 255.0, 30.0, 70.0)
+        assert cand.params == params and type(cand.params.tt5) is float
+        trace = simulate(build_profile(layout, params, 0.8), params, WeldingModel(0.021))
+        assert trace.temps[0] == 30.0
+        metrics = compute_metrics(trace)
+        assert cand.metrics == metrics
+        assert cand.area == reflow_area(trace)
+        assert cand.feasible == check_limits(metrics).passed
 
     def test_best_candidate_passes_limits(self, layout):
         result = minimize_area(layout, SMALL_RANGES, 0.8, 0.021)

@@ -133,6 +133,14 @@ class TestValidateParameters:
         with pytest.raises(ValueError, match="steps"):
             ParameterRanges(temp_step=0.0)
 
+    @pytest.mark.parametrize("bounds", [(20.0, 30.0), (25.0, 25.5)])
+    def test_ranges_refuse_a_tt5_interval(self, bounds):
+        with pytest.raises(ValueError) as info:
+            ParameterRanges(tt5=bounds)
+        assert str(info.value).startswith(
+            f"range for tt5 must be a single value, got [{bounds[0]}, {bounds[1]}]")
+        assert ParameterRanges(tt5=(30.0, 30.0)).tt5 == (30.0, 30.0)
+
     @pytest.mark.parametrize("bounds, shown", [
         ((165.0, float("inf")), "[165.0, inf]"),
         ((float("nan"), 185.0), "[nan, 185.0]"),

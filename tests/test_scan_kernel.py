@@ -1,4 +1,5 @@
-"""The RK4 sample scan of ``thermal.integrate_rows``.
+"""The RK4 sample scan (``thermal._sample_scan``), through the full-field
+``integrate_rows`` of ``tests/helpers.py``.
 
 integrate_rows steps the affine recursion y[n+1] = A*y[n] + f[n] from kept
 sample to kept sample with a chunked, scaled cumulative sum.  Checked here:
@@ -25,7 +26,9 @@ from reflowsim import (
     inclusive_grid,
     simulate,
 )
-from reflowsim.thermal import _MAX_CHUNK, _chunk_width, _rk4_coefficients, integrate_rows
+from reflowsim.thermal import _MAX_CHUNK, _chunk_width, _rk4_coefficients
+
+from helpers import integrate_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 DT = 0.1

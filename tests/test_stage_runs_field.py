@@ -1,10 +1,14 @@
-"""The speed sweep's field on sorted stage runs against ``ambient_at``.
+"""The compacted kernel's field against ``ambient_at``.
 
-``thermal.simulate_speeds`` evaluates the ambient field with
-``ambient._ambient_on_runs``, which searches the profile's segment starts
-into each sorted run of a row instead of every position into the starts.
-On the same positions it must give exactly what the generic ``ambient_at``
-gives, and refuse what ``ambient_at`` refuses with the same message.
+``thermal._Plateaus.field`` evaluates the ambient field only at the stages
+of the samples that touch a sigmoid, the cooling blend or a segment join,
+and at one sample per plateau that stands for every sample wholly inside
+it.  For every sample of every row, the field the kernel takes (its own
+sample's, or its plateau's) must equal exactly what the generic
+``ambient_at`` gives at that sample's stage positions, which come from the
+full-field ``stage_positions`` of ``tests/helpers.py``.  ``FieldRows``,
+which evaluates the field of those samples, must refuse what
+``ambient_at`` refuses, with the same message.
 """
 
 import math
@@ -14,10 +18,19 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reflowsim import ParameterRanges, ProcessParameters, ambient_at, build_profile, inclusive_grid
-from reflowsim.ambient import _ambient_on_runs
+from reflowsim import (
+    ParameterRanges,
+    ProcessParameters,
+    SimulationGrid,
+    ambient_at,
+    build_profile,
+    inclusive_grid,
+)
+from reflowsim.ambient import FieldRows, _level_columns
 from reflowsim.oven import default_layout
-from reflowsim.thermal import _split, _stages
+from reflowsim.thermal import _Buffers, _Plateaus, step_counts
+
+from helpers import stage_positions
 
 LAYOUT = default_layout()
 RANGES = ParameterRanges()
@@ -38,8 +51,24 @@ def profile_of(temps, weight):
     return build_profile(LAYOUT, ProcessParameters(tt1=tt1, tt2=tt2, tt3=tt3, tt4=tt4), weight)
 
 
-def assert_equals_ambient_at(profile, x, cuts):
-    assert np.array_equal(_ambient_on_runs(profile, x, cuts), ambient_at(profile, x))
+def kernel_field(profile, speeds, grid):
+    """Per row and sample, the field the compacted kernel takes at the
+    sample's s + 1 nodes and s midpoints: shape (rows, samples, 2s + 1)."""
+    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
+    own, source, blend = plan.field(_Buffers())
+    columns = np.concatenate((own.fill(_level_columns([profile]))[0], blend), axis=1)
+    return columns[:, source].transpose(1, 2, 0)
+
+
+def stage_field(profile, speeds, grid):
+    """``ambient_at`` at the same stages, from the full-field positions."""
+    x_nodes, x_mid, n_steps = stage_positions(profile.total_length_cm, speeds, grid.dt)
+    s = grid.stride
+    first = s * np.arange(int(n_steps.max()) // s)[:, None]
+    x = np.concatenate((x_nodes[:, first + np.arange(s + 1)], x_mid[:, first + np.arange(s)]),
+                       axis=2)
+    return ambient_at(profile, x)
 
 
 # speeds of one padded block, 65-100 cm/min in 0.1 steps
@@ -49,69 +78,62 @@ speed_blocks = st.lists(st.integers(650, 1000), min_size=1, max_size=8).map(
 
 @settings(max_examples=60, deadline=None)
 @given(temps=setpoints, weight=weights, speeds=speed_blocks,
-       dt=st.sampled_from([0.1, 0.5, 5.0]))
-@example(temps=MERGED, weight=0.0, speeds=np.array([65.0, 82.3, 100.0]), dt=0.1)
-@example(temps=MERGED, weight=1.0, speeds=np.array([65.0]), dt=5.0)
-def test_stage_blocks_equal_ambient_at(temps, weight, speeds, dt):
-    """Padded stage arrays as ``simulate_speeds`` builds them.  At dt 5.0 a
-    step (5.4 cm and more) jumps over a whole 5 cm sigmoid gap."""
+       grid=st.sampled_from([(0.1, 0.5), (0.1, 0.1), (0.5, 0.5), (5.0, 5.0), (5.0, 10.0)]))
+@example(temps=MERGED, weight=0.0, speeds=np.array([65.0, 82.3, 100.0]), grid=(0.1, 0.5))
+@example(temps=MERGED, weight=1.0, speeds=np.array([65.0]), grid=(5.0, 5.0))
+def test_stage_blocks_equal_ambient_at(temps, weight, speeds, grid):
+    """Padded blocks of rows as ``simulate_speeds`` lays them out.  At dt 5.0
+    a step (5.4 cm and more) jumps over a whole 5 cm sigmoid gap."""
     profile = profile_of(temps, weight)
-    x, _ = _stages(profile.total_length_cm, speeds, dt)
-    assert_equals_ambient_at(profile, x, (_split(x)[0].shape[1],))
+    grid = SimulationGrid(*grid)
+    assert np.array_equal(kernel_field(profile, speeds, grid), stage_field(profile, speeds, grid))
 
 
 @st.composite
-def hand_built_runs(draw):
-    """(profile, x, cuts): rows of sorted runs drawn from the segment starts,
-    0, the furnace end (repeated at the end of a run) and points between."""
+def hand_built_positions(draw):
+    """(profile, x): rows of positions drawn from the segment starts, 0, the
+    furnace end and points between, in any order."""
     profile = profile_of(draw(setpoints), draw(weights))
     total = profile.total_length_cm
     marks = [0.0, total, *(seg.x_start for seg in profile.segments)]
     point = st.one_of(st.sampled_from(marks), st.floats(0.0, total))
-    lengths = draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
-    repeats = draw(st.integers(0, 3))
-    rows = []
-    for _ in range(draw(st.integers(1, 4))):
-        row = []
-        for n in lengths:
-            run = sorted(draw(st.lists(point, min_size=n, max_size=n)))
-            row += run + [total] * repeats
-        rows.append(row)
-    cuts = np.cumsum([n + repeats for n in lengths])[:-1].tolist()
-    return profile, np.array(rows), cuts
+    width = draw(st.integers(1, 24))
+    rows = draw(st.lists(st.lists(point, min_size=width, max_size=width), min_size=1,
+                         max_size=4))
+    return profile, np.array(rows)
+
+
+def field_rows(profile, x):
+    return FieldRows(profile, x).fill(_level_columns([profile]))[0]
 
 
 @settings(max_examples=200, deadline=None)
-@given(hand_built_runs())
+@given(hand_built_positions())
 def test_hand_built_runs_equal_ambient_at(case):
-    assert_equals_ambient_at(*case)
+    profile, x = case
+    assert np.array_equal(field_rows(profile, x), ambient_at(profile, x))
 
 
 def test_positions_on_segment_starts_take_the_later_segment(profile):
     starts = [seg.x_start for seg in profile.segments]
     x = np.array([starts + [profile.total_length_cm] * 2])
-    assert_equals_ambient_at(profile, x, ())
-    levels = _ambient_on_runs(profile, x, ())[0]
-    assert levels[:2].tolist() == [25.0, 175.0]
-    assert levels[-2:].tolist() == [25.0, 25.0]
+    levels = field_rows(profile, x)
+    assert np.array_equal(levels, ambient_at(profile, x))
+    assert levels[0, :2].tolist() == [25.0, 175.0]
+    assert levels[0, -2:].tolist() == [25.0, 25.0]
 
 
 @settings(max_examples=100, deadline=None)
-@given(case=hand_built_runs(), data=st.data())
+@given(case=hand_built_positions(), data=st.data())
 def test_out_of_range_run_raises_as_ambient_at(case, data):
-    profile, x, cuts = case
+    profile, x = case
     total = profile.total_length_cm
-    edges = [0, *cuts, x.shape[1]]
-    run = data.draw(st.integers(0, len(edges) - 2))
     row = data.draw(st.integers(0, len(x) - 1))
-    if data.draw(st.booleans()):
-        col = edges[run]
-        x[row, col] = data.draw(st.sampled_from([-1e-9, -0.5, -math.inf, math.nan]))
-    else:
-        col = edges[run + 1] - 1
-        x[row, col] = data.draw(st.sampled_from([total + 1e-9, total + 3.0, math.inf, math.nan]))
+    col = data.draw(st.integers(0, x.shape[1] - 1))
+    x[row, col] = data.draw(st.sampled_from([-1e-9, -0.5, -math.inf, math.nan,
+                                             total + 1e-9, total + 3.0, math.inf]))
     with pytest.raises(ValueError, match="position outside furnace") as expected:
         ambient_at(profile, x)
     with pytest.raises(ValueError) as got:
-        _ambient_on_runs(profile, x, cuts)
+        FieldRows(profile, x)
     assert str(got.value) == str(expected.value)

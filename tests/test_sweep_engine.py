@@ -29,7 +29,7 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import FieldRows, geometry_key
+from reflowsim.ambient import FieldRows, _level_columns, geometry_key
 from reflowsim.limits import metrics_rows
 
 # tt1 = tt2 = 185 merges zones 1-6 into one plateau: a second geometry.
@@ -124,7 +124,7 @@ class TestFieldRows:
         sorted_x = np.linspace(0.0, layout.total_length_cm, 2001)
         shuffled = rng.permutation(np.concatenate((sorted_x, [25.0, 90.5, 435.5])))
         for x in (sorted_x, shuffled):
-            rows = FieldRows(profiles[0], x)(profiles)
+            rows = FieldRows(profiles[0], x).fill(_level_columns(profiles))
             for profile, row in zip(profiles, rows):
                 assert np.array_equal(row, ambient_at(profile, x))
 

@@ -23,10 +23,9 @@ from reflowsim.thermal import (
     _MAX_STEPS,
     _rk4_coefficients,
     check_step,
-    stage_positions,
     step_counts,
 )
-from helpers import naive_rk4
+from helpers import naive_rk4, stage_positions
 
 
 def constant_profile(level, length=435.5):
