@@ -129,6 +129,9 @@ def calibrate_coefficient(
         at 1/refine_factor of the step and re-evaluate; repeated per round
         with ever finer steps.  Pass 0 to restrict the search to the given
         grid.
+    refine_factor : int
+        How many finer steps one coarse step splits into; an integer of at
+        least 1.
 
     Returns
     -------
@@ -141,6 +144,10 @@ def calibrate_coefficient(
         raise ValueError("candidates must not be empty")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
+    # also refuses NaN and inf
+    if not (refine_factor >= 1 and float(refine_factor).is_integer()):
+        raise ValueError(f"refine_factor must be an integer of at least 1, got {refine_factor}")
+    refine_factor = int(refine_factor)
     grid = grid if grid is not None else SimulationGrid()
     profile = build_profile(layout, params, weight)
 

@@ -16,9 +16,9 @@ profile per group.  At each belt speed they evaluate a group's rows as one
 2-D array, on the plateau-compacted kernel (``thermal._Plateaus``): field,
 forcing and Horner sums only for the samples that touch a sigmoid, the
 cooling blend or a segment join, laid out once per geometry and speed, and
-each plateau sample from its level's Horner sum.  RK4 blocks of rows write
-their samples into a sample block, on which metrics (one array per metric),
-limit pass masks, reflow area and symmetry run once.  Rows never mix, so
+each plateau sample from its level's Horner sum.  Each RK4 block of rows
+is measured as it is integrated: metrics (one array per metric), limit pass
+masks, reflow area and symmetry run once on its samples.  Rows never mix, so
 each candidate equals the one the per-candidate chain (build_profile,
 simulate, compute_metrics, check_limits, reflow_area, symmetry_score)
 builds, bit for bit; the scalar functions are the one-row cases of the
@@ -27,12 +27,12 @@ Reductions use total deterministic orderings, so results do not depend on
 evaluation order or on the worker count.
 
 The speed sweep evaluates its one profile at every grid speed as rows of
-padded 2-D arrays: RK4 recursion per RK4 block, on the same kernel
-(``thermal.simulate_speeds``), then
-metrics and limit masks once per sample block, each row over its own
-samples.  Padding only follows a row's end and the recursion is causal, so
-each SpeedCheck equals the one the per-speed chain (build_profile,
-simulate, compute_metrics, check_limits) builds, bit for bit.
+padded 2-D arrays: per RK4 block, the recursion on the same kernel
+(``thermal.simulate_speeds``), then metrics and limit masks on its samples,
+each row over its own.  Padding only follows a row's end and the recursion
+is causal, so each SpeedCheck equals the one the per-speed chain
+(build_profile, simulate, compute_metrics, check_limits) builds, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -66,18 +66,17 @@ from .thermal import (
     _Buffers,
     _Plateaus,
     _rk4_coefficients,
-    _simulate_rows,
     _view,
     check_step,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
+    simulate_speeds,
     step_counts,
 )
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
 DEFAULT_OFFSET_STEP = 0.5
 # Bytes of a block's largest array per stage (its field at the nodes, say);
-# sets how many rows an RK4 block holds, and how many rows of samples a
-# sample block holds.
+# sets how many rows an RK4 block holds (``_rk4_rows``).
 _BLOCK_BYTES = 1 << 18
 # Most values one grid holds, and most candidates (setpoint combinations x
 # speeds) one joint sweep evaluates: both are checked before anything that
@@ -304,12 +303,10 @@ def feasible_speed_interval(
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
     Speeds go through ``thermal.simulate_speeds``'s plateau-compacted
-    kernel in RK4 blocks of as many rows as keep its largest array per stage
-    within _BLOCK_BYTES: the nodes of a row's varying samples, or its
-    samples, at the speed that needs the most.  The blocks write their
-    samples into a sample block of several RK4 blocks; the metrics and the
-    limit masks then run once per sample block, each row over its own
-    samples.  Every block reuses the same buffers.
+    kernel in RK4 blocks of ``_rk4_rows`` rows.  Each block's samples are as
+    wide as its longest row; the metrics and the limit masks run on them
+    once per block, each row over its own samples.  Every block reuses the
+    same buffers.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
@@ -317,32 +314,21 @@ def feasible_speed_interval(
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
     speed_rows = np.array(speeds)
-    n_steps = step_counts(profile.total_length_cm, speed_rows, grid.dt)
-    n_samples = n_steps // grid.stride + 1
-    times = np.arange(n_samples.max()) * grid.dt_out
+    n = int(step_counts(profile.total_length_cm, speed_rows, grid.dt).max())
+    times = np.arange(n // grid.stride + 1) * grid.dt_out
     # every speed's compacted row, padded to the slowest: no block's rows
     # need more
-    plan = _Plateaus(profile, speed_rows, grid.dt, grid.stride, int(n_steps.max()))
-    varying = int(plan.varying_counts().max())
-    block = _rk4_rows(max(varying * (grid.stride + 1), len(times)))
-    buffers = plan.buffers(block, max(block * len(times), _BLOCK_BYTES // 8))
-    wide = _sample_block_rows(block, len(times), buffers.samples.size)
+    plan = _Plateaus(profile, speed_rows, grid.dt, grid.stride, n)
+    block = _rk4_rows(plan)
+    buffers = plan.buffers(block, block * len(times))
     per_speed = []
-    for lo in range(0, len(speeds), wide):
-        lengths = n_samples[lo : lo + wide]
-        temps = _view(buffers.samples, (len(lengths), lengths.max()))
-        for r0 in range(0, len(lengths), block):
-            part = temps[r0 : r0 + block]
-            rows = slice(lo + r0, lo + r0 + len(part))
-            _, counts = _simulate_rows(profile, params.tt5, model, grid, speed_rows[rows],
-                                       n_steps[rows], buffers, part)
-            # the columns past this RK4 block's longest row hold its last
-            # sample, so no stale value enters the padding
-            part[:, counts.max() :] = part[:, counts.max() - 1, None]
+    for lo in range(0, len(speeds), block):
+        temps, lengths = simulate_speeds(profile, params.tt5, model, grid,
+                                         speed_rows[lo : lo + block], buffers)
         metrics = metrics_rows(times[: temps.shape[1]], temps, grid.dt_out, lengths)
         # the verdicts hold the very values of the rows' TraceMetrics
         row_metrics = list(metrics)
-        per_speed += map(SpeedCheck, speeds[lo : lo + wide], row_metrics,
+        per_speed += map(SpeedCheck, speeds[lo : lo + block], row_metrics,
                          verdict_rows(row_metrics, metrics, limits))
     feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
@@ -374,90 +360,24 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
-def _rk4_rows(row_floats: int) -> int:
-    """Rows of an RK4 block whose largest array per stage (the field at the
-    nodes, say) takes row_floats floats a row: as many as keep it within
-    _BLOCK_BYTES, at least one."""
+def _rk4_rows(plan: _Plateaus) -> int:
+    """Rows of an RK4 block on the plan: as many as keep its largest array
+    per stage within _BLOCK_BYTES, at least one.  That array is the nodes
+    of a row's varying samples (s + 1 per sample) or its samples, at the
+    row that needs the most."""
+    row_floats = max(int(plan.varying_counts().max()) * (plan.stride + 1), plan.k_end + 1)
     return max(1, _BLOCK_BYTES // (8 * row_floats))
-
-
-def _sample_block_rows(rk4_rows: int, n_samples: int, capacity: int) -> int:
-    """Rows of a sample block: whole RK4 blocks, as many as keep its samples
-    within _BLOCK_BYTES and within the shared samples buffer of ``capacity``
-    floats, which always holds one RK4 block's samples."""
-    fit = min(_BLOCK_BYTES // (8 * n_samples), capacity // n_samples)
-    return max(1, fit // rk4_rows) * rk4_rows
 
 
 def _block_buffers() -> _Buffers:
     """Buffers for the blocks of a joint sweep: they hold every RK4 block
-    whose largest array per stage fits _BLOCK_BYTES, and its sample block.
+    whose largest array per stage fits _BLOCK_BYTES, and its samples.
     The compacted field has 2s + 1 stages per varying sample against the
     s + 1 nodes that size the block, so it takes less than twice that; the
-    forcing and the sample block take it once.  A larger block grows them.
+    forcing and the samples take it once.  A larger block grows them.
     """
     floats = _BLOCK_BYTES // 8
     return _Buffers(stages=2 * floats, forcing=floats, samples=floats)
-
-
-def _evaluate_speed(
-    model: WeldingModel,
-    grid: SimulationGrid,
-    limits: ProcessLimits,
-    area_domain: str,
-    speed: float,
-    rows: list[tuple],
-    template,
-    levels: np.ndarray,
-    buffers: _Buffers,
-) -> list[SweepCandidate]:
-    """Candidates of the setpoint rows (tt1..tt5) whose profiles share the
-    geometry_key of ``template``, at one belt speed; ``levels`` holds their
-    ``_level_columns``.
-
-    The plateau-compacted kernel (``thermal._Plateaus``) lays out the speed's
-    samples once: the stage positions of those that touch a sigmoid, the
-    cooling blend or a segment join, what of their field depends on
-    position alone, and the Horner sums inside the cooling blend, which are
-    the same for every profile.  Rows then go through in RK4 blocks of as
-    many rows as keep the largest compacted array per stage (the varying
-    samples' nodes, or the samples) within _BLOCK_BYTES, all in the same
-    buffers, grown here when too small.  The RK4 blocks write their
-    samples into consecutive rows of a sample block, and metrics, limit
-    checks, reflow area and symmetry run once per sample block, on one
-    crossing of the melting line.
-    """
-    s = grid.stride
-    speeds = np.array([speed])
-    n_steps = int(step_counts(template.total_length_cm, speeds, grid.dt)[0])
-    plan = _Plateaus(template, speeds, grid.dt, s, n_steps)
-    n_samples = n_steps // s + 1
-    # the samples the kernel keeps: every stride-th node
-    times = np.arange(n_samples) * grid.dt_out
-    xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-    block = _rk4_rows(max(int(plan.varying_counts()[0]) * (s + 1), n_samples))
-    plan.buffers(block, block * n_samples, buffers)
-    wide = _sample_block_rows(block, n_samples, buffers.samples.size)
-    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-    field = plan.field(buffers)
-    y0 = np.array([row[4] for row in rows], dtype=float)
-    out = []
-    for lo in range(0, len(rows), wide):
-        temps = _view(buffers.samples, (min(wide, len(rows) - lo), n_samples))
-        for r0 in range(0, len(temps), block):
-            part = slice(lo + r0, lo + min(r0 + block, len(temps)))
-            plan.integrate(field, levels[part], y0[part], coefficients, buffers,
-                           temps[r0 : r0 + block])
-        melt = _super_level_segments(temps, MELT_C)
-        metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
-        feasible = check_rows(metrics, limits).all(axis=0).tolist()
-        areas = _reflow_area_rows(xs, temps, melt).tolist()
-        symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP, melt)
-        for row, m, area, sym, ok in zip(rows[lo : lo + wide], metrics, areas, symmetry,
-                                         feasible):
-            out.append(SweepCandidate(ProcessParameters(*row, belt_speed=speed), m, area, sym,
-                                      ok))
-    return out
 
 
 def _evaluate_group(
@@ -470,16 +390,50 @@ def _evaluate_group(
     buffers: _Buffers | None = None,
 ) -> list[list[SweepCandidate]]:
     """Evaluate a job of setpoint rows whose profiles share one geometry_key
-    at every sweep speed: (template profile, rows, their level columns).
-    One list of candidates per row, in speed order.  Without buffers it
-    makes its own.  Top-level so process pools can pickle it.
+    at every sweep speed: (template profile, rows (tt1..tt5), their
+    ``_level_columns``).  One list of candidates per row, in speed order.
+    Without buffers it makes its own.  Top-level so process pools can
+    pickle it.
+
+    At each speed, the plateau-compacted kernel (``thermal._Plateaus``)
+    lays out the samples once: the stage positions of those that touch a
+    sigmoid, the cooling blend or a segment join, what of their field
+    depends on position alone, and the Horner sums inside the cooling
+    blend, which are the same for every profile.  Rows then go through in
+    RK4 blocks of ``_rk4_rows`` rows, all in the same buffers, grown here
+    when too small.  Metrics, limit checks, reflow area and symmetry run
+    once per RK4 block, on one crossing of the melting line.
     """
     template, rows, levels = job
     buffers = buffers if buffers is not None else _block_buffers()
-    by_speed = [_evaluate_speed(model, grid, limits, area_domain, v, rows, template, levels,
-                                buffers)
-                for v in speeds]
-    return [list(cands) for cands in zip(*by_speed)]
+    s = grid.stride
+    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+    y0 = np.array([row[4] for row in rows], dtype=float)
+    per_row = [[] for _ in rows]
+    for speed in speeds:
+        one = np.array([speed])
+        n_steps = int(step_counts(template.total_length_cm, one, grid.dt)[0])
+        plan = _Plateaus(template, one, grid.dt, s, n_steps)
+        # the samples the kernel keeps: every stride-th node
+        times = np.arange(n_steps // s + 1) * grid.dt_out
+        xs = _area_axis(area_domain, times, (speed / 60.0) * times)
+        block = _rk4_rows(plan)
+        plan.buffers(block, block * len(times), buffers)
+        field = plan.field(buffers)
+        for lo in range(0, len(rows), block):
+            part = slice(lo, lo + block)
+            temps = _view(buffers.samples, (len(levels[part]), len(times)))
+            plan.integrate(field, levels[part], y0[part], coefficients, buffers, temps)
+            melt = _super_level_segments(temps, MELT_C)
+            metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
+            feasible = check_rows(metrics, limits).all(axis=0).tolist()
+            areas = _reflow_area_rows(xs, temps, melt).tolist()
+            symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP, melt)
+            for cands, row, m, area, sym, ok in zip(per_row[part], rows[part], metrics, areas,
+                                                    symmetry, feasible):
+                cands.append(SweepCandidate(ProcessParameters(*row, belt_speed=speed), m, area,
+                                            sym, ok))
+    return per_row
 
 
 def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, workers: int):
@@ -606,6 +560,9 @@ def _optimize(
         raise ValueError(f"unknown objective {objective!r}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
+    if not (refine_factor >= 1 and math.isfinite(refine_factor)):  # also refuses NaN
+        raise ValueError(f"refine_factor must be a finite number of at least 1, "
+                         f"got {refine_factor}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
 

@@ -323,8 +323,8 @@ class _Buffers:
     start of each in its own shape (see ``_view``).  The plateau-compacted
     kernel (``_Plateaus``) keeps the stage positions, then the field, of its
     varying samples in ``stages`` and their forcing and Horner sums in
-    ``forcing``.  ``samples`` holds a sample block: the rows of several RK4
-    blocks, measured at once.
+    ``forcing``.  ``samples`` holds the samples of one RK4 block, which
+    are measured before the next block is integrated.
 
     All are parts of one allocation: glibc keeps that block for the next
     sweep, where separate ones went back to the system and were faulted in
@@ -494,9 +494,8 @@ class _Plateaus:
     def integrate(self, field, levels: np.ndarray, y0, coefficients, buffers: _Buffers,
                   out: np.ndarray) -> np.ndarray:
         """The RK4 samples of profiles with these ``_level_columns`` at every
-        speed, from ``field``, into out (profiles * speeds rows, at least
-        K + 1 columns; rows need not be adjacent); y0 is a scalar or one per
-        output row.
+        speed, from ``field``, into out (profiles * speeds rows of K + 1
+        columns, one RK4 block); y0 is a scalar or one per output row.
 
         Each profile's field at the plateau and own samples, then the
         cooling blend's, go through one ``_forcing_sums`` in the buffers, a
@@ -522,8 +521,7 @@ class _Plateaus:
 
 
 def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
-                    grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None,
-                    out=None):
+                    grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None):
     """RK4 traces of one profile at one or more belt speeds, one row per
     speed.
 
@@ -539,34 +537,24 @@ def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
     bit for bit, what the RK4 recursion gives with the field evaluated at
     every node and midpoint.
 
-    Returns every stride-th node of each row and each row's sample count;
-    row r is valid up to its count.  Past its own step count a row holds
-    padding, and the recursion is causal, so its valid samples equal a
-    one-row run bit for bit.  ``buffers`` hold the compacted stage
-    positions and fields (``stages``) and the forcing (``forcing``); a part
-    too small for a block is replaced by a new array.  The samples go to
-    the first columns of ``out`` when given (one row per speed, at least as
-    many columns as the longest row has samples; its rows need not be
-    adjacent), else to buffers.samples.
+    Returns every stride-th node of each row, as many columns as the
+    longest row has samples, and each row's sample count; row r is valid up
+    to its count.  Past its own step count a row holds padding, and the
+    recursion is causal, so its valid samples equal a one-row run bit for
+    bit.  ``buffers`` hold the compacted stage positions and fields
+    (``stages``), the forcing (``forcing``) and the samples (``samples``,
+    which the returned array views); a part too small for a block is
+    replaced by a new array.
     """
     speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
     n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
-    return _simulate_rows(profile, y0, model, grid, speeds, n_steps, buffers, out)
-
-
-def _simulate_rows(profile: AmbientProfile, y0, model: WeldingModel, grid: SimulationGrid,
-                   speeds: np.ndarray, n_steps: np.ndarray, buffers: _Buffers | None = None,
-                   out=None):
-    """``simulate_speeds`` for speeds whose step counts are known."""
     check_step(model.coefficient, grid.dt)
     buffers = buffers if buffers is not None else _Buffers()
     n, s = int(n_steps.max()), grid.stride
-    if out is None:
-        out = _view(buffers.samples, (len(speeds), n // s + 1))
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
     plan = _Plateaus(profile, speeds, grid.dt, s, n)
     temps = plan.integrate(plan.field(buffers), _level_columns([profile]), y0, coefficients,
-                           buffers, out)
+                           buffers, _view(buffers.samples, (len(speeds), n // s + 1)))
     return temps, n_steps // s + 1
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reflowsim.calibrate as calibrate_module
 from reflowsim import (
     AlignedPair,
     CalibrationResult,
@@ -190,6 +191,27 @@ class TestCalibrateCoefficient:
     def test_empty_candidates(self, layout, params, default_trace):
         with pytest.raises(ValueError, match="empty"):
             calibrate_coefficient(default_trace, layout, params, 0.8, [])
+
+    @pytest.mark.parametrize("refine_rounds", [0, 1])
+    @pytest.mark.parametrize("factor", [0, -1, 2.5, float("nan"), float("inf")])
+    def test_bad_refine_factor_is_refused_before_any_simulation(
+        self, layout, params, default_trace, monkeypatch, factor, refine_rounds
+    ):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("simulated before the refine_factor was checked")
+
+        monkeypatch.setattr(calibrate_module, "simulate", forbidden)
+        with pytest.raises(ValueError, match=f"refine_factor must be an integer of at "
+                                             f"least 1, got {factor}"):
+            calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
+                                  refine_rounds=refine_rounds, refine_factor=factor)
+
+    def test_integral_float_refine_factor_equals_the_int(self, layout, params, profile):
+        measured = simulate(profile, params, WeldingModel(0.0212))
+        grid = [0.0200, 0.0210, 0.0220]
+        as_float = calibrate_coefficient(measured, layout, params, 0.8, grid, refine_factor=2.0)
+        as_int = calibrate_coefficient(measured, layout, params, 0.8, grid, refine_factor=2)
+        assert as_float == as_int and len(as_int.scores) == 5
 
     def test_tie_breaks_toward_smaller_coefficient(self):
         scores = (

@@ -269,29 +269,10 @@ def test_interp_rows_equals_np_interp():
         assert g.tolist() == np.interp(q, times, row).tolist()
 
 
-@st.composite
-def block_sizes(draw):
-    rk4_rows = draw(st.integers(1, 50))
-    n_samples = draw(st.integers(1, 5000))
-    capacity = rk4_rows * n_samples * draw(st.integers(1, 20))
-    return rk4_rows, n_samples, capacity
-
-
-@given(block_sizes(), st.sampled_from([1, 1000, 1 << 18, 1 << 24]))
-def test_sample_blocks_hold_whole_rk4_blocks_within_the_buffer(sizes, block_bytes):
-    rk4_rows, n_samples, capacity = sizes
-    old = optimize._BLOCK_BYTES
-    optimize._BLOCK_BYTES = block_bytes
-    try:
-        rows = optimize._sample_block_rows(rk4_rows, n_samples, capacity)
-    finally:
-        optimize._BLOCK_BYTES = old
-    assert rows % rk4_rows == 0 and rows >= rk4_rows
-    assert rows * n_samples <= capacity
-
-
-# RK4 blocks of 3 rows at 65 cm/min (4,020 steps, 805 samples) in sample
-# blocks of 12 rows; 7 bytes fewer give 2 and 14 rows
+# RK4 blocks of 12 rows in the speed sweep below, where a row's largest
+# array per stage is the 984 nodes of its 164 varying samples at 65 cm/min,
+# and of 13 to 15 rows in the joint sweep; 7 bytes fewer give the same, one
+# byte gives one row per block and 64 MB every row in one block
 BLOCK_BYTES = (8 * 4021 * 3, 8 * 4021 * 3 - 7, 1, 1 << 26)
 
 

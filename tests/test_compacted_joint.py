@@ -132,32 +132,35 @@ def test_merged_plateaus():
     assert len(assert_equals_both(MERGED).candidates) == 16 * 3
 
 
-@pytest.mark.parametrize("grid", [(0.1, 0.1), (0.05, 0.25), (0.25, 0.5)],
-                         ids=["stride-1", "dt-0.05", "dt-0.25"])
+@pytest.mark.parametrize("grid", [(0.1, 0.1), (0.05, 0.25), (0.25, 0.5), (0.1, 5.0),
+                                  (0.1, 30.0)],
+                         ids=["stride-1", "dt-0.05", "dt-0.25", "dt-out-5", "dt-out-30"])
 def test_other_integration_grids(grid):
     assert_equals_both(MERGED, grid=SimulationGrid(*grid))
 
 
-def test_ragged_rk4_and_sample_blocks(monkeypatch):
-    # samples of 1 s: a row's varying nodes outnumber twice its samples, so a
-    # sample block holds two RK4 blocks of 4 rows; 42 and 3 rows leave tails
+def test_ragged_rk4_blocks(monkeypatch):
+    # samples of 1 s: RK4 blocks of a few rows, so the groups of 42 and 3
+    # rows leave ragged tails; each block is measured as it is integrated
     monkeypatch.setattr(optimize, "_BLOCK_BYTES", 8 * 4 * 1000)
-    rk4_blocks, sample_blocks = [], []
+    grid = SimulationGrid(0.1, 1.0)
+    reference = assert_equals_both(GROUPS, sweep=most_symmetric, grid=grid)
+    integrated, measured_rows = [], []
     integrate, metrics_rows = thermal._Plateaus.integrate, optimize.metrics_rows
 
     def counted_integrate(self, field, levels, *args):
-        rk4_blocks.append(len(levels))
+        integrated.append(len(levels))
         return integrate(self, field, levels, *args)
 
     def counted_metrics(times, temps, *args):
-        sample_blocks.append(len(temps))
+        measured_rows.append(len(temps))
         return metrics_rows(times, temps, *args)
 
     monkeypatch.setattr(thermal._Plateaus, "integrate", counted_integrate)
     monkeypatch.setattr(optimize, "metrics_rows", counted_metrics)
-    assert_equals_both(GROUPS, sweep=most_symmetric, grid=SimulationGrid(0.1, 1.0))
-    assert max(rk4_blocks) > min(rk4_blocks) and max(sample_blocks) > min(sample_blocks)
-    assert max(sample_blocks) >= 2 * max(rk4_blocks)
+    assert most_symmetric(LAYOUT, GROUPS, 0.8, COEFFICIENT, grid=grid) == reference
+    assert integrated == measured_rows
+    assert max(integrated) > min(integrated) > 0
 
 
 def test_time_domain_with_two_workers():

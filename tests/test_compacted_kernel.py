@@ -62,9 +62,14 @@ def assert_equals_full_field(profile, grid, speeds, y0=25.0):
     return temps
 
 
-def varying_samples(profile, grid, speeds):
+def plan_of(profile, grid, speeds):
+    """The kernel's plan for the speeds, padded to the slowest."""
     n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
-    plan = _Plateaus(profile, np.array(speeds), grid.dt, grid.stride, int(n_steps.max()))
+    return _Plateaus(profile, np.array(speeds), grid.dt, grid.stride, int(n_steps.max()))
+
+
+def varying_samples(profile, grid, speeds):
+    plan = plan_of(profile, grid, speeds)
     return plan.varying_counts(), plan.k_end
 
 
@@ -130,10 +135,11 @@ def test_speed_sweep_in_ragged_blocks(monkeypatch):
     # blocks of 5 rows over 13 speeds: two full blocks and a tail of three
     profile = build_profile(LAYOUT, DEFAULT, 0.8)
     grid = SimulationGrid()
-    varying, _ = varying_samples(profile, grid, inclusive_grid(65.0, 66.2, 0.1))
+    plan = plan_of(profile, grid, inclusive_grid(65.0, 66.2, 0.1))
+    varying = plan.varying_counts()
     reference = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
     monkeypatch.setattr(optimize, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
-    assert optimize._rk4_rows(int(varying.max()) * (grid.stride + 1)) == 5
+    assert optimize._rk4_rows(plan) == 5
     result = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
     assert result == reference
     for check in result.per_speed:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import reflowsim.optimize as optimize
 from reflowsim import (
     ParameterRanges,
     ProcessParameters,
@@ -273,6 +274,20 @@ class TestJointSweeps:
     def test_workers_below_one_are_refused(self, layout, sweep, workers):
         with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
             sweep(layout, SMALL_RANGES, 0.8, 0.021, workers=workers)
+
+    @pytest.mark.parametrize("refine_rounds", [0, 1])
+    @pytest.mark.parametrize("factor", [0, -1, 0.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("sweep", [minimize_area, most_symmetric])
+    def test_bad_refine_factor_is_refused_before_any_sweep(self, layout, monkeypatch, sweep,
+                                                           factor, refine_rounds):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("swept before the refine_factor was checked")
+
+        monkeypatch.setattr(optimize, "_sweep_grid", forbidden)
+        with pytest.raises(ValueError, match=f"refine_factor must be a finite number of at "
+                                             f"least 1, got {factor}"):
+            sweep(layout, SMALL_RANGES, 0.8, 0.021, refine_rounds=refine_rounds,
+                  refine_factor=factor)
 
     def test_infeasible_grid_returns_none(self, layout):
         ranges = ParameterRanges(

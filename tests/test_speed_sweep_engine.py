@@ -25,7 +25,7 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.optimize import SpeedCheck, SpeedSweepResult
-from reflowsim.thermal import _Plateaus, _simulate_rows, step_counts
+from reflowsim.thermal import _Plateaus, simulate_speeds, step_counts
 
 DEFAULT = ProcessParameters(tt1=165.0, tt2=185.0, tt3=225.0, tt4=265.0)
 # tt1 = tt2 and tt3 = tt4 merge plateaus: fewer segments, other boundaries
@@ -67,7 +67,7 @@ def test_non_default_limits(layout):
     assert_matches_chain(layout, DEFAULT, limits=limits)
 
 
-@pytest.mark.parametrize("grid", [(0.5, 0.5), (0.1, 0.3), (0.05, 0.5)])
+@pytest.mark.parametrize("grid", [(0.5, 0.5), (0.1, 0.3), (0.05, 0.5), (0.1, 5.0), (0.1, 30.0)])
 @pytest.mark.parametrize("params", [DEFAULT, MERGED], ids=["default", "merged"])
 def test_other_integration_grids(layout, params, grid):
     assert_matches_chain(layout, params, speed_step=0.7, grid=SimulationGrid(*grid))
@@ -99,9 +99,9 @@ def test_speed_count_not_a_multiple_of_the_block(layout, monkeypatch):
 
     def counted(profile, y0, model, grid, speeds, *args):
         blocks.append(len(speeds))
-        return _simulate_rows(profile, y0, model, grid, speeds, *args)
+        return simulate_speeds(profile, y0, model, grid, speeds, *args)
 
-    monkeypatch.setattr(optimize, "_simulate_rows", counted)
+    monkeypatch.setattr(optimize, "simulate_speeds", counted)
     assert_matches_chain(layout, DEFAULT, speed_range=(65.0, 66.2))
     assert blocks == [4, 4, 4, 1]
 
