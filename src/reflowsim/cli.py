@@ -37,20 +37,23 @@ def _fmt(value, decimals=4) -> str:
     return "" if value is None else f"{value:.{decimals}f}"
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="YAML configuration file")
-    sub.add_argument("--tt1", type=float, help="zones 1-5 setpoint, degC")
-    sub.add_argument("--tt2", type=float, help="zone 6 setpoint, degC")
-    sub.add_argument("--tt3", type=float, help="zone 7 setpoint, degC")
-    sub.add_argument("--tt4", type=float, help="zones 8-9 setpoint, degC")
-    sub.add_argument("--belt-speed", type=float, help="conveyor speed, cm/min")
-    sub.add_argument("--coefficient", type=float, help="welding coefficient, 1/s")
-    sub.add_argument("--blend-weight", type=float, help="cooling blend weight in [0,1]")
-    sub.add_argument("--dt", type=float, help="integration step, s")
-    sub.add_argument("--dt-out", type=float, help="output sample interval, s")
-    sub.add_argument("--workers", type=int, help="sweep worker processes (0 = all cores)")
-    sub.add_argument("--area-domain", choices=("position", "time"),
-                     help="reflow-area integration variable")
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", help="YAML configuration file")
+    common.add_argument("--tt1", type=float, help="zones 1-5 setpoint, degC")
+    common.add_argument("--tt2", type=float, help="zone 6 setpoint, degC")
+    common.add_argument("--tt3", type=float, help="zone 7 setpoint, degC")
+    common.add_argument("--tt4", type=float, help="zones 8-9 setpoint, degC")
+    common.add_argument("--belt-speed", type=float, help="conveyor speed, cm/min")
+    common.add_argument("--coefficient", type=float, help="welding coefficient, 1/s")
+    common.add_argument("--blend-weight", type=float, help="cooling blend weight in [0,1]")
+    common.add_argument("--dt", type=float, help="integration step, s")
+    common.add_argument("--dt-out", type=float, help="output sample interval, s")
+    common.add_argument("--workers", type=int, help="sweep worker processes (0 = all cores)")
+    common.add_argument("--area-domain", choices=("position", "time"),
+                        help="reflow-area integration variable")
+    return common
 
 
 # Flag destination -> the (section, key) of the configuration it overrides.
@@ -309,30 +312,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reflow-oven thermal profile simulation and optimization",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = _common_flags()
 
-    p = sub.add_parser("field", help="dump the ambient temperature field as CSV")
-    _add_common_flags(p)
+    p = sub.add_parser("field", parents=[common],
+                       help="dump the ambient temperature field as CSV")
     p.add_argument("--dx", type=float, help="sampling step along the furnace, cm")
     p.add_argument("--out", dest="field_csv", metavar="OUT", help="output CSV (default stdout)")
     p.set_defaults(func=cmd_field)
 
-    p = sub.add_parser("simulate", help="simulate a trace, report metrics and verdict")
-    _add_common_flags(p)
+    p = sub.add_parser("simulate", parents=[common],
+                       help="simulate a trace, report metrics and verdict")
     p.add_argument("--out", dest="trace_csv", metavar="OUT",
                    help="trace CSV path (default trace.csv)")
     p.add_argument("--verdict-csv", help="also write the verdict table as CSV")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("check", help="check a trace CSV against the process limits")
-    _add_common_flags(p)
+    p = sub.add_parser("check", parents=[common],
+                       help="check a trace CSV against the process limits")
     p.add_argument("trace", help="trace CSV to check")
     p.add_argument("--trace-belt-speed", type=float,
                    help="belt speed for two-column trace files, cm/min")
     p.add_argument("--verdict-csv", help="also write the verdict table as CSV")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("calibrate", help="grid-search the welding coefficient")
-    _add_common_flags(p)
+    p = sub.add_parser("calibrate", parents=[common],
+                       help="grid-search the welding coefficient")
     p.add_argument("measured", help="measured trace CSV")
     p.add_argument("--trace-belt-speed", type=float,
                    help="belt speed for two-column trace files, cm/min")
@@ -342,20 +346,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also grid-search the cooling blend weight")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("optimize-speed", help="find feasible belt speeds at fixed setpoints")
-    _add_common_flags(p)
+    p = sub.add_parser("optimize-speed", parents=[common],
+                       help="find feasible belt speeds at fixed setpoints")
     p.add_argument("--speed-step", type=float, help="speed grid step, cm/min")
     p.add_argument("--candidates-csv", help="write the per-speed table as CSV")
     p.set_defaults(func=cmd_optimize_speed)
 
-    p = sub.add_parser("optimize-area", help="joint sweep minimizing reflow area")
-    _add_common_flags(p)
+    p = sub.add_parser("optimize-area", parents=[common],
+                       help="joint sweep minimizing reflow area")
     p.add_argument("--candidates-csv", help="write all evaluated candidates as CSV")
     p.set_defaults(func=cmd_optimize_area)
 
-    p = sub.add_parser("optimize-symmetry",
+    p = sub.add_parser("optimize-symmetry", parents=[common],
                        help="joint sweep minimizing the above-217 asymmetry")
-    _add_common_flags(p)
     p.add_argument("--candidates-csv", help="write all evaluated candidates as CSV")
     p.set_defaults(func=cmd_optimize_symmetry)
     return parser

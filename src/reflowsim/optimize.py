@@ -10,29 +10,29 @@ Three strategies over simulated traces:
 * the same joint sweep minimizing the asymmetry of the above-217 pass, with
   reflow area as tie-breaker.
 
+Both kinds of sweep take their traces from one generator,
+``thermal.rk4_blocks``, which runs the plateau-compacted RK4 kernel in
+blocks of rows: field, forcing and Horner sums only for the samples that
+touch a sigmoid, the cooling blend or a segment join, and each plateau
+sample from its level's Horner sum.  Here each block is only measured, as
+it is yielded: metrics (one array per metric) and limit pass masks, and in
+the joint sweeps reflow area and symmetry, once on its samples.
+
 The joint sweeps enumerate the setpoint lattice as one array and group its
 rows by the segment geometry of their ambient profiles, with one template
-profile per group.  At each belt speed they evaluate a group's rows as one
-2-D array, on the plateau-compacted kernel (``thermal._Plateaus``): field,
-forcing and Horner sums only for the samples that touch a sigmoid, the
-cooling blend or a segment join, laid out once per geometry and speed, and
-each plateau sample from its level's Horner sum.  Each RK4 block of rows
-is measured as it is integrated: metrics (one array per metric), limit pass
-masks, reflow area and symmetry run once on its samples.  Rows never mix, so
-each candidate equals the one the per-candidate chain (build_profile,
-simulate, compute_metrics, check_limits, reflow_area, symmetry_score)
-builds, bit for bit; the scalar functions are the one-row cases of the
-same kernels.
-Reductions use total deterministic orderings, so results do not depend on
-evaluation order or on the worker count.
+profile per group; at each belt speed, a group's rows are the profiles of
+the generator's blocks.  Rows never mix, so each candidate equals the one the
+per-candidate chain (build_profile, simulate, compute_metrics,
+check_limits, reflow_area, symmetry_score) builds, bit for bit; the scalar
+functions are the one-row cases of the same kernels.  Reductions use total
+deterministic orderings, so results do not depend on evaluation order or
+on the worker count.
 
-The speed sweep evaluates its one profile at every grid speed as rows of
-padded 2-D arrays: per RK4 block, the recursion on the same kernel
-(``thermal.simulate_speeds``), then metrics and limit masks on its samples,
-each row over its own.  Padding only follows a row's end and the recursion
-is causal, so each SpeedCheck equals the one the per-speed chain
-(build_profile, simulate, compute_metrics, check_limits) builds, bit for
-bit.
+The speed sweep evaluates its one profile at every grid speed: the
+generator's blocks are padded rows of speeds, each measured over its own
+samples.  Padding only follows a row's end and the recursion is causal, so
+each SpeedCheck equals the one the per-speed chain (build_profile,
+simulate, compute_metrics, check_limits) builds, bit for bit.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from itertools import product
 
 import numpy as np
 
-from .ambient import _assemble, _gathered_levels, _geometry_groups, build_profile
+from .ambient import _assemble, _gathered_levels, _geometry_groups, _level_columns, build_profile
 from .limits import (
     MELT_C,
     LimitVerdict,
@@ -64,20 +64,13 @@ from .thermal import (
     ThermalTrace,
     WeldingModel,
     _Buffers,
-    _Plateaus,
-    _rk4_coefficients,
-    _view,
     check_step,
+    rk4_blocks,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
-    simulate_speeds,
-    step_counts,
 )
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
 DEFAULT_OFFSET_STEP = 0.5
-# Bytes of a block's largest array per stage (its field at the nodes, say);
-# sets how many rows an RK4 block holds (``_rk4_rows``).
-_BLOCK_BYTES = 1 << 18
 # Most values one grid holds, and most candidates (setpoint combinations x
 # speeds) one joint sweep evaluates: both are checked before anything that
 # size is built.
@@ -213,13 +206,21 @@ def _symmetry_rows(times, temps, offset_step: float, melt=None):
 
     The k offset pairs of all rows with one pass are interpolated at once,
     in a rows x max(k) array; each row's squares are summed over its own k
-    columns, as ``symmetry_score`` sums them.
+    columns, as ``symmetry_score`` sums them.  A step that is not positive
+    and finite, or a k above _MAX_GRID, is refused before that array exists.
     """
+    if not (math.isfinite(offset_step) and offset_step > 0):
+        raise ValueError(f"offset_step must be positive and finite, got {offset_step}")
     passes, t1s, t2s = _melt_passes(times, temps, melt)
     one = np.flatnonzero(passes == 1)
     t1, t2 = t1s[one], t2s[one]
     center = (0.5 * (t1 + t2))[:, None]
-    k = np.floor(0.5 * (t2 - t1) / offset_step + 1e-9).astype(np.int64)
+    with np.errstate(over="ignore"):  # a subnormal step gives inf, refused below
+        k = np.floor(0.5 * (t2 - t1) / offset_step + 1e-9)
+    if not k.max(initial=0) <= _MAX_GRID:
+        raise ValueError(f"offset_step = {offset_step:g} makes {k.max():.0f} symmetry pairs; "
+                         f"the limit is {_MAX_GRID}")
+    k = k.astype(np.int64)
     offsets = (np.arange(k.max(initial=0)) + 1) * offset_step
     left = _interp_rows(center - offsets, times, temps[one])
     right = _interp_rows(center + offsets, times, temps[one])
@@ -251,8 +252,11 @@ def symmetry_score(trace: ThermalTrace, offset_step: float = DEFAULT_OFFSET_STEP
     Raises
     ------
     ValueError
-        If the trace never exceeds 217 degC, or exceeds it on more than one
-        disjoint interval.
+        If offset_step is not positive and finite (before anything is
+        computed), or if the pass holds more than _MAX_GRID (1,000,000)
+        pairs (before they are built); both name the step.  If the trace
+        never exceeds 217 degC, or exceeds it on more than one disjoint
+        interval.
     """
     scores, passes = _symmetry_rows(trace.times, trace.temps[None], offset_step)
     if passes[0] == 0:
@@ -302,33 +306,24 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through ``thermal.simulate_speeds``'s plateau-compacted
-    kernel in RK4 blocks of ``_rk4_rows`` rows.  Each block's samples are as
-    wide as its longest row; the metrics and the limit masks run on them
-    once per block, each row over its own samples.  Every block reuses the
-    same buffers.
+    Speeds go through ``thermal.rk4_blocks`` in RK4 blocks that share one
+    set of buffers.  Each block's samples are as wide as its longest row;
+    the metrics and the limit masks run on them once per block, each row
+    over its own samples.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
-    speed_rows = np.array(speeds)
-    n = int(step_counts(profile.total_length_cm, speed_rows, grid.dt).max())
-    times = np.arange(n // grid.stride + 1) * grid.dt_out
-    # every speed's compacted row, padded to the slowest: no block's rows
-    # need more
-    plan = _Plateaus(profile, speed_rows, grid.dt, grid.stride, n)
-    block = _rk4_rows(plan)
-    buffers = plan.buffers(block, block * len(times))
     per_speed = []
-    for lo in range(0, len(speeds), block):
-        temps, lengths = simulate_speeds(profile, params.tt5, model, grid,
-                                         speed_rows[lo : lo + block], buffers)
-        metrics = metrics_rows(times[: temps.shape[1]], temps, grid.dt_out, lengths)
+    for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), [params.tt5],
+                                               model, grid, speeds, _Buffers()):
+        times = np.arange(temps.shape[1]) * grid.dt_out
+        metrics = metrics_rows(times, temps, grid.dt_out, lengths)
         # the verdicts hold the very values of the rows' TraceMetrics
         row_metrics = list(metrics)
-        per_speed += map(SpeedCheck, speeds[lo : lo + block], row_metrics,
+        per_speed += map(SpeedCheck, speeds[block], row_metrics,
                          verdict_rows(row_metrics, metrics, limits))
     feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
@@ -360,26 +355,6 @@ class OptimizationResult:
     rejected_from_objective: int = 0
 
 
-def _rk4_rows(plan: _Plateaus) -> int:
-    """Rows of an RK4 block on the plan: as many as keep its largest array
-    per stage within _BLOCK_BYTES, at least one.  That array is the nodes
-    of a row's varying samples (s + 1 per sample) or its samples, at the
-    row that needs the most."""
-    row_floats = max(int(plan.varying_counts().max()) * (plan.stride + 1), plan.k_end + 1)
-    return max(1, _BLOCK_BYTES // (8 * row_floats))
-
-
-def _block_buffers() -> _Buffers:
-    """Buffers for the blocks of a joint sweep: they hold every RK4 block
-    whose largest array per stage fits _BLOCK_BYTES, and its samples.
-    The compacted field has 2s + 1 stages per varying sample against the
-    s + 1 nodes that size the block, so it takes less than twice that; the
-    forcing and the samples take it once.  A larger block grows them.
-    """
-    floats = _BLOCK_BYTES // 8
-    return _Buffers(stages=2 * floats, forcing=floats, samples=floats)
-
-
 def _evaluate_group(
     model: WeldingModel,
     grid: SimulationGrid,
@@ -395,35 +370,19 @@ def _evaluate_group(
     Without buffers it makes its own.  Top-level so process pools can
     pickle it.
 
-    At each speed, the plateau-compacted kernel (``thermal._Plateaus``)
-    lays out the samples once: the stage positions of those that touch a
-    sigmoid, the cooling blend or a segment join, what of their field
-    depends on position alone, and the Horner sums inside the cooling
-    blend, which are the same for every profile.  Rows then go through in
-    RK4 blocks of ``_rk4_rows`` rows, all in the same buffers, grown here
-    when too small.  Metrics, limit checks, reflow area and symmetry run
-    once per RK4 block, on one crossing of the melting line.
+    At each speed, ``thermal.rk4_blocks`` lays out the samples once and
+    yields the rows in RK4 blocks, all in the same buffers.  Metrics, limit
+    checks, reflow area and symmetry run once per RK4 block, on one
+    crossing of the melting line.
     """
     template, rows, levels = job
-    buffers = buffers if buffers is not None else _block_buffers()
-    s = grid.stride
-    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+    buffers = buffers if buffers is not None else _Buffers()
     y0 = np.array([row[4] for row in rows], dtype=float)
     per_row = [[] for _ in rows]
     for speed in speeds:
-        one = np.array([speed])
-        n_steps = int(step_counts(template.total_length_cm, one, grid.dt)[0])
-        plan = _Plateaus(template, one, grid.dt, s, n_steps)
-        # the samples the kernel keeps: every stride-th node
-        times = np.arange(n_steps // s + 1) * grid.dt_out
-        xs = _area_axis(area_domain, times, (speed / 60.0) * times)
-        block = _rk4_rows(plan)
-        plan.buffers(block, block * len(times), buffers)
-        field = plan.field(buffers)
-        for lo in range(0, len(rows), block):
-            part = slice(lo, lo + block)
-            temps = _view(buffers.samples, (len(levels[part]), len(times)))
-            plan.integrate(field, levels[part], y0[part], coefficients, buffers, temps)
+        for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed], buffers):
+            times = np.arange(temps.shape[1]) * grid.dt_out
+            xs = _area_axis(area_domain, times, (speed / 60.0) * times)
             melt = _super_level_segments(temps, MELT_C)
             metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
             feasible = check_rows(metrics, limits).all(axis=0).tolist()
@@ -491,7 +450,7 @@ def _sweep_grid(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(evaluate, [job for _, job in jobs]))
     else:
-        buffers = _block_buffers()
+        buffers = _Buffers()
         batches = [evaluate(job, buffers) for _, job in jobs]
     per_row = [None] * len(rows)
     for (idx, _), batch in zip(jobs, batches):

@@ -24,11 +24,12 @@ The one RK4 kernel (``_Plateaus``) therefore evaluates the field, forcing
 and Horner sums only for the samples that touch a sigmoid, the cooling
 blend or a segment join; a sample inside a plateau takes its level's sum,
 computed by the same operations, so every value is bit-identical to the
-recursion on the field at every node and midpoint.  It serves one profile
-at one speed (``simulate``), at several speeds (``simulate_speeds``) and
-the profiles of one segment geometry at one speed (the joint sweep).  A
-forward-Euler reference integrator is kept as a deliberately simple,
-loop-based oracle.
+recursion on the field at every node and midpoint.  One generator,
+``rk4_blocks``, runs it in RK4 blocks of rows: one profile at many speeds
+(the speed sweep), the profiles of one segment geometry at one speed (the
+joint sweep), and one profile at one speed (``simulate``, its one-row
+case).  A forward-Euler reference integrator is kept as a deliberately
+simple, loop-based oracle.
 """
 
 from __future__ import annotations
@@ -57,6 +58,9 @@ _MAX_STEPS = 2_000_000
 # columns (which bounds the length of one cumulative sum).
 _CHUNK_GROWTH = 4.0
 _MAX_CHUNK = 4096
+# Bytes of an RK4 block's largest array per stage (its field at the nodes,
+# say); sets how many rows a block holds (``_Plateaus.block_rows``).
+_BLOCK_BYTES = 1 << 18
 # Largest e = coefficient * dt (exclusive) that ``check_step`` accepts: the
 # root of 1 - e + e^2/2 - e^3/4, where Ba = (e/6) * (1 - e + e^2/2 - e^3/4)
 # changes sign.
@@ -328,16 +332,14 @@ class _Buffers:
 
     All are parts of one allocation: glibc keeps that block for the next
     sweep, where separate ones went back to the system and were faulted in
-    again on every call.  Regions are sized by name; without any, every
-    block allocates its own arrays.
+    again on every call.  ``_Plateaus.block_rows`` reserves them; until
+    then, every block allocates its own arrays.
     """
 
     _NAMES = ("stages", "forcing", "samples")
 
-    def __init__(self, **sizes):
+    def __init__(self):
         self.stages = self.forcing = self.samples = None
-        if sizes:
-            self.reserve(**sizes)
 
     def reserve(self, **sizes) -> "_Buffers":
         """Make each named region hold at least its number of floats.  When
@@ -377,6 +379,20 @@ def _reach(rate, starts, dt: float, stride: int, k_end: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def _runs(reach: np.ndarray, k_end: int) -> np.ndarray:
+    """Per row, the lengths of its runs of samples (see ``_Plateaus``) when
+    rows are padded to k_end samples, from ``_reach``.  A row's reach is at
+    most its own K + 1, whose position lies past the furnace end, so any
+    k_end of a block that holds the row fits it."""
+    first = np.minimum(reach, k_end)
+    bounds = np.empty((len(reach), 2 * first.shape[1] + 1), dtype=np.int64)
+    bounds[:, 0:-1:2] = first
+    # the sample across a join ends at the next segment's first kept node
+    bounds[:, 1:-2:2] = np.maximum(reach[:, 1:] - 1, first[:, :-1])
+    bounds[:, -2:] = k_end
+    return bounds[:, 1:] - bounds[:, :-1]
+
+
 # The run code of the samples that need each profile's own field; a plateau's
 # samples carry the column of its Horner sum (0, 1, ...), and those inside
 # the cooling blend segment i carry -2 - i.
@@ -387,20 +403,19 @@ class _Plateaus:
     """The plateau-compacted RK4 kernel: how the samples of rows at several
     belt speeds lie on the segments of one segment geometry (see
     ``ambient.geometry_key``), and the samples of profiles with that
-    geometry computed from it.  It serves one profile at one speed
-    (``simulate``), one profile at many speeds (the speed sweep) and many
-    profiles at one speed (a geometry group of the joint sweep): profile
-    p's row at speed r is output row p * speeds + r.
+    geometry computed from it, a block of speeds at a time
+    (``rk4_blocks``): profile p's row at speed r of a block is output row
+    p * speeds + r.
 
-    Sample k of a row (k < K = n // stride, the row's Horner sums) spans the
-    steps from kept node k to kept node k + 1 (nodes k*s and (k+1)*s): those
-    nodes and the midpoints between.  Positions only grow along a row, so
-    the sample lies wholly inside a segment when both its kept nodes do.
-    Each row's samples fall into runs, in order: segment i's inside
-    samples, then the one across the join after it (none when no kept node
-    lies in the next segment).  ``counts`` holds each run's length.  Rows
-    are padded to n steps past their own end, where the positions stay at
-    the furnace end.
+    Sample k of a row (k < K, the row's Horner sums; K = n // stride for
+    n steps) spans the steps from kept node k to kept node k + 1 (nodes k*s
+    and (k+1)*s): those nodes and the midpoints between.  Positions only
+    grow along a row, so the sample lies wholly inside a segment when both
+    its kept nodes do.  Each row's samples fall into runs, in order: segment
+    i's inside samples, then the one across the join after it (none when no
+    kept node lies in the next segment).  ``_runs`` gives each run's length.
+    A block's rows are padded to the K of its slowest row, where the
+    positions stay at the furnace end.
 
     Samples are of three kinds, told apart by their run's code (``codes``):
 
@@ -413,20 +428,16 @@ class _Plateaus:
       the geometry, so the Horner sum is computed once.
     """
 
-    def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int,
-                 n: int):
+    def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int):
         s = stride
-        self.template, self.dt, self.stride, self.k_end = template, dt, s, n // s
+        n_steps = step_counts(template.total_length_cm, speeds, dt)
+        self.template, self.dt, self.stride = template, dt, s
+        # each row's samples, its kept nodes 0..K
+        self.lengths = n_steps // s + 1
+        self.k_end = int(self.lengths.max()) - 1
         # rate * t is position_at_time(speed, t), bit for bit
         self.rate = cm_per_second(speeds)
-        reach = _reach(self.rate[:, None], template._starts, dt, s, self.k_end)
-        first = np.minimum(reach, self.k_end)
-        bounds = np.empty((len(speeds), 2 * first.shape[1] + 1), dtype=np.int64)
-        bounds[:, 0:-1:2] = first
-        # the sample across a join ends at the next segment's first kept node
-        bounds[:, 1:-2:2] = np.maximum(reach[:, 1:] - 1, first[:, :-1])
-        bounds[:, -2:] = self.k_end
-        self.counts = bounds[:, 1:] - bounds[:, :-1]
+        self.reach = _reach(self.rate[:, None], template._starts, dt, s, self.k_end)
         codes, self.middles, self.blends = [], [], []
         for i, seg in enumerate(template.segments):
             if isinstance(seg, ConstantSegment):
@@ -441,23 +452,29 @@ class _Plateaus:
         self.codes = np.array(codes)
 
     def varying_counts(self) -> np.ndarray:
-        """Per row, the samples that need their own field."""
-        return self.counts[:, self.codes < 0].sum(axis=1)
+        """Per row, the samples that need their own field when every row is
+        padded to the slowest; a block pads to its own slowest, so its rows
+        need no more."""
+        return _runs(self.reach, self.k_end)[:, self.codes < 0].sum(axis=1)
 
-    def buffers(self, rows: int, samples: int, buffers: _Buffers | None = None) -> _Buffers:
-        """Buffers that hold the compacted arrays of any ``rows`` output rows
-        and ``samples`` samples: ``buffers`` grown where too small, or new
-        ones."""
-        most = rows * (int(self.varying_counts().max(initial=0)) + len(self.middles))
-        s = self.stride
-        sizes = dict(stages=most * (2 * s + 1), forcing=most * (s + 1), samples=samples)
-        return (buffers if buffers is not None else _Buffers()).reserve(**sizes)
+    def block_rows(self, buffers: _Buffers) -> int:
+        """Output rows per RK4 block: as many as keep a block's largest array
+        per stage within _BLOCK_BYTES, at least one.  That array is the
+        nodes of a row's varying samples (s + 1 per sample) or its samples,
+        at the row that needs the most.  ``buffers`` are grown to hold the
+        compacted arrays and the samples of any block of that many rows."""
+        s, varying = self.stride, int(self.varying_counts().max())
+        rows = max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
+        most = rows * (varying + len(self.middles))
+        buffers.reserve(stages=most * (2 * s + 1), forcing=most * (s + 1),
+                        samples=rows * (self.k_end + 1))
+        return rows
 
-    def field(self, buffers: _Buffers):
-        """The field rows of one sample per plateau and of the own samples;
-        which column of their Horner sums (then of those inside the cooling
-        blend) each sample of each row takes; and the field of the samples
-        inside the cooling blend.
+    def field(self, buffers: _Buffers, speeds: slice):
+        """For the rows of a block of speeds: the field rows of one sample
+        per plateau and of the own samples; which column of their Horner
+        sums (then of those inside the cooling blend) each sample of each
+        row takes; and the field of the samples inside the cooling blend.
 
         A plateau's sample has every stage at the plateau's middle, so its
         Horner sum is that of any sample wholly inside it.  The s + 1 nodes
@@ -467,12 +484,15 @@ class _Plateaus:
         buffers, which are free again on return.
         """
         s, p = self.stride, len(self.middles)
+        k_end = int(self.lengths[speeds].max()) - 1
+        rate = self.rate[speeds]
         # each sample's run code, row after row
-        source = self.codes[None].repeat(len(self.rate), axis=0).repeat(self.counts.ravel())
+        source = self.codes[None].repeat(len(rate), axis=0).repeat(
+            _runs(self.reach[speeds], k_end).ravel())
         # the own samples, then the cooling blend's, segment by segment
         parts = [np.flatnonzero(source == code) for code in (_OWN, *(-2 - i for i in self.blends))]
         varying = np.concatenate(parts)
-        rows, samples = np.divmod(varying, self.k_end)
+        rows, samples = np.divmod(varying, k_end)
         x = _view(buffers.stages, (2 * s + 1, p + samples.size))
         x[:, :p] = self.middles
         stages = x[:, p:]
@@ -480,7 +500,7 @@ class _Plateaus:
         np.add(samples * float(s), (np.arange(2 * s + 1.0) % (s + 1))[:, None], out=stages)
         stages *= self.dt
         stages[s + 1 :] += 0.5 * self.dt
-        stages *= self.rate[rows]
+        stages *= rate[rows]
         np.minimum(stages, self.template.total_length_cm, out=stages)
         stop = end = p + parts[0].size
         for i, blend in zip(self.blends, parts[1:]):
@@ -488,14 +508,14 @@ class _Plateaus:
             x[:, cols] = self.template.segments[i].evaluate(x[:, cols])
             stop = cols.stop
         source[varying] = np.arange(p, p + varying.size)
-        return (FieldRows(self.template, x[:, :end]),
-                source.reshape(len(self.rate), self.k_end), x[:, end:].copy())
+        return (FieldRows(self.template, x[:, :end]), source.reshape(len(rate), k_end),
+                x[:, end:].copy())
 
-    def integrate(self, field, levels: np.ndarray, y0, coefficients, buffers: _Buffers,
-                  out: np.ndarray) -> np.ndarray:
-        """The RK4 samples of profiles with these ``_level_columns`` at every
-        speed, from ``field``, into out (profiles * speeds rows of K + 1
-        columns, one RK4 block); y0 is a scalar or one per output row.
+    def integrate(self, field, levels: np.ndarray, y0, coefficients,
+                  buffers: _Buffers) -> np.ndarray:
+        """The RK4 samples of profiles with these ``_level_columns`` at the
+        speeds of ``field``: profiles * speeds rows of K + 1 columns, one RK4
+        block, in ``buffers.samples``; y0 is a scalar or one per output row.
 
         Each profile's field at the plateau and own samples, then the
         cooling blend's, go through one ``_forcing_sums`` in the buffers, a
@@ -504,6 +524,7 @@ class _Plateaus:
         """
         s, profiles = self.stride, len(levels)
         own, source, blend = field
+        speeds, k_end = source.shape
         m = own.shape[1]
         width = profiles * m
         stages = _view(buffers.stages, (2 * s + 1, width + blend.shape[1]))
@@ -515,47 +536,54 @@ class _Plateaus:
         table = np.empty((profiles, m + blend.shape[1]))
         table[:, :m] = sums[:width].reshape(profiles, m)
         table[:, m:] = sums[width:]
-        g = out[:, 1 : self.k_end + 1].reshape(profiles, len(self.rate), self.k_end)
-        g[...] = table.take(source, axis=1)
-        return _sample_scan(out[:, : self.k_end + 1], coefficients[0] ** s, y0)
+        out = _view(buffers.samples, (profiles * speeds, k_end + 1))
+        out[:, 1:].reshape(profiles, speeds, k_end)[...] = table.take(source, axis=1)
+        return _sample_scan(out, coefficients[0] ** s, y0)
 
 
-def simulate_speeds(profile: AmbientProfile, y0: float, model: WeldingModel,
-                    grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None):
-    """RK4 traces of one profile at one or more belt speeds, one row per
-    speed.
+def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingModel,
+               grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None):
+    """RK4 traces of profiles that share ``template``'s segment geometry
+    (one ``_level_columns`` row and one start temperature y0 per profile)
+    at each belt speed, one RK4 block at a time: yields (profile slice,
+    speed slice, temps, lengths) per block.
 
-    Most of a trace crosses plateaus, where every step has the same forcing
-    and every sample between two kept nodes the same Horner sum.  So the
-    field, forcing and Horner sums are computed only for the samples that
-    touch a sigmoid, the cooling blend or a segment join (see
-    ``_Plateaus``), at their own stage positions; every other sample takes
-    its level's sum, computed once by the same operations
-    (``_forcing_sums``).  Where each row meets each segment start comes from
-    the exact position formula (``_reach``), and the field is what
-    ``ambient_at`` gives at each stage position.  So every sample equals,
-    bit for bit, what the RK4 recursion gives with the field evaluated at
-    every node and midpoint.
+    Row i of temps is the profile slice's profile i // m at its speed
+    slice's speed i % m, for the slice's m speeds.  It holds every
+    stride-th RK4 node, as many columns as the block's slowest row has
+    samples; lengths[r] is the sample count at speed r of the slice, and
+    past it a row holds padding.  The recursion is causal and rows never
+    mix, so a row's samples equal its one-row run bit for bit, which
+    equals the recursion with the field at every node and midpoint (see
+    ``_Plateaus``).
 
-    Returns every stride-th node of each row, as many columns as the
-    longest row has samples, and each row's sample count; row r is valid up
-    to its count.  Past its own step count a row holds padding, and the
-    recursion is causal, so its valid samples equal a one-row run bit for
-    bit.  ``buffers`` hold the compacted stage positions and fields
-    (``stages``), the forcing (``forcing``) and the samples (``samples``,
-    which the returned array views); a part too small for a block is
-    replaced by a new array.
+    Blocks run over the speeds of one profile when the speeds outnumber a
+    block's rows, and over profiles at every speed otherwise.  Each block
+    of speeds computes its field once, for all its profiles.  With
+    ``buffers``, blocks hold ``_Plateaus.block_rows`` rows and share those
+    buffers, so temps is overwritten by the next block: measure it before
+    asking for that.  Without, all rows are one block in arrays of its own;
+    a one-row run (``simulate``) therefore sizes and reserves nothing.
     """
-    speeds = np.atleast_1d(np.asarray(belt_speeds, dtype=float))
-    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
+    speeds = np.array(belt_speeds, dtype=float, ndmin=1)
+    plan = _Plateaus(template, speeds, grid.dt, grid.stride)
     check_step(model.coefficient, grid.dt)
-    buffers = buffers if buffers is not None else _Buffers()
-    n, s = int(n_steps.max()), grid.stride
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-    plan = _Plateaus(profile, speeds, grid.dt, s, n)
-    temps = plan.integrate(plan.field(buffers), _level_columns([profile]), y0, coefficients,
-                           buffers, _view(buffers.samples, (len(speeds), n // s + 1)))
-    return temps, n_steps // s + 1
+    y0 = np.asarray(y0, dtype=float)
+    if buffers is None:
+        buffers, rows = _Buffers(), len(levels) * len(speeds)
+    else:
+        rows = plan.block_rows(buffers)
+    per = min(rows, len(speeds))
+    for lo in range(0, len(speeds), per):
+        block = slice(lo, min(lo + per, len(speeds)))
+        field = plan.field(buffers, block)
+        for first in range(0, len(levels), rows // per):
+            part = slice(first, min(first + rows // per, len(levels)))
+            temps = plan.integrate(field, levels[part], y0[part].repeat(block.stop - lo),
+                                   coefficients, buffers)
+            yield part, block, temps, plan.lengths[block]
+        del field  # free before the next block's field is computed
 
 
 def simulate(
@@ -571,13 +599,14 @@ def simulate(
     stride-th integration node, i.e. samples every grid.dt_out seconds.
     Integration never evaluates the ambient field beyond the furnace end:
     stage positions are clipped to it.  This is the one-row case of
-    ``simulate_speeds``.
+    ``rk4_blocks``.
 
     Pure function: identical inputs produce bit-identical traces.
     """
     grid = grid if grid is not None else SimulationGrid()
     v = params.belt_speed
-    temps, _ = simulate_speeds(profile, params.tt5, model, grid, [v])
+    _, _, temps, _ = next(rk4_blocks(profile, _level_columns([profile]), [params.tt5], model,
+                                     grid, [v]))
     return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
 

@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from reflowsim import ambient_at, build_profile, inclusive_grid, load_trace_csv
-from reflowsim.cli import main
+from reflowsim.cli import build_parser, main
 from reflowsim.config import RunConfig, config_from_dict, load_config
 
 SMALL_SWEEP_YAML = """
@@ -300,6 +301,31 @@ oven:
         code, out, err = run_cli(capsys, "optimize-area", "--workers", "-3")
         assert code != 0 and out == ""
         assert "workers must be 0 (all cores) or positive, got -3" in err
+
+
+COMMON_FLAGS = ["-h", "--help", "--config", "--tt1", "--tt2", "--tt3", "--tt4", "--belt-speed",
+                "--coefficient", "--blend-weight", "--dt", "--dt-out", "--workers",
+                "--area-domain"]
+OWN_FLAGS = {
+    "field": ["--dx", "--out"],
+    "simulate": ["--out", "--verdict-csv"],
+    "check": ["trace", "--trace-belt-speed", "--verdict-csv"],
+    "calibrate": ["measured", "--trace-belt-speed", "--refine-rounds", "--fit-blend"],
+    "optimize-speed": ["--speed-step", "--candidates-csv"],
+    "optimize-area": ["--candidates-csv"],
+    "optimize-symmetry": ["--candidates-csv"],
+}
+
+
+def test_subcommand_option_strings_in_order():
+    """Each subcommand's options, positionals by name, in the order --help
+    lists them: the common flags first, then its own."""
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    assert list(subparsers.choices) == list(OWN_FLAGS)
+    for name, own in OWN_FLAGS.items():
+        got = [s for a in subparsers.choices[name]._actions for s in a.option_strings or [a.dest]]
+        assert got == COMMON_FLAGS + own, name
 
 
 def test_cli_import_loads_neither_the_pool_nor_yaml():

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reflowsim.optimize as optimize
+import reflowsim.thermal as thermal
 from reflowsim import (
     ParameterRanges,
     ProcessLimits,
@@ -281,7 +282,7 @@ def test_speed_sweep_does_not_depend_on_the_block_size(layout, monkeypatch):
     reference = feasible_speed_interval(layout, params, 0.8, 0.021, speed_step=0.3)
     assert len(reference.feasible_speeds) > 0
     for block_bytes in BLOCK_BYTES:
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(thermal, "_BLOCK_BYTES", block_bytes)
         assert feasible_speed_interval(layout, params, 0.8, 0.021, speed_step=0.3) == reference
 
 
@@ -295,7 +296,7 @@ def test_joint_sweep_does_not_depend_on_the_block_size(layout, monkeypatch, swee
     reference = sweep(layout, JOINT, 0.8, 0.021)
     assert reference.best is not None
     for block_bytes in BLOCK_BYTES:
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(thermal, "_BLOCK_BYTES", block_bytes)
         assert sweep(layout, JOINT, 0.8, 0.021) == reference
 
 

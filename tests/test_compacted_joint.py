@@ -142,7 +142,7 @@ def test_other_integration_grids(grid):
 def test_ragged_rk4_blocks(monkeypatch):
     # samples of 1 s: RK4 blocks of a few rows, so the groups of 42 and 3
     # rows leave ragged tails; each block is measured as it is integrated
-    monkeypatch.setattr(optimize, "_BLOCK_BYTES", 8 * 4 * 1000)
+    monkeypatch.setattr(thermal, "_BLOCK_BYTES", 8 * 4 * 1000)
     grid = SimulationGrid(0.1, 1.0)
     reference = assert_equals_both(GROUPS, sweep=most_symmetric, grid=grid)
     integrated, measured_rows = [], []

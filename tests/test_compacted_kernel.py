@@ -1,7 +1,7 @@
-"""The plateau-compacted RK4 kernel of ``thermal.simulate_speeds``.
+"""The plateau-compacted RK4 kernel and its block generator, ``thermal.rk4_blocks``.
 
-simulate_speeds computes positions, field, forcing and Horner sums only for
-the samples that touch a sigmoid, the cooling blend or a segment join; every
+The kernel computes positions, field, forcing and Horner sums only for the
+samples that touch a sigmoid, the cooling blend or a segment join; every
 sample wholly inside a plateau takes its level's Horner sum.  Its samples
 must equal, with exact float equality, what the full-field oracle of
 ``tests/helpers.py`` gives: ``stage_positions``, ``ambient_at`` at every
@@ -10,13 +10,14 @@ its one-row run.
 """
 
 from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import reflowsim.optimize as optimize
+import reflowsim.thermal as thermal
 from reflowsim import (
     OvenLayout,
     ParameterRanges,
@@ -29,9 +30,9 @@ from reflowsim import (
     inclusive_grid,
     simulate,
 )
-from reflowsim.ambient import ConstantSegment
+from reflowsim.ambient import ConstantSegment, _level_columns, geometry_key
 from reflowsim.oven import cm_per_second
-from reflowsim.thermal import _Plateaus, _reach, simulate_speeds, step_counts
+from reflowsim.thermal import _Buffers, _Plateaus, _reach, rk4_blocks, step_counts
 
 from helpers import full_field_rk4
 
@@ -52,20 +53,28 @@ def full_field(profile, y0, grid, speeds):
     return full_field_rk4(profile, y0, MODEL.coefficient, grid, speeds)
 
 
+def one_block(profile, y0, grid, speeds):
+    """The rows ``rk4_blocks`` yields for one profile at the speeds: without
+    buffers, one block padded to the slowest row, and each row's sample
+    count."""
+    [(_, _, temps, counts)] = rk4_blocks(profile, _level_columns([profile]), [y0], MODEL, grid,
+                                         speeds)
+    return temps, counts
+
+
 def assert_equals_full_field(profile, grid, speeds, y0=25.0):
-    temps, counts = simulate_speeds(profile, y0, MODEL, grid, speeds)
+    temps, counts = one_block(profile, y0, grid, speeds)
     assert np.array_equal(temps, full_field(profile, y0, grid, speeds))
     # each row alone gives the same samples
     for row, (v, count) in enumerate(zip(speeds, counts)):
-        alone, _ = simulate_speeds(profile, y0, MODEL, grid, [v])
+        alone, _ = one_block(profile, y0, grid, [v])
         assert np.array_equal(alone[0], temps[row, :count])
     return temps
 
 
 def plan_of(profile, grid, speeds):
     """The kernel's plan for the speeds, padded to the slowest."""
-    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
-    return _Plateaus(profile, np.array(speeds), grid.dt, grid.stride, int(n_steps.max()))
+    return _Plateaus(profile, np.array(speeds), grid.dt, grid.stride)
 
 
 def varying_samples(profile, grid, speeds):
@@ -138,12 +147,12 @@ def test_speed_sweep_in_ragged_blocks(monkeypatch):
     plan = plan_of(profile, grid, inclusive_grid(65.0, 66.2, 0.1))
     varying = plan.varying_counts()
     reference = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
-    monkeypatch.setattr(optimize, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
-    assert optimize._rk4_rows(plan) == 5
+    monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
+    assert plan.block_rows(_Buffers()) == 5
     result = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
     assert result == reference
     for check in result.per_speed:
-        trace, _ = simulate_speeds(profile, DEFAULT.tt5, MODEL, grid, [check.speed, 100.0])
+        trace, _ = one_block(profile, DEFAULT.tt5, grid, [check.speed, 100.0])
         alone = full_field(profile, DEFAULT.tt5, grid, [check.speed])
         assert np.array_equal(trace[0], alone[0])
 
@@ -168,11 +177,53 @@ def test_reach_is_a_sorted_search_of_the_kept_nodes(grid):
 
 
 def test_buffers_too_small_are_replaced():
+    # reserved for the two fastest rows alone: rk4_blocks grows them for all
     profile = build_profile(LAYOUT, DEFAULT, 0.8)
     grid = SimulationGrid()
-    plan_buffers = _Plateaus(profile, np.array(SPEEDS[:2]), 0.1, 5, 4020).buffers(2, 0)
-    small, _ = simulate_speeds(profile, 25.0, MODEL, grid, SPEEDS, plan_buffers)
-    assert np.array_equal(small, full_field(profile, 25.0, grid, SPEEDS))
+    buffers = _Buffers()
+    plan_of(profile, grid, SPEEDS[-2:]).block_rows(buffers)
+    small = buffers.samples.size
+    [(_, _, temps, _)] = rk4_blocks(profile, _level_columns([profile]), [25.0], MODEL, grid,
+                                    SPEEDS, buffers)
+    assert buffers.samples.size > small
+    assert np.array_equal(temps, full_field(profile, 25.0, grid, SPEEDS))
+
+
+def yielded_rows(profiles, y0, grid, speeds):
+    """Every (profile, speed) row ``rk4_blocks`` yields, in yield order, with
+    the block it came in, each checked against one-row ``simulate``."""
+    rows, blocks = [], []
+    for part, block, temps, lengths in rk4_blocks(profiles[0], _level_columns(profiles), y0,
+                                                  MODEL, grid, speeds, _Buffers()):
+        pairs = list(product(range(len(profiles))[part], range(len(speeds))[block]))
+        assert temps.shape[0] == len(pairs)
+        for row, (p, r) in enumerate(pairs):
+            params = ProcessParameters(tt5=y0[p], belt_speed=speeds[r])
+            alone = simulate(profiles[p], params, MODEL, grid).temps
+            assert lengths[r - block.start] == alone.size
+            assert np.array_equal(temps[row, : alone.size], alone)
+        rows += pairs
+        blocks.append(len(pairs))
+    return rows, blocks
+
+
+def test_rk4_blocks_cover_every_row_once(monkeypatch):
+    """Blocks of 5 rows: one profile at 13 speeds gives blocks of speeds,
+    7 profiles at one speed blocks of profiles, each with a ragged tail."""
+    grid = SimulationGrid()
+    speeds = inclusive_grid(65.0, 66.2, 0.1)
+    profile = build_profile(LAYOUT, DEFAULT, 0.8)
+    varying = plan_of(profile, grid, speeds).varying_counts()
+    monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
+    rows, blocks = yielded_rows([profile], [DEFAULT.tt5], grid, speeds)
+    assert rows == [(0, r) for r in range(13)] and blocks == [5, 5, 3]
+
+    profiles = [build_profile(LAYOUT, replace(DEFAULT, tt1=140.0 + 5 * i), 0.8) for i in range(7)]
+    assert len({geometry_key(p) for p in profiles}) == 1
+    assert plan_of(profile, grid, [65.0]).block_rows(_Buffers()) == 5
+    y0 = [20.0 + i for i in range(7)]
+    rows, blocks = yielded_rows(profiles, y0, grid, [65.0])
+    assert rows == [(p, 0) for p in range(7)] and blocks == [5, 2]
 
 
 RANGES = ParameterRanges()

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -148,6 +151,29 @@ class TestSymmetryScore:
 
     def test_default_trace_deterministic(self, default_trace):
         assert symmetry_score(default_trace) == symmetry_score(default_trace)
+
+    @pytest.mark.parametrize("step", [0.0, -0.5, math.nan, math.inf])
+    def test_step_not_positive_and_finite_is_refused(self, default_trace, step):
+        # without the check these scored 0.0, "perfectly symmetric"
+        with pytest.raises(ValueError, match=re.escape(f"positive and finite, got {step}")):
+            symmetry_score(default_trace, step)
+
+    @pytest.mark.parametrize("step, count", [(1e-12, r"\d+"), (5e-324, "inf")])
+    def test_too_many_pairs_are_refused_before_they_are_built(self, default_trace, step, count):
+        # 1e-12 s asks for about 3.6e13 pairs, hundreds of TiB if built; the
+        # pair count of a subnormal step overflows
+        with pytest.raises(ValueError, match=rf"offset_step = {step:g} makes {count} symmetry "
+                                             r"pairs; the limit is 1000000"):
+            symmetry_score(default_trace, step)
+
+    def test_pair_limit_is_inclusive(self, monkeypatch):
+        # the pass spans 5..25 s: 20 pairs at 0.5 s
+        trace = piecewise_trace(0.5, 70.0, [(0.0, 207.0), (15.0, 237.0), (30.0, 207.0)])
+        monkeypatch.setattr(optimize, "_MAX_GRID", 20)
+        assert symmetry_score(trace) == 0.0
+        monkeypatch.setattr(optimize, "_MAX_GRID", 19)
+        with pytest.raises(ValueError, match="makes 20 symmetry pairs; the limit is 19"):
+            symmetry_score(trace)
 
 
 class TestFeasibleSpeedInterval:

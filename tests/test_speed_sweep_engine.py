@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import reflowsim.optimize as optimize
+import reflowsim.thermal as thermal
 from reflowsim import (
     ProcessLimits,
     ProcessParameters,
@@ -25,7 +26,7 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.optimize import SpeedCheck, SpeedSweepResult
-from reflowsim.thermal import _Plateaus, simulate_speeds, step_counts
+from reflowsim.thermal import _Plateaus, rk4_blocks
 
 DEFAULT = ProcessParameters(tt1=165.0, tt2=185.0, tt3=225.0, tt4=265.0)
 # tt1 = tt2 and tt3 = tt4 merge plateaus: fewer segments, other boundaries
@@ -90,18 +91,18 @@ def test_speed_count_not_a_multiple_of_the_block(layout, monkeypatch):
     grid = SimulationGrid()
     speeds = np.array(inclusive_grid(65.0, 66.2, 0.1))
     profile = build_profile(layout, DEFAULT, 0.8)
-    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
-    plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
+    plan = _Plateaus(profile, speeds, grid.dt, grid.stride)
     row_floats = int(plan.varying_counts().max()) * (grid.stride + 1)
-    assert row_floats > n_steps.max() // grid.stride + 1  # more than the samples
-    monkeypatch.setattr(optimize, "_BLOCK_BYTES", 4 * 8 * row_floats)
+    assert row_floats > plan.k_end + 1  # more than the samples
+    monkeypatch.setattr(thermal, "_BLOCK_BYTES", 4 * 8 * row_floats)
     blocks = []
 
-    def counted(profile, y0, model, grid, speeds, *args):
-        blocks.append(len(speeds))
-        return simulate_speeds(profile, y0, model, grid, speeds, *args)
+    def counted(*args):
+        for part, block, temps, lengths in rk4_blocks(*args):
+            blocks.append(len(temps))
+            yield part, block, temps, lengths
 
-    monkeypatch.setattr(optimize, "simulate_speeds", counted)
+    monkeypatch.setattr(optimize, "rk4_blocks", counted)
     assert_matches_chain(layout, DEFAULT, speed_range=(65.0, 66.2))
     assert blocks == [4, 4, 4, 1]
 
@@ -109,7 +110,7 @@ def test_speed_count_not_a_multiple_of_the_block(layout, monkeypatch):
 def test_rows_do_not_depend_on_the_block_size(layout, monkeypatch):
     reference = feasible_speed_interval(layout, MERGED, 0.8, 0.021, speed_step=0.3)
     for block_bytes in (1, 100_000, 1 << 26):  # one row per block, a few, all in one
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(thermal, "_BLOCK_BYTES", block_bytes)
         assert feasible_speed_interval(layout, MERGED, 0.8, 0.021, speed_step=0.3) == reference
 
 

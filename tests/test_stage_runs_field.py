@@ -28,7 +28,7 @@ from reflowsim import (
 )
 from reflowsim.ambient import FieldRows, _level_columns
 from reflowsim.oven import default_layout
-from reflowsim.thermal import _Buffers, _Plateaus, step_counts
+from reflowsim.thermal import _Buffers, _Plateaus
 
 from helpers import stage_positions
 
@@ -54,9 +54,8 @@ def profile_of(temps, weight):
 def kernel_field(profile, speeds, grid):
     """Per row and sample, the field the compacted kernel takes at the
     sample's s + 1 nodes and s midpoints: shape (rows, samples, 2s + 1)."""
-    n_steps = step_counts(profile.total_length_cm, speeds, grid.dt)
-    plan = _Plateaus(profile, speeds, grid.dt, grid.stride, int(n_steps.max()))
-    own, source, blend = plan.field(_Buffers())
+    plan = _Plateaus(profile, speeds, grid.dt, grid.stride)
+    own, source, blend = plan.field(_Buffers(), slice(None))
     columns = np.concatenate((own.fill(_level_columns([profile]))[0], blend), axis=1)
     return columns[:, source].transpose(1, 2, 0)
 
@@ -82,7 +81,7 @@ speed_blocks = st.lists(st.integers(650, 1000), min_size=1, max_size=8).map(
 @example(temps=MERGED, weight=0.0, speeds=np.array([65.0, 82.3, 100.0]), grid=(0.1, 0.5))
 @example(temps=MERGED, weight=1.0, speeds=np.array([65.0]), grid=(5.0, 5.0))
 def test_stage_blocks_equal_ambient_at(temps, weight, speeds, grid):
-    """Padded blocks of rows as ``simulate_speeds`` lays them out.  At dt 5.0
+    """Padded blocks of rows as ``rk4_blocks`` lays them out.  At dt 5.0
     a step (5.4 cm and more) jumps over a whole 5 cm sigmoid gap."""
     profile = profile_of(temps, weight)
     grid = SimulationGrid(*grid)

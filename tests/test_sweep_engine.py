@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import reflowsim.optimize as optimize
+import reflowsim.thermal as thermal
 from reflowsim import (
     ParameterRanges,
     ProcessLimits,
@@ -103,7 +104,7 @@ def test_non_default_grid_limits_and_domain(layout):
 def test_block_size_does_not_change_results(layout, monkeypatch):
     reference = most_symmetric(layout, MERGED_TT1_TT2, 0.8, 0.021)
     for block_bytes in (1, 100_000):  # one row per block, then a few
-        monkeypatch.setattr(optimize, "_BLOCK_BYTES", block_bytes)
+        monkeypatch.setattr(thermal, "_BLOCK_BYTES", block_bytes)
         assert most_symmetric(layout, MERGED_TT1_TT2, 0.8, 0.021) == reference
 
 
