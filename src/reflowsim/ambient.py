@@ -457,13 +457,15 @@ def fit_blend_weight(
 
     Simulates the furnace once per candidate weight and scores each run by
     the mean squared error against the measured trace at its own timestamps.
+    params.belt_speed must be the trace's (``calibrate.check_trace_speed``).
     """
-    from .calibrate import align, discrepancy as _discrepancy
+    from .calibrate import align, check_trace_speed, discrepancy as _discrepancy
     from .thermal import SimulationGrid, WeldingModel, simulate
 
     candidates = list(weight_candidates)
     if not candidates:
         raise ValueError("weight_candidates must not be empty")
+    check_trace_speed(measured, params.belt_speed)
     grid = grid if grid is not None else SimulationGrid()
     model = WeldingModel(coefficient)
     scores = []

@@ -79,6 +79,19 @@ def pearson(pair: AlignedPair) -> float:
     return float(np.corrcoef(m, s)[0, 1])
 
 
+def check_trace_speed(measured: ThermalTrace, belt_speed: float,
+                      name: str = "params.belt_speed") -> None:
+    """Refuse to fit a trace recorded at another belt speed than the
+    simulations run at: ``name`` (what sets that speed) would otherwise
+    be fitted away by a wrong coefficient or weight.  Speeds within a
+    relative 1e-9 match, since trace files keep 10 significant digits."""
+    if not abs(measured.belt_speed - belt_speed) <= 1e-9 * abs(belt_speed):
+        raise ValueError(
+            f"the measured trace was recorded at belt speed {measured.belt_speed:g} cm/min, "
+            f"but {name} is {belt_speed:g} cm/min: simulate at the trace's speed"
+        )
+
+
 @dataclass(frozen=True)
 class CandidateScore:
     coefficient: float
@@ -118,7 +131,8 @@ def calibrate_coefficient(
         Sensor trace to fit.
     layout, params, weight
         Furnace geometry, setpoints and cooling-blend weight used for the
-        candidate simulations.
+        candidate simulations.  params.belt_speed must be the trace's
+        (``check_trace_speed``).
     candidates : iterable of float
         Coefficient grid to evaluate, e.g. 0.0200 to 0.0220 in steps of
         0.0005.
@@ -148,6 +162,7 @@ def calibrate_coefficient(
     if not (refine_factor >= 1 and float(refine_factor).is_integer()):
         raise ValueError(f"refine_factor must be an integer of at least 1, got {refine_factor}")
     refine_factor = int(refine_factor)
+    check_trace_speed(measured, params.belt_speed)
     grid = grid if grid is not None else SimulationGrid()
     profile = build_profile(layout, params, weight)
 

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from .ambient import build_profile, fit_blend_weight
-from .calibrate import calibrate_coefficient
+from .calibrate import calibrate_coefficient, check_trace_speed
 from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (
@@ -165,6 +165,7 @@ def cmd_check(args) -> int:
 def cmd_calibrate(args) -> int:
     cfg = _resolve_config(args)
     measured = load_trace_csv(args.measured, belt_speed=args.trace_belt_speed)
+    check_trace_speed(measured, cfg.params.belt_speed, "the run's belt speed (--belt-speed)")
     result = calibrate_coefficient(
         measured,
         cfg.layout,

@@ -63,7 +63,6 @@ from .thermal import (
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
-    _Buffers,
     check_step,
     rk4_blocks,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
@@ -306,10 +305,10 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through ``thermal.rk4_blocks`` in RK4 blocks that share one
-    set of buffers.  Each block's samples are as wide as its longest row;
-    the metrics and the limit masks run on them once per block, each row
-    over its own samples.
+    Speeds go through ``thermal.rk4_blocks`` in RK4 blocks of
+    ``_Plateaus.block_rows`` rows, each in arrays of its own.  Each block's
+    samples are as wide as its longest row; the metrics and the limit masks
+    run on them once per block, each row over its own samples.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
@@ -318,7 +317,7 @@ def feasible_speed_interval(
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
     per_speed = []
     for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), [params.tt5],
-                                               model, grid, speeds, _Buffers()):
+                                               model, grid, speeds):
         times = np.arange(temps.shape[1]) * grid.dt_out
         metrics = metrics_rows(times, temps, grid.dt_out, lengths)
         # the verdicts hold the very values of the rows' TraceMetrics
@@ -362,25 +361,22 @@ def _evaluate_group(
     area_domain: str,
     speeds: tuple[float, ...],
     job: tuple,
-    buffers: _Buffers | None = None,
 ) -> list[list[SweepCandidate]]:
     """Evaluate a job of setpoint rows whose profiles share one geometry_key
     at every sweep speed: (template profile, rows (tt1..tt5), their
     ``_level_columns``).  One list of candidates per row, in speed order.
-    Without buffers it makes its own.  Top-level so process pools can
-    pickle it.
+    Top-level so process pools can pickle it.
 
     At each speed, ``thermal.rk4_blocks`` lays out the samples once and
-    yields the rows in RK4 blocks, all in the same buffers.  Metrics, limit
-    checks, reflow area and symmetry run once per RK4 block, on one
-    crossing of the melting line.
+    yields the rows in RK4 blocks of ``_Plateaus.block_rows`` rows.
+    Metrics, limit checks, reflow area and symmetry run once per RK4 block,
+    on one crossing of the melting line.
     """
     template, rows, levels = job
-    buffers = buffers if buffers is not None else _Buffers()
     y0 = np.array([row[4] for row in rows], dtype=float)
     per_row = [[] for _ in rows]
     for speed in speeds:
-        for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed], buffers):
+        for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed]):
             times = np.arange(temps.shape[1]) * grid.dt_out
             xs = _area_axis(area_domain, times, (speed / 60.0) * times)
             melt = _super_level_segments(temps, MELT_C)
@@ -450,8 +446,7 @@ def _sweep_grid(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(evaluate, [job for _, job in jobs]))
     else:
-        buffers = _Buffers()
-        batches = [evaluate(job, buffers) for _, job in jobs]
+        batches = [evaluate(job) for _, job in jobs]
     per_row = [None] * len(rows)
     for (idx, _), batch in zip(jobs, batches):
         for i, cands in zip(idx.tolist(), batch):

@@ -25,7 +25,8 @@ and Horner sums only for the samples that touch a sigmoid, the cooling
 blend or a segment join; a sample inside a plateau takes its level's sum,
 computed by the same operations, so every value is bit-identical to the
 recursion on the field at every node and midpoint.  One generator,
-``rk4_blocks``, runs it in RK4 blocks of rows: one profile at many speeds
+``rk4_blocks``, runs it in RK4 blocks of rows, each in arrays of its own
+and with as many rows as ``_BLOCK_BYTES`` allows: one profile at many speeds
 (the speed sweep), the profiles of one segment geometry at one speed (the
 joint sweep), and one profile at one speed (``simulate``, its one-row
 case).  A forward-Euler reference integrator is kept as a deliberately
@@ -223,16 +224,6 @@ def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
     return n_steps.astype(np.int64)
 
 
-def _view(buffer, shape) -> np.ndarray:
-    """A C-contiguous array of the given shape: the start of a flat buffer
-    shared between blocks, or a new array without one or when it is too
-    small."""
-    size = math.prod(shape)
-    if buffer is None or buffer.size < size:
-        return np.empty(shape)
-    return buffer[:size].reshape(shape)
-
-
 def _chunk_width(b: float) -> int:
     """Columns per chunk of the sample scan with factor b: the most for
     which the scaled terms grow by at most _CHUNK_GROWTH, and no more than
@@ -319,39 +310,6 @@ def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g)
             g *= a
             g += f[..., j::stride]
     return g
-
-
-class _Buffers:
-    """Flat arrays that the blocks of one sweep share, so that their pages
-    are touched once per sweep, not once per block; each block takes the
-    start of each in its own shape (see ``_view``).  The plateau-compacted
-    kernel (``_Plateaus``) keeps the stage positions, then the field, of its
-    varying samples in ``stages`` and their forcing and Horner sums in
-    ``forcing``.  ``samples`` holds the samples of one RK4 block, which
-    are measured before the next block is integrated.
-
-    All are parts of one allocation: glibc keeps that block for the next
-    sweep, where separate ones went back to the system and were faulted in
-    again on every call.  ``_Plateaus.block_rows`` reserves them; until
-    then, every block allocates its own arrays.
-    """
-
-    _NAMES = ("stages", "forcing", "samples")
-
-    def __init__(self):
-        self.stages = self.forcing = self.samples = None
-
-    def reserve(self, **sizes) -> "_Buffers":
-        """Make each named region hold at least its number of floats.  When
-        one does not, all regions move to one new allocation, none smaller
-        than before; their contents are not kept."""
-        have = [0 if getattr(self, n) is None else getattr(self, n).size for n in self._NAMES]
-        want = [max(h, sizes.get(n, 0)) for n, h in zip(self._NAMES, have)]
-        if want != have:
-            flat = np.empty(sum(want))
-            for name, stop, n in zip(self._NAMES, np.cumsum(want).tolist(), want):
-                setattr(self, name, flat[stop - n : stop])
-        return self
 
 
 # the kept nodes just before and at an estimate of ``_reach``
@@ -457,20 +415,15 @@ class _Plateaus:
         need no more."""
         return _runs(self.reach, self.k_end)[:, self.codes < 0].sum(axis=1)
 
-    def block_rows(self, buffers: _Buffers) -> int:
+    def block_rows(self) -> int:
         """Output rows per RK4 block: as many as keep a block's largest array
         per stage within _BLOCK_BYTES, at least one.  That array is the
         nodes of a row's varying samples (s + 1 per sample) or its samples,
-        at the row that needs the most.  ``buffers`` are grown to hold the
-        compacted arrays and the samples of any block of that many rows."""
+        at the row that needs the most."""
         s, varying = self.stride, int(self.varying_counts().max())
-        rows = max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
-        most = rows * (varying + len(self.middles))
-        buffers.reserve(stages=most * (2 * s + 1), forcing=most * (s + 1),
-                        samples=rows * (self.k_end + 1))
-        return rows
+        return max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
 
-    def field(self, buffers: _Buffers, speeds: slice):
+    def field(self, speeds: slice):
         """For the rows of a block of speeds: the field rows of one sample
         per plateau and of the own samples; which column of their Horner
         sums (then of those inside the cooling blend) each sample of each
@@ -480,8 +433,10 @@ class _Plateaus:
         Horner sum is that of any sample wholly inside it.  The s + 1 nodes
         of the others, then their s midpoints, lie at rate * (j*dt [+ dt/2])
         (j*dt is exact in floats: j is an integer), one column per sample,
-        so each stage is a contiguous row.  Positions are computed in the
-        buffers, which are free again on return.
+        so each stage is a contiguous row.  The cooling blend's field is
+        copied out of the positions, so that they are freed on return
+        (``FieldRows`` keeps none of them) rather than held by a view while
+        the block is integrated.
         """
         s, p = self.stride, len(self.middles)
         k_end = int(self.lengths[speeds].max()) - 1
@@ -493,7 +448,7 @@ class _Plateaus:
         parts = [np.flatnonzero(source == code) for code in (_OWN, *(-2 - i for i in self.blends))]
         varying = np.concatenate(parts)
         rows, samples = np.divmod(varying, k_end)
-        x = _view(buffers.stages, (2 * s + 1, p + samples.size))
+        x = np.empty((2 * s + 1, p + samples.size))
         x[:, :p] = self.middles
         stages = x[:, p:]
         # j: k*s + 0..s at the nodes, then k*s + 0..s-1 at the midpoints
@@ -511,38 +466,37 @@ class _Plateaus:
         return (FieldRows(self.template, x[:, :end]), source.reshape(len(rate), k_end),
                 x[:, end:].copy())
 
-    def integrate(self, field, levels: np.ndarray, y0, coefficients,
-                  buffers: _Buffers) -> np.ndarray:
+    def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
         """The RK4 samples of profiles with these ``_level_columns`` at the
         speeds of ``field``: profiles * speeds rows of K + 1 columns, one RK4
-        block, in ``buffers.samples``; y0 is a scalar or one per output row.
+        block; y0 is a scalar or one per output row.
 
         Each profile's field at the plateau and own samples, then the
-        cooling blend's, go through one ``_forcing_sums`` in the buffers, a
-        column per sample; each sample of each output row then takes its
-        column's Horner sum.  Then ``_sample_scan``.
+        cooling blend's, go through one ``_forcing_sums``, a column per
+        sample; each sample of each output row then takes its column's
+        Horner sum.  Then ``_sample_scan``.
         """
         s, profiles = self.stride, len(levels)
         own, source, blend = field
         speeds, k_end = source.shape
         m = own.shape[1]
         width = profiles * m
-        stages = _view(buffers.stages, (2 * s + 1, width + blend.shape[1]))
+        stages = np.empty((2 * s + 1, width + blend.shape[1]))
         own.fill(levels, stages[:, :width].reshape(2 * s + 1, profiles, m).swapaxes(0, 1))
         stages[:, width:] = blend
-        forcing = _view(buffers.forcing, (s + 1, stages.shape[1]))
+        forcing = np.empty((s + 1, stages.shape[1]))
         sums = _forcing_sums(stages[: s + 1].T, stages[s + 1 :].T, coefficients, s,
                              forcing[:s].T, forcing[s:].T)[:, 0]
         table = np.empty((profiles, m + blend.shape[1]))
         table[:, :m] = sums[:width].reshape(profiles, m)
         table[:, m:] = sums[width:]
-        out = _view(buffers.samples, (profiles * speeds, k_end + 1))
+        out = np.empty((profiles * speeds, k_end + 1))
         out[:, 1:].reshape(profiles, speeds, k_end)[...] = table.take(source, axis=1)
         return _sample_scan(out, coefficients[0] ** s, y0)
 
 
 def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingModel,
-               grid: SimulationGrid, belt_speeds, buffers: _Buffers | None = None):
+               grid: SimulationGrid, belt_speeds):
     """RK4 traces of profiles that share ``template``'s segment geometry
     (one ``_level_columns`` row and one start temperature y0 per profile)
     at each belt speed, one RK4 block at a time: yields (profile slice,
@@ -557,31 +511,27 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
     equals the recursion with the field at every node and midpoint (see
     ``_Plateaus``).
 
-    Blocks run over the speeds of one profile when the speeds outnumber a
-    block's rows, and over profiles at every speed otherwise.  Each block
-    of speeds computes its field once, for all its profiles.  With
-    ``buffers``, blocks hold ``_Plateaus.block_rows`` rows and share those
-    buffers, so temps is overwritten by the next block: measure it before
-    asking for that.  Without, all rows are one block in arrays of its own;
-    a one-row run (``simulate``) therefore sizes and reserves nothing.
+    Blocks hold ``_Plateaus.block_rows`` rows, which bounds the memory of
+    one block; one row (``simulate``) is one block.  They run over the
+    speeds of one profile when the speeds outnumber a block's rows, and
+    over profiles at every speed otherwise.  Each block of speeds computes
+    its field once, for all its profiles.  Every block's arrays are its
+    own: a later block leaves the temps of an earlier one as they were.
     """
     speeds = np.array(belt_speeds, dtype=float, ndmin=1)
     plan = _Plateaus(template, speeds, grid.dt, grid.stride)
     check_step(model.coefficient, grid.dt)
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
     y0 = np.asarray(y0, dtype=float)
-    if buffers is None:
-        buffers, rows = _Buffers(), len(levels) * len(speeds)
-    else:
-        rows = plan.block_rows(buffers)
+    rows = plan.block_rows()
     per = min(rows, len(speeds))
     for lo in range(0, len(speeds), per):
         block = slice(lo, min(lo + per, len(speeds)))
-        field = plan.field(buffers, block)
+        field = plan.field(block)
         for first in range(0, len(levels), rows // per):
             part = slice(first, min(first + rows // per, len(levels)))
             temps = plan.integrate(field, levels[part], y0[part].repeat(block.stop - lo),
-                                   coefficients, buffers)
+                                   coefficients)
             yield part, block, temps, plan.lengths[block]
         del field  # free before the next block's field is computed
 
@@ -620,7 +570,9 @@ def euler_reference(
 
     Exists solely as an independent oracle for the RK4 path: first-order,
     no coefficient algebra, no filtering tricks.  Output is sampled at every
-    step (the trace's dt equals the integration dt).
+    step (the trace's dt equals the integration dt).  Steps with
+    e = coefficient * dt above 1 are refused: there a step is no longer a
+    weighted mean of y and the ambient, and the trace can overshoot it.
     """
     v = params.belt_speed
     if v <= 0:
@@ -628,6 +580,11 @@ def euler_reference(
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     q = model.coefficient
+    if not q * dt <= 1.0:
+        raise ValueError(
+            f"forward-Euler step is unstable: coefficient {q} * dt {dt} = e {q * dt:.6g}, "
+            "above 1, where a step is no longer a weighted mean of y and the ambient"
+        )
     total = profile.total_length_cm
     t_end = total * 60.0 / v
     n_steps = _capped(np.floor(t_end / dt + _TIME_EPS), "dt", dt,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,9 +16,11 @@ from reflowsim import (
     align,
     calibrate_coefficient,
     discrepancy,
+    fit_blend_weight,
     pearson,
     simulate,
 )
+from reflowsim.calibrate import check_trace_speed
 
 COARSE_GRID = [0.0200, 0.0205, 0.0210, 0.0215, 0.0220]
 
@@ -205,6 +209,23 @@ class TestCalibrateCoefficient:
                                              f"least 1, got {factor}"):
             calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
                                   refine_rounds=refine_rounds, refine_factor=factor)
+
+    def test_trace_at_another_speed_is_refused(self, layout, params, profile):
+        # params run at 70 cm/min; the trace was simulated at 90
+        measured = simulate(profile, replace(params, belt_speed=90.0), WeldingModel(0.021))
+        message = ("recorded at belt speed 90 cm/min, but params.belt_speed is 70 cm/min: "
+                   "simulate at the trace's speed")
+        with pytest.raises(ValueError, match=message):
+            calibrate_coefficient(measured, layout, params, 0.8, COARSE_GRID)
+        with pytest.raises(ValueError, match=message):
+            fit_blend_weight(measured, layout, params, 0.021, [0.8])
+
+    def test_trace_speed_matches_within_a_relative_1e9(self):
+        # trace files keep 10 significant digits of the speed
+        check_trace_speed(trace_from([25.0, 26.0], v=83.12345679), 83.123456789123)
+        with pytest.raises(ValueError, match="belt speed 83.1235 cm/min, but --belt-speed"):
+            check_trace_speed(trace_from([25.0, 26.0], v=83.123457), 83.123456789123,
+                              "--belt-speed")
 
     def test_integral_float_refine_factor_equals_the_int(self, layout, params, profile):
         measured = simulate(profile, params, WeldingModel(0.0212))

@@ -140,6 +140,18 @@ class TestCalibrateCommand:
         assert code == 0
         assert "best blend weight: 0.8000" in out
 
+    def test_trace_at_another_speed_exits_2(self, capsys, tmp_path):
+        trace_path = tmp_path / "measured.csv"
+        run_cli(capsys, "simulate", "--belt-speed", "90", "--out", str(trace_path))
+        code, out, err = run_cli(capsys, "calibrate", str(trace_path), "--refine-rounds", "0")
+        assert code == 2 and out == ""
+        assert ("recorded at belt speed 90 cm/min, but the run's belt speed (--belt-speed) "
+                "is 70 cm/min") in err
+        code, out, _ = run_cli(capsys, "calibrate", str(trace_path), "--refine-rounds", "0",
+                               "--belt-speed", "90")
+        assert code == 0
+        assert "best coefficient: 0.021000" in out
+
     def test_missing_file_names_path(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"
         code, _, err = run_cli(capsys, "calibrate", str(missing))

@@ -32,7 +32,7 @@ from reflowsim import (
 )
 from reflowsim.ambient import ConstantSegment, _level_columns, geometry_key
 from reflowsim.oven import cm_per_second
-from reflowsim.thermal import _Buffers, _Plateaus, _reach, rk4_blocks, step_counts
+from reflowsim.thermal import _Plateaus, _reach, rk4_blocks, step_counts
 
 from helpers import full_field_rk4
 
@@ -54,8 +54,8 @@ def full_field(profile, y0, grid, speeds):
 
 
 def one_block(profile, y0, grid, speeds):
-    """The rows ``rk4_blocks`` yields for one profile at the speeds: without
-    buffers, one block padded to the slowest row, and each row's sample
+    """The rows ``rk4_blocks`` yields for one profile at the speeds, which
+    fit one block: padded to the slowest row, and each row's sample
     count."""
     [(_, _, temps, counts)] = rk4_blocks(profile, _level_columns([profile]), [y0], MODEL, grid,
                                          speeds)
@@ -148,7 +148,7 @@ def test_speed_sweep_in_ragged_blocks(monkeypatch):
     varying = plan.varying_counts()
     reference = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
     monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
-    assert plan.block_rows(_Buffers()) == 5
+    assert plan.block_rows() == 5
     result = feasible_speed_interval(LAYOUT, DEFAULT, 0.8, 0.021, (65.0, 66.2))
     assert result == reference
     for check in result.per_speed:
@@ -176,25 +176,12 @@ def test_reach_is_a_sorted_search_of_the_kept_nodes(grid):
     assert np.any(estimate != want)
 
 
-def test_buffers_too_small_are_replaced():
-    # reserved for the two fastest rows alone: rk4_blocks grows them for all
-    profile = build_profile(LAYOUT, DEFAULT, 0.8)
-    grid = SimulationGrid()
-    buffers = _Buffers()
-    plan_of(profile, grid, SPEEDS[-2:]).block_rows(buffers)
-    small = buffers.samples.size
-    [(_, _, temps, _)] = rk4_blocks(profile, _level_columns([profile]), [25.0], MODEL, grid,
-                                    SPEEDS, buffers)
-    assert buffers.samples.size > small
-    assert np.array_equal(temps, full_field(profile, 25.0, grid, SPEEDS))
-
-
 def yielded_rows(profiles, y0, grid, speeds):
     """Every (profile, speed) row ``rk4_blocks`` yields, in yield order, with
     the block it came in, each checked against one-row ``simulate``."""
     rows, blocks = [], []
     for part, block, temps, lengths in rk4_blocks(profiles[0], _level_columns(profiles), y0,
-                                                  MODEL, grid, speeds, _Buffers()):
+                                                  MODEL, grid, speeds):
         pairs = list(product(range(len(profiles))[part], range(len(speeds))[block]))
         assert temps.shape[0] == len(pairs)
         for row, (p, r) in enumerate(pairs):
@@ -220,10 +207,27 @@ def test_rk4_blocks_cover_every_row_once(monkeypatch):
 
     profiles = [build_profile(LAYOUT, replace(DEFAULT, tt1=140.0 + 5 * i), 0.8) for i in range(7)]
     assert len({geometry_key(p) for p in profiles}) == 1
-    assert plan_of(profile, grid, [65.0]).block_rows(_Buffers()) == 5
+    assert plan_of(profile, grid, [65.0]).block_rows() == 5
     y0 = [20.0 + i for i in range(7)]
     rows, blocks = yielded_rows(profiles, y0, grid, [65.0])
     assert rows == [(p, 0) for p in range(7)] and blocks == [5, 2]
+
+
+def test_blocks_keep_their_rows_after_later_blocks(monkeypatch):
+    """Each block's temps are arrays of its own: once every block has been
+    yielded, each row of each still equals its one-row ``simulate``."""
+    grid = SimulationGrid()
+    speeds = inclusive_grid(65.0, 66.2, 0.1)
+    profile = build_profile(LAYOUT, DEFAULT, 0.8)
+    varying = plan_of(profile, grid, speeds).varying_counts()
+    monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
+    blocks = list(rk4_blocks(profile, _level_columns([profile]), [DEFAULT.tt5], MODEL, grid,
+                             speeds))
+    assert len(blocks) == 3
+    for _, block, temps, lengths in blocks:
+        for row, (v, count) in enumerate(zip(speeds[block], lengths)):
+            alone = simulate(profile, replace(DEFAULT, belt_speed=v), MODEL, grid).temps
+            assert np.array_equal(temps[row, :count], alone)
 
 
 RANGES = ParameterRanges()

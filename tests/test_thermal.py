@@ -290,6 +290,12 @@ class TestIntegrationBoundary:
         with pytest.raises(ValueError, match=r"dt = 0.000134 s needs 2785714 integration steps"):
             euler_reference(profile, params, WeldingModel(0.021), 402.0 / 3e6)
 
+    @pytest.mark.parametrize("coefficient, dt, e", [(0.021, 100.0, "2.1"), (0.5, 2.5, "1.25")])
+    def test_euler_reference_refuses_a_step_above_1(self, profile, params, coefficient, dt, e):
+        with pytest.raises(ValueError, match=f"forward-Euler step is unstable: coefficient "
+                                             rf"{coefficient} \* dt {dt} = e {e}, above 1"):
+            euler_reference(profile, params, WeldingModel(coefficient), dt)
+
     def test_resample_refuses_past_the_cap(self, default_trace):
         dt_out = default_trace.duration / (_MAX_STEPS + 10)
         with pytest.raises(ValueError, match=f"dt_out = {dt_out} s needs {_MAX_STEPS + 10} "
