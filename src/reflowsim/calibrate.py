@@ -14,7 +14,7 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulator
 
 
 @dataclass(frozen=True)
@@ -164,11 +164,11 @@ def calibrate_coefficient(
     refine_factor = int(refine_factor)
     check_trace_speed(measured, params.belt_speed)
     grid = grid if grid is not None else SimulationGrid()
-    profile = build_profile(layout, params, weight)
+    # one plan and field for every candidate: only the coefficient varies
+    run = simulator(build_profile(layout, params, weight), params, grid)
 
     def evaluate(q: float) -> CandidateScore:
-        sim = simulate(profile, params, WeldingModel(q), grid)
-        pair = align(measured, sim)
+        pair = align(measured, run(WeldingModel(q)))
         return CandidateScore(q, discrepancy(pair), pearson(pair))
 
     scores = [evaluate(q) for q in cands]

@@ -19,6 +19,10 @@ ZONE_KINDS = ("entry", "heated", "gap", "exit")
 
 SECONDS_PER_MINUTE = 60.0
 
+# The lowest temperature there is, in degC; no setpoint may lie below it.
+_ABSOLUTE_ZERO = -273.15
+_INF = math.inf
+
 
 @dataclass(frozen=True)
 class ZoneSpec:
@@ -100,11 +104,21 @@ class ProcessParameters:
     belt_speed: float = 70.0
 
     def __post_init__(self):
-        values = (self.tt1, self.tt2, self.tt3, self.tt4, self.tt5, self.belt_speed)
-        if not all(map(math.isfinite, values)):  # one cheap test: sweeps build many
+        # one chained comparison per field, which NaN and inf fail: sweeps
+        # build many of these
+        if not (_ABSOLUTE_ZERO <= self.tt1 < _INF and _ABSOLUTE_ZERO <= self.tt2 < _INF
+                and _ABSOLUTE_ZERO <= self.tt3 < _INF and _ABSOLUTE_ZERO <= self.tt4 < _INF
+                and _ABSOLUTE_ZERO <= self.tt5 < _INF and 0 < self.belt_speed < _INF):
             names = ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed")
-            name, value = next(nv for nv in zip(names, values) if not math.isfinite(nv[1]))
-            raise ValueError(f"{name} must be finite, got {value}")
+            values = (self.tt1, self.tt2, self.tt3, self.tt4, self.tt5, self.belt_speed)
+            for name, value in zip(names, values):
+                if not math.isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+            if not self.belt_speed > 0:
+                raise ValueError(f"belt_speed must be positive, got {self.belt_speed}")
+            name, value = next(nv for nv in zip(names, values) if nv[1] < _ABSOLUTE_ZERO)
+            raise ValueError(
+                f"{name} must be at least {_ABSOLUTE_ZERO} degC (absolute zero), got {value}")
 
     def slot_temperature(self, slot: str) -> float:
         try:

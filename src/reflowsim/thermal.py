@@ -26,11 +26,13 @@ blend or a segment join; a sample inside a plateau takes its level's sum,
 computed by the same operations, so every value is bit-identical to the
 recursion on the field at every node and midpoint.  One generator,
 ``rk4_blocks``, runs it in RK4 blocks of rows, each in arrays of its own
-and with as many rows as ``_BLOCK_BYTES`` allows: one profile at many speeds
-(the speed sweep), the profiles of one segment geometry at one speed (the
-joint sweep), and one profile at one speed (``simulate``, its one-row
-case).  A forward-Euler reference integrator is kept as a deliberately
-simple, loop-based oracle.
+and with as many rows as ``_BLOCK_BYTES`` allows, for both sweeps: one
+profile at many speeds (the speed sweep) and the profiles of one segment
+geometry at one speed (the joint sweep).  One profile at one speed is one
+row: ``simulator`` builds its plan and field once and integrates it for
+any number of welding models (calibration's candidates), and ``simulate``
+is its one-call case.  A forward-Euler reference integrator is kept as a
+deliberately simple, loop-based oracle.
 """
 
 from __future__ import annotations
@@ -108,13 +110,20 @@ def _check_timing(dt: float, belt_speed: float) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _check_finite(temps: np.ndarray) -> None:
+    if not np.isfinite(temps).all():
+        bad = np.flatnonzero(~np.isfinite(temps))
+        raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
+
+
 @dataclass(frozen=True)
 class ThermalTrace:
     """Uniformly sampled weld-center temperature series.
 
     times[i] = i * dt and positions[i] = (belt_speed/60) * times[i]; both are
-    validated on construction, so every trace in the system obeys the same
-    time/position bookkeeping.  Arrays are read-only.
+    validated on construction (or derived, for a trace of an RK4 row), so
+    every trace in the system obeys the same time/position bookkeeping.
+    Arrays are read-only.
     """
 
     dt: float
@@ -139,9 +148,7 @@ class ThermalTrace:
         expected_x = (self.belt_speed / 60.0) * times
         if not np.abs(positions - expected_x).max() <= 1e-9:
             raise ValueError("positions must satisfy x[i] = (belt_speed/60) * t[i]")
-        if not np.isfinite(temps).all():
-            bad = np.flatnonzero(~np.isfinite(temps))
-            raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
+        _check_finite(temps)
         for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
             arr = arr.copy()
             arr.setflags(write=False)
@@ -155,6 +162,23 @@ class ThermalTrace:
         times = np.arange(temps.size) * dt
         positions = (belt_speed / 60.0) * times
         return cls(dt, belt_speed, times, positions, temps)
+
+    @classmethod
+    def _of_row(cls, dt: float, belt_speed: float, temps: np.ndarray) -> "ThermalTrace":
+        """The trace of one RK4 row: a non-empty 1-D float array that nothing
+        else writes, at a dt and belt speed the plan has checked.  times and
+        positions are derived as ``from_temps`` derives them, so of
+        ``__post_init__``'s checks only the finite one is left, and no array
+        is copied."""
+        _check_finite(temps)
+        times = np.arange(temps.size) * dt
+        positions = (belt_speed / 60.0) * times
+        for arr in (times, positions, temps):
+            arr.setflags(write=False)
+        trace = object.__new__(cls)
+        vars(trace).update(dt=dt, belt_speed=belt_speed, times=times, positions=positions,
+                           temps=temps)
+        return trace
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -512,7 +536,7 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
     ``_Plateaus``).
 
     Blocks hold ``_Plateaus.block_rows`` rows, which bounds the memory of
-    one block; one row (``simulate``) is one block.  They run over the
+    one block; one row is one block.  They run over the
     speeds of one profile when the speeds outnumber a block's rows, and
     over profiles at every speed otherwise.  Each block of speeds computes
     its field once, for all its profiles.  Every block's arrays are its
@@ -536,6 +560,30 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
         del field  # free before the next block's field is computed
 
 
+def simulator(profile: AmbientProfile, params: ProcessParameters, grid: SimulationGrid):
+    """``simulate`` for many welding models at one profile, speed and grid:
+    returns a function of a ``WeldingModel`` that gives its trace, bit for
+    bit the trace ``simulate`` gives.
+
+    The plan, its one-row field, the level columns and the start
+    temperature do not depend on the coefficient, so they are built once,
+    here, and a grid error is raised here, before any model runs.  Each call
+    checks its own step (``check_step``) and integrates the one row.
+    """
+    v = params.belt_speed
+    plan = _Plateaus(profile, np.array([v], dtype=float), grid.dt, grid.stride)
+    field = plan.field(slice(0, 1))
+    levels = _level_columns([profile])
+
+    def run(model: WeldingModel) -> ThermalTrace:
+        check_step(model.coefficient, grid.dt)
+        temps = plan.integrate(field, levels, params.tt5,
+                               _rk4_coefficients(model.coefficient * grid.dt))
+        return ThermalTrace._of_row(grid.dt_out, v, temps[0])
+
+    return run
+
+
 def simulate(
     profile: AmbientProfile,
     params: ProcessParameters,
@@ -548,16 +596,13 @@ def simulate(
     the conveyor reaches the furnace end; the returned trace holds every
     stride-th integration node, i.e. samples every grid.dt_out seconds.
     Integration never evaluates the ambient field beyond the furnace end:
-    stage positions are clipped to it.  This is the one-row case of
-    ``rk4_blocks``.
+    stage positions are clipped to it.  This is the one-call case of
+    ``simulator``: one row of the plateau-compacted kernel, the rows that
+    ``rk4_blocks`` yields by the block.
 
     Pure function: identical inputs produce bit-identical traces.
     """
-    grid = grid if grid is not None else SimulationGrid()
-    v = params.belt_speed
-    _, _, temps, _ = next(rk4_blocks(profile, _level_columns([profile]), [params.tt5], model,
-                                     grid, [v]))
-    return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
+    return simulator(profile, params, grid if grid is not None else SimulationGrid())(model)
 
 
 def euler_reference(
@@ -575,8 +620,6 @@ def euler_reference(
     weighted mean of y and the ambient, and the trace can overshoot it.
     """
     v = params.belt_speed
-    if v <= 0:
-        raise ValueError(f"belt_speed must be positive, got {v}")
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be positive and finite, got {dt}")
     q = model.coefficient

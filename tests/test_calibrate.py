@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reflowsim.calibrate as calibrate_module
+import reflowsim.thermal as thermal
 from reflowsim import (
     AlignedPair,
     CalibrationResult,
@@ -14,6 +15,7 @@ from reflowsim import (
     ThermalTrace,
     WeldingModel,
     align,
+    build_profile,
     calibrate_coefficient,
     discrepancy,
     fit_blend_weight,
@@ -21,6 +23,8 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.calibrate import check_trace_speed
+
+from helpers import full_field_rk4
 
 COARSE_GRID = [0.0200, 0.0205, 0.0210, 0.0215, 0.0220]
 
@@ -204,7 +208,7 @@ class TestCalibrateCoefficient:
         def forbidden(*args, **kwargs):
             raise AssertionError("simulated before the refine_factor was checked")
 
-        monkeypatch.setattr(calibrate_module, "simulate", forbidden)
+        monkeypatch.setattr(calibrate_module, "simulator", forbidden)
         with pytest.raises(ValueError, match=f"refine_factor must be an integer of at "
                                              f"least 1, got {factor}"):
             calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
@@ -244,3 +248,84 @@ class TestCalibrateCoefficient:
         assert result.best_coefficient == 0.01
         with pytest.raises(ValueError, match="minimum"):
             CalibrationResult(0.03, scores)
+
+
+def reference_calibration(measured, layout, params, weight, candidates, grid, refine_rounds):
+    """``calibrate_coefficient`` written out: each candidate's trace from the
+    full-field oracle, scored by align, discrepancy and pearson; refinement
+    re-grids one step around the incumbent at a tenth of the step."""
+    profile = build_profile(layout, params, weight)
+
+    def score(q):
+        temps = full_field_rk4(profile, params.tt5, q, grid, [params.belt_speed])[0]
+        pair = align(measured, ThermalTrace.from_temps(grid.dt_out, params.belt_speed, temps))
+        return CandidateScore(q, discrepancy(pair), pearson(pair))
+
+    def best(scores):
+        return min(scores, key=lambda s: (s.discrepancy, s.coefficient))
+
+    scores = [score(q) for q in candidates]
+    seen = {round(q, 12) for q in candidates}
+    step = float(np.median(np.diff(sorted(set(candidates)))))
+    for _ in range(refine_rounds):
+        centre, step = best(scores).coefficient, step / 10
+        for k in range(-10, 11):
+            q = round(centre + k * step, 12)
+            if q > 0 and q not in seen:
+                seen.add(q)
+                scores.append(score(q))
+    return CalibrationResult(best(scores).coefficient, tuple(scores))
+
+
+class TestOnePlanPerCalibration:
+    """Every candidate of one calibration integrates on one plan and field."""
+
+    @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
+    @pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 0.5)])
+    @pytest.mark.parametrize("speed", [65.0, 78.3, 100.0])
+    def test_result_equals_the_full_field_reference(self, layout, speed, grid, refine_rounds):
+        params = ProcessParameters(170.0, 200.0, 230.0, 260.0, belt_speed=speed)
+        grid = SimulationGrid(*grid)
+        truth = full_field_rk4(build_profile(layout, params, 0.7), params.tt5, 0.02113, grid,
+                               [speed])[0]
+        noise = np.random.default_rng(7).normal(0.0, 0.05, truth.size)
+        measured = ThermalTrace.from_temps(grid.dt_out, speed, truth + noise)
+        result = calibrate_coefficient(measured, layout, params, 0.7, COARSE_GRID, grid,
+                                       refine_rounds=refine_rounds)
+        assert result == reference_calibration(measured, layout, params, 0.7, COARSE_GRID,
+                                               grid, refine_rounds)
+        assert len(result.scores) > 5 * refine_rounds
+
+    def test_a_candidate_at_the_step_bound_is_refused_when_it_runs(
+            self, layout, params, default_trace, monkeypatch):
+        aligned = []
+
+        def counted(measured, simulated):
+            aligned.append(simulated)
+            return align(measured, simulated)
+
+        monkeypatch.setattr(calibrate_module, "align", counted)
+        # at dt 1 the candidate's e is the bound itself, which is refused
+        grid = SimulationGrid(1.0, 1.0)
+        with pytest.raises(ValueError, match=(
+                rf"RK4 step is unstable: coefficient {thermal._MAX_E} \* dt 1.0 = e 1.2956, "
+                "at or above 1.29559774")):
+            calibrate_coefficient(default_trace, layout, params, 0.8,
+                                  [0.021, thermal._MAX_E, 0.022], grid, refine_rounds=0)
+        assert len(aligned) == 1  # the candidate before it ran
+
+    @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
+    def test_one_plan_per_calibration(self, layout, params, default_trace, monkeypatch,
+                                      refine_rounds):
+        plans = []
+
+        class Counted(thermal._Plateaus):
+            def __init__(self, *args, **kwargs):
+                plans.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(thermal, "_Plateaus", Counted)
+        result = calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
+                                       refine_rounds=refine_rounds)
+        assert len(plans) == 1
+        assert len(result.scores) > 5 * refine_rounds

@@ -32,7 +32,7 @@ from reflowsim import (
 )
 from reflowsim.ambient import ConstantSegment, _level_columns, geometry_key
 from reflowsim.oven import cm_per_second
-from reflowsim.thermal import _Plateaus, _reach, rk4_blocks, step_counts
+from reflowsim.thermal import _Plateaus, _reach, rk4_blocks, simulator, step_counts
 
 from helpers import full_field_rk4
 
@@ -281,3 +281,38 @@ def test_one_row_simulate_equals_the_full_field(temps, weight, speed, grid):
     assert np.array_equal(trace.temps, want)
     if grid.dt_out > 402.0:
         assert trace.temps.tolist() == [params.tt5]
+
+
+@pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 30.0)])
+@pytest.mark.parametrize("params", [DEFAULT, MERGED, replace(COLD, belt_speed=100.0)])
+def test_models_through_one_simulator_equal_separate_simulates(params, grid):
+    """One plan and field serve every model: each trace equals its own
+    ``simulate`` call, in every field, whatever ran before it."""
+    profile = build_profile(LAYOUT, params, 0.8)
+    grid = SimulationGrid(*grid)
+    run = simulator(profile, params, grid)
+    models = [WeldingModel(0.02), WeldingModel(0.0235), WeldingModel(0.02)]
+    traces = [run(model) for model in models]
+    for model, trace in zip(models, traces):
+        alone = simulate(profile, params, model, grid)
+        assert (trace.dt, trace.belt_speed) == (alone.dt, alone.belt_speed)
+        for name in ("times", "positions", "temps"):
+            assert np.array_equal(getattr(trace, name), getattr(alone, name))
+            assert not getattr(trace, name).flags.writeable
+    assert not np.array_equal(traces[0].temps, traces[1].temps)
+
+
+def test_kernel_traces_equal_their_from_temps_trace():
+    """A trace built from a kernel row skips ``__post_init__``'s timing checks
+    and copies, and still holds what ``from_temps`` derives."""
+    params = replace(DEFAULT, belt_speed=83.7)
+    trace = simulate(build_profile(LAYOUT, params, 0.8), params, MODEL)
+    again = thermal.ThermalTrace.from_temps(trace.dt, trace.belt_speed, trace.temps)
+    assert (trace.dt, trace.belt_speed) == (again.dt, again.belt_speed) == (0.5, 83.7)
+    for name in ("times", "positions", "temps"):
+        assert np.array_equal(getattr(trace, name), getattr(again, name))
+
+
+def test_kernel_traces_keep_the_finite_check():
+    with pytest.raises(ValueError, match="temps must be finite: sample 2 is nan"):
+        thermal.ThermalTrace._of_row(0.5, 70.0, np.array([25.0, 26.0, np.nan]))

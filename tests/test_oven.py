@@ -214,3 +214,28 @@ class TestProcessParameters:
     def test_rejects_non_finite(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite, got {value}"):
             ProcessParameters(**{name: value})
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, -70.0, 0])
+    def test_rejects_nonpositive_belt_speed(self, value):
+        with pytest.raises(ValueError, match=f"^belt_speed must be positive, got {value}$"):
+            ProcessParameters(belt_speed=value)
+
+    @pytest.mark.parametrize("value", [-273.16, -300.0, -1e9])
+    @pytest.mark.parametrize("name", ["tt1", "tt2", "tt3", "tt4", "tt5"])
+    def test_rejects_a_setpoint_below_absolute_zero(self, name, value):
+        message = rf"^{name} must be at least -273\.15 degC \(absolute zero\), got {value}$"
+        with pytest.raises(ValueError, match=message):
+            ProcessParameters(**{name: value})
+
+    def test_absolute_zero_and_any_positive_speed_are_accepted(self):
+        p = ProcessParameters(-273.15, -273.15, -273.15, -273.15, -273.15, 1e-9)
+        assert (p.tt1, p.belt_speed) == (-273.15, 1e-9)
+
+    def test_the_first_bad_field_is_named(self):
+        # a non-finite value before a bad speed, a bad speed before a cold setpoint
+        with pytest.raises(ValueError, match="tt4 must be finite, got nan"):
+            ProcessParameters(tt1=-300.0, tt4=float("nan"), belt_speed=0.0)
+        with pytest.raises(ValueError, match="belt_speed must be positive, got 0.0"):
+            ProcessParameters(tt1=-300.0, belt_speed=0.0)
+        with pytest.raises(ValueError, match="tt2 must be at least"):
+            ProcessParameters(tt2=-300.0, tt3=-400.0)

@@ -110,9 +110,9 @@ class TestSimulateDefaultScenario:
         assert trace.positions[-1] == pytest.approx(435.5, abs=1e-9)
 
     def test_rejects_nonpositive_speed(self, profile):
-        params = ProcessParameters(belt_speed=0.0)
-        with pytest.raises(ValueError, match="belt_speed"):
-            simulate(profile, params, WeldingModel(0.021))
+        # refused where the parameters are built, before simulate runs
+        with pytest.raises(ValueError, match="belt_speed must be positive, got 0.0"):
+            simulate(profile, ProcessParameters(belt_speed=0.0), WeldingModel(0.021))
 
 
 class TestEulerReference:
