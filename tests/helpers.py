@@ -11,6 +11,10 @@ node and midpoint, then reuses the library's ``_forcing_sums`` and
 ``_sample_scan``.  It is the bit-identity oracle of the plateau-compacted
 kernel, which must give the same floats, not merely close ones; the
 textbook loop above checks its arithmetic only to a tolerance.
+
+The trace CSV oracle (``write_trace_rows``, ``load_trace_rows``) formats and
+parses one row at a time with ``str.format`` and ``float()``: the library's
+chunked writer and loader must give the same bytes, arrays and messages.
 """
 
 from __future__ import annotations
@@ -274,3 +278,113 @@ def brute_force_joint_sweep(layout, ranges: ParameterRanges, weight, coefficient
             best_key = key
             best = ((tt1, tt2, tt3, tt4, v), area, sym)
     return best
+
+
+_SPEED_COMMENT = "# belt_speed_cm_min ="
+
+
+def write_trace_rows(trace: ThermalTrace, path) -> None:
+    """Trace CSV writer formatting each row's NumPy scalars with ``str.format``."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(f"{_SPEED_COMMENT} {trace.belt_speed:.10g}\n")
+        fh.write("t_s,x_cm,temp_c\n")
+        for t, x, temp in zip(trace.times, trace.positions, trace.temps):
+            fh.write("{:.6f},{:.6f},{:.6f}\n".format(t, x, temp))
+
+
+def load_trace_rows(path, belt_speed: float | None = None) -> ThermalTrace:
+    """Trace CSV loader converting each cell with ``float()``, row by row.
+
+    Same checks in the same order with the same messages as
+    ``load_trace_csv``; a leading byte-order mark is skipped, as there.
+    """
+    comment_speed = None
+    header = None
+    rows: list[tuple[int, list[str]]] = []
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                if line.startswith(_SPEED_COMMENT):
+                    text = line[len(_SPEED_COMMENT):].strip()
+                    try:
+                        comment_speed = float(text)
+                    except ValueError:
+                        raise ValueError(
+                            f"{path}: line {lineno}: belt speed comment {text!r} is not a number"
+                        ) from None
+                continue
+            if header is None:
+                header = line
+                continue
+            rows.append((lineno, line.split(",")))
+
+    if header not in ("t_s,x_cm,temp_c", "t_s,temp_c"):
+        raise ValueError(
+            f"{path}: malformed header {header!r}; expected "
+            f"'t_s,x_cm,temp_c' or 't_s,temp_c'"
+        )
+    n_cols = 3 if header == "t_s,x_cm,temp_c" else 2
+    if len(rows) < 2:
+        raise ValueError(f"{path}: need at least 2 data rows, got {len(rows)}")
+
+    data = np.empty((len(rows), n_cols))
+    for i, (lineno, cells) in enumerate(rows):
+        if len(cells) != n_cols:
+            raise ValueError(
+                f"{path}: row {lineno}: expected {n_cols} columns, got {len(cells)}"
+            )
+        try:
+            data[i] = [float(c) for c in cells]
+        except ValueError:
+            raise ValueError(f"{path}: row {lineno}: non-numeric value") from None
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        (lineno, cells), col = rows[bad[0][0]], bad[0][1]
+        raise ValueError(f"{path}: row {lineno}: non-finite value {cells[col].strip()!r}")
+
+    times = data[:, 0]
+    temps = data[:, -1]
+    if abs(times[0]) > 1e-6:
+        raise ValueError(
+            f"{path}: row {rows[0][0]}: time must start at 0, got {times[0]}"
+        )
+    deltas = np.diff(times)
+    bad = np.nonzero(deltas <= 0)[0]
+    if bad.size:
+        raise ValueError(
+            f"{path}: row {rows[bad[0] + 1][0]}: time is not strictly increasing"
+        )
+    dt = (times[-1] - times[0]) / (len(times) - 1)
+    drift = np.abs(times - np.arange(len(times)) * dt)
+    bad = np.nonzero(drift > 1e-6)[0]
+    if bad.size:
+        raise ValueError(
+            f"{path}: row {rows[bad[0]][0]}: non-uniform time spacing "
+            f"(off the uniform grid by {drift[bad[0]]:.3g} s)"
+        )
+
+    speed = belt_speed if belt_speed is not None else comment_speed
+    if speed is None and n_cols == 3:
+        if times[-1] <= 0:
+            raise ValueError(f"{path}: cannot infer belt speed from a zero-length trace")
+        speed = 60.0 * data[-1, 1] / times[-1]
+    if speed is None:
+        raise ValueError(
+            f"{path}: no x column and no belt speed given; pass belt_speed "
+            f"or add a '{_SPEED_COMMENT} ...' comment"
+        )
+    if not (np.isfinite(speed) and speed > 0):
+        raise ValueError(f"{path}: belt_speed must be positive and finite, got {speed}")
+
+    if n_cols == 3:
+        expected_x = (speed / 60.0) * np.arange(len(times)) * dt
+        bad = np.nonzero(np.abs(data[:, 1] - expected_x) > 1e-3)[0]
+        if bad.size:
+            raise ValueError(
+                f"{path}: row {rows[bad[0]][0]}: x column inconsistent with "
+                f"belt speed {speed:g} cm/min"
+            )
+    return ThermalTrace.from_temps(dt, speed, temps)

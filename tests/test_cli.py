@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reflowsim import ambient_at, build_profile, inclusive_grid, load_trace_csv
+from reflowsim import ambient_at, build_profile, cli, inclusive_grid, load_trace_csv
 from reflowsim.cli import build_parser, main
 from reflowsim.config import RunConfig, config_from_dict, load_config
 
@@ -340,17 +340,114 @@ def test_subcommand_option_strings_in_order():
         assert got == COMMON_FLAGS + own, name
 
 
-def test_cli_import_loads_neither_the_pool_nor_yaml():
-    # what `import reflowsim.cli` loads beyond numpy: the process pool's
-    # modules load with workers > 1, yaml with a configuration file
+def _python(code: str) -> str:
+    """Stdout of ``python -c code`` in a fresh process that imports this tree."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, numpy; before = set(sys.modules); import reflowsim.cli; "
-            "print(' '.join(sorted(set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = done.stdout.split()
+    return done.stdout
+
+
+def test_cli_import_loads_neither_the_pool_nor_yaml():
+    # what `import reflowsim.cli` loads beyond numpy: the process pool's
+    # modules load with workers > 1, yaml with a configuration file
+    loaded = _python("import sys, numpy; before = set(sys.modules); import reflowsim.cli; "
+                     "print(' '.join(sorted(set(sys.modules) - before)))").split()
     assert "reflowsim.cli" in loaded
     assert [m for m in loaded if m.split(".")[0] in ("multiprocessing", "yaml")] == []
+
+
+def test_parser_is_built_on_the_first_main_call_only():
+    code = (
+        "import argparse, os\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    built.append(1)\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "import reflowsim.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    reflowsim.cli.main(['field', '--dx', '100', '--out', os.devnull])\n"
+        "    counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    at_import, first, second = map(int, _python(code).split())
+    assert at_import == 0
+    assert first == second > 0
+
+
+class TestParserReuse:
+    """Calls of ``main`` in one process share one parser; each sequence
+    must print, exit and write exactly as with a fresh ``build_parser()``
+    per call."""
+
+    SEQUENCES = {
+        "calibrate-then-without-blend": [
+            (["simulate", "--out", "t.csv"], ["t.csv"]),
+            (["calibrate", "t.csv", "--fit-blend"], []),
+            (["calibrate", "t.csv"], []),
+        ],
+        "bad-flag-then-good": [
+            (["simulate", "--bogus"], []),
+            (["simulate", "--tt1", "hot"], []),
+            (["simulate", "--out", "t.csv"], ["t.csv"]),
+        ],
+        "all-seven-commands": [
+            (["field", "--dx", "50", "--out", "field.csv"], ["field.csv"]),
+            (["simulate", "--out", "t.csv", "--verdict-csv", "v.csv"], ["t.csv", "v.csv"]),
+            (["check", "t.csv"], []),
+            (["calibrate", "t.csv"], []),
+            (["optimize-speed", "--speed-step", "5", "--candidates-csv", "speeds.csv"],
+             ["speeds.csv"]),
+            (["optimize-area", "--config", "cfg.yaml", "--workers", "1",
+              "--candidates-csv", "area.csv"], ["area.csv"]),
+            (["optimize-symmetry", "--config", "cfg.yaml", "--workers", "1"], []),
+        ],
+    }
+
+    def _run(self, capsys, monkeypatch, directory, steps):
+        """Each step's exit code, stdout, stderr and output files, run in
+        ``directory`` so that the relative paths in stdout agree."""
+        directory.mkdir()
+        (directory / "cfg.yaml").write_text(SMALL_SWEEP_YAML)
+        monkeypatch.chdir(directory)
+        results = []
+        for argv, files in steps:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            out, err = capsys.readouterr()
+            results.append((code, out, err, [(directory / f).read_bytes() for f in files]))
+        return results
+
+    @pytest.mark.parametrize("name", SEQUENCES)
+    def test_sequence_equals_fresh_parsers(self, capsys, monkeypatch, tmp_path, name):
+        steps = self.SEQUENCES[name]
+        builds = []
+
+        def counting_build_parser():
+            builds.append(1)
+            return build_parser()
+
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_parser", counting_build_parser)
+            fresh = self._run(capsys, patched, tmp_path / "fresh", steps)
+        assert len(builds) == len(steps)
+
+        builds.clear()
+        cli._parser.cache_clear()
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        shared = self._run(capsys, monkeypatch, tmp_path / "shared", steps)
+        assert len(builds) == 1
+        assert shared == fresh
+        expected_codes = [2, 2, 0] if name == "bad-flag-then-good" else [0] * len(steps)
+        assert [code for code, *_ in shared] == expected_codes
+        if name == "calibrate-then-without-blend":
+            assert "best blend weight" in shared[1][1]
+            assert "blend" not in shared[2][1]
