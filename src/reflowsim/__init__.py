@@ -8,21 +8,21 @@ limits, and searches the adjustable parameter space exhaustively.
 
 from .ambient import (
     AmbientProfile,
-    BlendFit,
     ConstantSegment,
     ExpLinearBlendSegment,
     SigmoidSegment,
     ambient_at,
     build_profile,
-    fit_blend_weight,
 )
 from .calibrate import (
     AlignedPair,
+    BlendFit,
     CalibrationResult,
     CandidateScore,
     align,
     calibrate_coefficient,
     discrepancy,
+    fit_blend_weight,
     pearson,
 )
 from .limits import (

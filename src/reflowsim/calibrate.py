@@ -1,9 +1,10 @@
-"""Scoring simulated traces against measured ones and fitting the welding
-coefficient by grid search.
+"""Scoring simulated traces against measured ones, and fitting the welding
+coefficient and the cooling-blend weight by grid search.
 
 The score is the mean squared error over the measured trace's own timestamps
 (simulated values are interpolated onto them), complemented by the Pearson
-correlation coefficient as a shape-agreement report.
+correlation coefficient as a shape-agreement report.  Both fits keep the
+candidate of least error, ties going to the smaller parameter (``_best``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulator
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate, simulator
 
 
 @dataclass(frozen=True)
@@ -92,6 +93,28 @@ def check_trace_speed(measured: ThermalTrace, belt_speed: float,
         )
 
 
+def _best(scores, name: str):
+    """The score of least discrepancy, ties going to the smaller parameter
+    ``name``: the one rule of both grid searches and of their results."""
+    return min(scores, key=lambda s: (s.discrepancy, getattr(s, name)))
+
+
+def _check_best(result, name: str) -> None:
+    """Freeze a grid-search result's scores; its best_<name> must be _best's."""
+    object.__setattr__(result, "scores", tuple(result.scores))
+    if getattr(_best(result.scores, name), name) != getattr(result, f"best_{name}"):
+        raise ValueError(f"best_{name} does not attain the minimum discrepancy")
+
+
+def _start_search(measured, params, candidates: list, name: str, grid) -> SimulationGrid:
+    """What both grid searches check first: a non-empty candidate list (the
+    argument ``name``) and the trace's speed.  Returns the grid to run on."""
+    if not candidates:
+        raise ValueError(f"{name} must not be empty")
+    check_trace_speed(measured, params.belt_speed)
+    return grid if grid is not None else SimulationGrid()
+
+
 @dataclass(frozen=True)
 class CandidateScore:
     coefficient: float
@@ -107,10 +130,7 @@ class CalibrationResult:
     scores: tuple[CandidateScore, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "scores", tuple(self.scores))
-        best = min(self.scores, key=lambda s: (s.discrepancy, s.coefficient))
-        if best.coefficient != self.best_coefficient:
-            raise ValueError("best_coefficient does not attain the minimum discrepancy")
+        _check_best(self, "coefficient")
 
 
 def calibrate_coefficient(
@@ -154,16 +174,13 @@ def calibrate_coefficient(
         order and the best coefficient.
     """
     cands = [float(c) for c in candidates]
-    if not cands:
-        raise ValueError("candidates must not be empty")
+    grid = _start_search(measured, params, cands, "candidates", grid)
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
     # also refuses NaN and inf
     if not (refine_factor >= 1 and float(refine_factor).is_integer()):
         raise ValueError(f"refine_factor must be an integer of at least 1, got {refine_factor}")
     refine_factor = int(refine_factor)
-    check_trace_speed(measured, params.belt_speed)
-    grid = grid if grid is not None else SimulationGrid()
     # one plan and field for every candidate: only the coefficient varies
     run = simulator(build_profile(layout, params, weight), params, grid)
 
@@ -177,7 +194,7 @@ def calibrate_coefficient(
     for _ in range(refine_rounds):
         if step is None:
             break
-        incumbent = min(scores, key=lambda s: (s.discrepancy, s.coefficient))
+        incumbent = _best(scores, "coefficient")
         fine = step / refine_factor
         for k in range(-refine_factor, refine_factor + 1):
             q = incumbent.coefficient + k * fine
@@ -188,7 +205,7 @@ def calibrate_coefficient(
             scores.append(evaluate(q))
         step = fine
 
-    best = min(scores, key=lambda s: (s.discrepancy, s.coefficient))
+    best = _best(scores, "coefficient")
     return CalibrationResult(best.coefficient, tuple(scores))
 
 
@@ -198,3 +215,48 @@ def _grid_step(candidates: list[float]) -> float | None:
     if len(uniq) < 2:
         return None
     return float(np.median(np.diff(uniq)))
+
+
+@dataclass(frozen=True)
+class WeightScore:
+    weight: float
+    discrepancy: float
+
+
+@dataclass(frozen=True)
+class BlendFit:
+    """Result of the blend-weight grid search; ties go to the smaller weight."""
+
+    best_weight: float
+    scores: tuple[WeightScore, ...]
+
+    def __post_init__(self):
+        _check_best(self, "weight")
+
+
+def fit_blend_weight(
+    measured: ThermalTrace,
+    layout: OvenLayout,
+    params: ProcessParameters,
+    coefficient: float,
+    weight_candidates,
+    grid: SimulationGrid | None = None,
+) -> BlendFit:
+    """Grid-search the cooling-blend weight against a measured trace.
+
+    Simulates the furnace once per candidate weight and scores each run by
+    the mean squared error against the measured trace at its own timestamps.
+    params.belt_speed must be the trace's (``check_trace_speed``), and each
+    weight must lie in [0, 1]; both are checked before any simulation.
+    """
+    candidates = list(weight_candidates)
+    grid = _start_search(measured, params, candidates, "weight_candidates", grid)
+    model = WeldingModel(coefficient)
+    # every profile first: build_profile refuses a bad weight before any run
+    profiles = [build_profile(layout, params, w) for w in candidates]
+    scores = []
+    for w, profile in zip(candidates, profiles):
+        pair = align(measured, simulate(profile, params, model, grid))
+        scores.append(WeightScore(w, discrepancy(pair)))
+    best = _best(scores, "weight")
+    return BlendFit(best.weight, tuple(scores))

@@ -19,8 +19,8 @@ import sys
 
 import numpy as np
 
-from .ambient import build_profile, fit_blend_weight
-from .calibrate import calibrate_coefficient, check_trace_speed
+from .ambient import build_profile
+from .calibrate import calibrate_coefficient, check_trace_speed, fit_blend_weight
 from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (

@@ -58,7 +58,7 @@ from .limits import (
     metrics_rows,
     verdict_rows,
 )
-from .oven import OvenLayout, ParameterRanges, ProcessParameters
+from .oven import OvenLayout, ParameterRanges, ProcessParameters, cm_per_second
 from .thermal import (
     SimulationGrid,
     ThermalTrace,
@@ -378,7 +378,7 @@ def _evaluate_group(
     for speed in speeds:
         for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed]):
             times = np.arange(temps.shape[1]) * grid.dt_out
-            xs = _area_axis(area_domain, times, (speed / 60.0) * times)
+            xs = _area_axis(area_domain, times, cm_per_second(speed) * times)
             melt = _super_level_segments(temps, MELT_C)
             metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
             feasible = check_rows(metrics, limits).all(axis=0).tolist()

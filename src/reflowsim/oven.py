@@ -19,6 +19,9 @@ ZONE_KINDS = ("entry", "heated", "gap", "exit")
 
 SECONDS_PER_MINUTE = 60.0
 
+# The process parameters, as fields of ProcessParameters and ParameterRanges.
+_FIELDS = ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed")
+
 # The lowest temperature there is, in degC; no setpoint may lie below it.
 _ABSOLUTE_ZERO = -273.15
 _INF = math.inf
@@ -109,28 +112,20 @@ class ProcessParameters:
         if not (_ABSOLUTE_ZERO <= self.tt1 < _INF and _ABSOLUTE_ZERO <= self.tt2 < _INF
                 and _ABSOLUTE_ZERO <= self.tt3 < _INF and _ABSOLUTE_ZERO <= self.tt4 < _INF
                 and _ABSOLUTE_ZERO <= self.tt5 < _INF and 0 < self.belt_speed < _INF):
-            names = ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed")
-            values = (self.tt1, self.tt2, self.tt3, self.tt4, self.tt5, self.belt_speed)
-            for name, value in zip(names, values):
+            fields = [(name, getattr(self, name)) for name in _FIELDS]
+            for name, value in fields:
                 if not math.isfinite(value):
                     raise ValueError(f"{name} must be finite, got {value}")
             if not self.belt_speed > 0:
                 raise ValueError(f"belt_speed must be positive, got {self.belt_speed}")
-            name, value = next(nv for nv in zip(names, values) if nv[1] < _ABSOLUTE_ZERO)
+            name, value = next(nv for nv in fields if nv[1] < _ABSOLUTE_ZERO)
             raise ValueError(
                 f"{name} must be at least {_ABSOLUTE_ZERO} degC (absolute zero), got {value}")
 
     def slot_temperature(self, slot: str) -> float:
-        try:
-            return {
-                "TT1": self.tt1,
-                "TT2": self.tt2,
-                "TT3": self.tt3,
-                "TT4": self.tt4,
-                "TT5": self.tt5,
-            }[slot]
-        except KeyError:
-            raise ValueError(f"unknown setpoint slot {slot!r}") from None
+        if slot not in SETPOINT_SLOTS:
+            raise ValueError(f"unknown setpoint slot {slot!r}")
+        return getattr(self, slot.lower())
 
 
 @dataclass(frozen=True)
@@ -152,7 +147,7 @@ class ParameterRanges:
     speed_step: float = 1.0
 
     def __post_init__(self):
-        for name in ("tt1", "tt2", "tt3", "tt4", "tt5", "belt_speed"):
+        for name in _FIELDS:
             lo, hi = getattr(self, name)
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"range for {name} must have finite bounds, got [{lo}, {hi}]")
@@ -223,14 +218,8 @@ def validate_parameters(
     not exceptions: sweeps and CLI validation both want the full list.
     """
     report = []
-    for slot, value in (
-        ("tt1", params.tt1),
-        ("tt2", params.tt2),
-        ("tt3", params.tt3),
-        ("tt4", params.tt4),
-        ("tt5", params.tt5),
-        ("belt_speed", params.belt_speed),
-    ):
+    for slot in _FIELDS:
+        value = getattr(params, slot)
         lo, hi = ranges.interval(slot)
         if not (lo <= value <= hi):
             report.append(RangeViolation(slot, value, lo, hi))

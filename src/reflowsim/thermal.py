@@ -145,7 +145,7 @@ class ThermalTrace:
         # written as not-within so that a NaN time or position fails too
         if not np.abs(times - expected_t).max() <= 1e-9:
             raise ValueError("sample times must be uniform: t[i] = i * dt")
-        expected_x = (self.belt_speed / 60.0) * times
+        expected_x = cm_per_second(self.belt_speed) * times
         if not np.abs(positions - expected_x).max() <= 1e-9:
             raise ValueError("positions must satisfy x[i] = (belt_speed/60) * t[i]")
         _check_finite(temps)
@@ -160,7 +160,7 @@ class ThermalTrace:
         _check_timing(dt, belt_speed)  # before they scale the derived arrays
         temps = np.asarray(temps, dtype=float)
         times = np.arange(temps.size) * dt
-        positions = (belt_speed / 60.0) * times
+        positions = cm_per_second(belt_speed) * times
         return cls(dt, belt_speed, times, positions, temps)
 
     @classmethod
@@ -172,7 +172,7 @@ class ThermalTrace:
         is copied."""
         _check_finite(temps)
         times = np.arange(temps.size) * dt
-        positions = (belt_speed / 60.0) * times
+        positions = cm_per_second(belt_speed) * times
         for arr in (times, positions, temps):
             arr.setflags(write=False)
         trace = object.__new__(cls)

@@ -14,6 +14,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .oven import cm_per_second
 from .thermal import ThermalTrace
 
 _SPEED_COMMENT = "# belt_speed_cm_min ="
@@ -175,7 +176,7 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
         raise ValueError(f"{path}: belt_speed must be positive and finite, got {speed}")
 
     if n_cols == 3:
-        expected_x = (speed / 60.0) * np.arange(len(times)) * dt
+        expected_x = cm_per_second(speed) * np.arange(len(times)) * dt
         bad = np.nonzero(np.abs(data[:, 1] - expected_x) > 1e-3)[0]
         if bad.size:
             raise ValueError(

@@ -1,8 +1,14 @@
+import ast
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reflowsim.ambient
+import reflowsim.calibrate
+import reflowsim.thermal as thermal
 from reflowsim import (
     AmbientProfile,
     ConstantSegment,
@@ -238,6 +244,45 @@ class TestFitBlendWeight:
     def test_empty_candidates(self, layout, params, default_trace):
         with pytest.raises(ValueError, match="empty"):
             fit_blend_weight(default_trace, layout, params, 0.021, [])
+
+    @pytest.mark.parametrize("weights, bad", [
+        ([0.6, 0.7, math.nan], "nan"),
+        ([0.8, 1.5], "1.5"),
+        ([-0.1, 0.5], "-0.1"),
+    ])
+    def test_bad_weight_is_refused_before_any_simulation(
+        self, layout, params, default_trace, monkeypatch, weights, bad
+    ):
+        calls = []
+        monkeypatch.setattr(thermal, "simulator", lambda *args: calls.append(args))
+        with pytest.raises(ValueError,
+                           match=re.escape(f"blend weight must lie in [0, 1], got {bad}")):
+            fit_blend_weight(default_trace, layout, params, 0.021, weights)
+        assert calls == []
+
+
+class TestModuleBoundary:
+    """The blend fit lives in ``calibrate``; ``ambient`` keeps only a lazy
+    alias of it, the one place in the module that imports at call time."""
+
+    def test_alias_is_the_calibrate_function(self):
+        assert reflowsim.ambient.fit_blend_weight is reflowsim.calibrate.fit_blend_weight
+
+    @pytest.mark.parametrize("name", ["fit_blend_weights", "BlendFit", "WeightScore"])
+    def test_other_unknown_attributes_raise(self, name):
+        with pytest.raises(AttributeError, match=f"has no attribute '{name}'"):
+            getattr(reflowsim.ambient, name)
+
+    def test_only_the_module_getattr_imports(self):
+        tree = ast.parse(Path(reflowsim.ambient.__file__).read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node in tree.body and node.name == "__getattr__":
+                continue
+            imports = [n.lineno for n in ast.walk(node)
+                       if isinstance(n, (ast.Import, ast.ImportFrom))]
+            assert not imports, f"{node.name} imports at line(s) {imports}"
 
 
 class TestPositionDomain:

@@ -22,7 +22,7 @@ from reflowsim import (
     pearson,
     simulate,
 )
-from reflowsim.calibrate import check_trace_speed
+from reflowsim.calibrate import BlendFit, WeightScore, check_trace_speed
 
 from helpers import full_field_rk4
 
@@ -238,16 +238,17 @@ class TestCalibrateCoefficient:
         as_int = calibrate_coefficient(measured, layout, params, 0.8, grid, refine_factor=2)
         assert as_float == as_int and len(as_int.scores) == 5
 
-    def test_tie_breaks_toward_smaller_coefficient(self):
-        scores = (
-            CandidateScore(0.03, 5.0, 0.9),
-            CandidateScore(0.01, 5.0, 0.9),
-            CandidateScore(0.02, 7.0, 0.9),
-        )
-        result = CalibrationResult(0.01, scores)
-        assert result.best_coefficient == 0.01
-        with pytest.raises(ValueError, match="minimum"):
-            CalibrationResult(0.03, scores)
+    @pytest.mark.parametrize("result_type, score, name", [
+        (CalibrationResult, lambda q, d: CandidateScore(q, d, 0.9), "coefficient"),
+        (BlendFit, WeightScore, "weight"),
+    ], ids=["coefficient", "weight"])
+    def test_tie_breaks_toward_smaller_coefficient(self, result_type, score, name):
+        scores = [score(0.3, 5.0), score(0.1, 5.0), score(0.2, 7.0)]
+        result = result_type(0.1, scores)
+        assert getattr(result, f"best_{name}") == 0.1 and result.scores == tuple(scores)
+        with pytest.raises(ValueError,
+                           match=f"best_{name} does not attain the minimum discrepancy"):
+            result_type(0.3, scores)
 
 
 def reference_calibration(measured, layout, params, weight, candidates, grid, refine_rounds):
