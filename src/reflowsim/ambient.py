@@ -13,6 +13,10 @@ Segment joins are right-continuous: a position exactly on a boundary belongs
 to the later segment, except the furnace end which belongs to the last one.
 The sigmoid gaps therefore leave small jumps of |dT|/(1 + e^2.5) at their
 endpoints; this is deliberate, not a bug to smooth over.
+
+The field has one evaluation path, ``FieldRows``: the RK4 kernel, the sweeps
+and calibration run it on many profiles at once, and ``ambient_at`` is its
+one-row case.  Each segment's ``evaluate`` states its formula on its own.
 """
 
 from __future__ import annotations
@@ -169,33 +173,6 @@ def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
     return profile._starts[1:].searchsorted(arr, side="right")
 
 
-def _levels(profile: AmbientProfile) -> np.ndarray:
-    """Each segment's plateau level, NaN for the segments that vary with x."""
-    return np.array([seg.level if isinstance(seg, ConstantSegment) else np.nan
-                     for seg in profile.segments])
-
-
-def ambient_at(profile: AmbientProfile, x):
-    """Evaluate the ambient field at position(s) x in cm.
-
-    Scalar in, float out; array in, ndarray of x's shape out.  Positions
-    outside [0, total_length_cm], and NaN, are a domain error.
-    """
-    arr = np.asarray(x, dtype=float)
-    idx = _segment_index(profile, arr)
-    if arr.ndim == 0:
-        return float(profile.segments[int(idx)].evaluate(arr))
-    # every plateau in one gather from the table of levels; only the
-    # segments that vary with x are masked and evaluated
-    out = _levels(profile)[idx]
-    for i, seg in enumerate(profile.segments):
-        if not isinstance(seg, ConstantSegment):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.evaluate(arr[mask])
-    return out
-
-
 def geometry_key(profile: AmbientProfile) -> tuple:
     """Everything of a profile except its plateau and transition levels.
 
@@ -222,13 +199,13 @@ def _level_columns(profiles) -> np.ndarray:
 
 class FieldRows:
     """The ambient field of profiles sharing one ``geometry_key``, at fixed
-    positions (an array of any shape), as one row per profile.
+    positions (an array of any shape, 0-d included), as one row per profile.
 
-    Row r equals ``ambient_at(profiles[r], x)`` bit for bit: each position
-    takes its segment's formula, as ambient_at applies it.  What depends on
-    position alone is computed once, here: each position's segment, the
-    sigmoid denominators and the cooling blend's values.  Nothing of x is
-    kept.
+    Each position takes its segment's formula: row r equals, bit for bit,
+    what the ``evaluate`` of profiles[r]'s segments gives, except that a
+    plateau at -0.0 degC reads +0.0.  What depends on position alone is
+    computed once, here: each position's segment, the sigmoid denominators
+    and the cooling blend's values.  Nothing of x is kept.
     """
 
     def __init__(self, template: AmbientProfile, x):
@@ -262,6 +239,17 @@ class FieldRows:
         for at, values in self._blends:
             out[:, at] = values
         return out
+
+
+def ambient_at(profile: AmbientProfile, x):
+    """Evaluate the ambient field at position(s) x in cm: the one-row case
+    of ``FieldRows``.
+
+    Scalar in, float out; array in, float ndarray of x's shape out.
+    Positions outside [0, total_length_cm], and NaN, are a domain error.
+    """
+    out = FieldRows(profile, x).fill(_level_columns([profile]))[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def build_profile(

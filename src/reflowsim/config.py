@@ -26,7 +26,7 @@ from .oven import (
     default_layout,
     validate_parameters,
 )
-from .thermal import SimulationGrid, check_step
+from .thermal import SimulationGrid, WeldingModel, check_step
 
 DEFAULT_COEFFICIENT = 0.021
 DEFAULT_COEFFICIENT_CANDIDATES = (0.0200, 0.0205, 0.0210, 0.0215, 0.0220)
@@ -96,11 +96,12 @@ class RunConfig:
             for w in weights:
                 if not 0.0 <= w <= 1.0:
                     raise ValueError(f"{key} must lie in [0, 1], got {w}")
-        # the RK4 steps that simulate accepts at the configured dt
+        # the models and RK4 steps that simulate accepts at the configured dt
         for key, coefficients in (("model.coefficient", (self.coefficient,)),
                                   ("calibration.coefficients", self.coefficient_candidates)):
             for c in coefficients:
                 try:
+                    WeldingModel(c)
                     check_step(c, self.grid.dt)
                 except ValueError as exc:
                     raise ValueError(f"{key}: {exc}") from None

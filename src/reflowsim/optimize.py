@@ -78,9 +78,11 @@ _MAX_GRID = 1_000_000
 
 def _grid_size(lo: float, hi: float, step: float, key: str = "step") -> int:
     """How many values ``inclusive_grid(lo, hi, step)`` holds: the steps
-    from lo up to hi, and hi itself.  A ValueError names the key, the step
-    and the count when that exceeds _MAX_GRID (or is not a number), before
-    anything is built."""
+    from lo up to hi, and hi itself.  A ValueError names non-finite bounds,
+    or the key, the step and the count when that exceeds _MAX_GRID (or is
+    not a number), before anything is built."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"grid bounds must be finite, got [{lo:g}, {hi:g}]")
     if not step > 0:  # also refuses NaN
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:

@@ -5,9 +5,14 @@ reference runs the textbook four-stage loop instead of the affine/filter
 form, metrics come from dense resampling instead of interpolated crossings,
 and the sweep oracles are plain nested loops with explicit if-chains.
 
+The field oracle, ``ambient_reference``, finds each position's segment by
+comparing it with the segment ends and applies that segment's own
+``evaluate``; the library evaluates every field through ``FieldRows``
+instead.  The RK4 oracles take their field from it.
+
 One oracle is the exception: the full-field RK4 path (``stage_positions``,
-``integrate_rows``, ``full_field_rk4``) evaluates the ambient field at every
-node and midpoint, then reuses the library's ``_forcing_sums`` and
+``integrate_rows``, ``full_field_rk4``) evaluates the reference field at
+every node and midpoint, then reuses the library's ``_forcing_sums`` and
 ``_sample_scan``.  It is the bit-identity oracle of the plateau-compacted
 kernel, which must give the same floats, not merely close ones; the
 textbook loop above checks its arithmetic only to a tolerance.
@@ -37,7 +42,6 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import ambient_at
 from reflowsim.limits import check_limits, compute_metrics
 from reflowsim.oven import cm_per_second
 from reflowsim.thermal import _forcing_sums, _rk4_coefficients, _sample_scan, step_counts
@@ -65,23 +69,37 @@ def piecewise_trace(dt: float, belt_speed: float, vertices) -> ThermalTrace:
     return ThermalTrace.from_temps(dt, belt_speed, temps)
 
 
+def ambient_reference(profile, x):
+    """The ambient field at positions x in cm, each from its own segment's
+    ``evaluate``: the segment whose [x_start, x_end) holds it, and the last
+    segment at the furnace end.  Scalar in, float out; array in, float
+    ndarray of x's shape out.  Positions no segment holds raise."""
+    x = np.asarray(x, dtype=float)
+    out = np.full(x.shape, np.nan)
+    last = profile.segments[-1]
+    for seg in profile.segments:
+        at = (seg.x_start <= x) & ((x < seg.x_end) | ((seg is last) & (x == seg.x_end)))
+        out[at] = seg.evaluate(x[at])
+    if np.isnan(out).any():
+        raise ValueError(f"positions outside the furnace: {x[np.isnan(out)]}")
+    return float(out) if out.ndim == 0 else out
+
+
 def naive_rk4(profile, params, coefficient, dt, dt_out):
-    """Textbook per-step RK4 loop for the heating ODE; no vectorization."""
+    """Textbook per-step RK4 loop for the heating ODE; the field comes from
+    ``ambient_reference``, at every stage position in one call."""
     v = params.belt_speed
     total = profile.total_length_cm
     t_end = total * 60.0 / v
     n_steps = int(math.floor(t_end / dt + 1e-9))
     stride = int(round(dt_out / dt))
+    stages = [(min((v / 60.0) * (i * dt), total),
+               min((v / 60.0) * (i * dt + 0.5 * dt), total),
+               min((v / 60.0) * (i * dt + dt), total)) for i in range(n_steps)]
+    field = ambient_reference(profile, np.array(stages).reshape(n_steps, 3)).tolist()
     y = float(params.tt5)
     out = [y]
-    for i in range(n_steps):
-        t = i * dt
-        xa = min((v / 60.0) * t, total)
-        xb = min((v / 60.0) * (t + 0.5 * dt), total)
-        xc = min((v / 60.0) * (t + dt), total)
-        ta = profile(xa)
-        tb = profile(xb)
-        tc = profile(xc)
+    for i, (ta, tb, tc) in enumerate(field):
         k1 = coefficient * (ta - y)
         k2 = coefficient * (tb - (y + 0.5 * dt * k1))
         k3 = coefficient * (tb - (y + 0.5 * dt * k2))
@@ -130,10 +148,10 @@ def integrate_rows(t_amb_nodes, t_amb_mid, y0, coefficient: float, grid: Simulat
 
 def full_field_rk4(profile, y0, coefficient: float, grid: SimulationGrid, belt_speeds):
     """Every belt speed's row through the full field: stage positions,
-    ``ambient_at`` at every node and midpoint, ``integrate_rows``."""
+    ``ambient_reference`` at every node and midpoint, ``integrate_rows``."""
     x_nodes, x_mid, _ = stage_positions(profile.total_length_cm, belt_speeds, grid.dt)
-    return integrate_rows(ambient_at(profile, x_nodes), ambient_at(profile, x_mid), y0,
-                          coefficient, grid)
+    return integrate_rows(ambient_reference(profile, x_nodes),
+                          ambient_reference(profile, x_mid), y0, coefficient, grid)
 
 
 def dense_resample(trace, step=0.001):

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reflowsim.ambient
 import reflowsim.calibrate
@@ -24,7 +26,9 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.ambient import FieldRows
-from reflowsim.oven import OvenLayout, ZoneSpec
+from reflowsim.oven import OvenLayout, ZoneSpec, default_layout
+
+from helpers import ambient_reference
 
 
 def blend_scalar(x, t_hot=255.0, t_cold=25.0, x_pre=339.5, x_post=410.5, w=0.8):
@@ -173,16 +177,20 @@ class TestBuildProfileValidation:
         with pytest.raises(ValueError, match="gap"):
             build_profile(layout, ProcessParameters(), 0.8)
 
-    def test_all_zones_cold_gives_flat_profile(self):
-        zones = (
-            ZoneSpec("entry", "entry", 0.0, 5.0),
-            ZoneSpec("z1", "heated", 5.0, 15.0, "TT5"),
-            ZoneSpec("exit", "exit", 15.0, 20.0),
-        )
-        layout = OvenLayout(zones, 20.0)
-        profile = build_profile(layout, ProcessParameters(), 0.8)
-        xs = np.linspace(0.0, 20.0, 21)
-        np.testing.assert_array_equal(ambient_at(profile, xs), np.full(21, 25.0))
+    @pytest.mark.parametrize("furnace, params", [
+        (OvenLayout((ZoneSpec("entry", "entry", 0.0, 5.0),
+                     ZoneSpec("z1", "heated", 5.0, 15.0, "TT5"),
+                     ZoneSpec("exit", "exit", 15.0, 20.0)), 20.0), ProcessParameters()),
+        # integer setpoints make integer plateau levels
+        (default_layout(), ProcessParameters(25, 25, 25, 25, 25)),
+    ], ids=["one-cold-zone", "integer-setpoints"])
+    def test_all_zones_cold_gives_flat_profile(self, furnace, params):
+        profile = build_profile(furnace, params, 0.8)
+        xs = np.linspace(0.0, furnace.total_length_cm, 21)
+        values = ambient_at(profile, xs)
+        assert values.dtype == np.float64
+        np.testing.assert_array_equal(values, np.full(21, 25.0))
+        assert type(ambient_at(profile, 12.5)) is float
 
 
 class TestProfileValidation:
@@ -304,3 +312,42 @@ class TestPositionDomain:
 
     def test_empty_array_evaluates_to_empty(self, profile):
         assert ambient_at(profile, np.array([])).shape == (0,)
+
+
+# equal setpoints merge plateaus and leave zones at the exterior
+# temperature; integer setpoints make integer levels
+setpoint = st.one_of(st.sampled_from([25, 175, 175.0, 255.5]), st.floats(1.0, 300.0))
+
+
+@st.composite
+def profiles_and_positions(draw):
+    """(profile, x): a drawn profile, and positions on every segment
+    boundary, a float to either side of each, and anywhere inside."""
+    tt = draw(st.tuples(setpoint, setpoint, setpoint, setpoint))
+    params = ProcessParameters(*tt, tt5=draw(st.sampled_from([25, 25.0, 175])))
+    profile = build_profile(default_layout(), params, draw(st.floats(0.0, 1.0)))
+    total = profile.total_length_cm
+    bounds = [seg.x_start for seg in profile.segments] + [total]
+    near = [math.nextafter(b, side) for b in bounds for side in (0.0, total)]
+    inside = draw(st.lists(st.floats(0.0, total), max_size=20))
+    return profile, np.clip(bounds + near + inside, 0.0, total)
+
+
+class TestReference:
+    """``ambient_at`` (the one-row ``FieldRows``) against the segments' own
+    ``evaluate``, bit for bit: 0-d, empty, 1-D and 2-D input."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=profiles_and_positions())
+    def test_ambient_at_equals_the_reference(self, case):
+        profile, x = case
+        for xs in (x, x[: len(x) // 2 * 2].reshape(2, -1), x[:0]):
+            got, want = ambient_at(profile, xs), ambient_reference(profile, xs)
+            assert got.dtype == want.dtype == np.float64
+            assert got.shape == xs.shape
+            assert got.tobytes() == want.tobytes()
+        for point in x:
+            for scalar in (float(point), np.asarray(point)):
+                got, want = ambient_at(profile, scalar), ambient_reference(profile, scalar)
+                assert type(got) is type(want) is float
+                assert got.hex() == want.hex()

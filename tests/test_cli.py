@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from reflowsim import ambient_at, build_profile, cli, inclusive_grid, load_trace_csv
+from reflowsim import build_profile, cli, inclusive_grid, load_trace_csv
 from reflowsim.cli import build_parser, main
 from reflowsim.config import RunConfig, config_from_dict, load_config
+
+from helpers import ambient_reference
 
 SMALL_SWEEP_YAML = """
 params: {tt1: 165, tt2: 185, tt3: 225, tt4: 265, belt_speed: 83}
@@ -64,7 +66,7 @@ class TestFieldCommand:
         params = replace(cfg.params, **{k[2:]: float(v) for k, v in values.items() if k != "--dx"})
         profile = build_profile(cfg.layout, params, cfg.blend_weight)
         xs = inclusive_grid(0.0, profile.total_length_cm, float(values.get("--dx", cfg.field_dx)))
-        expected = ["position_cm,temp_c"] + [f"{x:.1f},{ambient_at(profile, x):.4f}" for x in xs]
+        expected = ["position_cm,temp_c"] + [f"{x:.1f},{ambient_reference(profile, x):.4f}" for x in xs]
         assert out_path.read_text().splitlines() == expected
 
 

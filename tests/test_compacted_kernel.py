@@ -4,7 +4,7 @@ The kernel computes positions, field, forcing and Horner sums only for the
 samples that touch a sigmoid, the cooling blend or a segment join; every
 sample wholly inside a plateau takes its level's Horner sum.  Its samples
 must equal, with exact float equality, what the full-field oracle of
-``tests/helpers.py`` gives: ``stage_positions``, ``ambient_at`` at every
+``tests/helpers.py`` gives: ``stage_positions``, ``ambient_reference`` at every
 node and midpoint, and ``integrate_rows``.  A row of a block must also equal
 its one-row run.
 """

@@ -14,6 +14,7 @@ from reflowsim import (
     ProcessParameters,
     SimulationGrid,
     calibrate_coefficient,
+    feasible_speed_interval,
     inclusive_grid,
     minimize_area,
 )
@@ -264,6 +265,23 @@ class TestStepBound:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize("flags,text,message", [
+        (["--coefficient", "nan"], "", "model.coefficient: welding coefficient must be "
+         "positive and finite, got nan"),
+        (["--coefficient", "inf"], "", "model.coefficient: welding coefficient must be "
+         "positive and finite, got inf"),
+        (["--coefficient", "-0.02"], "", "model.coefficient: welding coefficient must be "
+         "positive and finite, got -0.02"),
+        ([], "calibration: {coefficients: [0.02, .nan]}", "calibration.coefficients: welding "
+         "coefficient must be positive and finite, got nan"),
+    ], ids=["nan", "inf", "negative", "calibration-nan"])
+    def test_bad_coefficient_is_named_before_any_output(self, capsys, tmp_path, flags, text,
+                                                         message):
+        code, out, err = run_cli(capsys, "simulate", *flags,
+                                 "--config", write_config(tmp_path, text))
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_just_below_the_bound_is_accepted(self):
         config_from_dict({"model": {"coefficient": 12.955},
                           "calibration": {"coefficients": [0.021, 12.955]}}).validate()
@@ -300,6 +318,13 @@ class TestGridBounds:
         huge = ParameterRanges(tt1=(0.0, 1e6), tt2=(0.0, 1e6))
         with pytest.raises(ValueError, match="make 36000360000900 candidates"):
             minimize_area(layout, huge, 0.8, 0.021)
+
+    @pytest.mark.parametrize("lo, hi", [(65.0, math.nan), (math.nan, 100.0),
+                                        (65.0, math.inf), (-math.inf, 100.0)])
+    def test_non_finite_bounds_are_named(self, layout, lo, hi):
+        with pytest.raises(ValueError) as exc:
+            feasible_speed_interval(layout, ProcessParameters(), 0.8, 0.021, speed_range=(lo, hi))
+        assert str(exc.value) == f"grid bounds must be finite, got [{lo:g}, {hi:g}]"
 
     def test_the_bound_is_inclusive(self):
         assert _grid_size(0.0, 999_999.0, 1.0) == _MAX_GRID

@@ -21,14 +21,13 @@ from reflowsim import (
     ProcessParameters,
     SimulationGrid,
     WeldingModel,
-    ambient_at,
     build_profile,
     inclusive_grid,
     simulate,
 )
 from reflowsim.thermal import _MAX_CHUNK, _chunk_width, _rk4_coefficients
 
-from helpers import integrate_rows
+from helpers import ambient_reference, integrate_rows
 
 ROOT = Path(__file__).resolve().parent.parent
 DT = 0.1
@@ -161,7 +160,7 @@ class TestMaximumPrinciple:
         params = ProcessParameters(*tt, belt_speed=speed)
         profile = build_profile(layout, params, 0.8)
         trace = simulate(profile, params, WeldingModel(e / DT), SimulationGrid(DT, DT * stride))
-        field = ambient_at(profile, np.linspace(0.0, profile.total_length_cm, 20001))
+        field = ambient_reference(profile, np.linspace(0.0, profile.total_length_cm, 20001))
         assert trace.temps.min() >= field.min() - 1e-9
         assert trace.temps.max() <= field.max() + 1e-9
 

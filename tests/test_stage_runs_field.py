@@ -1,14 +1,14 @@
-"""The compacted kernel's field against ``ambient_at``.
+"""The compacted kernel's field against the segment-by-segment reference.
 
 ``thermal._Plateaus.field`` evaluates the ambient field only at the stages
 of the samples that touch a sigmoid, the cooling blend or a segment join,
 and at one sample per plateau that stands for every sample wholly inside
 it.  For every sample of every row, the field the kernel takes (its own
-sample's, or its plateau's) must equal exactly what the generic
-``ambient_at`` gives at that sample's stage positions, which come from the
-full-field ``stage_positions`` of ``tests/helpers.py``.  ``FieldRows``,
-which evaluates the field of those samples, must refuse what
-``ambient_at`` refuses, with the same message.
+sample's, or its plateau's) must equal exactly what ``ambient_reference``
+of ``tests/helpers.py`` gives at that sample's stage positions, which come
+from the full-field ``stage_positions`` there.  ``FieldRows``, which
+evaluates the field of those samples, must name the first position outside
+the furnace.
 """
 
 import math
@@ -22,7 +22,6 @@ from reflowsim import (
     ParameterRanges,
     ProcessParameters,
     SimulationGrid,
-    ambient_at,
     build_profile,
     inclusive_grid,
 )
@@ -30,7 +29,7 @@ from reflowsim.ambient import FieldRows, _level_columns
 from reflowsim.oven import default_layout
 from reflowsim.thermal import _Plateaus
 
-from helpers import stage_positions
+from helpers import ambient_reference, stage_positions
 
 LAYOUT = default_layout()
 RANGES = ParameterRanges()
@@ -61,13 +60,13 @@ def kernel_field(profile, speeds, grid):
 
 
 def stage_field(profile, speeds, grid):
-    """``ambient_at`` at the same stages, from the full-field positions."""
+    """``ambient_reference`` at the same stages, from the full-field positions."""
     x_nodes, x_mid, n_steps = stage_positions(profile.total_length_cm, speeds, grid.dt)
     s = grid.stride
     first = s * np.arange(int(n_steps.max()) // s)[:, None]
     x = np.concatenate((x_nodes[:, first + np.arange(s + 1)], x_mid[:, first + np.arange(s)]),
                        axis=2)
-    return ambient_at(profile, x)
+    return ambient_reference(profile, x)
 
 
 # speeds of one padded block, 65-100 cm/min in 0.1 steps
@@ -80,7 +79,7 @@ speed_blocks = st.lists(st.integers(650, 1000), min_size=1, max_size=8).map(
        grid=st.sampled_from([(0.1, 0.5), (0.1, 0.1), (0.5, 0.5), (5.0, 5.0), (5.0, 10.0)]))
 @example(temps=MERGED, weight=0.0, speeds=np.array([65.0, 82.3, 100.0]), grid=(0.1, 0.5))
 @example(temps=MERGED, weight=1.0, speeds=np.array([65.0]), grid=(5.0, 5.0))
-def test_stage_blocks_equal_ambient_at(temps, weight, speeds, grid):
+def test_stage_blocks_equal_the_reference(temps, weight, speeds, grid):
     """Padded blocks of rows as ``rk4_blocks`` lays them out.  At dt 5.0
     a step (5.4 cm and more) jumps over a whole 5 cm sigmoid gap."""
     profile = profile_of(temps, weight)
@@ -108,31 +107,30 @@ def field_rows(profile, x):
 
 @settings(max_examples=200, deadline=None)
 @given(hand_built_positions())
-def test_hand_built_runs_equal_ambient_at(case):
+def test_hand_built_runs_equal_the_reference(case):
     profile, x = case
-    assert np.array_equal(field_rows(profile, x), ambient_at(profile, x))
+    assert np.array_equal(field_rows(profile, x), ambient_reference(profile, x))
 
 
 def test_positions_on_segment_starts_take_the_later_segment(profile):
     starts = [seg.x_start for seg in profile.segments]
     x = np.array([starts + [profile.total_length_cm] * 2])
     levels = field_rows(profile, x)
-    assert np.array_equal(levels, ambient_at(profile, x))
+    assert np.array_equal(levels, ambient_reference(profile, x))
     assert levels[0, :2].tolist() == [25.0, 175.0]
     assert levels[0, -2:].tolist() == [25.0, 25.0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=hand_built_positions(), data=st.data())
-def test_out_of_range_run_raises_as_ambient_at(case, data):
+def test_out_of_range_run_names_the_position(case, data):
     profile, x = case
     total = profile.total_length_cm
     row = data.draw(st.integers(0, len(x) - 1))
     col = data.draw(st.integers(0, x.shape[1] - 1))
     x[row, col] = data.draw(st.sampled_from([-1e-9, -0.5, -math.inf, math.nan,
                                              total + 1e-9, total + 3.0, math.inf]))
-    with pytest.raises(ValueError, match="position outside furnace") as expected:
-        ambient_at(profile, x)
     with pytest.raises(ValueError) as got:
         FieldRows(profile, x)
-    assert str(got.value) == str(expected.value)
+    assert str(got.value) == (f"position outside furnace [0, {total}] cm: "
+                              f"x[{row}, {col}] = {x[row, col]}")

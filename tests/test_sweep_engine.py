@@ -19,7 +19,6 @@ from reflowsim import (
     SweepCandidate,
     ThermalTrace,
     WeldingModel,
-    ambient_at,
     build_profile,
     check_limits,
     compute_metrics,
@@ -32,6 +31,8 @@ from reflowsim import (
 )
 from reflowsim.ambient import FieldRows, _level_columns, geometry_key
 from reflowsim.limits import metrics_rows
+
+from helpers import ambient_reference
 
 # tt1 = tt2 = 185 merges zones 1-6 into one plateau: a second geometry.
 MERGED_TT1_TT2 = ParameterRanges(
@@ -118,7 +119,7 @@ class TestFieldRows:
         return [build_profile(layout, ProcessParameters(a, b, 225.0, 265.0), 0.8)
                 for a in (165.0, 175.0, 180.0) for b in (190.0, 205.0)]
 
-    def test_rows_equal_ambient_at(self, layout):
+    def test_rows_equal_the_reference(self, layout):
         profiles = self.profiles(layout)
         assert len({geometry_key(p) for p in profiles}) == 1
         rng = np.random.default_rng(7)
@@ -127,7 +128,7 @@ class TestFieldRows:
         for x in (sorted_x, shuffled):
             rows = FieldRows(profiles[0], x).fill(_level_columns(profiles))
             for profile, row in zip(profiles, rows):
-                assert np.array_equal(row, ambient_at(profile, x))
+                assert np.array_equal(row, ambient_reference(profile, x))
 
     def test_positions_outside_the_furnace(self, layout):
         with pytest.raises(ValueError, match="outside"):

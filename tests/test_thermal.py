@@ -11,7 +11,6 @@ from reflowsim import (
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
-    ambient_at,
     euler_reference,
     feasible_speed_interval,
     minimize_area,
@@ -25,7 +24,7 @@ from reflowsim.thermal import (
     check_step,
     step_counts,
 )
-from helpers import naive_rk4, stage_positions
+from helpers import ambient_reference, naive_rk4, stage_positions
 
 
 def constant_profile(level, length=435.5):
@@ -253,7 +252,7 @@ class TestIntegrationBoundary:
             simulate(profile, params, WeldingModel(27.8))
         assert 12.955977 * 0.1 < _MAX_E  # e = 1.2955977
         trace = simulate(profile, params, WeldingModel(12.955977))
-        field = ambient_at(profile, np.linspace(0.0, profile.total_length_cm, 20001))
+        field = ambient_reference(profile, np.linspace(0.0, profile.total_length_cm, 20001))
         assert field.min() - 1e-9 <= trace.temps.min()
         assert trace.temps.max() <= field.max() + 1e-9
 
