@@ -14,7 +14,7 @@ from reflowsim import (
     WeldingModel,
     build_profile,
     default_layout,
-    euler_reference,
+    position_at_time,
     simulate,
     write_trace_csv,
 )
@@ -39,8 +39,14 @@ for i in range(0, len(trace), 60):
     t, x, temp = trace.times[i], trace.positions[i], trace.temps[i]
     print(f"  t = {t:6.1f} s  x = {x:6.1f} cm  T = {temp:7.2f} degC  {'#' * int(temp / 5)}")
 
-euler = euler_reference(profile, params, model, dt=0.001)
-on_grid = np.interp(trace.times, euler.times, euler.temps)
+# forward Euler of the same ODE in 1 ms steps, on the field at every node
+dt = 0.001
+euler_times = np.arange(round(trace.duration / dt) + 1) * dt
+y, euler = params.tt5, [params.tt5]
+for ambient in profile(position_at_time(params.belt_speed, euler_times[:-1])).tolist():
+    y += dt * model.coefficient * (ambient - y)
+    euler.append(y)
+on_grid = np.interp(trace.times, euler_times, euler)
 print(f"\nmax |RK4 - Euler(1 ms)| = {np.max(np.abs(trace.temps - on_grid)):.4f} degC")
 
 write_trace_csv(trace, "demo_trace.csv")

@@ -60,8 +60,6 @@ from .thermal import (
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
-    euler_reference,
-    resample,
     simulate,
 )
 from .traceio import load_trace_csv, write_trace_csv
@@ -100,7 +98,6 @@ __all__ = [
     "compute_metrics",
     "default_layout",
     "discrepancy",
-    "euler_reference",
     "feasible_speed_interval",
     "fit_blend_weight",
     "inclusive_grid",
@@ -112,7 +109,6 @@ __all__ = [
     "pearson",
     "position_at_time",
     "reflow_area",
-    "resample",
     "simulate",
     "symmetry_score",
     "validate_parameters",

@@ -17,6 +17,12 @@ endpoints; this is deliberate, not a bug to smooth over.
 The field has one evaluation path, ``FieldRows``: the RK4 kernel, the sweeps
 and calibration run it on many profiles at once, and ``ambient_at`` is its
 one-row case.  Each segment's ``evaluate`` states its formula on its own.
+
+Profiles share a *segment geometry* when their segments match one for one
+in type, x_start and x_end (and a sigmoid's centre), and their cooling
+blends are equal whole: its exponential depends on its endpoint
+temperatures.  Such profiles differ only in plateau levels and in sigmoid
+t_before/t_after, the ``_level_columns`` that ``FieldRows`` batches over.
 """
 
 from __future__ import annotations
@@ -173,21 +179,6 @@ def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
     return profile._starts[1:].searchsorted(arr, side="right")
 
 
-def geometry_key(profile: AmbientProfile) -> tuple:
-    """Everything of a profile except its plateau and transition levels.
-
-    Profiles with equal keys differ only in ConstantSegment.level and in
-    SigmoidSegment.t_before/t_after, which is what ``FieldRows`` batches
-    over.  The cooling blend enters whole: its exponential depends on its
-    endpoint temperatures.
-    """
-    return tuple(
-        seg if isinstance(seg, ExpLinearBlendSegment)
-        else (type(seg), seg.x_start, seg.x_end, getattr(seg, "center", None))
-        for seg in profile.segments
-    )
-
-
 def _level_columns(profiles) -> np.ndarray:
     """Per profile (rows) and segment, the two levels ``FieldRows.fill``
     reads: a plateau's level twice, a sigmoid's t_before and t_after, NaN on
@@ -198,8 +189,9 @@ def _level_columns(profiles) -> np.ndarray:
 
 
 class FieldRows:
-    """The ambient field of profiles sharing one ``geometry_key``, at fixed
-    positions (an array of any shape, 0-d included), as one row per profile.
+    """The ambient field of profiles sharing one segment geometry (see the
+    module docstring) at fixed positions (an array of any shape, 0-d
+    included), as one row per profile.
 
     Each position takes its segment's formula: row r equals, bit for bit,
     what the ``evaluate`` of profiles[r]'s segments gives, except that a
@@ -367,8 +359,9 @@ def _assemble(layout: OvenLayout, params: ProcessParameters, weight: float):
 
 def _geometry_groups(layout: OvenLayout, setpoints: np.ndarray) -> list[np.ndarray]:
     """The rows of ``setpoints`` (one column per ``SETPOINT_SLOTS`` slot)
-    grouped by the ``geometry_key`` of their ``build_profile``: each group's
-    row indices in order, the groups in the order of their first rows.
+    grouped by the segment geometry (see the module docstring) of their
+    ``build_profile``: each group's row indices in order, the groups in the
+    order of their first rows.
 
     A profile's geometry is fixed by the last heated zone set apart from the
     exterior (tt5), which zones differ from the next, and the cooling

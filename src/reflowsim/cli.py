@@ -51,7 +51,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--blend-weight", type=float, help="cooling blend weight in [0,1]")
     common.add_argument("--dt", type=float, help="integration step, s")
     common.add_argument("--dt-out", type=float, help="output sample interval, s")
-    common.add_argument("--workers", type=int, help="sweep worker processes (0 = all cores)")
+    common.add_argument("--workers", type=int,
+                        help="sweep worker processes (0 = all cores; at most the core count)")
     common.add_argument("--area-domain", choices=("position", "time"),
                         help="reflow-area integration variable")
     return common

@@ -38,6 +38,7 @@ simulate, compute_metrics, check_limits) builds, bit for bit.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -364,8 +365,9 @@ def _evaluate_group(
     speeds: tuple[float, ...],
     job: tuple,
 ) -> list[list[SweepCandidate]]:
-    """Evaluate a job of setpoint rows whose profiles share one geometry_key
-    at every sweep speed: (template profile, rows (tt1..tt5), their
+    """Evaluate a job of setpoint rows whose profiles share one segment
+    geometry (defined in the ``ambient`` module docstring) at every sweep
+    speed: (template profile, rows (tt1..tt5), their
     ``_level_columns``).  One list of candidates per row, in speed order.
     Top-level so process pools can pickle it.
 
@@ -521,6 +523,9 @@ def _optimize(
                          f"got {refine_factor}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
+    # a pool starts all its processes at once, and more than the cores only
+    # split the jobs finer
+    workers = min(workers, os.cpu_count() or 1)
 
     def sort_key(c: SweepCandidate):
         return objective_key(objective, c)

@@ -31,13 +31,13 @@ profile at many speeds (the speed sweep) and the profiles of one segment
 geometry at one speed (the joint sweep).  One profile at one speed is one
 row: ``simulator`` builds its plan and field once and integrates it for
 any number of welding models (calibration's candidates), and ``simulate``
-is its one-call case.  A forward-Euler reference integrator is kept as a
-deliberately simple, loop-based oracle.
+is its one-call case.  The test suite judges this module against
+independent oracles of its own: a textbook RK4 loop and a forward-Euler
+loop, both on a field evaluated segment by segment.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -49,9 +49,8 @@ from .ambient import (
     FieldRows,
     SigmoidSegment,
     _level_columns,
-    ambient_at,
 )
-from .oven import ProcessParameters, cm_per_second, position_at_time
+from .oven import ProcessParameters, cm_per_second
 
 _TIME_EPS = 1e-9
 # Most RK4 steps one trace may take: the default furnace at 65 cm/min with
@@ -96,6 +95,9 @@ class SimulationGrid:
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be positive and finite, got {value}")
         ratio = self.dt_out / self.dt
+        if not math.isfinite(ratio):
+            raise ValueError(f"dt_out / dt overflows: dt_out = {self.dt_out}, dt = {self.dt}; "
+                             "dt_out must be a positive integer multiple of dt")
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise ValueError("dt_out must be a positive integer multiple of dt")
 
@@ -218,31 +220,25 @@ def check_step(coefficient: float, dt: float) -> None:
         )
 
 
-def _capped(count: float, name: str, step: float, what: str) -> int:
-    """count as an int, or a ValueError naming the step when it exceeds
-    _MAX_STEPS (or is not a number): checked before anything that size is
-    allocated."""
-    if not count <= _MAX_STEPS:
-        raise ValueError(
-            f"{name} = {step} s needs {count:.0f} {what}; the limit is {_MAX_STEPS}"
-        )
-    return int(count)
-
-
 def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
     """RK4 steps that cross the furnace at each belt speed: the whole steps
     of dt that fit in the transit time.
 
     The trailing fraction of a step (when the transit time is not a multiple
     of dt) is not integrated.  Raises before anything is allocated when a
-    speed would need more than _MAX_STEPS steps, or less than one.
+    speed would need more than _MAX_STEPS steps (or NaN of them), naming dt
+    and the count, or less than one.
     """
     speeds = np.asarray(belt_speeds, dtype=float)
     if not (speeds > 0).all():
         raise ValueError(f"belt_speed must be positive, got {np.min(speeds)}")
     t_end = total_cm * 60.0 / speeds
     n_steps = np.floor(t_end / dt + _TIME_EPS)
-    _capped(n_steps.max(), "dt", dt, "integration steps to cross the furnace")
+    most = n_steps.max()
+    if not most <= _MAX_STEPS:  # also refuses NaN
+        count = f"{most:.0f}" if most < 2**53 else f"{most:.3g}"
+        raise ValueError(f"dt = {dt} s needs {count} integration steps to cross the furnace; "
+                         f"the limit is {_MAX_STEPS}")
     if n_steps.min() < 1:
         raise ValueError("integration step exceeds the furnace transit time")
     return n_steps.astype(np.int64)
@@ -254,6 +250,8 @@ def _chunk_width(b: float) -> int:
     _MAX_CHUNK."""
     if b <= 0.0:  # A**stride underflowed: no chunk could rescale its terms
         return 0
+    if b >= 1.0:  # A**stride rounded to 1 (a tiny coefficient): no term grows
+        return _MAX_CHUNK
     return int(min(_MAX_CHUNK, math.log(_CHUNK_GROWTH) / -math.log(b)))
 
 
@@ -383,8 +381,8 @@ _OWN = -1
 
 class _Plateaus:
     """The plateau-compacted RK4 kernel: how the samples of rows at several
-    belt speeds lie on the segments of one segment geometry (see
-    ``ambient.geometry_key``), and the samples of profiles with that
+    belt speeds lie on the segments of one segment geometry (defined in
+    the ``ambient`` module docstring), and the samples of profiles with that
     geometry computed from it, a block of speeds at a time
     (``rk4_blocks``): profile p's row at speed r of a block is output row
     p * speeds + r.
@@ -603,58 +601,3 @@ def simulate(
     Pure function: identical inputs produce bit-identical traces.
     """
     return simulator(profile, params, grid if grid is not None else SimulationGrid())(model)
-
-
-def euler_reference(
-    profile: AmbientProfile,
-    params: ProcessParameters,
-    model: WeldingModel,
-    dt: float,
-) -> ThermalTrace:
-    """Forward-Euler integration of the same ODE, as a plain Python loop.
-
-    Exists solely as an independent oracle for the RK4 path: first-order,
-    no coefficient algebra, no filtering tricks.  Output is sampled at every
-    step (the trace's dt equals the integration dt).  Steps with
-    e = coefficient * dt above 1 are refused: there a step is no longer a
-    weighted mean of y and the ambient, and the trace can overshoot it.
-    """
-    v = params.belt_speed
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt}")
-    q = model.coefficient
-    if not q * dt <= 1.0:
-        raise ValueError(
-            f"forward-Euler step is unstable: coefficient {q} * dt {dt} = e {q * dt:.6g}, "
-            "above 1, where a step is no longer a weighted mean of y and the ambient"
-        )
-    total = profile.total_length_cm
-    t_end = total * 60.0 / v
-    n_steps = _capped(np.floor(t_end / dt + _TIME_EPS), "dt", dt,
-                      "integration steps to cross the furnace")
-    node_times = np.arange(n_steps + 1) * dt
-    x_nodes = np.clip(position_at_time(v, node_times), 0.0, total)
-    t_amb = ambient_at(profile, x_nodes)
-
-    y = float(params.tt5)
-    temps = [y]
-    amb = t_amb.tolist()
-    for i in range(n_steps):
-        y = y + dt * q * (amb[i] - y)
-        temps.append(y)
-    return ThermalTrace.from_temps(dt, v, np.array(temps))
-
-
-def resample(trace: ThermalTrace, dt_out: float) -> ThermalTrace:
-    """Linearly interpolate a trace onto a uniform dt_out grid.
-
-    The new grid spans the same time range: nodes k * dt_out up to the
-    original final time.
-    """
-    if not (math.isfinite(dt_out) and dt_out > 0):
-        raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
-    n = _capped(np.floor(trace.duration / dt_out + _TIME_EPS), "dt_out", dt_out,
-                "intervals to span the trace")
-    new_times = np.arange(n + 1) * dt_out
-    new_temps = np.interp(new_times, trace.times, trace.temps)
-    return ThermalTrace.from_temps(dt_out, trace.belt_speed, new_temps)

@@ -11,9 +11,9 @@ from reflowsim import (
     WeldingModel,
     build_profile,
     default_layout,
-    euler_reference,
     simulate,
 )
+from helpers import euler_reference
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,9 @@ and the sweep oracles are plain nested loops with explicit if-chains.
 The field oracle, ``ambient_reference``, finds each position's segment by
 comparing it with the segment ends and applies that segment's own
 ``evaluate``; the library evaluates every field through ``FieldRows``
-instead.  The RK4 oracles take their field from it.
+instead.  The RK4 and forward-Euler oracles take their field from it.
+``geometry_key`` is the oracle partition of profiles by segment geometry,
+which the library's ``_geometry_groups`` computes from setpoints alone.
 
 One oracle is the exception: the full-field RK4 path (``stage_positions``,
 ``integrate_rows``, ``full_field_rk4``) evaluates the reference field at
@@ -42,9 +44,16 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
+from reflowsim.ambient import ExpLinearBlendSegment
 from reflowsim.limits import check_limits, compute_metrics
-from reflowsim.oven import cm_per_second
-from reflowsim.thermal import _forcing_sums, _rk4_coefficients, _sample_scan, step_counts
+from reflowsim.oven import cm_per_second, position_at_time
+from reflowsim.thermal import (
+    _MAX_STEPS,
+    _forcing_sums,
+    _rk4_coefficients,
+    _sample_scan,
+    step_counts,
+)
 
 
 def piecewise_trace(dt: float, belt_speed: float, vertices) -> ThermalTrace:
@@ -85,6 +94,19 @@ def ambient_reference(profile, x):
     return float(out) if out.ndim == 0 else out
 
 
+def geometry_key(profile) -> tuple:
+    """Everything of a profile except its plateau and transition levels:
+    each segment's type and bounds, a sigmoid's centre, and the cooling
+    blend whole (its exponential depends on its endpoint temperatures).
+    Profiles with equal keys differ only in ConstantSegment.level and in
+    SigmoidSegment.t_before/t_after."""
+    return tuple(
+        seg if isinstance(seg, ExpLinearBlendSegment)
+        else (type(seg), seg.x_start, seg.x_end, getattr(seg, "center", None))
+        for seg in profile.segments
+    )
+
+
 def naive_rk4(profile, params, coefficient, dt, dt_out):
     """Textbook per-step RK4 loop for the heating ODE; the field comes from
     ``ambient_reference``, at every stage position in one call."""
@@ -108,6 +130,53 @@ def naive_rk4(profile, params, coefficient, dt, dt_out):
         if (i + 1) % stride == 0:
             out.append(y)
     return ThermalTrace.from_temps(dt_out, v, np.array(out))
+
+
+def euler_reference(profile, params, model, dt: float) -> ThermalTrace:
+    """Forward-Euler integration of the heating ODE as a plain Python loop,
+    sampled at every step (the trace's dt is the integration dt); the field
+    comes from ``ambient_reference`` at every node.
+
+    First-order, no coefficient algebra, nothing shared with the library's
+    field.  Refuses a bad dt, e = coefficient * dt above 1 (there a step is
+    no longer a weighted mean of y and the ambient, and the trace can
+    overshoot it) and more steps than the library's cap (``step_counts``).
+    """
+    v = params.belt_speed
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    q = model.coefficient
+    if not q * dt <= 1.0:
+        raise ValueError(
+            f"forward-Euler step is unstable: coefficient {q} * dt {dt} = e {q * dt:.6g}, "
+            "above 1, where a step is no longer a weighted mean of y and the ambient"
+        )
+    total = profile.total_length_cm
+    n_steps = int(step_counts(total, v, dt))
+    node_times = np.arange(n_steps + 1) * dt
+    x_nodes = np.clip(position_at_time(v, node_times), 0.0, total)
+    amb = ambient_reference(profile, x_nodes).tolist()
+    y = float(params.tt5)
+    temps = [y]
+    for i in range(n_steps):
+        y = y + dt * q * (amb[i] - y)
+        temps.append(y)
+    return ThermalTrace.from_temps(dt, v, np.array(temps))
+
+
+def resample(trace: ThermalTrace, dt_out: float) -> ThermalTrace:
+    """Linear interpolation of a trace onto nodes k * dt_out up to its final
+    time; refuses a bad dt_out, and more intervals than the library's step
+    cap before any array is built."""
+    if not (math.isfinite(dt_out) and dt_out > 0):
+        raise ValueError(f"dt_out must be positive and finite, got {dt_out}")
+    n = np.floor(trace.duration / dt_out + 1e-9)
+    if not n <= _MAX_STEPS:
+        raise ValueError(f"dt_out = {dt_out} s needs {n:.0f} intervals to span the trace; "
+                         f"the limit is {_MAX_STEPS}")
+    new_times = np.arange(int(n) + 1) * dt_out
+    return ThermalTrace.from_temps(dt_out, trace.belt_speed,
+                                   np.interp(new_times, trace.times, trace.temps))
 
 
 def stage_positions(total_cm: float, belt_speeds, dt: float):

@@ -186,6 +186,14 @@ class TestCalibrateCoefficient:
         assert result.best_coefficient == 0.05
         assert len(result.scores) == 1
 
+    def test_tiny_candidate_is_scored(self, layout, params, default_trace):
+        # at 1e-16 the scan factor A**stride rounds to 1
+        result = calibrate_coefficient(
+            default_trace, layout, params, 0.8, [1e-16, 0.021], refine_rounds=0
+        )
+        assert result.best_coefficient == 0.021
+        assert np.isfinite(result.scores[0].discrepancy)
+
     def test_pearson_reported_per_candidate(self, layout, params, profile):
         measured = simulate(profile, params, WeldingModel(0.021))
         result = calibrate_coefficient(

@@ -89,6 +89,23 @@ class TestSimulateCommand:
         assert code != 0
         assert "belt_speed" in err
 
+    @pytest.mark.parametrize("dt, message", [
+        ("5e-324", "dt_out / dt overflows: dt_out = 0.5, dt = 5e-324"),
+        ("1e-300", "dt = 1e-300 s needs 3.73e+302 integration steps to cross the furnace"),
+    ])
+    def test_extreme_step_exits_2_naming_dt(self, capsys, tmp_path, dt, message):
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "simulate", "--dt", dt, "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert message in err and "Traceback" not in err
+
+    def test_tiny_coefficient_runs(self, capsys, tmp_path):
+        # A**stride rounds to 1 at this coefficient; the board stays at 25 degC
+        out_path = tmp_path / "trace.csv"
+        code, _, _ = run_cli(capsys, "simulate", "--coefficient", "1e-16", "--out", str(out_path))
+        assert code == 0
+        assert np.all(load_trace_csv(out_path).temps == 25.0)
+
     def test_verdict_csv(self, capsys, tmp_path):
         out_path = tmp_path / "trace.csv"
         verdict_path = tmp_path / "verdict.csv"

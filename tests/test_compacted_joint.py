@@ -42,9 +42,9 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import FieldRows, _level_columns, geometry_key
+from reflowsim.ambient import FieldRows, _level_columns
 
-from helpers import integrate_rows, stage_positions
+from helpers import geometry_key, integrate_rows, stage_positions
 
 LAYOUT = default_layout()
 COEFFICIENT = 0.021

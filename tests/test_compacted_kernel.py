@@ -30,11 +30,11 @@ from reflowsim import (
     inclusive_grid,
     simulate,
 )
-from reflowsim.ambient import ConstantSegment, _level_columns, geometry_key
+from reflowsim.ambient import ConstantSegment, _level_columns
 from reflowsim.oven import cm_per_second
 from reflowsim.thermal import _Plateaus, _reach, rk4_blocks, simulator, step_counts
 
-from helpers import full_field_rk4
+from helpers import full_field_rk4, geometry_key
 
 LAYOUT = default_layout()
 MODEL = WeldingModel(0.021)

@@ -5,7 +5,7 @@ array, groups them by a geometry signature computed on the array
 (``ambient._geometry_groups``), builds one template profile per group and
 gathers the rows' level columns by the level sources of the template's own
 assembly (``ambient._assemble``).  Against the per-combination path
-(``build_profile`` for every combination, grouped by ``geometry_key``):
+(``build_profile`` for every combination, grouped by ``helpers.geometry_key``):
 
 * the groups are exactly the ``geometry_key`` partition, and every member's
   key equals its template's;
@@ -44,7 +44,9 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import _level_columns, geometry_key
+from reflowsim.ambient import _level_columns
+
+from helpers import geometry_key
 
 LAYOUT = default_layout()
 WEIGHT = 0.8

@@ -12,10 +12,9 @@ from reflowsim import (
     WeldingModel,
     check_limits,
     compute_metrics,
-    resample,
     simulate,
 )
-from helpers import brute_force_above_duration, piecewise_trace
+from helpers import brute_force_above_duration, piecewise_trace, resample
 
 
 def metrics_all_pass(**overrides):

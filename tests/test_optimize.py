@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import re
 
@@ -294,6 +295,36 @@ class TestJointSweeps:
         assert serial.best.area == parallel.best.area
         assert [c.key() for c in serial.candidates] == [c.key() for c in parallel.candidates]
         assert [c.area for c in serial.candidates] == [c.area for c in parallel.candidates]
+
+    @pytest.mark.parametrize("cores, pools", [(2, [2]), (None, [])])
+    def test_workers_are_clamped_to_the_cores(self, layout, monkeypatch, cores, pools):
+        # a recorder stands in for the pool, so no process is started
+        started, mapped = [], []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                mapped.append(len(jobs))
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(optimize.os, "cpu_count", lambda: cores)
+        clamped = minimize_area(layout, SMALL_RANGES, 0.8, 0.021, workers=64)
+        assert started == pools
+        # the jobs are split for the clamped count, not for 64 workers
+        assert mapped == [len(optimize._sweep_jobs(layout, SMALL_RANGES, 0.8, n)[1])
+                          for n in pools]
+        serial = minimize_area(layout, SMALL_RANGES, 0.8, 0.021, workers=1)
+        assert [c.key() for c in clamped.candidates] == [c.key() for c in serial.candidates]
+        assert [c.area for c in clamped.candidates] == [c.area for c in serial.candidates]
 
     @pytest.mark.parametrize("workers", [0, -1])
     @pytest.mark.parametrize("sweep", [minimize_area, most_symmetric])

@@ -29,10 +29,10 @@ from reflowsim import (
     simulate,
     symmetry_score,
 )
-from reflowsim.ambient import FieldRows, _level_columns, geometry_key
+from reflowsim.ambient import FieldRows, _level_columns
 from reflowsim.limits import metrics_rows
 
-from helpers import ambient_reference
+from helpers import ambient_reference, geometry_key
 
 # tt1 = tt2 = 185 merges zones 1-6 into one plateau: a second geometry.
 MERGED_TT1_TT2 = ParameterRanges(

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+import reflowsim.ambient
 from reflowsim import (
     AmbientProfile,
     ConstantSegment,
@@ -11,20 +13,21 @@ from reflowsim import (
     SimulationGrid,
     ThermalTrace,
     WeldingModel,
-    euler_reference,
+    ambient_at,
     feasible_speed_interval,
     minimize_area,
-    resample,
     simulate,
 )
 from reflowsim.thermal import (
+    _MAX_CHUNK,
     _MAX_E,
     _MAX_STEPS,
+    _chunk_width,
     _rk4_coefficients,
     check_step,
     step_counts,
 )
-from helpers import ambient_reference, naive_rk4, stage_positions
+from helpers import ambient_reference, euler_reference, naive_rk4, resample, stage_positions
 
 
 def constant_profile(level, length=435.5):
@@ -136,6 +139,20 @@ class TestEulerReference:
             errors.append(np.max(np.abs(trace.temps - closed)))
         assert 1.8 <= errors[0] / errors[1] <= 2.2
 
+    def test_takes_no_field_from_the_library(self, monkeypatch, profile, params):
+        # the oracle judges the library's field, so it must run without it
+        model = WeldingModel(0.021)
+        before = euler_reference(profile, params, model, 0.01)
+
+        def refuse(*args):
+            raise AssertionError("the library's field was evaluated")
+
+        monkeypatch.setattr(reflowsim.ambient, "FieldRows", refuse)
+        with pytest.raises(AssertionError, match="library's field"):
+            ambient_at(profile, 100.0)
+        after = euler_reference(profile, params, model, 0.01)
+        assert np.array_equal(after.temps, before.temps)
+
 
 class TestResample:
     def test_identity_grid(self, default_trace):
@@ -209,6 +226,11 @@ class TestGridAndModelValidation:
     def test_grid_requires_integer_multiple(self):
         with pytest.raises(ValueError, match="multiple"):
             SimulationGrid(dt=0.3, dt_out=0.5)
+        # a ratio that overflows is named with both steps
+        for dt, dt_out in ((5e-324, 0.5), (0.1, 1e308)):
+            message = f"dt_out / dt overflows: dt_out = {dt_out}, dt = {dt}; dt_out must be a"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                SimulationGrid(dt=dt, dt_out=dt_out)
 
     def test_grid_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -278,6 +300,10 @@ class TestIntegrationBoundary:
         # 402 s in steps of 1e-7 s: 4e9 steps, 30 GiB per array
         with pytest.raises(ValueError, match=r"dt = 1e-07 s needs 40\d{8} integration steps"):
             step_counts(435.5, 65.0, 1e-7)
+        # past 2**53 steps the count is rounded, not printed digit by digit
+        with pytest.raises(ValueError, match=r"^dt = 1e-300 s needs 4.02e\+302 integration steps "
+                                             r"to cross the furnace; the limit is 2000000$"):
+            step_counts(435.5, 65.0, 1e-300)
 
     def test_stage_positions_refuses_past_the_cap(self):
         # just past the cap, so a missing check would allocate megabytes, not gigabytes
@@ -308,6 +334,15 @@ class TestIntegrationBoundary:
         with pytest.raises(ValueError, match=f"dt_out must be positive and finite, got {value}"):
             resample(default_trace, value)
 
+    def test_tiny_coefficient_is_integrated(self, profile, params):
+        # at 1e-16 the scan factor of a kept sample, A**stride, rounds to 1
+        assert _rk4_coefficients(1e-16 * 0.1)[0] ** 5 == 1.0
+        assert _chunk_width(1.0) == _MAX_CHUNK
+        trace = simulate(profile, params, WeldingModel(1e-16))
+        assert np.isfinite(trace.temps).all()
+        reference = naive_rk4(profile, params, 1e-16, 0.1, 0.5)
+        assert np.max(np.abs(trace.temps - reference.temps)) <= 1e-9
+
     def test_stage_positions_pad_rows_with_the_furnace_end(self):
         x_nodes, x_mid, n_steps = stage_positions(435.5, [100.0, 65.0], 0.1)
         assert n_steps.tolist() == [2613, 4020]
@@ -315,4 +350,3 @@ class TestIntegrationBoundary:
         assert np.all(x_nodes[0, 2613:] == 435.5) and x_nodes[0, 2612] < 435.5
         single, _, _ = stage_positions(435.5, 100.0, 0.1)
         assert np.array_equal(single[0], x_nodes[0, :2614])
-
