@@ -17,6 +17,8 @@ from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
 from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate, simulator
 
+REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
+
 
 @dataclass(frozen=True)
 class AlignedPair:
@@ -141,7 +143,6 @@ def calibrate_coefficient(
     candidates,
     grid: SimulationGrid | None = None,
     refine_rounds: int = 1,
-    refine_factor: int = 10,
 ) -> CalibrationResult:
     """Grid-search the welding coefficient against a measured trace.
 
@@ -155,17 +156,15 @@ def calibrate_coefficient(
         (``check_trace_speed``).
     candidates : iterable of float
         Coefficient grid to evaluate, e.g. 0.0200 to 0.0220 in steps of
-        0.0005.
+        0.0005.  A candidate whose trace stays at the start temperature
+        (its Pearson correlation undefined) is refused when it runs.
     grid : SimulationGrid, optional
         Integration/output grid (defaults to dt=0.1 s, dt_out=0.5 s).
     refine_rounds : int
         After the coarse pass, re-grid one coarse step around the incumbent
-        at 1/refine_factor of the step and re-evaluate; repeated per round
-        with ever finer steps.  Pass 0 to restrict the search to the given
-        grid.
-    refine_factor : int
-        How many finer steps one coarse step splits into; an integer of at
-        least 1.
+        at 1/REFINE_FACTOR (a tenth) of the step and re-evaluate; repeated
+        per round with ever finer steps, until the rounds run out or one
+        adds no candidate.  Pass 0 to restrict the search to the given grid.
 
     Returns
     -------
@@ -177,32 +176,33 @@ def calibrate_coefficient(
     grid = _start_search(measured, params, cands, "candidates", grid)
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
-    # also refuses NaN and inf
-    if not (refine_factor >= 1 and float(refine_factor).is_integer()):
-        raise ValueError(f"refine_factor must be an integer of at least 1, got {refine_factor}")
-    refine_factor = int(refine_factor)
     # one plan and field for every candidate: only the coefficient varies
     run = simulator(build_profile(layout, params, weight), params, grid)
 
     def evaluate(q: float) -> CandidateScore:
         pair = align(measured, run(WeldingModel(q)))
+        if np.ptp(pair.simulated) == 0.0:
+            raise ValueError(f"candidate coefficients: {q:g} leaves the board at its start "
+                             "temperature, where the Pearson correlation is undefined")
         return CandidateScore(q, discrepancy(pair), pearson(pair))
 
     scores = [evaluate(q) for q in cands]
     seen = {round(q, 12) for q in cands}
     step = _grid_step(cands)
-    for _ in range(refine_rounds):
-        if step is None:
-            break
+    for _ in range(refine_rounds if step is not None else 0):
         incumbent = _best(scores, "coefficient")
-        fine = step / refine_factor
-        for k in range(-refine_factor, refine_factor + 1):
+        fine = step / REFINE_FACTOR
+        seen_before = len(seen)
+        for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1):
             q = incumbent.coefficient + k * fine
             q = round(q, 12)
             if q <= 0 or q in seen:
                 continue
             seen.add(q)
             scores.append(evaluate(q))
+        # nothing new: the grid has collapsed onto seen values, as finer ones will
+        if len(seen) == seen_before:
+            break
         step = fine
 
     best = _best(scores, "coefficient")

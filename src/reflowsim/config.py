@@ -17,7 +17,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 from .ambient import DEFAULT_BLEND_WEIGHT
 from .limits import ProcessLimits
-from .optimize import _grid_size, _sweep_size
+from .optimize import DEFAULT_SPEED_SWEEP_STEP, _grid_size, _sweep_size
 from .oven import (
     OvenLayout,
     ParameterRanges,
@@ -44,7 +44,7 @@ class RunConfig:
     grid: SimulationGrid = field(default_factory=SimulationGrid)
     ranges: ParameterRanges = field(default_factory=ParameterRanges)
     limits: ProcessLimits = field(default_factory=ProcessLimits)
-    speed_sweep_step: float = 0.1
+    speed_sweep_step: float = DEFAULT_SPEED_SWEEP_STEP
     sweep_refine_rounds: int = 0
     area_domain: str = "position"
     workers: int = 0  # 0 means all available cores
@@ -75,10 +75,10 @@ class RunConfig:
             raise ValueError(
                 f"area_domain must be 'position' or 'time', got {self.area_domain!r}"
             )
-        for name in ("field_dx", "speed_sweep_step"):
-            value = getattr(self, name)
+        for key, value in (("output.field_dx", self.field_dx),
+                           ("sweep.speed_step", self.speed_sweep_step)):
             if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite, got {value}")
+                raise ValueError(f"{key} must be positive and finite, got {value}")
         # the grids the commands build: bounded before any of them exists
         _grid_size(0.0, self.layout.total_length_cm, self.field_dx, "output.field_dx")
         _grid_size(*self.ranges.belt_speed, self.speed_sweep_step, "sweep.speed_step")

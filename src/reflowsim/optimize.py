@@ -70,7 +70,8 @@ from .thermal import (
 )
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
-DEFAULT_OFFSET_STEP = 0.5
+DEFAULT_OFFSET_STEP = 0.5  # s between symmetry pairs
+REFINE_FACTOR = 5  # finer steps per step of the grids, at each refinement round
 # Most values one grid holds, and most candidates (setpoint combinations x
 # speeds) one joint sweep evaluates: both are checked before anything that
 # size is built.
@@ -202,28 +203,25 @@ def _interp_rows(x, times, temps) -> np.ndarray:
     return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
 
 
-def _symmetry_rows(times, temps, offset_step: float, melt=None):
+def _symmetry_rows(times, temps, melt=None):
     """Per row, the symmetry score (None unless the row has exactly one
     above-217 pass) and the number of passes; melt as for ``_melt_passes``.
 
     The k offset pairs of all rows with one pass are interpolated at once,
     in a rows x max(k) array; each row's squares are summed over its own k
-    columns, as ``symmetry_score`` sums them.  A step that is not positive
-    and finite, or a k above _MAX_GRID, is refused before that array exists.
+    columns, as ``symmetry_score`` sums them.  A k above _MAX_GRID is
+    refused before that array exists.
     """
-    if not (math.isfinite(offset_step) and offset_step > 0):
-        raise ValueError(f"offset_step must be positive and finite, got {offset_step}")
     passes, t1s, t2s = _melt_passes(times, temps, melt)
     one = np.flatnonzero(passes == 1)
     t1, t2 = t1s[one], t2s[one]
     center = (0.5 * (t1 + t2))[:, None]
-    with np.errstate(over="ignore"):  # a subnormal step gives inf, refused below
-        k = np.floor(0.5 * (t2 - t1) / offset_step + 1e-9)
+    k = np.floor(0.5 * (t2 - t1) / DEFAULT_OFFSET_STEP + 1e-9)
     if not k.max(initial=0) <= _MAX_GRID:
-        raise ValueError(f"offset_step = {offset_step:g} makes {k.max():.0f} symmetry pairs; "
+        raise ValueError(f"the above-217 pass makes {k.max():.0f} symmetry pairs; "
                          f"the limit is {_MAX_GRID}")
     k = k.astype(np.int64)
-    offsets = (np.arange(k.max(initial=0)) + 1) * offset_step
+    offsets = (np.arange(k.max(initial=0)) + 1) * DEFAULT_OFFSET_STEP
     left = _interp_rows(center - offsets, times, temps[one])
     right = _interp_rows(center + offsets, times, temps[one])
     scores = np.zeros(len(temps))
@@ -242,25 +240,23 @@ def reflow_area(trace: ThermalTrace, domain: str = "position") -> float:
     return float(_reflow_area_rows(xs, trace.temps[None])[0])
 
 
-def symmetry_score(trace: ThermalTrace, offset_step: float = DEFAULT_OFFSET_STEP) -> float:
+def symmetry_score(trace: ThermalTrace) -> float:
     """Sum of squared temperature mismatches at mirrored offsets around the
     center of the above-217 pass.
 
     The melting crossings t1 and t2 are interpolated, the center is their
-    midpoint, and pairs are taken at offsets offset_step, 2*offset_step, ...
-    while both mirrored points stay inside [t1, t2].  Zero means a perfectly
-    symmetric pass.
+    midpoint, and pairs are taken at offsets 0.5 s, 1 s, ... (multiples of
+    DEFAULT_OFFSET_STEP) while both mirrored points stay inside [t1, t2].
+    Zero means a perfectly symmetric pass.
 
     Raises
     ------
     ValueError
-        If offset_step is not positive and finite (before anything is
-        computed), or if the pass holds more than _MAX_GRID (1,000,000)
-        pairs (before they are built); both name the step.  If the trace
-        never exceeds 217 degC, or exceeds it on more than one disjoint
-        interval.
+        If the pass holds more than _MAX_GRID (1,000,000) pairs (before
+        they are built).  If the trace never exceeds 217 degC, or exceeds
+        it on more than one disjoint interval.
     """
-    scores, passes = _symmetry_rows(trace.times, trace.temps[None], offset_step)
+    scores, passes = _symmetry_rows(trace.times, trace.temps[None])
     if passes[0] == 0:
         raise ValueError("trace never exceeds 217 degC; symmetry undefined")
     if passes[0] > 1:
@@ -299,7 +295,7 @@ def feasible_speed_interval(
     params: ProcessParameters,
     weight: float,
     coefficient: float,
-    speed_range: tuple[float, float] = (65.0, 100.0),
+    speed_range: tuple[float, float] = ParameterRanges.belt_speed,
     speed_step: float = DEFAULT_SPEED_SWEEP_STEP,
     grid: SimulationGrid | None = None,
     limits: ProcessLimits | None = None,
@@ -387,7 +383,7 @@ def _evaluate_group(
             metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
             feasible = check_rows(metrics, limits).all(axis=0).tolist()
             areas = _reflow_area_rows(xs, temps, melt).tolist()
-            symmetry, _ = _symmetry_rows(times, temps, DEFAULT_OFFSET_STEP, melt)
+            symmetry, _ = _symmetry_rows(times, temps, melt)
             for cands, row, m, area, sym, ok in zip(per_row[part], rows[part], metrics, areas,
                                                     symmetry, feasible):
                 cands.append(SweepCandidate(ProcessParameters(*row, belt_speed=speed), m, area,
@@ -458,8 +454,8 @@ def _sweep_grid(
     return [cand for cands in per_row for cand in cands]
 
 
-def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters, factor: int) -> ParameterRanges:
-    """Shrink the grids to +/- one step around the incumbent at step/factor."""
+def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters) -> ParameterRanges:
+    """Shrink the grids to +/- one step around the incumbent at step/REFINE_FACTOR."""
 
     def narrow(interval, center, step):
         return (max(interval[0], center - step), min(interval[1], center + step))
@@ -471,8 +467,8 @@ def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters, factor: in
         tt4=narrow(ranges.tt4, best.tt4, ranges.temp_step),
         tt5=ranges.tt5,
         belt_speed=narrow(ranges.belt_speed, best.belt_speed, ranges.speed_step),
-        temp_step=ranges.temp_step / factor,
-        speed_step=ranges.speed_step / factor,
+        temp_step=ranges.temp_step / REFINE_FACTOR,
+        speed_step=ranges.speed_step / REFINE_FACTOR,
     )
 
 
@@ -509,7 +505,6 @@ def _optimize(
     limits: ProcessLimits | None,
     area_domain: str,
     refine_rounds: int,
-    refine_factor: int,
     workers: int,
 ) -> OptimizationResult:
     grid = grid if grid is not None else SimulationGrid()
@@ -518,9 +513,6 @@ def _optimize(
         raise ValueError(f"unknown objective {objective!r}")
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
-    if not (refine_factor >= 1 and math.isfinite(refine_factor)):  # also refuses NaN
-        raise ValueError(f"refine_factor must be a finite number of at least 1, "
-                         f"got {refine_factor}")
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     # a pool starts all its processes at once, and more than the cores only
@@ -541,6 +533,7 @@ def _optimize(
         batch = _sweep_grid(
             layout, current_ranges, weight, coefficient, grid, limits, area_domain, workers
         )
+        seen_before = len(seen)
         for cand in batch:
             k = tuple(round(x, 9) for x in cand.key())
             if k in seen:
@@ -549,9 +542,10 @@ def _optimize(
             candidates.append(cand)
         pool = [c for c in candidates if eligible(c)]
         best = min(pool, key=sort_key) if pool else None
-        if best is None or round_idx == refine_rounds:
+        # nothing new: the grid has collapsed onto seen keys, as finer ones will
+        if best is None or round_idx == refine_rounds or len(seen) == seen_before:
             break
-        current_ranges = _refined_ranges(current_ranges, best.params, refine_factor)
+        current_ranges = _refined_ranges(current_ranges, best.params)
 
     rejected = sum(1 for c in candidates if c.feasible and c.symmetry is None)
     if best is not None and not check_limits(best.metrics, limits).passed:
@@ -574,7 +568,6 @@ def minimize_area(
     limits: ProcessLimits | None = None,
     area_domain: str = "position",
     refine_rounds: int = 0,
-    refine_factor: int = 5,
     workers: int = 1,
 ) -> OptimizationResult:
     """Exhaustively search the setpoint/speed grids for the feasible candidate
@@ -582,12 +575,13 @@ def minimize_area(
 
     Ties break toward the lexicographically smallest (tt1, tt2, tt3, tt4,
     belt_speed).  With refine_rounds > 0, each round re-grids one step around
-    the incumbent at step/refine_factor and re-evaluates.  An infeasible-
-    everywhere sweep returns best=None rather than raising.
+    the incumbent at step/REFINE_FACTOR (a fifth of the step) and
+    re-evaluates, until the rounds run out or one adds no candidate.  An
+    infeasible-everywhere sweep returns best=None rather than raising.
     """
     return _optimize(
         "area", layout, ranges, weight, coefficient, grid, limits,
-        area_domain, refine_rounds, refine_factor, workers,
+        area_domain, refine_rounds, workers,
     )
 
 
@@ -600,7 +594,6 @@ def most_symmetric(
     limits: ProcessLimits | None = None,
     area_domain: str = "position",
     refine_rounds: int = 0,
-    refine_factor: int = 5,
     workers: int = 1,
 ) -> OptimizationResult:
     """Joint sweep minimizing (symmetry score, reflow area) lexicographically.
@@ -611,5 +604,5 @@ def most_symmetric(
     """
     return _optimize(
         "symmetry", layout, ranges, weight, coefficient, grid, limits,
-        area_domain, refine_rounds, refine_factor, workers,
+        area_domain, refine_rounds, workers,
     )

@@ -411,6 +411,11 @@ class _Plateaus:
     def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int):
         s = stride
         n_steps = step_counts(template.total_length_cm, speeds, dt)
+        if n_steps.min() < s:  # a row would keep its first sample alone
+            i = np.argmin(n_steps)
+            raise ValueError(f"dt_out = {s * dt:g} s exceeds the {n_steps[i] * dt:g} s transit "
+                             f"of the furnace at belt speed {speeds[i]:g} cm/min: a trace needs "
+                             "at least 2 samples")
         self.template, self.dt, self.stride = template, dt, s
         # each row's samples, its kept nodes 0..K
         self.lengths = n_steps // s + 1

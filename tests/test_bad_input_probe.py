@@ -1,0 +1,166 @@
+"""Every flag and every configuration key, fed each of a table of bad values.
+
+Each run must exit 0 or 2 without raising.  A refusal (2) prints nothing on
+stdout and names the key (or its flag) on stderr; a finished run (0) prints
+no NaN or infinity, except the value given where the output echoes it (a
+file name, or a limit's bound in the verdict table: a limit may be
+infinite).  Sweeps run on single-point ranges, so each run takes
+milliseconds, and no process pool starts: a recorder takes the pool's place
+and checks that the workers asked for are at most the cores.
+"""
+
+import argparse
+import concurrent.futures
+import os
+import re
+from dataclasses import fields
+
+import pytest
+import yaml
+
+from reflowsim.config import _RUN_FIELDS, SECTIONS, RunConfig
+from reflowsim.cli import FLAG_KEYS, build_parser, main
+
+BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "5e-324", "text"]
+
+# Single-point ranges around the default setpoints: a sweep evaluates one
+# candidate per round.
+POINT_RANGES = {"tt1": [175.0, 175.0], "tt2": [195.0, 195.0], "tt3": [235.0, 235.0],
+                "tt4": [255.0, 255.0], "belt_speed": [70.0, 70.0]}
+
+
+def _config_keys():
+    """Every (section, key) of the configuration, with its field's type."""
+    keys = {}
+    for section, target in SECTIONS.items():
+        if isinstance(target, str):
+            for f in fields(getattr(RunConfig(), target)):
+                keys[section, f.name] = f.type
+        else:
+            for key, name in target.items():
+                keys[section, key] = _RUN_FIELDS[name].type
+    return keys
+
+
+CONFIG_KEYS = _config_keys()
+
+
+def _command(section: str, key: str) -> list[str]:
+    """The subcommand (and its arguments) that reads the key."""
+    if section == "ranges" or (section, key) in {("sweep", "refine_rounds"), ("sweep", "workers"),
+                                                 ("sweep", "area_domain"),
+                                                 ("output", "candidates_csv")}:
+        return ["optimize-symmetry"]
+    if (section, key) == ("sweep", "speed_step"):
+        return ["optimize-speed"]
+    if section == "calibration":
+        return ["calibrate", "measured.csv", "--fit-blend"]
+    if (section, key) in {("output", "field_dx"), ("output", "field_csv")}:
+        return ["field"]
+    return ["simulate"]
+
+
+def _flag(command: str, dest: str) -> str:
+    [subparsers] = [a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    [flag] = [a.option_strings[0] for a in subparsers.choices[command]._actions
+              if a.dest == dest]
+    return flag
+
+
+def _yaml_value(token: str, kind: str):
+    value = yaml.safe_load(token)
+    if isinstance(value, str) and token != "text":
+        value = float(token)  # YAML 1.1 reads nan, inf and 1e308 as strings
+    if kind == "tuple[float, float]":
+        return [value, value]
+    if kind == "tuple[float, ...]":
+        return [value]
+    return value
+
+
+class Recorder:
+    """Stands in for ProcessPoolExecutor: checks the workers asked for and
+    maps in-process."""
+
+    def __init__(self, max_workers):
+        assert 1 < max_workers <= (os.cpu_count() or 1)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory with the measured trace and the single-point ranges."""
+    directory = tmp_path_factory.mktemp("probe")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(directory)
+        assert main(["simulate", "--out", "measured.csv"]) == 0
+    return directory
+
+
+def _run(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses a flag's value
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _check(code, out, err, names, token, echoed):
+    """What is wrong with one run, or None."""
+    if code == 2:
+        if out:
+            return f"refused with stdout {out[:80]!r}"
+        if not any(name in err for name in names):
+            return f"refused without naming {names[0]}: {err.strip()[-160:]!r}"
+        return None
+    if code != 0:
+        return f"exit {code}: {err.strip()[-160:]!r}"
+    if echoed:
+        out = out.replace(token, "")
+    leaked = re.findall(r"\b(?:nan|inf)\b", out)
+    return f"stdout holds {leaked[0]}" if leaked else None
+
+
+def _probe(capsys, monkeypatch, workdir, section, key, flag_argv):
+    monkeypatch.chdir(workdir)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    kind = CONFIG_KEYS[section, key]
+    command = _command(section, key)
+    flag = _flag(command[0], flag_argv) if flag_argv else None
+    problems = []
+    for token in BAD_VALUES:
+        data = {"ranges": dict(POINT_RANGES)}
+        if flag is None:
+            data.setdefault(section, {})[key] = _yaml_value(token, kind)
+            argv = command
+            names = [key]
+        else:
+            argv = [*command, f"{flag}={token}"]
+            names = [key, flag]
+        (workdir / "probe.yaml").write_text(yaml.safe_dump(data))
+        code, out, err = _run(capsys, [*argv, "--config", "probe.yaml"])
+        problem = _check(code, out, err, names, token,
+                         echoed=kind.startswith("str") or section == "limits")
+        if problem:
+            problems.append(f"{token}: {problem}")
+    assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("section, key", list(CONFIG_KEYS), ids=[".".join(k) for k in CONFIG_KEYS])
+def test_config_key(capsys, monkeypatch, workdir, section, key):
+    _probe(capsys, monkeypatch, workdir, section, key, None)
+
+
+@pytest.mark.parametrize("dest", list(FLAG_KEYS))
+def test_flag(capsys, monkeypatch, workdir, dest):
+    _probe(capsys, monkeypatch, workdir, *FLAG_KEYS[dest], dest)

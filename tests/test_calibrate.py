@@ -204,23 +204,37 @@ class TestCalibrateCoefficient:
         best_row = [s for s in result.scores if s.coefficient == 0.0210][0]
         assert best_row.pearson == pytest.approx(1.0, abs=1e-12)
 
+    def test_refinement_stops_once_a_round_adds_nothing(self, layout, params, default_trace,
+                                                        monkeypatch):
+        # a tenth of the step per round: after nine rounds the steps fall
+        # below the 1e-12 the candidates are rounded to
+        best, calls = calibrate_module._best, []
+
+        def counted(scores, name):
+            calls.append(len(scores))
+            return best(scores, name)
+
+        monkeypatch.setattr(calibrate_module, "_best", counted)
+        endless = calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
+                                        refine_rounds=10**6)
+        # one incumbent per round, then the result's best and its check
+        assert len(calls) < 20 and len(endless.scores) == 157
+        assert calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
+                                     refine_rounds=20) == endless
+        assert calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
+                                     refine_rounds=8).scores == endless.scores[:149]
+
+    def test_constant_candidate_trace_is_refused_naming_the_candidate(
+            self, layout, params, default_trace):
+        # at 1e-300 the board never leaves 25 degC, and Pearson is undefined
+        with pytest.raises(ValueError, match="candidate coefficients: 1e-300 leaves the board "
+                                             "at its start temperature"):
+            calibrate_coefficient(default_trace, layout, params, 0.8, [0.021, 1e-300],
+                                  refine_rounds=0)
+
     def test_empty_candidates(self, layout, params, default_trace):
         with pytest.raises(ValueError, match="empty"):
             calibrate_coefficient(default_trace, layout, params, 0.8, [])
-
-    @pytest.mark.parametrize("refine_rounds", [0, 1])
-    @pytest.mark.parametrize("factor", [0, -1, 2.5, float("nan"), float("inf")])
-    def test_bad_refine_factor_is_refused_before_any_simulation(
-        self, layout, params, default_trace, monkeypatch, factor, refine_rounds
-    ):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("simulated before the refine_factor was checked")
-
-        monkeypatch.setattr(calibrate_module, "simulator", forbidden)
-        with pytest.raises(ValueError, match=f"refine_factor must be an integer of at "
-                                             f"least 1, got {factor}"):
-            calibrate_coefficient(default_trace, layout, params, 0.8, COARSE_GRID,
-                                  refine_rounds=refine_rounds, refine_factor=factor)
 
     def test_trace_at_another_speed_is_refused(self, layout, params, profile):
         # params run at 70 cm/min; the trace was simulated at 90
@@ -238,13 +252,6 @@ class TestCalibrateCoefficient:
         with pytest.raises(ValueError, match="belt speed 83.1235 cm/min, but --belt-speed"):
             check_trace_speed(trace_from([25.0, 26.0], v=83.123457), 83.123456789123,
                               "--belt-speed")
-
-    def test_integral_float_refine_factor_equals_the_int(self, layout, params, profile):
-        measured = simulate(profile, params, WeldingModel(0.0212))
-        grid = [0.0200, 0.0210, 0.0220]
-        as_float = calibrate_coefficient(measured, layout, params, 0.8, grid, refine_factor=2.0)
-        as_int = calibrate_coefficient(measured, layout, params, 0.8, grid, refine_factor=2)
-        assert as_float == as_int and len(as_int.scores) == 5
 
     @pytest.mark.parametrize("result_type, score, name", [
         (CalibrationResult, lambda q, d: CandidateScore(q, d, 0.9), "coefficient"),

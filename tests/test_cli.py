@@ -99,6 +99,14 @@ class TestSimulateCommand:
         assert code == 2 and out == "" and not out_path.exists()
         assert message in err and "Traceback" not in err
 
+    def test_output_interval_past_the_transit_exits_2_naming_dt_out(self, capsys, tmp_path):
+        # a stride of 1e11 steps: refused before its stage arrays are allocated
+        out_path = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "simulate", "--dt-out", "1e10", "--out", str(out_path))
+        assert code == 2 and out == "" and not out_path.exists()
+        assert "dt_out = 1e+10 s exceeds the 373.2 s transit of the furnace" in err
+        assert "Traceback" not in err
+
     def test_tiny_coefficient_runs(self, capsys, tmp_path):
         # A**stride rounds to 1 at this coefficient; the board stays at 25 degC
         out_path = tmp_path / "trace.csv"
@@ -170,6 +178,20 @@ class TestCalibrateCommand:
                                "--belt-speed", "90")
         assert code == 0
         assert "best coefficient: 0.021000" in out
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+    def test_endless_refinement_ends_by_itself(self, capsys, tmp_path, from_config):
+        trace_path = tmp_path / "measured.csv"
+        run_cli(capsys, "simulate", "--out", str(trace_path))
+        config_path = tmp_path / "c.yaml"
+        config_path.write_text("calibration: {refine_rounds: 1.0e+308}\n")
+        rounds = ["--config", str(config_path)] if from_config else ["--refine-rounds", "1000000"]
+        code, endless, _ = run_cli(capsys, "calibrate", str(trace_path), *rounds)
+        assert code == 0
+        _, capped, _ = run_cli(capsys, "calibrate", str(trace_path), "--refine-rounds", "20")
+        # the first line echoes the rounds asked for
+        assert endless.splitlines()[1:] == capped.splitlines()[1:]
+        assert capped.startswith("coefficient candidates: 157 evaluated")
 
     def test_missing_file_names_path(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"

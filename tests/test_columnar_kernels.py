@@ -205,17 +205,17 @@ def test_missing_rise_time_fails_its_limit():
     assert check_rows(columns).tolist() == [[True], [True], [False], [True], [True]]
 
 
-def loop_symmetry(times, row, offset_step):
+def loop_symmetry(times, row):
     """The per-row np.interp loop that the vectorised pairs replaced."""
     passes, t1s, t2s = optimize._melt_passes(times, row[None])
     if passes[0] != 1:
         return None
     t1, t2 = float(t1s[0]), float(t2s[0])
     center = 0.5 * (t1 + t2)
-    k = int(np.floor(0.5 * (t2 - t1) / offset_step + 1e-9))
+    k = int(np.floor(0.5 * (t2 - t1) / 0.5 + 1e-9))
     if k == 0:
         return 0.0
-    offsets = (np.arange(k) + 1) * offset_step
+    offsets = (np.arange(k) + 1) * 0.5
     left = np.interp(center - offsets, times, row)
     right = np.interp(center + offsets, times, row)
     return float(np.sum((left - right) ** 2))
@@ -237,13 +237,12 @@ SYMMETRY_CASES = {
 }
 
 
-@pytest.mark.parametrize("offset_step", [0.5, 0.3, 1.0])
-def test_symmetry_pairs_equal_np_interp(offset_step):
+def test_symmetry_pairs_equal_np_interp():
     rows = np.array([values for values, _ in SYMMETRY_CASES.values()], dtype=float)
     times = np.arange(rows.shape[1]) * 0.5
-    scores, passes = optimize._symmetry_rows(times, rows, offset_step)
+    scores, passes = optimize._symmetry_rows(times, rows)
     for name, row, score in zip(SYMMETRY_CASES, rows, scores):
-        assert score == loop_symmetry(times, row, offset_step), name
+        assert score == loop_symmetry(times, row), name
     assert passes.tolist() == [n for _, n in SYMMETRY_CASES.values()]
     named = dict(zip(SYMMETRY_CASES, scores))
     assert named["k = 0"] == 0.0
@@ -251,11 +250,11 @@ def test_symmetry_pairs_equal_np_interp(offset_step):
 
 
 @settings(max_examples=100, deadline=None)
-@given(padded_rows(), st.sampled_from([0.5, 0.3, 1.25]))
-def test_symmetry_of_random_rows_equals_the_loop(case, offset_step):
+@given(padded_rows())
+def test_symmetry_of_random_rows_equals_the_loop(case):
     times, temps, _, _ = case
-    scores, _ = optimize._symmetry_rows(times, temps, offset_step)
-    assert scores == [loop_symmetry(times, row, offset_step) for row in temps]
+    scores, _ = optimize._symmetry_rows(times, temps)
+    assert scores == [loop_symmetry(times, row) for row in temps]
 
 
 def test_interp_rows_equals_np_interp():

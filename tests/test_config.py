@@ -192,11 +192,11 @@ class TestSteps:
         (["field", "--dx", "-1"], "", "field_dx must be positive and finite, got -1.0"),
         (["field"], "output: {field_dx: .nan}", "field_dx must be positive and finite, got nan"),
         (["optimize-speed", "--speed-step", "nan"], "",
-         "speed_sweep_step must be positive and finite, got nan"),
+         "sweep.speed_step must be positive and finite, got nan"),
         (["optimize-speed", "--speed-step", "0"], "",
-         "speed_sweep_step must be positive and finite, got 0.0"),
+         "sweep.speed_step must be positive and finite, got 0.0"),
         (["optimize-speed"], "sweep: {speed_step: .nan}",
-         "speed_sweep_step must be positive and finite, got nan"),
+         "sweep.speed_step must be positive and finite, got nan"),
         (["optimize-area"], "ranges: {temp_step: .nan}",
          "enumeration steps must be positive and finite, got temp_step=nan"),
         (["optimize-area"], "ranges: {tt1: [165, .inf]}",
@@ -338,7 +338,7 @@ class TestGridBounds:
         assert _sweep_size(ranges) == 625 * 36
         # a refinement round re-grids +/- one step at step / 5
         best = ProcessParameters(tt1=175.0, tt2=195.0, tt3=235.0, tt4=255.0, belt_speed=80.0)
-        assert _sweep_size(_refined_ranges(ranges, best, 5)) == 11 ** 5
+        assert _sweep_size(_refined_ranges(ranges, best)) == 11 ** 5
         assert _grid_size(0.0, 435.5, RunConfig().field_dx) == 4356
         RunConfig().validate()
 

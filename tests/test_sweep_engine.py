@@ -171,17 +171,17 @@ def loop_above_intervals(times, temps, level):
     return merged
 
 
-def loop_symmetry(trace, offset_step):
+def loop_symmetry(trace):
     """Symmetry score from the loop's intervals; None when undefined."""
     intervals = loop_above_intervals(trace.times, trace.temps, 217.0)
     if len(intervals) != 1:
         return None, len(intervals)
     t1, t2 = intervals[0]
     center = 0.5 * (t1 + t2)
-    k = int(np.floor(0.5 * (t2 - t1) / offset_step + 1e-9))
+    k = int(np.floor(0.5 * (t2 - t1) / 0.5 + 1e-9))
     if k == 0:
         return 0.0, 1
-    offsets = (np.arange(k) + 1) * offset_step
+    offsets = (np.arange(k) + 1) * 0.5
     left = np.interp(center - offsets, trace.times, trace.temps)
     right = np.interp(center + offsets, trace.times, trace.temps)
     return float(np.sum((left - right) ** 2)), 1
@@ -230,10 +230,10 @@ def test_vectorised_crossings_equal_the_loop(seed, dt):
     rows = awkward_rows(rng, int(rng.integers(2, 80)))
     times = np.arange(rows.shape[1]) * dt
     batched_metrics = metrics_rows(times, rows, dt)
-    batched, passes = optimize._symmetry_rows(times, rows, 0.5)
+    batched, passes = optimize._symmetry_rows(times, rows)
     for row, metrics, score, count in zip(rows, batched_metrics, batched, passes):
         trace = ThermalTrace.from_temps(dt, 80.0, row)
-        want, want_count = loop_symmetry(trace, 0.5)
+        want, want_count = loop_symmetry(trace)
         assert (score, count) == (want, want_count)
         assert metrics == compute_metrics(trace)
         assert metrics.rise_time_150_190 == reference_rise(trace)

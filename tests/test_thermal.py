@@ -305,6 +305,16 @@ class TestIntegrationBoundary:
                                              r"to cross the furnace; the limit is 2000000$"):
             step_counts(435.5, 65.0, 1e-300)
 
+    def test_output_interval_up_to_the_transit(self, profile, params):
+        # 70 cm/min crosses the furnace in 3732 steps of 0.1 s: a stride of
+        # 3732 keeps the entry and exit samples, one more keeps the entry alone
+        trace = simulate(profile, params, WeldingModel(0.021), SimulationGrid(0.1, 373.2))
+        assert len(trace) == 2
+        with pytest.raises(ValueError, match=r"^dt_out = 373.3 s exceeds the 373.2 s transit of "
+                                             r"the furnace at belt speed 70 cm/min: a trace needs "
+                                             r"at least 2 samples$"):
+            simulate(profile, params, WeldingModel(0.021), SimulationGrid(0.1, 373.3))
+
     def test_stage_positions_refuses_past_the_cap(self):
         # just past the cap, so a missing check would allocate megabytes, not gigabytes
         with pytest.raises(ValueError, match=f"the limit is {_MAX_STEPS}"):
