@@ -388,13 +388,20 @@ def _geometry_groups(layout: OvenLayout, setpoints: np.ndarray) -> list[np.ndarr
     return [members[g] for g in np.argsort(first)]
 
 
-def _gathered_levels(setpoints: np.ndarray, sources) -> np.ndarray:
-    """``_level_columns`` of the profiles that ``_assemble`` builds from the
-    rows of ``setpoints`` with these level sources, gathered from the
-    setpoints: shape (rows, segments, 2), NaN on the cooling blend."""
-    levels = setpoints[:, [s if s is not None else (0, 0) for s in sources]]
-    levels[:, [s is None for s in sources]] = np.nan
-    return levels
+def _lattice_groups(layout: OvenLayout, rows, weight: float):
+    """The setpoint rows (tuples in ``SETPOINT_SLOTS`` order) by segment
+    geometry (``_geometry_groups``): per group, its row indices, template
+    profile and the rows' ``_level_columns``.  One assembly of the group's
+    first row gives the template's segments and the level sources that
+    name each row's setpoint columns to gather."""
+    setpoints = np.array(rows, dtype=float)
+    groups = []
+    for idx in _geometry_groups(layout, setpoints):
+        segments, sources = _assemble(layout, ProcessParameters(*rows[idx[0]]), weight)
+        levels = setpoints[idx][:, [s if s is not None else (0, 0) for s in sources]]
+        levels[:, [s is None for s in sources]] = np.nan
+        groups.append((idx, AmbientProfile(segments), levels))
+    return groups
 
 
 def __getattr__(name: str):

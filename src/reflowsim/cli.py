@@ -8,7 +8,8 @@ decimal in reports; trace CSVs carry 6 decimals so they reload losslessly).
 
 Exit status is 0 whenever the requested computation completes, including
 sweeps that find nothing feasible; bad configuration, unreadable files and
-malformed traces exit non-zero with a message on stderr.
+malformed traces exit non-zero with a message on stderr (the sweeps print
+only once they have run, so a refused sweep leaves stdout empty).
 """
 
 from __future__ import annotations
@@ -255,11 +256,6 @@ def _report_joint(cfg: RunConfig, result: OptimizationResult) -> int:
 
 def cmd_optimize_speed(args) -> int:
     cfg = _resolve_config(args)
-    print("objective: largest belt speed satisfying all process limits")
-    print(
-        f"grid: belt_speed [{cfg.ranges.belt_speed[0]:g},"
-        f"{cfg.ranges.belt_speed[1]:g}] step {cfg.speed_sweep_step:g}"
-    )
     sweep = feasible_speed_interval(
         cfg.layout,
         cfg.params,
@@ -269,6 +265,11 @@ def cmd_optimize_speed(args) -> int:
         speed_step=cfg.speed_sweep_step,
         grid=cfg.grid,
         limits=cfg.limits,
+    )
+    print("objective: largest belt speed satisfying all process limits")
+    print(
+        f"grid: belt_speed [{cfg.ranges.belt_speed[0]:g},"
+        f"{cfg.ranges.belt_speed[1]:g}] step {cfg.speed_sweep_step:g}"
     )
     print(f"speeds checked:  {len(sweep.per_speed)}")
     print(f"feasible speeds: {len(sweep.feasible_speeds)}")
@@ -291,12 +292,12 @@ def cmd_optimize_speed(args) -> int:
 
 def _run_joint(args, sweep, objective: str) -> int:
     cfg = _resolve_config(args)
-    _sweep_header(cfg, objective)
     result = sweep(
         cfg.layout, cfg.ranges, cfg.blend_weight, cfg.coefficient,
         grid=cfg.grid, limits=cfg.limits, area_domain=cfg.area_domain,
         refine_rounds=cfg.sweep_refine_rounds, workers=cfg.resolved_workers(),
     )
+    _sweep_header(cfg, objective)
     return _report_joint(cfg, result)
 
 

@@ -45,7 +45,7 @@ from itertools import product
 
 import numpy as np
 
-from .ambient import _assemble, _gathered_levels, _geometry_groups, _level_columns, build_profile
+from .ambient import _lattice_groups, _level_columns, build_profile
 from .limits import (
     MELT_C,
     LimitVerdict,
@@ -127,7 +127,9 @@ def _melt_passes(times, temps, melt=None):
 
     Crossing endpoints are interpolated; intervals that touch at a single
     point (the trace grazing the level from above) count as one.  melt is
-    ``_super_level_segments(temps, MELT_C)`` when the caller has it.
+    ``_super_level_segments(temps, MELT_C)`` when the caller has it.  A
+    row's crossings alternate in direction, so it has a pass per upward
+    crossing and one if it starts above, less its touching pairs.
     """
     level = MELT_C
     _, (r, c) = melt if melt is not None else _super_level_segments(temps, level)
@@ -135,30 +137,19 @@ def _melt_passes(times, temps, melt=None):
     # round as (y0 - level) / (y0 - y1) would
     at = crossing_time(times[c], times[c + 1], temps[r, c], temps[r, c + 1], level)
     up = temps[r, c + 1] > level
-    up_r, starts = r[up], at[up]
-    down_r, ends = r[~up], at[~up]
-    # a row above the level at its first (last) sample starts (ends) there
-    first_in = np.flatnonzero(temps[:, 0] > level)
-    last_in = np.flatnonzero(temps[:, -1] > level)
-    start_rows = np.concatenate((first_in, up_r))
-    starts = np.concatenate((np.full(first_in.size, times[0]), starts))
-    order = np.argsort(start_rows, kind="stable")
-    start_rows, starts = start_rows[order], starts[order]
-    end_rows = np.concatenate((down_r, last_in))
-    ends = np.concatenate((ends, np.full(last_in.size, times[-1])))
-    ends = ends[np.argsort(end_rows, kind="stable")]
-    # starts[i] and ends[i] now bound the i-th interval, ordered by row
-    touching = (start_rows[1:] == start_rows[:-1]) & (starts[1:] - ends[:-1] <= 1e-9)
+    first_in = temps[:, 0] > level
+    last_in = temps[:, -1] > level
+    # a downward crossing, then an upward one within 1e-9 s
+    touching = (r[1:] == r[:-1]) & up[1:] & (at[1:] - at[:-1] <= 1e-9)
     n = len(temps)
-    passes = np.bincount(start_rows, minlength=n) - np.bincount(
-        start_rows[1:][touching], minlength=n
-    )
-    if starts.size == 0:
-        return passes, np.zeros(n), np.zeros(n)
-    # rows without a pass get a neighbour's bounds, which nothing reads
-    first = np.searchsorted(start_rows, np.arange(n), side="left")
-    last = np.searchsorted(start_rows, np.arange(n), side="right") - 1
-    return passes, starts[np.minimum(first, starts.size - 1)], ends[last]
+    passes = np.bincount(r[up], minlength=n) + first_in - np.bincount(r[1:][touching], minlength=n)
+    if r.size == 0:  # every row lies above the level throughout or nowhere
+        return passes, np.full(n, times[0]), np.full(n, times[-1])
+    # each row's crossings are at[edges[i]:edges[i + 1]]; a row without any
+    # reads a neighbour's, which its own ends replace or nothing reads
+    edges = np.searchsorted(r, np.arange(n + 1))
+    starts = np.where(first_in, times[0], at[np.minimum(edges[:-1], r.size - 1)])
+    return passes, starts, np.where(last_in, times[-1], at[edges[1:] - 1])
 
 
 def _reflow_area_rows(xs, temps, melt=None) -> np.ndarray:
@@ -391,31 +382,28 @@ def _evaluate_group(
     return per_row
 
 
+def _grids(ranges: ParameterRanges) -> list[list[float]]:
+    """The grids of tt1..tt4 and the belt speed, in ``SweepCandidate.key`` order."""
+    steps = (ranges.temp_step,) * 4 + (ranges.speed_step,)
+    return [inclusive_grid(*getattr(ranges, name), step)
+            for name, step in zip(("tt1", "tt2", "tt3", "tt4", "belt_speed"), steps)]
+
+
 def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, workers: int):
     """The lattice of the setpoint ranges, in sweep order, and the jobs that
     cover it: (row indices, (template profile, rows, level columns)).
 
-    The lattice is one array of setpoint rows (tt1..tt4 from the ranges'
-    grids, tt5 the one value of ranges.tt5), grouped by the geometry
-    of their profiles (``ambient._geometry_groups``).  Each group's first
-    row gives its template profile and, from the same assembly, the
-    setpoints its levels come from, so the rows' level columns are one
-    gather.  With a pool, the groups are split so the workers get similar
-    shares.
+    The lattice is one list of setpoint rows (tt1..tt4 from the ranges'
+    grids, tt5 the one value of ranges.tt5), grouped by the geometry of
+    their profiles, each group with its template and level columns
+    (``ambient._lattice_groups``).  With a pool, the groups are split so
+    the workers get similar shares.
     """
     _sweep_size(ranges)
-    grids = [inclusive_grid(*getattr(ranges, name), ranges.temp_step)
-             for name in ("tt1", "tt2", "tt3", "tt4")]
-    rows = list(product(*grids, [float(ranges.tt5[0])]))
-    setpoints = np.array(rows, dtype=float)
+    rows = list(product(*_grids(ranges)[:4], [float(ranges.tt5[0])]))
     size = len(rows) if workers <= 1 else math.ceil(len(rows) / (4 * workers))
     jobs = []
-    for idx in _geometry_groups(layout, setpoints):
-        first = ProcessParameters(*rows[idx[0]])
-        # the template is the profile build_profile gives any caller; its
-        # level sources come from the same assembly
-        template = build_profile(layout, first, weight)
-        levels = _gathered_levels(setpoints[idx], _assemble(layout, first, weight)[1])
+    for idx, template, levels in _lattice_groups(layout, rows, weight):
         for lo in range(0, len(idx), size):
             piece = idx[lo : lo + size]
             jobs.append((piece, (template, [rows[i] for i in piece], levels[lo : lo + size])))
@@ -533,7 +521,6 @@ def _optimize(
         batch = _sweep_grid(
             layout, current_ranges, weight, coefficient, grid, limits, area_domain, workers
         )
-        seen_before = len(seen)
         for cand in batch:
             k = tuple(round(x, 9) for x in cand.key())
             if k in seen:
@@ -542,10 +529,12 @@ def _optimize(
             candidates.append(cand)
         pool = [c for c in candidates if eligible(c)]
         best = min(pool, key=sort_key) if pool else None
-        # nothing new: the grid has collapsed onto seen keys, as finer ones will
-        if best is None or round_idx == refine_rounds or len(seen) == seen_before:
+        if best is None or round_idx == refine_rounds:
             break
         current_ranges = _refined_ranges(current_ranges, best.params)
+        # nothing new: the grid has collapsed onto seen keys, as finer ones will
+        if seen.issuperset(product(*([round(x, 9) for x in g] for g in _grids(current_ranges)))):
+            break
 
     rejected = sum(1 for c in candidates if c.feasible and c.symmetry is None)
     if best is not None and not check_limits(best.metrics, limits).passed:
@@ -576,8 +565,8 @@ def minimize_area(
     Ties break toward the lexicographically smallest (tt1, tt2, tt3, tt4,
     belt_speed).  With refine_rounds > 0, each round re-grids one step around
     the incumbent at step/REFINE_FACTOR (a fifth of the step) and
-    re-evaluates, until the rounds run out or one adds no candidate.  An
-    infeasible-everywhere sweep returns best=None rather than raising.
+    re-evaluates, until the rounds run out or a round's grid holds no new
+    candidate.  An infeasible-everywhere sweep returns best=None rather than raising.
     """
     return _optimize(
         "area", layout, ranges, weight, coefficient, grid, limits,

@@ -123,8 +123,8 @@ class ThermalTrace:
     """Uniformly sampled weld-center temperature series.
 
     times[i] = i * dt and positions[i] = (belt_speed/60) * times[i]; both are
-    validated on construction (or derived, for a trace of an RK4 row), so
-    every trace in the system obeys the same time/position bookkeeping.
+    validated on construction (or derived, by ``from_temps``), so every
+    trace in the system obeys the same time/position bookkeeping.
     Arrays are read-only.
     """
 
@@ -158,20 +158,18 @@ class ThermalTrace:
 
     @classmethod
     def from_temps(cls, dt: float, belt_speed: float, temps) -> "ThermalTrace":
-        """Build a trace from temperatures alone; times/positions are derived."""
-        _check_timing(dt, belt_speed)  # before they scale the derived arrays
-        temps = np.asarray(temps, dtype=float)
-        times = np.arange(temps.size) * dt
-        positions = cm_per_second(belt_speed) * times
-        return cls(dt, belt_speed, times, positions, temps)
+        """Build a trace from temperatures alone; times/positions are derived.
 
-    @classmethod
-    def _of_row(cls, dt: float, belt_speed: float, temps: np.ndarray) -> "ThermalTrace":
-        """The trace of one RK4 row: a non-empty 1-D float array that nothing
-        else writes, at a dt and belt speed the plan has checked.  times and
-        positions are derived as ``from_temps`` derives them, so of
-        ``__post_init__``'s checks only the finite one is left, and no array
-        is copied."""
+        temps is copied, so later writes to the caller's array do not reach
+        the trace.  Derived times and positions need none of the
+        constructor's checks on them: only the timing, the shape of temps
+        and its values are checked."""
+        _check_timing(dt, belt_speed)  # before they scale the derived arrays
+        temps = np.array(temps, dtype=float)
+        if temps.size == 0:
+            raise ValueError("trace must not be empty")
+        if temps.ndim != 1:
+            raise ValueError("times, positions and temps must have equal length")
         _check_finite(temps)
         times = np.arange(temps.size) * dt
         positions = cm_per_second(belt_speed) * times
@@ -582,7 +580,7 @@ def simulator(profile: AmbientProfile, params: ProcessParameters, grid: Simulati
         check_step(model.coefficient, grid.dt)
         temps = plan.integrate(field, levels, params.tt5,
                                _rk4_coefficients(model.coefficient * grid.dt))
-        return ThermalTrace._of_row(grid.dt_out, v, temps[0])
+        return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
     return run
 

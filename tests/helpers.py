@@ -283,6 +283,52 @@ def brute_force_area(trace, step=0.001):
     return float(np.sum(np.maximum(y - 217.0, 0.0)) * step)
 
 
+def loop_above_intervals(times, temps, level):
+    """The maximal intervals where a row's interpolant exceeds level, from a
+    sample-by-sample crossing loop; intervals that touch within 1e-9 s are
+    merged."""
+    intervals = []
+    inside = temps[0] > level
+    start = times[0] if inside else None
+    for i in range(len(times) - 1):
+        t0, t1 = times[i], times[i + 1]
+        y0, y1 = temps[i], temps[i + 1]
+        if not inside and y1 > level >= y0:
+            start = t0 + (t1 - t0) * (level - y0) / (y1 - y0)
+            inside = True
+        elif inside and y1 <= level:
+            end = t0 + (t1 - t0) * (y0 - level) / (y0 - y1)
+            intervals.append((start, end))
+            inside = False
+    if inside:
+        intervals.append((start, times[-1]))
+    merged = [intervals[0]] if intervals else []
+    for lo, hi in intervals[1:]:
+        if lo - merged[-1][1] <= 1e-9:
+            merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def loop_symmetry(times, temps):
+    """Symmetry score from the loop's intervals, with np.interp at each
+    offset pair, and the number of intervals; the score is None unless
+    there is exactly one."""
+    intervals = loop_above_intervals(times, temps, 217.0)
+    if len(intervals) != 1:
+        return None, len(intervals)
+    t1, t2 = intervals[0]
+    center = 0.5 * (t1 + t2)
+    k = int(np.floor(0.5 * (t2 - t1) / 0.5 + 1e-9))
+    if k == 0:
+        return 0.0, 1
+    offsets = (np.arange(k) + 1) * 0.5
+    left = np.interp(center - offsets, times, temps)
+    right = np.interp(center + offsets, times, temps)
+    return float(np.sum((left - right) ** 2)), 1
+
+
 def brute_force_speed_sweep(layout, params, weight, coefficient,
                             speed_range=(65.0, 100.0), speed_step=0.1,
                             grid=None, limits=None):

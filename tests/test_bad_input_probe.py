@@ -14,6 +14,7 @@ import concurrent.futures
 import os
 import re
 from dataclasses import fields
+from itertools import product
 
 import pytest
 import yaml
@@ -45,19 +46,23 @@ def _config_keys():
 CONFIG_KEYS = _config_keys()
 
 
-def _command(section: str, key: str) -> list[str]:
-    """The subcommand (and its arguments) that reads the key."""
+def _commands(section: str, key: str) -> list[list[str]]:
+    """The subcommands (each with its arguments) that read the key.  The
+    grid keys also run through the three sweeps, which refuse some grids
+    only once the sweep has started."""
     if section == "ranges" or (section, key) in {("sweep", "refine_rounds"), ("sweep", "workers"),
                                                  ("sweep", "area_domain"),
                                                  ("output", "candidates_csv")}:
-        return ["optimize-symmetry"]
+        return [["optimize-symmetry"]]
     if (section, key) == ("sweep", "speed_step"):
-        return ["optimize-speed"]
+        return [["optimize-speed"]]
     if section == "calibration":
-        return ["calibrate", "measured.csv", "--fit-blend"]
+        return [["calibrate", "measured.csv", "--fit-blend"]]
     if (section, key) in {("output", "field_dx"), ("output", "field_csv")}:
-        return ["field"]
-    return ["simulate"]
+        return [["field"]]
+    if section == "grid":
+        return [["simulate"], ["optimize-speed"], ["optimize-area"], ["optimize-symmetry"]]
+    return [["simulate"]]
 
 
 def _flag(command: str, dest: str) -> str:
@@ -135,10 +140,9 @@ def _probe(capsys, monkeypatch, workdir, section, key, flag_argv):
     monkeypatch.chdir(workdir)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
     kind = CONFIG_KEYS[section, key]
-    command = _command(section, key)
-    flag = _flag(command[0], flag_argv) if flag_argv else None
     problems = []
-    for token in BAD_VALUES:
+    for command, token in product(_commands(section, key), BAD_VALUES):
+        flag = _flag(command[0], flag_argv) if flag_argv else None
         data = {"ranges": dict(POINT_RANGES)}
         if flag is None:
             data.setdefault(section, {})[key] = _yaml_value(token, kind)
@@ -152,7 +156,7 @@ def _probe(capsys, monkeypatch, workdir, section, key, flag_argv):
         problem = _check(code, out, err, names, token,
                          echoed=kind.startswith("str") or section == "limits")
         if problem:
-            problems.append(f"{token}: {problem}")
+            problems.append(f"{command[0]} {token}: {problem}")
     assert not problems, "\n".join(problems)
 
 

@@ -1,9 +1,11 @@
 """The columnar sweep kernels against their one-row and per-row references.
 
 metrics_rows measures many padded rows at once, check_rows checks their
-columns, and the joint sweep's symmetry interpolates every offset pair of a
-block at once.  Each must equal, with exact float equality, what the one-row
-functions (or np.interp) give row by row, whatever the padding holds.
+columns, and the joint sweep's symmetry finds every row's above-217 passes
+from one crossing list and interpolates every offset pair of a block at
+once.  Each must equal, with exact float equality, what the one-row
+functions (or a crossing loop and np.interp) give row by row, whatever the
+padding holds.
 """
 
 import itertools
@@ -35,6 +37,8 @@ from reflowsim.limits import (
     metrics_rows,
     verdict_rows,
 )
+
+from helpers import loop_above_intervals, loop_symmetry
 
 # padding kinds: below every level, above each level, the row's maximum
 PADDING = ("low", 160.0, 200.0, 230.0, "max")
@@ -205,20 +209,15 @@ def test_missing_rise_time_fails_its_limit():
     assert check_rows(columns).tolist() == [[True], [True], [False], [True], [True]]
 
 
-def loop_symmetry(times, row):
-    """The per-row np.interp loop that the vectorised pairs replaced."""
-    passes, t1s, t2s = optimize._melt_passes(times, row[None])
-    if passes[0] != 1:
-        return None
-    t1, t2 = float(t1s[0]), float(t2s[0])
-    center = 0.5 * (t1 + t2)
-    k = int(np.floor(0.5 * (t2 - t1) / 0.5 + 1e-9))
-    if k == 0:
-        return 0.0
-    offsets = (np.arange(k) + 1) * 0.5
-    left = np.interp(center - offsets, times, row)
-    right = np.interp(center + offsets, times, row)
-    return float(np.sum((left - right) ** 2))
+def assert_passes_equal_the_loop(times, rows):
+    """``_melt_passes`` against the crossing loop: the number of passes,
+    and the first start and last end where there is one, bit for bit."""
+    passes, starts, ends = optimize._melt_passes(times, rows)
+    for row, n, start, end in zip(rows, passes.tolist(), starts.tolist(), ends.tolist()):
+        intervals = loop_above_intervals(times, row, 217.0)
+        assert n == len(intervals)
+        if intervals:
+            assert (start, end) == (intervals[0][0], intervals[-1][1])
 
 
 # 13 samples each, 0.5 s apart, and the passes each should give
@@ -234,6 +233,11 @@ SYMMETRY_CASES = {
     "grazing": ([200, 219, 224, 217, 223, 228, 220, 210, 200, 190, 180, 170, 160], 1),
     "never above": ([200, 210, 217, 216, 200, 190, 180, 170, 160, 150, 140, 130, 120], 0),
     "all above": ([218, 230, 240, 245, 246, 245, 240, 236, 232, 228, 224, 220, 219], 1),
+    "from the start": ([225, 230, 236, 238, 236, 230, 222, 215, 205, 195, 185, 175, 165], 1),
+    "grazing at the start": ([219, 217, 221, 226, 230, 226, 221, 216, 205, 195, 185, 175, 165], 1),
+    "ends on the line": ([200, 210, 220, 230, 235, 236, 237, 236, 233, 229, 225, 220, 217], 1),
+    # two touching passes, then a third apart from them
+    "grazing, a third": ([200, 220, 225, 217, 226, 217, 222, 210, 200, 224, 230, 210, 190], 2),
 }
 
 
@@ -242,8 +246,9 @@ def test_symmetry_pairs_equal_np_interp():
     times = np.arange(rows.shape[1]) * 0.5
     scores, passes = optimize._symmetry_rows(times, rows)
     for name, row, score in zip(SYMMETRY_CASES, rows, scores):
-        assert score == loop_symmetry(times, row), name
+        assert score == loop_symmetry(times, row)[0], name
     assert passes.tolist() == [n for _, n in SYMMETRY_CASES.values()]
+    assert_passes_equal_the_loop(times, rows)
     named = dict(zip(SYMMETRY_CASES, scores))
     assert named["k = 0"] == 0.0
     assert named["two passes"] is None and named["never above"] is None
@@ -254,7 +259,8 @@ def test_symmetry_pairs_equal_np_interp():
 def test_symmetry_of_random_rows_equals_the_loop(case):
     times, temps, _, _ = case
     scores, _ = optimize._symmetry_rows(times, temps)
-    assert scores == [loop_symmetry(times, row) for row in temps]
+    assert scores == [loop_symmetry(times, row)[0] for row in temps]
+    assert_passes_equal_the_loop(times, temps)
 
 
 def test_interp_rows_equals_np_interp():

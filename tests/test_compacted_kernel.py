@@ -303,8 +303,8 @@ def test_models_through_one_simulator_equal_separate_simulates(params, grid):
 
 
 def test_kernel_traces_equal_their_from_temps_trace():
-    """A trace built from a kernel row skips ``__post_init__``'s timing checks
-    and copies, and still holds what ``from_temps`` derives."""
+    """A trace built from a kernel row holds what ``from_temps`` derives
+    from its temperatures."""
     params = replace(DEFAULT, belt_speed=83.7)
     trace = simulate(build_profile(LAYOUT, params, 0.8), params, MODEL)
     again = thermal.ThermalTrace.from_temps(trace.dt, trace.belt_speed, trace.temps)
@@ -315,4 +315,4 @@ def test_kernel_traces_equal_their_from_temps_trace():
 
 def test_kernel_traces_keep_the_finite_check():
     with pytest.raises(ValueError, match="temps must be finite: sample 2 is nan"):
-        thermal.ThermalTrace._of_row(0.5, 70.0, np.array([25.0, 26.0, np.nan]))
+        thermal.ThermalTrace.from_temps(0.5, 70.0, np.array([25.0, 26.0, np.nan]))

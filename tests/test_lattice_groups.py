@@ -1,10 +1,11 @@
 """The joint sweep's lattice, grouped from one setpoint array.
 
 ``optimize._sweep_jobs`` enumerates the setpoint combinations as rows of one
-array, groups them by a geometry signature computed on the array
-(``ambient._geometry_groups``), builds one template profile per group and
-gathers the rows' level columns by the level sources of the template's own
-assembly (``ambient._assemble``).  Against the per-combination path
+array; ``ambient._lattice_groups`` groups them by a geometry signature
+computed on the array (``ambient._geometry_groups``), builds one template
+profile per group and gathers the rows' level columns by the level sources
+of the template's own assembly (``ambient._assemble``), once per group.
+Against the per-combination path
 (``build_profile`` for every combination, grouped by ``helpers.geometry_key``):
 
 * the groups are exactly the ``geometry_key`` partition, and every member's
@@ -183,9 +184,25 @@ def test_swapped_level_sources_fail_the_property(monkeypatch):
         segments, sources = assemble(*args)
         return segments, (sources[1], sources[0], *sources[2:])
 
-    monkeypatch.setattr(optimize, "_assemble", swapped)
+    monkeypatch.setattr(ambient, "_assemble", swapped)
     with pytest.raises(AssertionError):
         assert_grouping(MERGED)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_each_group_is_assembled_once(monkeypatch, workers):
+    # the sweep reaches the assembly only through ambient, where it is counted
+    assert not hasattr(optimize, "_assemble")
+    assemble, calls = ambient._assemble, []
+
+    def counted(*args):
+        calls.append(args[1])
+        return assemble(*args)
+
+    monkeypatch.setattr(ambient, "_assemble", counted)
+    _, jobs = optimize._sweep_jobs(LAYOUT, MERGED, WEIGHT, workers)
+    templates = {id(template) for _, (template, _, _) in jobs}
+    assert len(calls) == len(templates) > 1
 
 
 def gapless_layout():

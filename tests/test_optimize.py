@@ -367,21 +367,27 @@ class TestJointSweeps:
             tt1=(165.0, 165.0), tt2=(185.0, 185.0), tt3=(225.0, 225.0),
             tt4=(260.0, 265.0), belt_speed=(83.0, 83.0),
         )
-        sweep_grid, rounds = optimize._sweep_grid, []
+        sweep_grid, added, seen = optimize._sweep_grid, [], set()
 
         def counted(*args):
-            rounds.append(args[1])
-            return sweep_grid(*args)
+            batch = sweep_grid(*args)
+            keys = {tuple(round(x, 9) for x in c.key()) for c in batch}
+            added.append(len(keys - seen))
+            seen.update(keys)
+            return batch
 
         monkeypatch.setattr(optimize, "_sweep_grid", counted)
         endless = minimize_area(layout, ranges, 0.8, 0.021, refine_rounds=10**6)
-        stopped = len(rounds)
+        stopped = len(added)
         assert stopped < 20
-        rounds.clear()
+        # no round is swept only to be discarded
+        assert all(added)
+        added.clear()
+        seen.clear()
         assert minimize_area(layout, ranges, 0.8, 0.021, refine_rounds=stopped + 5) == endless
-        assert len(rounds) == stopped
-        # the last round swept added nothing; the one before it did
-        shorter = minimize_area(layout, ranges, 0.8, 0.021, refine_rounds=stopped - 3)
+        assert len(added) == stopped
+        # the last round swept still added candidates
+        shorter = minimize_area(layout, ranges, 0.8, 0.021, refine_rounds=stopped - 2)
         assert shorter.candidates_evaluated < endless.candidates_evaluated
 
     def test_evaluated_count_matches_grid(self, layout):

@@ -32,7 +32,7 @@ from reflowsim import (
 from reflowsim.ambient import FieldRows, _level_columns
 from reflowsim.limits import metrics_rows
 
-from helpers import ambient_reference, geometry_key
+from helpers import ambient_reference, geometry_key, loop_symmetry
 
 # tt1 = tt2 = 185 merges zones 1-6 into one plateau: a second geometry.
 MERGED_TT1_TT2 = ParameterRanges(
@@ -145,48 +145,6 @@ class TestFieldRows:
         assert geometry_key(cooler) != geometry_key(hotter)
 
 
-def loop_above_intervals(times, temps, level):
-    """The sample-by-sample crossing loop the vectorised code replaced."""
-    intervals = []
-    inside = temps[0] > level
-    start = times[0] if inside else None
-    for i in range(len(times) - 1):
-        t0, t1 = times[i], times[i + 1]
-        y0, y1 = temps[i], temps[i + 1]
-        if not inside and y1 > level >= y0:
-            start = t0 + (t1 - t0) * (level - y0) / (y1 - y0)
-            inside = True
-        elif inside and y1 <= level:
-            end = t0 + (t1 - t0) * (y0 - level) / (y0 - y1)
-            intervals.append((start, end))
-            inside = False
-    if inside:
-        intervals.append((start, times[-1]))
-    merged = [intervals[0]] if intervals else []
-    for lo, hi in intervals[1:]:
-        if lo - merged[-1][1] <= 1e-9:
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
-def loop_symmetry(trace):
-    """Symmetry score from the loop's intervals; None when undefined."""
-    intervals = loop_above_intervals(trace.times, trace.temps, 217.0)
-    if len(intervals) != 1:
-        return None, len(intervals)
-    t1, t2 = intervals[0]
-    center = 0.5 * (t1 + t2)
-    k = int(np.floor(0.5 * (t2 - t1) / 0.5 + 1e-9))
-    if k == 0:
-        return 0.0, 1
-    offsets = (np.arange(k) + 1) * 0.5
-    left = np.interp(center - offsets, trace.times, trace.temps)
-    right = np.interp(center + offsets, trace.times, trace.temps)
-    return float(np.sum((left - right) ** 2)), 1
-
-
 def reference_rise(trace):
     """Rise time from the per-level scan the batched metrics replaced."""
 
@@ -233,7 +191,7 @@ def test_vectorised_crossings_equal_the_loop(seed, dt):
     batched, passes = optimize._symmetry_rows(times, rows)
     for row, metrics, score, count in zip(rows, batched_metrics, batched, passes):
         trace = ThermalTrace.from_temps(dt, 80.0, row)
-        want, want_count = loop_symmetry(trace)
+        want, want_count = loop_symmetry(trace.times, trace.temps)
         assert (score, count) == (want, want_count)
         assert metrics == compute_metrics(trace)
         assert metrics.rise_time_150_190 == reference_rise(trace)

@@ -183,6 +183,13 @@ class TestThermalTraceInvariants:
         np.testing.assert_allclose(trace.times, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(trace.positions, (70.0 / 60.0) * trace.times)
 
+    def test_from_temps_copies_the_callers_array(self):
+        temps = np.array([25.0, 26.0, 27.0])
+        trace = ThermalTrace.from_temps(0.5, 70.0, temps)
+        temps[1] = 99.0
+        assert trace.temps.tolist() == [25.0, 26.0, 27.0]
+        assert temps.flags.writeable and not trace.temps.flags.writeable
+
     def test_rejects_nonuniform_times(self):
         with pytest.raises(ValueError, match="uniform"):
             ThermalTrace(0.5, 70.0, np.array([0.0, 0.5, 1.1]),
@@ -197,6 +204,15 @@ class TestThermalTraceInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             ThermalTrace.from_temps(0.5, 70.0, [])
+
+    @pytest.mark.parametrize("temps, message", [
+        (np.empty((0, 3)), "trace must not be empty"),
+        (25.0, "times, positions and temps must have equal length"),
+        ([[25.0, 26.0], [27.0, 28.0]], "times, positions and temps must have equal length"),
+    ], ids=["empty-2d", "0-d", "2-d"])
+    def test_rejects_temps_that_are_not_1d(self, temps, message):
+        with pytest.raises(ValueError, match=message):
+            ThermalTrace.from_temps(0.5, 70.0, temps)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["dt", "belt_speed"])
