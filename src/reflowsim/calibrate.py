@@ -4,18 +4,21 @@ coefficient and the cooling-blend weight by grid search.
 The score is the mean squared error over the measured trace's own timestamps
 (simulated values are interpolated onto them), complemented by the Pearson
 correlation coefficient as a shape-agreement report.  Both fits keep the
-candidate of least error, ties going to the smaller parameter (``_best``).
+candidate of least error, ties going to the smaller parameter (``_best``),
+and prepare the measured side once per search (``_Scorer``); ``align``,
+``discrepancy`` and ``pearson`` are its one-pair case.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate, simulator
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate_blends, simulator
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
 
@@ -48,6 +51,20 @@ class AlignedPair:
             object.__setattr__(self, name, arr)
 
 
+def _overlap(measured: ThermalTrace, times: np.ndarray) -> np.ndarray:
+    """Which measured samples lie within the simulated time range ``times``:
+    the one overlap rule of ``align`` and ``_Scorer``.  Fewer than 2 is an
+    error."""
+    lo = max(measured.times[0], times[0])
+    hi = min(measured.times[-1], times[-1])
+    mask = (measured.times >= lo - 1e-12) & (measured.times <= hi + 1e-12)
+    if np.count_nonzero(mask) < 2:
+        raise ValueError(
+            "measured and simulated time ranges overlap in fewer than 2 samples"
+        )
+    return mask
+
+
 def align(measured: ThermalTrace, simulated: ThermalTrace) -> AlignedPair:
     """Interpolate the simulated trace onto the measured timestamps.
 
@@ -55,22 +72,46 @@ def align(measured: ThermalTrace, simulated: ThermalTrace) -> AlignedPair:
     taken verbatim.  Fewer than 2 measured samples in the overlap is an
     error.
     """
-    lo = max(measured.times[0], simulated.times[0])
-    hi = min(measured.times[-1], simulated.times[-1])
-    mask = (measured.times >= lo - 1e-12) & (measured.times <= hi + 1e-12)
-    if np.count_nonzero(mask) < 2:
-        raise ValueError(
-            "measured and simulated time ranges overlap in fewer than 2 samples"
-        )
+    mask = _overlap(measured, simulated.times)
     t = measured.times[mask]
     sim_vals = np.interp(t, simulated.times, simulated.temps)
     return AlignedPair(t, measured.temps[mask], sim_vals)
 
 
+_FLAT = "Pearson correlation undefined for a zero-variance series"
+
+
+def _squared_error(measured: np.ndarray, simulated: np.ndarray) -> float:
+    diff = measured - simulated
+    return float(np.mean(diff * diff))
+
+
+def _centred_rows(measured: np.ndarray) -> np.ndarray:
+    """Two rows for ``_correlation``: the measured series less its mean,
+    then room for the simulated one."""
+    rows = np.empty((2, measured.size))
+    np.subtract(measured, measured.mean(), out=rows[0])
+    return rows
+
+
+def _correlation(rows: np.ndarray, simulated: np.ndarray) -> float:
+    """np.corrcoef(measured, simulated)[0, 1] bit for bit, from the measured
+    series' ``_centred_rows`` (their second row is overwritten).
+
+    These are corrcoef's own steps: the centred rows stacked, one np.dot of
+    them with their transpose, the 1/(N-1) scale, division by the square
+    roots of the diagonal, the clip.  Separate 1-D dot products round
+    differently."""
+    np.subtract(simulated, simulated.mean(), out=rows[1])
+    c = np.dot(rows, rows.T)
+    c *= 1.0 / (rows.shape[1] - 1)
+    r = float(c[0, 1]) / math.sqrt(c[0, 0]) / math.sqrt(c[1, 1])
+    return min(max(r, -1.0), 1.0)
+
+
 def discrepancy(pair: AlignedPair) -> float:
     """Mean squared error between the aligned series, in degC squared."""
-    diff = pair.measured - pair.simulated
-    return float(np.mean(diff * diff))
+    return _squared_error(pair.measured, pair.simulated)
 
 
 def pearson(pair: AlignedPair) -> float:
@@ -78,8 +119,44 @@ def pearson(pair: AlignedPair) -> float:
     m = pair.measured
     s = pair.simulated
     if np.ptp(m) == 0.0 or np.ptp(s) == 0.0:
-        raise ValueError("Pearson correlation undefined for a zero-variance series")
-    return float(np.corrcoef(m, s)[0, 1])
+        raise ValueError(_FLAT)
+    return _correlation(_centred_rows(m), s)
+
+
+class _Scorer:
+    """The scores of one grid search's simulated traces against its
+    measured trace, bit for bit those of ``align``, ``discrepancy`` and
+    ``pearson``, their one-pair case.
+
+    A search's traces share one time axis (one grid, one belt speed), so
+    the measured side is prepared once, at the first trace: the samples in
+    the overlap (``_overlap``), whether they are flat, and their
+    ``_centred_rows``.  Each trace then only interpolates its temperatures
+    onto the measured times (``simulated``) and is scored.
+    """
+
+    def __init__(self, measured: ThermalTrace):
+        self.measured = measured
+        self.times = None
+
+    def simulated(self, trace: ThermalTrace) -> np.ndarray:
+        """The trace's temperatures at the measured times in the overlap."""
+        if self.times is None:
+            mask = _overlap(self.measured, trace.times)
+            self.times, self.temps = self.measured.times[mask], self.measured.temps[mask]
+            self.flat = np.ptp(self.temps) == 0.0
+            self.rows = _centred_rows(self.temps)
+        return np.interp(self.times, trace.times, trace.temps)
+
+    def discrepancy(self, simulated: np.ndarray) -> float:
+        return _squared_error(self.temps, simulated)
+
+    def pearson(self, simulated: np.ndarray) -> float:
+        """The correlation with a simulated series that is not flat (its
+        caller has refused one)."""
+        if self.flat:
+            raise ValueError(_FLAT)
+        return _correlation(self.rows, simulated)
 
 
 def check_trace_speed(measured: ThermalTrace, belt_speed: float,
@@ -108,13 +185,14 @@ def _check_best(result, name: str) -> None:
         raise ValueError(f"best_{name} does not attain the minimum discrepancy")
 
 
-def _start_search(measured, params, candidates: list, name: str, grid) -> SimulationGrid:
+def _start_search(measured, params, candidates: list, name: str, grid):
     """What both grid searches check first: a non-empty candidate list (the
-    argument ``name``) and the trace's speed.  Returns the grid to run on."""
+    argument ``name``) and the trace's speed.  Returns the grid to run on
+    and the search's ``_Scorer``."""
     if not candidates:
         raise ValueError(f"{name} must not be empty")
     check_trace_speed(measured, params.belt_speed)
-    return grid if grid is not None else SimulationGrid()
+    return grid if grid is not None else SimulationGrid(), _Scorer(measured)
 
 
 @dataclass(frozen=True)
@@ -173,18 +251,18 @@ def calibrate_coefficient(
         order and the best coefficient.
     """
     cands = [float(c) for c in candidates]
-    grid = _start_search(measured, params, cands, "candidates", grid)
+    grid, score = _start_search(measured, params, cands, "candidates", grid)
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
     # one plan and field for every candidate: only the coefficient varies
     run = simulator(build_profile(layout, params, weight), params, grid)
 
     def evaluate(q: float) -> CandidateScore:
-        pair = align(measured, run(WeldingModel(q)))
-        if np.ptp(pair.simulated) == 0.0:
+        simulated = score.simulated(run(WeldingModel(q)))
+        if np.ptp(simulated) == 0.0:
             raise ValueError(f"candidate coefficients: {q:g} leaves the board at its start "
                              "temperature, where the Pearson correlation is undefined")
-        return CandidateScore(q, discrepancy(pair), pearson(pair))
+        return CandidateScore(q, score.discrepancy(simulated), score.pearson(simulated))
 
     scores = [evaluate(q) for q in cands]
     seen = {round(q, 12) for q in cands}
@@ -244,19 +322,19 @@ def fit_blend_weight(
 ) -> BlendFit:
     """Grid-search the cooling-blend weight against a measured trace.
 
-    Simulates the furnace once per candidate weight and scores each run by
-    the mean squared error against the measured trace at its own timestamps.
+    Integrates once per candidate weight, all on one plan and one set of
+    stage positions (``thermal.simulate_blends``): only the cooling blend's
+    field depends on the weight.  Each run is scored by the mean squared
+    error against the measured trace at its own timestamps.
     params.belt_speed must be the trace's (``check_trace_speed``), and each
     weight must lie in [0, 1]; both are checked before any simulation.
     """
     candidates = list(weight_candidates)
-    grid = _start_search(measured, params, candidates, "weight_candidates", grid)
+    grid, score = _start_search(measured, params, candidates, "weight_candidates", grid)
     model = WeldingModel(coefficient)
     # every profile first: build_profile refuses a bad weight before any run
     profiles = [build_profile(layout, params, w) for w in candidates]
-    scores = []
-    for w, profile in zip(candidates, profiles):
-        pair = align(measured, simulate(profile, params, model, grid))
-        scores.append(WeightScore(w, discrepancy(pair)))
+    scores = [WeightScore(w, score.discrepancy(score.simulated(trace)))
+              for w, trace in zip(candidates, simulate_blends(profiles, params, model, grid))]
     best = _best(scores, "weight")
     return BlendFit(best.weight, tuple(scores))

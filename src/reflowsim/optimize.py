@@ -67,6 +67,7 @@ from .thermal import (
     check_step,
     rk4_blocks,
     simulate,  # noqa: F401  (kept in this namespace for code that patches or traces it)
+    step_counts,
 )
 
 DEFAULT_SPEED_SWEEP_STEP = 0.1
@@ -426,6 +427,9 @@ def _sweep_grid(
     check_step(coefficient, grid.dt)
     rows, jobs = _sweep_jobs(layout, ranges, weight, workers)
     speeds = tuple(inclusive_grid(*ranges.belt_speed, ranges.speed_step))
+    # each speed gets a plan of its own, so a dt_out past the transit is
+    # refused here, at the fastest speed, before any plan or pool starts
+    step_counts(layout.total_length_cm, speeds, grid.dt, grid.stride)
     evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds)
     if workers > 1:
         # imported here: the pool's modules cost a one-process run start-up time

@@ -31,7 +31,9 @@ profile at many speeds (the speed sweep) and the profiles of one segment
 geometry at one speed (the joint sweep).  One profile at one speed is one
 row: ``simulator`` builds its plan and field once and integrates it for
 any number of welding models (calibration's candidates), and ``simulate``
-is its one-call case.  The test suite judges this module against
+is its one-call case; ``simulate_blends`` shares one plan and its stage
+positions among profiles that differ only in their cooling blend's weight
+(the blend fit's candidates).  The test suite judges this module against
 independent oracles of its own: a textbook RK4 loop and a forward-Euler
 loop, both on a field evaluated segment by segment.
 """
@@ -39,13 +41,14 @@ loop, both on a field evaluated segment by segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .ambient import (
     AmbientProfile,
     ConstantSegment,
+    ExpLinearBlendSegment,
     FieldRows,
     SigmoidSegment,
     _level_columns,
@@ -218,14 +221,16 @@ def check_step(coefficient: float, dt: float) -> None:
         )
 
 
-def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
+def step_counts(total_cm: float, belt_speeds, dt: float, stride: int = 1) -> np.ndarray:
     """RK4 steps that cross the furnace at each belt speed: the whole steps
     of dt that fit in the transit time.
 
     The trailing fraction of a step (when the transit time is not a multiple
     of dt) is not integrated.  Raises before anything is allocated when a
     speed would need more than _MAX_STEPS steps (or NaN of them), naming dt
-    and the count, or less than one.
+    and the count, or less than one; and, naming dt_out = stride * dt and
+    the fastest speed, when a speed takes fewer than stride, where its trace
+    would keep its first sample alone.
     """
     speeds = np.asarray(belt_speeds, dtype=float)
     if not (speeds > 0).all():
@@ -239,6 +244,11 @@ def step_counts(total_cm: float, belt_speeds, dt: float) -> np.ndarray:
                          f"the limit is {_MAX_STEPS}")
     if n_steps.min() < 1:
         raise ValueError("integration step exceeds the furnace transit time")
+    if n_steps.min() < stride:
+        i = np.argmin(n_steps)  # the fastest speed; .flat reads a scalar speed too
+        raise ValueError(f"dt_out = {stride * dt:g} s exceeds the {n_steps.flat[i] * dt:g} s "
+                         f"transit of the furnace at belt speed {speeds.flat[i]:g} cm/min: a "
+                         "trace needs at least 2 samples")
     return n_steps.astype(np.int64)
 
 
@@ -408,12 +418,7 @@ class _Plateaus:
 
     def __init__(self, template: AmbientProfile, speeds: np.ndarray, dt: float, stride: int):
         s = stride
-        n_steps = step_counts(template.total_length_cm, speeds, dt)
-        if n_steps.min() < s:  # a row would keep its first sample alone
-            i = np.argmin(n_steps)
-            raise ValueError(f"dt_out = {s * dt:g} s exceeds the {n_steps[i] * dt:g} s transit "
-                             f"of the furnace at belt speed {speeds[i]:g} cm/min: a trace needs "
-                             "at least 2 samples")
+        n_steps = step_counts(template.total_length_cm, speeds, dt, s)
         self.template, self.dt, self.stride = template, dt, s
         # each row's samples, its kept nodes 0..K
         self.lengths = n_steps // s + 1
@@ -448,20 +453,20 @@ class _Plateaus:
         s, varying = self.stride, int(self.varying_counts().max())
         return max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
 
-    def field(self, speeds: slice):
-        """For the rows of a block of speeds: the field rows of one sample
-        per plateau and of the own samples; which column of their Horner
-        sums (then of those inside the cooling blend) each sample of each
-        row takes; and the field of the samples inside the cooling blend.
+    def positions(self, speeds: slice):
+        """For the rows of a block of speeds: the stage positions of one
+        sample per plateau and of the own samples; those of the samples
+        inside the cooling blend; which column of their Horner sums (in that
+        order) each sample of each row takes; and, per cooling blend segment
+        (``self.blends``), the slice of the blend positions' columns that
+        lie in it.
 
         A plateau's sample has every stage at the plateau's middle, so its
         Horner sum is that of any sample wholly inside it.  The s + 1 nodes
         of the others, then their s midpoints, lie at rate * (j*dt [+ dt/2])
         (j*dt is exact in floats: j is an integer), one column per sample,
-        so each stage is a contiguous row.  The cooling blend's field is
-        copied out of the positions, so that they are freed on return
-        (``FieldRows`` keeps none of them) rather than held by a view while
-        the block is integrated.
+        so each stage is a contiguous row.  Both position arrays are views
+        of one array.
         """
         s, p = self.stride, len(self.middles)
         k_end = int(self.lengths[speeds].max()) - 1
@@ -482,14 +487,38 @@ class _Plateaus:
         stages[s + 1 :] += 0.5 * self.dt
         stages *= rate[rows]
         np.minimum(stages, self.template.total_length_cm, out=stages)
-        stop = end = p + parts[0].size
-        for i, blend in zip(self.blends, parts[1:]):
-            cols = slice(stop, stop + blend.size)
-            x[:, cols] = self.template.segments[i].evaluate(x[:, cols])
-            stop = cols.stop
         source[varying] = np.arange(p, p + varying.size)
-        return (FieldRows(self.template, x[:, :end]), source.reshape(len(rate), k_end),
-                x[:, end:].copy())
+        spans, stop = [], 0
+        for part in parts[1:]:
+            spans.append(slice(stop, stop + part.size))
+            stop += part.size
+        end = p + parts[0].size
+        return x[:, :end], x[:, end:], source.reshape(len(rate), k_end), spans
+
+    def blend(self, profile: AmbientProfile, x, spans, out) -> np.ndarray:
+        """The field of ``profile``'s cooling blend (its segments are the
+        template's but for the blends' weights) at the positions x of the
+        samples inside it, columns ``spans`` (``positions``), into out,
+        which may be x."""
+        for i, cols in zip(self.blends, spans):
+            out[:, cols] = profile.segments[i].evaluate(x[:, cols])
+        return out
+
+    def field(self, speeds: slice):
+        """For the rows of a block of speeds (``positions``): the field rows
+        of one sample per plateau and of the own samples; which column of
+        their Horner sums (then of those inside the cooling blend) each
+        sample of each row takes; and the field of the samples inside the
+        cooling blend.
+
+        The cooling blend's field is evaluated in place of its positions and
+        copied out, so that the positions are freed on return
+        (``FieldRows`` keeps none of them) rather than held by a view while
+        the block is integrated.
+        """
+        own, blend, source, spans = self.positions(speeds)
+        return (FieldRows(self.template, own), source,
+                self.blend(self.template, blend, spans, blend).copy())
 
     def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
         """The RK4 samples of profiles with these ``_level_columns`` at the
@@ -583,6 +612,45 @@ def simulator(profile: AmbientProfile, params: ProcessParameters, grid: Simulati
         return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
     return run
+
+
+def _unweighted(profile: AmbientProfile) -> list:
+    """The segments of a profile with its cooling blends' weights set to 0."""
+    return [replace(seg, weight=0.0) if isinstance(seg, ExpLinearBlendSegment) else seg
+            for seg in profile.segments]
+
+
+def simulate_blends(profiles, params: ProcessParameters, model: WeldingModel,
+                    grid: SimulationGrid):
+    """``simulate`` of profiles that differ only in the weights of their
+    cooling blends (``build_profile`` at several blend weights) at one
+    speed, model and grid: yields each profile's trace in order, bit for bit
+    the trace ``simulate`` gives.
+
+    The plan, the stage positions, the level columns and the field off the
+    cooling blend do not depend on the weight, so they are built once, from
+    the first profile, and a grid or step error is raised before any
+    profile runs.  Per profile only its blend is evaluated: the field of
+    the samples inside it (``_Plateaus.blend``) and the values that
+    ``FieldRows`` holds of the own samples' stages inside it
+    (``FieldRows.reblended``).
+    """
+    template = profiles[0]
+    unweighted = _unweighted(template)
+    if any(_unweighted(p) != unweighted for p in profiles[1:]):
+        raise ValueError("profiles must differ only in the weights of their cooling blends")
+    v = params.belt_speed
+    plan = _Plateaus(template, np.array([v], dtype=float), grid.dt, grid.stride)
+    own, blend, source, spans = plan.positions(slice(0, 1))
+    rows = FieldRows(template, own)
+    levels = _level_columns([template])
+    check_step(model.coefficient, grid.dt)
+    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+    for profile in profiles:
+        field = (rows.reblended(profile, own), source,
+                 plan.blend(profile, blend, spans, np.empty_like(blend)))
+        temps = plan.integrate(field, levels, params.tt5, coefficients)
+        yield ThermalTrace.from_temps(grid.dt_out, v, temps[0])
 
 
 def simulate(

@@ -262,7 +262,7 @@ class TestFitBlendWeight:
         self, layout, params, default_trace, monkeypatch, weights, bad
     ):
         calls = []
-        monkeypatch.setattr(thermal, "simulator", lambda *args: calls.append(args))
+        monkeypatch.setattr(thermal, "_Plateaus", lambda *args: calls.append(args))
         with pytest.raises(ValueError,
                            match=re.escape(f"blend weight must lie in [0, 1], got {bad}")):
             fit_blend_weight(default_trace, layout, params, 0.021, weights)

@@ -23,6 +23,7 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.calibrate import BlendFit, WeightScore, check_trace_speed
+from reflowsim.thermal import simulate_blends
 
 from helpers import full_field_rk4
 
@@ -293,6 +294,25 @@ def reference_calibration(measured, layout, params, weight, candidates, grid, re
     return CalibrationResult(best(scores).coefficient, tuple(scores))
 
 
+def counted_integrations(monkeypatch) -> list:
+    """The coefficients of the candidates that ``calibrate_coefficient``
+    integrates, each recorded once its trace is out."""
+    ran = []
+
+    def counted(*args):
+        run = thermal.simulator(*args)
+
+        def counted_run(model):
+            trace = run(model)
+            ran.append(model.coefficient)
+            return trace
+
+        return counted_run
+
+    monkeypatch.setattr(calibrate_module, "simulator", counted)
+    return ran
+
+
 class TestOnePlanPerCalibration:
     """Every candidate of one calibration integrates on one plan and field."""
 
@@ -314,13 +334,7 @@ class TestOnePlanPerCalibration:
 
     def test_a_candidate_at_the_step_bound_is_refused_when_it_runs(
             self, layout, params, default_trace, monkeypatch):
-        aligned = []
-
-        def counted(measured, simulated):
-            aligned.append(simulated)
-            return align(measured, simulated)
-
-        monkeypatch.setattr(calibrate_module, "align", counted)
+        ran = counted_integrations(monkeypatch)
         # at dt 1 the candidate's e is the bound itself, which is refused
         grid = SimulationGrid(1.0, 1.0)
         with pytest.raises(ValueError, match=(
@@ -328,7 +342,7 @@ class TestOnePlanPerCalibration:
                 "at or above 1.29559774")):
             calibrate_coefficient(default_trace, layout, params, 0.8,
                                   [0.021, thermal._MAX_E, 0.022], grid, refine_rounds=0)
-        assert len(aligned) == 1  # the candidate before it ran
+        assert len(ran) == 1  # the candidate before it ran
 
     @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
     def test_one_plan_per_calibration(self, layout, params, default_trace, monkeypatch,
@@ -345,3 +359,156 @@ class TestOnePlanPerCalibration:
                                        refine_rounds=refine_rounds)
         assert len(plans) == 1
         assert len(result.scores) > 5 * refine_rounds
+
+
+WEIGHTS = [0.6, 0.7, 0.8, 0.9, 1.0]
+
+
+def reference_blend_fit(measured, layout, params, coefficient, weights, grid):
+    """``fit_blend_weight`` written out: each weight's trace from the
+    full-field oracle on its own profile, scored by align and discrepancy."""
+    scores = []
+    for w in weights:
+        temps = full_field_rk4(build_profile(layout, params, w), params.tt5, coefficient, grid,
+                               [params.belt_speed])[0]
+        pair = align(measured, ThermalTrace.from_temps(grid.dt_out, params.belt_speed, temps))
+        scores.append(WeightScore(w, discrepancy(pair)))
+    best = min(scores, key=lambda s: (s.discrepancy, s.weight))
+    return BlendFit(best.weight, tuple(scores))
+
+
+class TestOnePlanPerBlendFit:
+    """Every weight of one blend fit integrates on one plan and one set of
+    stage positions; only the cooling blend's field is evaluated per weight."""
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 0.5)])
+    @pytest.mark.parametrize("speed", [65.0, 78.3, 100.0])
+    def test_result_equals_the_full_field_reference(self, layout, speed, grid):
+        params = ProcessParameters(170.0, 200.0, 230.0, 260.0, belt_speed=speed)
+        grid = SimulationGrid(*grid)
+        truth = full_field_rk4(build_profile(layout, params, 0.7), params.tt5, 0.02113, grid,
+                               [speed])[0]
+        noise = np.random.default_rng(7).normal(0.0, 0.05, truth.size)
+        measured = ThermalTrace.from_temps(grid.dt_out, speed, truth + noise)
+        fit = fit_blend_weight(measured, layout, params, 0.02113, WEIGHTS, grid)
+        assert fit == reference_blend_fit(measured, layout, params, 0.02113, WEIGHTS, grid)
+        assert fit.best_weight == 0.7
+
+    @pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 0.5)])
+    @pytest.mark.parametrize("speed", [65.0, 78.3, 100.0])
+    def test_each_weight_equals_its_own_simulate(self, layout, speed, grid):
+        params = ProcessParameters(170.0, 200.0, 230.0, 260.0, belt_speed=speed)
+        grid = SimulationGrid(*grid)
+        model = WeldingModel(0.021)
+        # the first weight, the ends of [0, 1], and a repeat
+        weights = [0.8, 0.0, 0.35, 1.0, 0.8]
+        traces = simulate_blends([build_profile(layout, params, w) for w in weights], params,
+                                 model, grid)
+        for w, trace in zip(weights, traces, strict=True):
+            alone = simulate(build_profile(layout, params, w), params, model, grid)
+            assert np.array_equal(trace.times, alone.times)
+            assert np.array_equal(trace.temps, alone.temps)
+
+    def test_one_plan_per_fit(self, layout, params, default_trace, monkeypatch):
+        plans = []
+
+        class Counted(thermal._Plateaus):
+            def __init__(self, *args, **kwargs):
+                plans.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(thermal, "_Plateaus", Counted)
+        fit = fit_blend_weight(default_trace, layout, params, 0.021, WEIGHTS)
+        assert len(plans) == 1 and fit.best_weight == 0.8
+
+    def test_profiles_that_differ_off_the_blend_are_refused(self, layout, params):
+        profiles = [build_profile(layout, params, 0.8),
+                    build_profile(layout, replace(params, tt1=180.0), 0.8)]
+        with pytest.raises(ValueError, match="differ only in the weights of their cooling blends"):
+            next(simulate_blends(profiles, params, WeldingModel(0.021), SimulationGrid()))
+
+
+def assert_scorer_equals_one_pair_functions(measured, simulated):
+    """A scorer prepared at the first simulated trace scores each one as
+    align, discrepancy, pearson and np.corrcoef do, bit for bit."""
+    score = calibrate_module._Scorer(measured)
+    for trace in simulated:
+        values = score.simulated(trace)
+        pair = align(measured, trace)
+        assert np.array_equal(score.times, pair.times)
+        assert np.array_equal(score.temps, pair.measured)
+        assert np.array_equal(values, pair.simulated)
+        assert score.discrepancy(values) == discrepancy(pair)
+        r = score.pearson(values)
+        assert r == pearson(pair) == float(np.corrcoef(pair.measured, pair.simulated)[0, 1])
+
+
+class TestPreparedScorer:
+    """The measured side prepared once per search against the public
+    one-pair functions, and against np.corrcoef itself, so that a change in
+    how numpy computes a correlation cannot pass unseen.  Traces all start
+    at t = 0, so a measured trace can only overlap part of the simulated
+    range by ending early, or run past its end."""
+
+    @pytest.mark.parametrize("cut", [slice(0, 300), slice(0, 2), slice(0, None)],
+                             ids=["ends-early", "two-samples", "whole"])
+    def test_measured_over_part_of_the_simulated_range(self, default_trace, profile, params,
+                                                       cut):
+        measured = trace_from(default_trace.temps[cut] + 0.3, v=params.belt_speed)
+        others = [simulate(profile, params, WeldingModel(q)) for q in (0.021, 0.0205, 0.03)]
+        assert_scorer_equals_one_pair_functions(measured, others)
+
+    def test_measured_past_the_simulated_end(self, default_trace, params):
+        simulated = trace_from(default_trace.temps[:200], v=params.belt_speed)
+        assert_scorer_equals_one_pair_functions(default_trace, [simulated])
+
+    @pytest.mark.parametrize("dt", [0.3, 0.7, 1.1])
+    def test_measured_off_the_simulated_step(self, profile, params, dt):
+        fine = simulate(profile, params, WeldingModel(0.0212), SimulationGrid(0.1, 0.1))
+        n = int(fine.duration / dt)
+        measured = ThermalTrace.from_temps(dt, params.belt_speed,
+                                           np.interp(np.arange(n) * dt, fine.times, fine.temps))
+        others = [simulate(profile, params, WeldingModel(q)) for q in (0.0205, 0.021, 0.0215)]
+        assert_scorer_equals_one_pair_functions(measured, others)
+
+    def test_seeded_random_series(self):
+        rng = np.random.default_rng(20241020)
+        pairs = 0
+        while pairs < 240:
+            measured = trace_from(rng.normal(150.0, 60.0, int(rng.integers(2, 900))),
+                                  dt=float(rng.choice([0.5, 0.3, 0.7, 1.1])))
+            times = np.arange(int(rng.integers(2, 900))) * 0.5
+            if np.count_nonzero(measured.times <= times[-1]) < 2:
+                continue
+            # one search's traces share one time axis; some follow the measurement
+            follow = np.interp(times, measured.times, measured.temps)
+            sims = [trace_from(rng.uniform(0.0, 2.0) * follow
+                               + rng.normal(0.0, rng.uniform(0.01, 80.0), times.size))
+                    for _ in range(3)]
+            assert_scorer_equals_one_pair_functions(measured, sims)
+            pairs += len(sims)
+
+    def test_a_flat_measurement_is_refused_once_the_first_candidate_ran(
+            self, layout, params, monkeypatch):
+        ran = counted_integrations(monkeypatch)
+        flat = trace_from(np.full(400, 25.0), v=params.belt_speed)
+        with pytest.raises(ValueError,
+                           match="^Pearson correlation undefined for a zero-variance series$"):
+            calibrate_coefficient(flat, layout, params, 0.8, COARSE_GRID, refine_rounds=0)
+        assert ran == [0.02]
+
+    def test_a_flat_candidate_is_named_before_a_flat_measurement(self, layout, params,
+                                                                 monkeypatch):
+        ran = counted_integrations(monkeypatch)
+        flat = trace_from(np.full(400, 25.0), v=params.belt_speed)
+        with pytest.raises(ValueError, match="^candidate coefficients: 1e-300 leaves the board"):
+            calibrate_coefficient(flat, layout, params, 0.8, [1e-300, 0.021], refine_rounds=0)
+        assert ran == [1e-300]
+
+    def test_flat_series_raise_the_one_pair_message(self):
+        score = calibrate_module._Scorer(trace_from(np.full(10, 25.0)))
+        values = score.simulated(trace_from(np.arange(10.0)))
+        assert score.discrepancy(values) == discrepancy(
+            AlignedPair(np.arange(10) * 0.5, np.full(10, 25.0), np.arange(10.0)))
+        with pytest.raises(ValueError, match="zero-variance"):
+            score.pearson(values)

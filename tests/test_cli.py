@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import reflowsim.thermal as thermal
 from reflowsim import build_profile, cli, inclusive_grid, load_trace_csv
 from reflowsim.cli import build_parser, main
 from reflowsim.config import RunConfig, config_from_dict, load_config
@@ -214,6 +215,26 @@ class TestOptimizeCommands:
         )
         assert code == 0
         assert "max feasible: 80.0000" in out
+
+    @pytest.mark.parametrize("command", ["optimize-area", "optimize-symmetry"])
+    def test_output_interval_past_the_fastest_transit_is_refused_before_any_plan(
+            self, capsys, monkeypatch, command):
+        # each sweep speed has a plan of its own; 88 cm/min was the first to
+        # refuse, after the slower speeds had run
+        plans = []
+        monkeypatch.setattr(thermal, "_Plateaus", lambda *args: plans.append(args))
+        code, out, err = run_cli(capsys, command, "--dt-out", "300")
+        assert code == 2 and out == "" and plans == []
+        assert ("error: dt_out = 300 s exceeds the 261.3 s transit of the furnace at belt "
+                "speed 100 cm/min: a trace needs at least 2 samples") in err
+        assert "Traceback" not in err
+
+    def test_simulate_keeps_an_output_interval_within_its_own_transit(self, capsys, tmp_path):
+        # 280 s is past the transit at 100 cm/min, the fastest swept speed,
+        # but within the 373.2 s at 70
+        code, out, _ = run_cli(capsys, "simulate", "--belt-speed", "70", "--dt-out", "280",
+                               "--out", str(tmp_path / "t.csv"))
+        assert code == 0 and "(2 samples, dt=280 s)" in out
 
     def test_area_singleton_grid(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.yaml"

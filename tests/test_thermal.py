@@ -331,6 +331,13 @@ class TestIntegrationBoundary:
                                              r"at least 2 samples$"):
             simulate(profile, params, WeldingModel(0.021), SimulationGrid(0.1, 373.3))
 
+    def test_step_counts_name_the_fastest_speed_past_its_transit(self):
+        # 3732 steps at 70 cm/min, 2613 at 100: a stride of 3000 fits only the first
+        assert step_counts(435.5, 70.0, 0.1, 3000) == 3732
+        with pytest.raises(ValueError, match=r"^dt_out = 300 s exceeds the 261.3 s transit of "
+                                             r"the furnace at belt speed 100 cm/min"):
+            step_counts(435.5, [70.0, 100.0, 88.0], 0.1, 3000)
+
     def test_stage_positions_refuses_past_the_cap(self):
         # just past the cap, so a missing check would allocate megabytes, not gigabytes
         with pytest.raises(ValueError, match=f"the limit is {_MAX_STEPS}"):
