@@ -28,8 +28,8 @@ ranges = ParameterRanges(
 
 
 def report(result):
-    feasible = sum(1 for c in result.candidates if c.feasible)
-    print(f"  evaluated {result.candidates_evaluated} candidates, {feasible} feasible")
+    print(f"  evaluated {result.candidates_evaluated} candidates, "
+          f"{result.candidates_feasible} feasible")
     if result.best is None:
         print("  nothing feasible on this grid")
         return

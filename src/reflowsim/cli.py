@@ -230,8 +230,7 @@ def _candidates_csv_lines(result: OptimizationResult) -> list[str]:
 
 def _report_joint(cfg: RunConfig, result: OptimizationResult) -> int:
     print(f"candidates evaluated: {result.candidates_evaluated}")
-    feasible = sum(1 for c in result.candidates if c.feasible)
-    print(f"feasible candidates:  {feasible}")
+    print(f"feasible candidates:  {result.candidates_feasible}")
     if result.objective == "symmetry" and result.rejected_from_objective:
         print(
             f"feasible but excluded (disconnected above-217 pass): "

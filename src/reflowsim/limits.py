@@ -99,12 +99,14 @@ def crossing_time(t0, t1, y0, y1, level):
     return t0 + (t1 - t0) * (level - y0) / (y1 - y0)
 
 
-def _slope_extremes(temps, dt: float, segments):
+def _slope_extremes(temps, dt: float, segments=None):
     """Per row, the largest and the smallest forward-difference slope over
-    the segments where ``segments`` holds; the others count as -inf and
-    +inf, so padding never wins."""
+    the segments where ``segments`` holds (all of them without it); the
+    others count as -inf and +inf, so padding never wins."""
     slopes = np.diff(temps, axis=1)
     slopes /= dt
+    if segments is None:
+        return np.max(slopes, axis=1), np.min(slopes, axis=1)
     return (np.max(slopes, axis=1, where=segments, initial=-np.inf),
             np.min(slopes, axis=1, where=segments, initial=np.inf))
 
@@ -211,25 +213,34 @@ def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColu
     values and changes nothing.  Each row's values equal a one-row call on
     its own samples, bit for bit: the extremes see -inf or +inf in the
     padding, and the time above 217 degC sums each row's own terms (see
-    ``_prefix_sums``).  Slopes are forward differences at the sample interval
-    dt.  The rise time is measured on the rising pass only: first upward
-    crossings of 150 degC and 190 degC at or before the peak.  melt is
-    ``_super_level_segments(temps, MELT_C)`` when the caller has it.
+    ``_prefix_sums``).  Without lengths there is no padding, and the
+    extremes and sums run on the rows as they are.  Slopes are forward
+    differences at the sample interval dt.  The rise time is measured on the
+    rising pass only: first upward crossings of 150 degC and 190 degC at or
+    before the peak.  melt is ``_super_level_segments(temps, MELT_C)`` when
+    the caller has it.
     """
     n_rows, width = temps.shape
-    lengths = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
-    if width < 2 or np.any(lengths < 2):
+    counts = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
+    if width < 2 or np.any(counts < 2):
         raise ValueError("metrics need at least 2 samples")
-    if np.any(lengths > width):
+    if np.any(counts > width):
         raise ValueError(f"row lengths exceed the {width} columns of temps")
-    valid = np.arange(width) < lengths[:, None]
-    max_slope, min_slope = _slope_extremes(temps, dt, valid[:, 1:])
-    peak_idx = np.argmax(np.where(valid, temps, -np.inf), axis=1)
+    above = _time_above_terms(times, temps, MELT_C, melt)
+    if lengths is None:
+        max_slope, min_slope = _slope_extremes(temps, dt)
+        peak_idx = np.argmax(temps, axis=1)
+        duration = np.sum(above, axis=1)
+    else:
+        valid = np.arange(width) < counts[:, None]
+        max_slope, min_slope = _slope_extremes(temps, dt, valid[:, 1:])
+        peak_idx = np.argmax(np.where(valid, temps, -np.inf), axis=1)
+        duration = _prefix_sums(above, counts - 1)
     return MetricColumns(
         max_slope,
         min_slope,
         _rise_times(times, temps, peak_idx),
-        _prefix_sums(_time_above_terms(times, temps, MELT_C, melt), lengths - 1),
+        duration,
         temps[np.arange(n_rows), peak_idx],
         times[peak_idx],
     )

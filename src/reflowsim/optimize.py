@@ -33,15 +33,28 @@ generator's blocks are padded rows of speeds, each measured over its own
 samples.  Padding only follows a row's end and the recursion is causal, so
 each SpeedCheck equals the one the per-speed chain (build_profile,
 simulate, compute_metrics, check_limits) builds, bit for bit.
+
+Both kinds of sweep keep what they measure as columns (``_SweepColumns``
+for the joint sweeps, ``MetricColumns`` per block for the speed sweep) and
+build objects only where a caller reads them.  A joint sweep de-duplicates
+its candidates on the rounded grid values of each axis (``_new_points``),
+counts feasible ones from the pass mask, and builds SweepCandidates only for
+the rows that compete under the objective, from which ``objective_key``
+picks the winner.  ``OptimizationResult.candidates`` and
+``SpeedSweepResult.per_speed`` are tuples built on their first read
+(``_LazyTuple``).  That read builds the objects the sweep no longer does,
+about 7-8 ms per 1,000 candidates or 20 ms per 1,000 speeds (in-process,
+2-core host); later reads reuse them.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
+from functools import partial, reduce
+from itertools import compress, product
 
 import numpy as np
 
@@ -49,6 +62,7 @@ from .ambient import _lattice_groups, _level_columns, build_profile
 from .limits import (
     MELT_C,
     LimitVerdict,
+    MetricColumns,
     ProcessLimits,
     TraceMetrics,
     _prefix_sums,
@@ -77,6 +91,8 @@ REFINE_FACTOR = 5  # finer steps per step of the grids, at each refinement round
 # speeds) one joint sweep evaluates: both are checked before anything that
 # size is built.
 _MAX_GRID = 1_000_000
+# The names of the metric columns, in ``MetricColumns`` order
+_METRICS = tuple(f.name for f in fields(MetricColumns))
 
 
 def _grid_size(lo: float, hi: float, step: float, key: str = "step") -> int:
@@ -195,8 +211,8 @@ def _interp_rows(x, times, temps) -> np.ndarray:
     return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
 
 
-def _symmetry_rows(times, temps, melt=None):
-    """Per row, the symmetry score (None unless the row has exactly one
+def _symmetry_columns(times, temps, melt=None):
+    """Per row, the symmetry score (NaN unless the row has exactly one
     above-217 pass) and the number of passes; melt as for ``_melt_passes``.
 
     The k offset pairs of all rows with one pass are interpolated at once,
@@ -216,8 +232,15 @@ def _symmetry_rows(times, temps, melt=None):
     offsets = (np.arange(k.max(initial=0)) + 1) * DEFAULT_OFFSET_STEP
     left = _interp_rows(center - offsets, times, temps[one])
     right = _interp_rows(center + offsets, times, temps[one])
-    scores = np.zeros(len(temps))
+    scores = np.full(len(temps), np.nan)
     scores[one] = _prefix_sums((left - right) ** 2, k)
+    return scores, passes
+
+
+def _symmetry_rows(times, temps, melt=None):
+    """``_symmetry_columns`` with the scores as a list of floats, None where
+    the symmetry is undefined."""
+    scores, passes = _symmetry_columns(times, temps, melt)
     return [s if n == 1 else None for s, n in zip(scores.tolist(), passes.tolist())], passes
 
 
@@ -259,6 +282,52 @@ def symmetry_score(trace: ThermalTrace) -> float:
     return scores[0]
 
 
+class _LazyTuple(Sequence):
+    """A tuple of ``length`` items that ``build()`` makes on first read,
+    and that is kept from then on.
+
+    It compares equal to the tuple of the same items, either way round (and
+    to another _LazyTuple), and hashes, reprs and pickles as that tuple: a
+    pickle or a copy of it is the tuple itself.
+    """
+
+    __slots__ = ("_length", "_build", "_items")
+
+    def __init__(self, length: int, build):
+        self._length = length
+        self._build = build
+        self._items = None
+
+    def _tuple(self) -> tuple:
+        if self._items is None:
+            self._items = tuple(self._build())
+            self._build = None  # frees what the items were built from
+        return self._items
+
+    def __len__(self) -> int:
+        return self._length
+
+    def __getitem__(self, index):
+        return self._tuple()[index]
+
+    def __iter__(self):
+        return iter(self._tuple())
+
+    def __eq__(self, other):
+        if isinstance(other, _LazyTuple):
+            other = other._tuple()
+        return self._tuple() == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._tuple())
+
+    def __repr__(self) -> str:
+        return repr(self._tuple())
+
+    def __reduce__(self):
+        return tuple, (self._tuple(),)
+
+
 @dataclass(frozen=True)
 class SpeedCheck:
     speed: float
@@ -268,15 +337,20 @@ class SpeedCheck:
 
 @dataclass(frozen=True)
 class SpeedSweepResult:
-    """Outcome of the speed-only sweep."""
+    """Outcome of the speed-only sweep.
+
+    ``feasible_speed_interval`` builds the SpeedChecks of per_speed on its
+    first read; either way it reads, compares and hashes as a tuple.
+    """
 
     feasible_speeds: tuple[float, ...]
     max_feasible: float | None
-    per_speed: tuple[SpeedCheck, ...]
+    per_speed: Sequence[SpeedCheck]
 
     def __post_init__(self):
         object.__setattr__(self, "feasible_speeds", tuple(self.feasible_speeds))
-        object.__setattr__(self, "per_speed", tuple(self.per_speed))
+        if not isinstance(self.per_speed, _LazyTuple):
+            object.__setattr__(self, "per_speed", tuple(self.per_speed))
         expected = self.feasible_speeds[-1] if self.feasible_speeds else None
         if self.max_feasible != expected:
             raise ValueError("max_feasible must be the last feasible speed")
@@ -299,24 +373,32 @@ def feasible_speed_interval(
     Speeds go through ``thermal.rk4_blocks`` in RK4 blocks of
     ``_Plateaus.block_rows`` rows, each in arrays of its own.  Each block's
     samples are as wide as its longest row; the metrics and the limit masks
-    run on them once per block, each row over its own samples.
+    run on them once per block, each row over its own samples, into one
+    column per metric.  The feasible speeds come from the limit masks; the
+    SpeedChecks are built from the columns when per_speed is first read.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
-    per_speed = []
+    values = np.empty((len(_METRICS), len(speeds)))
     for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), [params.tt5],
                                                model, grid, speeds):
         times = np.arange(temps.shape[1]) * grid.dt_out
         metrics = metrics_rows(times, temps, grid.dt_out, lengths)
-        # the verdicts hold the very values of the rows' TraceMetrics
-        row_metrics = list(metrics)
-        per_speed += map(SpeedCheck, speeds[block], row_metrics,
-                         verdict_rows(row_metrics, metrics, limits))
-    feasible = tuple(c.speed for c in per_speed if c.verdict.passed)
-    return SpeedSweepResult(feasible, feasible[-1] if feasible else None, tuple(per_speed))
+        values[:, block] = [getattr(metrics, name) for name in _METRICS]
+    metrics = MetricColumns(*values)
+    feasible = tuple(compress(speeds, check_rows(metrics, limits).all(axis=0).tolist()))
+    return SpeedSweepResult(feasible, feasible[-1] if feasible else None,
+                            _LazyTuple(len(speeds), lambda: _speed_checks(speeds, metrics, limits)))
+
+
+def _speed_checks(speeds, metrics: MetricColumns, limits: ProcessLimits) -> list[SpeedCheck]:
+    """The SpeedChecks of the speeds, whose metrics are the columns metrics."""
+    # the verdicts hold the very values of the rows' TraceMetrics
+    rows = list(metrics)
+    return list(map(SpeedCheck, speeds, rows, verdict_rows(rows, metrics, limits)))
 
 
 @dataclass(frozen=True)
@@ -336,13 +418,58 @@ class SweepCandidate:
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Best feasible candidate under the named objective, if any."""
+    """Best feasible candidate under the named objective, if any.
+
+    The joint sweeps build the SweepCandidates of candidates on its first
+    read; either way it reads, compares and hashes as a tuple.
+    candidates_feasible counts its feasible candidates.
+    """
 
     objective: str
     best: SweepCandidate | None
     candidates_evaluated: int
-    candidates: tuple[SweepCandidate, ...]
+    candidates: Sequence[SweepCandidate]
     rejected_from_objective: int = 0
+    candidates_feasible: int = 0
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepColumns:
+    """The candidates of one joint-sweep grid as columns, in sweep order:
+    candidate i is setpoint row i // len(speeds) at speed i % len(speeds).
+
+    values holds a column per metric (``_METRICS``), then the reflow area
+    and the symmetry score (NaN where it is undefined); feasible is the
+    limit pass mask.  ``candidates`` builds the SweepCandidates of any of
+    them; iterating yields them all.
+    """
+
+    rows: list
+    speeds: tuple[float, ...]
+    values: np.ndarray
+    feasible: np.ndarray
+
+    def __iter__(self):
+        return iter(self.candidates(range(len(self.feasible))))
+
+    def eligible(self, objective: str) -> np.ndarray:
+        """``objective_eligible`` of every candidate."""
+        if objective == "symmetry":
+            return self.feasible & ~np.isnan(self.values[-1])
+        return self.feasible
+
+    def candidates(self, idx) -> list[SweepCandidate]:
+        """The SweepCandidates at the indices idx, in their order."""
+        idx = np.asarray(idx, dtype=np.int64)
+        rows, speeds = self.rows, self.speeds
+        combo, at = np.divmod(idx, len(speeds))
+        *metrics, areas, symmetry = self.values[:, idx]
+        # NaN marks an undefined symmetry; it is the only value not equal to itself
+        return [SweepCandidate(ProcessParameters(*rows[c], belt_speed=speeds[v]), m, a,
+                               y if y == y else None, ok)
+                for c, v, m, a, y, ok in zip(combo.tolist(), at.tolist(), MetricColumns(*metrics),
+                                             areas.tolist(), symmetry.tolist(),
+                                             self.feasible[idx].tolist())]
 
 
 def _evaluate_group(
@@ -352,11 +479,12 @@ def _evaluate_group(
     area_domain: str,
     speeds: tuple[float, ...],
     job: tuple,
-) -> list[list[SweepCandidate]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a job of setpoint rows whose profiles share one segment
     geometry (defined in the ``ambient`` module docstring) at every sweep
     speed: (template profile, rows (tt1..tt5), their
-    ``_level_columns``).  One list of candidates per row, in speed order.
+    ``_level_columns``).  Returns the ``_SweepColumns`` values and the
+    feasible mask of the rows x speeds, with the rows and speeds in order.
     Top-level so process pools can pickle it.
 
     At each speed, ``thermal.rk4_blocks`` lays out the samples once and
@@ -366,21 +494,19 @@ def _evaluate_group(
     """
     template, rows, levels = job
     y0 = np.array([row[4] for row in rows], dtype=float)
-    per_row = [[] for _ in rows]
-    for speed in speeds:
+    values = np.empty((len(_METRICS) + 2, len(rows), len(speeds)))
+    feasible = np.empty((len(rows), len(speeds)), dtype=bool)
+    for at, speed in enumerate(speeds):
         for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed]):
             times = np.arange(temps.shape[1]) * grid.dt_out
             xs = _area_axis(area_domain, times, cm_per_second(speed) * times)
             melt = _super_level_segments(temps, MELT_C)
             metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
-            feasible = check_rows(metrics, limits).all(axis=0).tolist()
-            areas = _reflow_area_rows(xs, temps, melt).tolist()
-            symmetry, _ = _symmetry_rows(times, temps, melt)
-            for cands, row, m, area, sym, ok in zip(per_row[part], rows[part], metrics, areas,
-                                                    symmetry, feasible):
-                cands.append(SweepCandidate(ProcessParameters(*row, belt_speed=speed), m, area,
-                                            sym, ok))
-    return per_row
+            feasible[part, at] = check_rows(metrics, limits).all(axis=0)
+            values[:, part, at] = [*(getattr(metrics, name) for name in _METRICS),
+                                   _reflow_area_rows(xs, temps, melt),
+                                   _symmetry_columns(times, temps, melt)[0]]
+    return values, feasible
 
 
 def _grids(ranges: ParameterRanges) -> list[list[float]]:
@@ -388,6 +514,33 @@ def _grids(ranges: ParameterRanges) -> list[list[float]]:
     steps = (ranges.temp_step,) * 4 + (ranges.speed_step,)
     return [inclusive_grid(*getattr(ranges, name), step)
             for name, step in zip(("tt1", "tt2", "tt3", "tt4", "belt_speed"), steps)]
+
+
+def _grid_keys(ranges: ParameterRanges) -> list[list[float]]:
+    """The values of ``_grids(ranges)`` as the candidate keys hold them:
+    rounded to 9 decimals."""
+    return [[round(x, 9) for x in g] for g in _grids(ranges)]
+
+
+def _new_points(axes, seen) -> np.ndarray:
+    """Which points of the product of axes (``_grid_keys``) hold a new
+    candidate key, in sweep order: the first point with its key, unless an
+    earlier grid holds the key.  seen lists the earlier grids, each as one
+    set of keys per axis.
+
+    A key's points are the product of its values' positions on each axis,
+    so the first of them lies at each value's first position.
+    """
+
+    def first(axis):
+        at = {}
+        return np.array([at.setdefault(x, i) == i for i, x in enumerate(axis)])
+
+    new = reduce(np.logical_and.outer, map(first, axes))
+    for keys in seen:
+        new &= ~reduce(np.logical_and.outer,
+                       [np.array([x in k for x in axis]) for axis, k in zip(axes, keys)])
+    return new.ravel()
 
 
 def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, workers: int):
@@ -420,7 +573,7 @@ def _sweep_grid(
     limits: ProcessLimits,
     area_domain: str,
     workers: int,
-) -> list[SweepCandidate]:
+) -> _SweepColumns:
     """Every grid candidate, ordered by setpoint combination, then speed."""
     _area_axis(area_domain, None, None)  # reject a bad domain before any work
     model = WeldingModel(coefficient)
@@ -439,11 +592,12 @@ def _sweep_grid(
             batches = list(pool.map(evaluate, [job for _, job in jobs]))
     else:
         batches = [evaluate(job) for _, job in jobs]
-    per_row = [None] * len(rows)
-    for (idx, _), batch in zip(jobs, batches):
-        for i, cands in zip(idx.tolist(), batch):
-            per_row[i] = cands
-    return [cand for cands in per_row for cand in cands]
+    values = np.empty((len(_METRICS) + 2, len(rows), len(speeds)))
+    feasible = np.empty((len(rows), len(speeds)), dtype=bool)
+    for (idx, _), (job_values, job_feasible) in zip(jobs, batches):
+        values[:, idx] = job_values
+        feasible[idx] = job_feasible
+    return _SweepColumns(rows, speeds, values.reshape(len(values), -1), feasible.ravel())
 
 
 def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters) -> ParameterRanges:
@@ -511,44 +665,41 @@ def _optimize(
     # split the jobs finer
     workers = min(workers, os.cpu_count() or 1)
 
-    def sort_key(c: SweepCandidate):
-        return objective_key(objective, c)
-
-    def eligible(c: SweepCandidate) -> bool:
-        return objective_eligible(objective, c)
-
-    candidates: list[SweepCandidate] = []
-    seen: set[tuple] = set()
+    parts = []  # per swept grid: its columns and the indices of its new candidates
+    seen = []  # per swept grid: the set of its keys on each axis
+    pool = []  # the candidates that compete under the objective
     current_ranges = ranges
     best = None
     for round_idx in range(refine_rounds + 1):
         batch = _sweep_grid(
             layout, current_ranges, weight, coefficient, grid, limits, area_domain, workers
         )
-        for cand in batch:
-            k = tuple(round(x, 9) for x in cand.key())
-            if k in seen:
-                continue
-            seen.add(k)
-            candidates.append(cand)
-        pool = [c for c in candidates if eligible(c)]
-        best = min(pool, key=sort_key) if pool else None
+        axes = _grid_keys(current_ranges)
+        kept = np.flatnonzero(_new_points(axes, seen))
+        seen.append([set(axis) for axis in axes])
+        parts.append((batch, kept))
+        pool += batch.candidates(kept[batch.eligible(objective)[kept]])
+        best = min(pool, key=partial(objective_key, objective)) if pool else None
         if best is None or round_idx == refine_rounds:
             break
         current_ranges = _refined_ranges(current_ranges, best.params)
         # nothing new: the grid has collapsed onto seen keys, as finer ones will
-        if seen.issuperset(product(*([round(x, 9) for x in g] for g in _grids(current_ranges)))):
+        if not _new_points(_grid_keys(current_ranges), seen).any():
             break
 
-    rejected = sum(1 for c in candidates if c.feasible and c.symmetry is None)
     if best is not None and not check_limits(best.metrics, limits).passed:
         raise RuntimeError("internal error: selected candidate fails the limit re-check")
+    evaluated = sum(len(kept) for _, kept in parts)
+    feasible = sum(int(np.count_nonzero(batch.feasible[kept])) for batch, kept in parts)
     return OptimizationResult(
         objective=objective,
         best=best,
-        candidates_evaluated=len(candidates),
-        candidates=tuple(candidates),
-        rejected_from_objective=rejected if objective == "symmetry" else 0,
+        candidates_evaluated=evaluated,
+        candidates=_LazyTuple(evaluated, lambda: [cand for batch, kept in parts
+                                                  for cand in batch.candidates(kept)]),
+        # feasible candidates without a symmetry score
+        rejected_from_objective=feasible - len(pool) if objective == "symmetry" else 0,
+        candidates_feasible=feasible,
     )
 
 

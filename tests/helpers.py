@@ -26,6 +26,7 @@ chunked writer and loader must give the same bytes, arrays and messages.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -46,6 +47,7 @@ from reflowsim import (
 )
 from reflowsim.ambient import ExpLinearBlendSegment
 from reflowsim.limits import check_limits, compute_metrics
+from reflowsim.optimize import SweepCandidate
 from reflowsim.oven import cm_per_second, position_at_time
 from reflowsim.thermal import (
     _MAX_STEPS,
@@ -411,6 +413,65 @@ def brute_force_joint_sweep(layout, ranges: ParameterRanges, weight, coefficient
             best_key = key
             best = ((tt1, tt2, tt3, tt4, v), area, sym)
     return best
+
+
+def brute_force_candidates(layout, ranges: ParameterRanges, weight, coefficient,
+                           objective, grid=None, limits=None,
+                           area_domain="position", refine_rounds=0):
+    """Every candidate of the joint sweep with its refinement rounds, one at
+    a time, and the winner: (candidates, best).
+
+    Each round walks its grid in sweep order through build_profile,
+    simulate, compute_metrics, check_limits, reflow_area and
+    symmetry_score, and keeps a candidate unless an earlier one has the same
+    key, each coordinate rounded to 9 decimals on its own.  The winner is a
+    running minimum under the documented ordering.  The next round re-grids
+    one step around it at a fifth of the step; a round whose keys were all
+    seen adds nothing, so this loop needs no stopping rule of its own.
+    """
+    grid = grid if grid is not None else SimulationGrid()
+    lim = limits if limits is not None else ProcessLimits()
+    model = WeldingModel(coefficient)
+    candidates, seen, best, best_key = [], set(), None, None
+    for round_idx in range(refine_rounds + 1):
+        temps = [inclusive_grid(*iv, ranges.temp_step)
+                 for iv in (ranges.tt1, ranges.tt2, ranges.tt3, ranges.tt4)]
+        speeds = inclusive_grid(*ranges.belt_speed, ranges.speed_step)
+        for tt1, tt2, tt3, tt4, v in itertools.product(*temps, speeds):
+            key = tuple(round(x, 9) for x in (tt1, tt2, tt3, tt4, v))
+            if key in seen:
+                continue
+            seen.add(key)
+            p = ProcessParameters(tt1, tt2, tt3, tt4, float(ranges.tt5[0]), v)
+            trace = simulate(build_profile(layout, p, weight), p, model, grid)
+            m = compute_metrics(trace)
+            try:
+                sym = symmetry_score(trace)
+            except ValueError:
+                sym = None
+            cand = SweepCandidate(p, m, reflow_area(trace, area_domain), sym,
+                                  check_limits(m, lim).passed)
+            candidates.append(cand)
+            if not cand.feasible or (objective == "symmetry" and sym is None):
+                continue
+            order = (cand.area, *cand.key()) if objective == "area" \
+                else (sym, cand.area, *cand.key())
+            if best_key is None or order < best_key:
+                best_key, best = order, cand
+        if best is None or round_idx == refine_rounds:
+            break
+        b, t, s = best.params, ranges.temp_step, ranges.speed_step
+        ranges = ParameterRanges(
+            tt1=(max(ranges.tt1[0], b.tt1 - t), min(ranges.tt1[1], b.tt1 + t)),
+            tt2=(max(ranges.tt2[0], b.tt2 - t), min(ranges.tt2[1], b.tt2 + t)),
+            tt3=(max(ranges.tt3[0], b.tt3 - t), min(ranges.tt3[1], b.tt3 + t)),
+            tt4=(max(ranges.tt4[0], b.tt4 - t), min(ranges.tt4[1], b.tt4 + t)),
+            tt5=ranges.tt5,
+            belt_speed=(max(ranges.belt_speed[0], b.belt_speed - s),
+                        min(ranges.belt_speed[1], b.belt_speed + s)),
+            temp_step=t / 5, speed_step=s / 5,
+        )
+    return candidates, best
 
 
 _SPEED_COMMENT = "# belt_speed_cm_min ="
