@@ -41,7 +41,6 @@ from .optimize import (
     inclusive_grid,
     minimize_area,
     most_symmetric,
-    objective_eligible,
     objective_key,
     reflow_area,
     symmetry_score,
@@ -104,7 +103,6 @@ __all__ = [
     "load_trace_csv",
     "minimize_area",
     "most_symmetric",
-    "objective_eligible",
     "objective_key",
     "pearson",
     "position_at_time",

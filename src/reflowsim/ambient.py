@@ -27,7 +27,6 @@ t_before/t_after, the ``_level_columns`` that ``FieldRows`` batches over.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 
@@ -218,17 +217,6 @@ class FieldRows:
             if isinstance(seg, ExpLinearBlendSegment):
                 at = segment == i
                 self._blends.append((i, at, seg.evaluate(x[at])))
-
-    def reblended(self, profile: AmbientProfile, x) -> "FieldRows":
-        """These rows with the cooling blends of ``profile``, whose segments
-        are the template's but for the blends' weights, at the positions x
-        that the rows were built on: only the blends' values are evaluated,
-        the rest is shared."""
-        rows = copy.copy(self)
-        x = np.asarray(x, dtype=float)
-        rows._blends = [(i, at, profile.segments[i].evaluate(x[at]))
-                        for i, at, _ in self._blends]
-        return rows
 
     def fill(self, levels: np.ndarray, out=None) -> np.ndarray:
         """One row per profile from its ``_level_columns`` row, written into

@@ -18,7 +18,7 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulate_blends, simulator
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulator
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
 
@@ -255,10 +255,10 @@ def calibrate_coefficient(
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
     # one plan and field for every candidate: only the coefficient varies
-    run = simulator(build_profile(layout, params, weight), params, grid)
+    run = simulator([build_profile(layout, params, weight)], params, grid)
 
     def evaluate(q: float) -> CandidateScore:
-        simulated = score.simulated(run(WeldingModel(q)))
+        simulated = score.simulated(run(WeldingModel(q))[0])
         if np.ptp(simulated) == 0.0:
             raise ValueError(f"candidate coefficients: {q:g} leaves the board at its start "
                              "temperature, where the Pearson correlation is undefined")
@@ -322,10 +322,10 @@ def fit_blend_weight(
 ) -> BlendFit:
     """Grid-search the cooling-blend weight against a measured trace.
 
-    Integrates once per candidate weight, all on one plan and one set of
-    stage positions (``thermal.simulate_blends``): only the cooling blend's
-    field depends on the weight.  Each run is scored by the mean squared
-    error against the measured trace at its own timestamps.
+    Integrates every candidate weight through one ``thermal.simulator``:
+    the profiles share one plan and one set of stage positions, and only
+    the cooling blend's field depends on the weight.  Each run is scored by
+    the mean squared error against the measured trace at its own timestamps.
     params.belt_speed must be the trace's (``check_trace_speed``), and each
     weight must lie in [0, 1]; both are checked before any simulation.
     """
@@ -334,7 +334,8 @@ def fit_blend_weight(
     model = WeldingModel(coefficient)
     # every profile first: build_profile refuses a bad weight before any run
     profiles = [build_profile(layout, params, w) for w in candidates]
+    traces = simulator(profiles, params, grid)(model)
     scores = [WeightScore(w, score.discrepancy(score.simulated(trace)))
-              for w, trace in zip(candidates, simulate_blends(profiles, params, model, grid))]
+              for w, trace in zip(candidates, traces)]
     best = _best(scores, "weight")
     return BlendFit(best.weight, tuple(scores))

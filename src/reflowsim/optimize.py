@@ -237,13 +237,6 @@ def _symmetry_columns(times, temps, melt=None):
     return scores, passes
 
 
-def _symmetry_rows(times, temps, melt=None):
-    """``_symmetry_columns`` with the scores as a list of floats, None where
-    the symmetry is undefined."""
-    scores, passes = _symmetry_columns(times, temps, melt)
-    return [s if n == 1 else None for s, n in zip(scores.tolist(), passes.tolist())], passes
-
-
 def reflow_area(trace: ThermalTrace, domain: str = "position") -> float:
     """Area between the trace and the melting line where the trace exceeds it.
 
@@ -271,7 +264,7 @@ def symmetry_score(trace: ThermalTrace) -> float:
         they are built).  If the trace never exceeds 217 degC, or exceeds
         it on more than one disjoint interval.
     """
-    scores, passes = _symmetry_rows(trace.times, trace.temps[None])
+    scores, passes = _symmetry_columns(trace.times, trace.temps[None])
     if passes[0] == 0:
         raise ValueError("trace never exceeds 217 degC; symmetry undefined")
     if passes[0] > 1:
@@ -279,7 +272,7 @@ def symmetry_score(trace: ThermalTrace) -> float:
             f"trace exceeds 217 degC on {passes[0]} disjoint intervals; "
             "symmetry undefined"
         )
-    return scores[0]
+    return float(scores[0])
 
 
 class _LazyTuple(Sequence):
@@ -453,7 +446,9 @@ class _SweepColumns:
         return iter(self.candidates(range(len(self.feasible))))
 
     def eligible(self, objective: str) -> np.ndarray:
-        """``objective_eligible`` of every candidate."""
+        """Per candidate, whether it can compete under the objective: a
+        feasible one under "area", a feasible one with a defined symmetry
+        under "symmetry"."""
         if objective == "symmetry":
             return self.feasible & ~np.isnan(self.values[-1])
         return self.feasible
@@ -629,15 +624,6 @@ def objective_key(objective: str, candidate: SweepCandidate) -> tuple:
         return (candidate.area, *candidate.key())
     if objective == "symmetry":
         return (candidate.symmetry, candidate.area, *candidate.key())
-    raise ValueError(f"unknown objective {objective!r}")
-
-
-def objective_eligible(objective: str, candidate: SweepCandidate) -> bool:
-    """Whether a candidate can compete under the objective."""
-    if objective == "area":
-        return candidate.feasible
-    if objective == "symmetry":
-        return candidate.feasible and candidate.symmetry is not None
     raise ValueError(f"unknown objective {objective!r}")
 
 

@@ -29,11 +29,12 @@ recursion on the field at every node and midpoint.  One generator,
 and with as many rows as ``_BLOCK_BYTES`` allows, for both sweeps: one
 profile at many speeds (the speed sweep) and the profiles of one segment
 geometry at one speed (the joint sweep).  One profile at one speed is one
-row: ``simulator`` builds its plan and field once and integrates it for
-any number of welding models (calibration's candidates), and ``simulate``
-is its one-call case; ``simulate_blends`` shares one plan and its stage
-positions among profiles that differ only in their cooling blend's weight
-(the blend fit's candidates).  The test suite judges this module against
+row, and ``simulator`` is the one single-speed path: it builds the plan,
+its stage positions and a field per profile once, for profiles that differ
+only in their cooling blends' weights, and integrates them for any number
+of welding models.  ``simulate`` (one profile, one model), the coefficient
+fit (one profile, many models) and the blend fit (many profiles, one
+model) all run through it.  The test suite judges this module against
 independent oracles of its own: a textbook RK4 loop and a forward-Euler
 loop, both on a field evaluated segment by segment.
 """
@@ -453,20 +454,22 @@ class _Plateaus:
         s, varying = self.stride, int(self.varying_counts().max())
         return max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
 
-    def positions(self, speeds: slice):
-        """For the rows of a block of speeds: the stage positions of one
-        sample per plateau and of the own samples; those of the samples
-        inside the cooling blend; which column of their Horner sums (in that
-        order) each sample of each row takes; and, per cooling blend segment
-        (``self.blends``), the slice of the blend positions' columns that
-        lie in it.
+    def field(self, speeds: slice, profiles) -> list:
+        """For the rows of a block of speeds, one field per profile of
+        ``profiles`` (each the template's segments but for the weights of
+        its cooling blends): the field rows of one sample per plateau and of
+        the own samples; which column of their Horner sums (then of those
+        inside the cooling blend) each sample of each row takes, one array
+        that all profiles share; and the field of the samples inside the
+        cooling blend.
 
         A plateau's sample has every stage at the plateau's middle, so its
         Horner sum is that of any sample wholly inside it.  The s + 1 nodes
         of the others, then their s midpoints, lie at rate * (j*dt [+ dt/2])
         (j*dt is exact in floats: j is an integer), one column per sample,
-        so each stage is a contiguous row.  Both position arrays are views
-        of one array.
+        so each stage is a contiguous row.  The positions are computed once
+        for every profile and freed on return: ``FieldRows`` keeps none of
+        them, and each profile's blend field is an array of its own.
         """
         s, p = self.stride, len(self.middles)
         k_end = int(self.lengths[speeds].max()) - 1
@@ -488,37 +491,18 @@ class _Plateaus:
         stages *= rate[rows]
         np.minimum(stages, self.template.total_length_cm, out=stages)
         source[varying] = np.arange(p, p + varying.size)
-        spans, stop = [], 0
-        for part in parts[1:]:
-            spans.append(slice(stop, stop + part.size))
-            stop += part.size
+        source = source.reshape(len(rate), k_end)
         end = p + parts[0].size
-        return x[:, :end], x[:, end:], source.reshape(len(rate), k_end), spans
-
-    def blend(self, profile: AmbientProfile, x, spans, out) -> np.ndarray:
-        """The field of ``profile``'s cooling blend (its segments are the
-        template's but for the blends' weights) at the positions x of the
-        samples inside it, columns ``spans`` (``positions``), into out,
-        which may be x."""
-        for i, cols in zip(self.blends, spans):
-            out[:, cols] = profile.segments[i].evaluate(x[:, cols])
-        return out
-
-    def field(self, speeds: slice):
-        """For the rows of a block of speeds (``positions``): the field rows
-        of one sample per plateau and of the own samples; which column of
-        their Horner sums (then of those inside the cooling blend) each
-        sample of each row takes; and the field of the samples inside the
-        cooling blend.
-
-        The cooling blend's field is evaluated in place of its positions and
-        copied out, so that the positions are freed on return
-        (``FieldRows`` keeps none of them) rather than held by a view while
-        the block is integrated.
-        """
-        own, blend, source, spans = self.positions(speeds)
-        return (FieldRows(self.template, own), source,
-                self.blend(self.template, blend, spans, blend).copy())
+        own, blend = x[:, :end], x[:, end:]
+        # per cooling blend segment, the columns of blend that lie in it
+        stops = np.cumsum([0] + [part.size for part in parts[1:]]).tolist()
+        fields = []
+        for profile in profiles:
+            values = np.empty_like(blend)
+            for i, lo, hi in zip(self.blends, stops, stops[1:]):
+                values[:, lo:hi] = profile.segments[i].evaluate(blend[:, lo:hi])
+            fields.append((FieldRows(profile, own), source, values))
+        return fields
 
     def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
         """The RK4 samples of profiles with these ``_level_columns`` at the
@@ -581,7 +565,7 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
     per = min(rows, len(speeds))
     for lo in range(0, len(speeds), per):
         block = slice(lo, min(lo + per, len(speeds)))
-        field = plan.field(block)
+        field, = plan.field(block, [template])
         for first in range(0, len(levels), rows // per):
             part = slice(first, min(first + rows // per, len(levels)))
             temps = plan.integrate(field, levels[part], y0[part].repeat(block.stop - lo),
@@ -590,67 +574,42 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
         del field  # free before the next block's field is computed
 
 
-def simulator(profile: AmbientProfile, params: ProcessParameters, grid: SimulationGrid):
-    """``simulate`` for many welding models at one profile, speed and grid:
-    returns a function of a ``WeldingModel`` that gives its trace, bit for
-    bit the trace ``simulate`` gives.
-
-    The plan, its one-row field, the level columns and the start
-    temperature do not depend on the coefficient, so they are built once,
-    here, and a grid error is raised here, before any model runs.  Each call
-    checks its own step (``check_step``) and integrates the one row.
-    """
-    v = params.belt_speed
-    plan = _Plateaus(profile, np.array([v], dtype=float), grid.dt, grid.stride)
-    field = plan.field(slice(0, 1))
-    levels = _level_columns([profile])
-
-    def run(model: WeldingModel) -> ThermalTrace:
-        check_step(model.coefficient, grid.dt)
-        temps = plan.integrate(field, levels, params.tt5,
-                               _rk4_coefficients(model.coefficient * grid.dt))
-        return ThermalTrace.from_temps(grid.dt_out, v, temps[0])
-
-    return run
-
-
 def _unweighted(profile: AmbientProfile) -> list:
     """The segments of a profile with its cooling blends' weights set to 0."""
     return [replace(seg, weight=0.0) if isinstance(seg, ExpLinearBlendSegment) else seg
             for seg in profile.segments]
 
 
-def simulate_blends(profiles, params: ProcessParameters, model: WeldingModel,
-                    grid: SimulationGrid):
-    """``simulate`` of profiles that differ only in the weights of their
-    cooling blends (``build_profile`` at several blend weights) at one
-    speed, model and grid: yields each profile's trace in order, bit for bit
-    the trace ``simulate`` gives.
+def simulator(profiles, params: ProcessParameters, grid: SimulationGrid):
+    """``simulate`` for many welding models at profiles that differ only in
+    the weights of their cooling blends (``build_profile`` at several blend
+    weights), at one speed and grid: returns a function of a
+    ``WeldingModel`` that gives one trace per profile, in order, each bit
+    for bit the trace ``simulate`` gives.
 
-    The plan, the stage positions, the level columns and the field off the
-    cooling blend do not depend on the weight, so they are built once, from
-    the first profile, and a grid or step error is raised before any
-    profile runs.  Per profile only its blend is evaluated: the field of
-    the samples inside it (``_Plateaus.blend``) and the values that
-    ``FieldRows`` holds of the own samples' stages inside it
-    (``FieldRows.reblended``).
+    The plan, the stage positions, the level columns, the start
+    temperature and each profile's field do not depend on the coefficient,
+    so they are built once, here (``_Plateaus.field``), and profiles that
+    differ off the blend, or a grid error, are refused here, before any
+    model runs.  Each call checks its own step (``check_step``) and
+    integrates one row per profile.
     """
     template = profiles[0]
-    unweighted = _unweighted(template)
-    if any(_unweighted(p) != unweighted for p in profiles[1:]):
+    if any(_unweighted(p) != _unweighted(template) for p in profiles[1:]):
         raise ValueError("profiles must differ only in the weights of their cooling blends")
     v = params.belt_speed
     plan = _Plateaus(template, np.array([v], dtype=float), grid.dt, grid.stride)
-    own, blend, source, spans = plan.positions(slice(0, 1))
-    rows = FieldRows(template, own)
+    fields = plan.field(slice(0, 1), profiles)
     levels = _level_columns([template])
-    check_step(model.coefficient, grid.dt)
-    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-    for profile in profiles:
-        field = (rows.reblended(profile, own), source,
-                 plan.blend(profile, blend, spans, np.empty_like(blend)))
-        temps = plan.integrate(field, levels, params.tt5, coefficients)
-        yield ThermalTrace.from_temps(grid.dt_out, v, temps[0])
+
+    def run(model: WeldingModel) -> list[ThermalTrace]:
+        check_step(model.coefficient, grid.dt)
+        coefficients = _rk4_coefficients(model.coefficient * grid.dt)
+        return [ThermalTrace.from_temps(grid.dt_out, v,
+                                        plan.integrate(field, levels, params.tt5, coefficients)[0])
+                for field in fields]
+
+    return run
 
 
 def simulate(
@@ -665,10 +624,10 @@ def simulate(
     the conveyor reaches the furnace end; the returned trace holds every
     stride-th integration node, i.e. samples every grid.dt_out seconds.
     Integration never evaluates the ambient field beyond the furnace end:
-    stage positions are clipped to it.  This is the one-call case of
-    ``simulator``: one row of the plateau-compacted kernel, the rows that
-    ``rk4_blocks`` yields by the block.
+    stage positions are clipped to it.  This is the one-profile, one-model
+    case of ``simulator``: one row of the plateau-compacted kernel, the
+    rows that ``rk4_blocks`` yields by the block.
 
     Pure function: identical inputs produce bit-identical traces.
     """
-    return simulator(profile, params, grid if grid is not None else SimulationGrid())(model)
+    return simulator([profile], params, grid if grid is not None else SimulationGrid())(model)[0]

@@ -23,7 +23,7 @@ from reflowsim import (
     simulate,
 )
 from reflowsim.calibrate import BlendFit, WeightScore, check_trace_speed
-from reflowsim.thermal import simulate_blends
+from reflowsim.thermal import simulator
 
 from helpers import full_field_rk4
 
@@ -402,8 +402,8 @@ class TestOnePlanPerBlendFit:
         model = WeldingModel(0.021)
         # the first weight, the ends of [0, 1], and a repeat
         weights = [0.8, 0.0, 0.35, 1.0, 0.8]
-        traces = simulate_blends([build_profile(layout, params, w) for w in weights], params,
-                                 model, grid)
+        traces = simulator([build_profile(layout, params, w) for w in weights], params,
+                           grid)(model)
         for w, trace in zip(weights, traces, strict=True):
             alone = simulate(build_profile(layout, params, w), params, model, grid)
             assert np.array_equal(trace.times, alone.times)
@@ -424,8 +424,9 @@ class TestOnePlanPerBlendFit:
     def test_profiles_that_differ_off_the_blend_are_refused(self, layout, params):
         profiles = [build_profile(layout, params, 0.8),
                     build_profile(layout, replace(params, tt1=180.0), 0.8)]
+        # refused as the simulator is built, before any model runs
         with pytest.raises(ValueError, match="differ only in the weights of their cooling blends"):
-            next(simulate_blends(profiles, params, WeldingModel(0.021), SimulationGrid()))
+            simulator(profiles, params, SimulationGrid())
 
 
 def assert_scorer_equals_one_pair_functions(measured, simulated):

@@ -286,20 +286,24 @@ def test_one_row_simulate_equals_the_full_field(temps, weight, speed, grid):
 @pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 30.0)])
 @pytest.mark.parametrize("params", [DEFAULT, MERGED, replace(COLD, belt_speed=100.0)])
 def test_models_through_one_simulator_equal_separate_simulates(params, grid):
-    """One plan and field serve every model: each trace equals its own
-    ``simulate`` call, in every field, whatever ran before it."""
-    profile = build_profile(LAYOUT, params, 0.8)
+    """One plan and a field per blend weight serve every model: each
+    (profile, model) trace equals its own ``simulate`` call, in every
+    field, whatever ran before it."""
+    profiles = [build_profile(LAYOUT, params, w) for w in (0.8, 0.0, 1.0)]
     grid = SimulationGrid(*grid)
-    run = simulator(profile, params, grid)
+    run = simulator(profiles, params, grid)
     models = [WeldingModel(0.02), WeldingModel(0.0235), WeldingModel(0.02)]
     traces = [run(model) for model in models]
-    for model, trace in zip(models, traces):
-        alone = simulate(profile, params, model, grid)
-        assert (trace.dt, trace.belt_speed) == (alone.dt, alone.belt_speed)
-        for name in ("times", "positions", "temps"):
-            assert np.array_equal(getattr(trace, name), getattr(alone, name))
-            assert not getattr(trace, name).flags.writeable
-    assert not np.array_equal(traces[0].temps, traces[1].temps)
+    for model, per_profile in zip(models, traces):
+        for profile, trace in zip(profiles, per_profile, strict=True):
+            alone = simulate(profile, params, model, grid)
+            assert (trace.dt, trace.belt_speed) == (alone.dt, alone.belt_speed)
+            for name in ("times", "positions", "temps"):
+                assert np.array_equal(getattr(trace, name), getattr(alone, name))
+                assert not getattr(trace, name).flags.writeable
+    assert not np.array_equal(traces[0][0].temps, traces[1][0].temps)
+    # COLD's furnace has no cooling blend, so there the weight changes nothing
+    assert np.array_equal(traces[0][0].temps, traces[0][1].temps) == (profiles[0] == profiles[1])
 
 
 def test_kernel_traces_equal_their_from_temps_trace():

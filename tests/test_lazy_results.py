@@ -233,4 +233,3 @@ def test_symmetry_columns_mark_undefined_rows_nan():
     scores, passes = optimize._symmetry_columns(times, temps)
     assert passes.tolist() == [1, 2, 0]
     assert scores[0] == 0.0 and np.isnan(scores[1:]).all()
-    assert optimize._symmetry_rows(times, temps)[0] == [0.0, None, None]

@@ -18,7 +18,6 @@ from reflowsim import (
     inclusive_grid,
     minimize_area,
     most_symmetric,
-    objective_eligible,
     objective_key,
     reflow_area,
     simulate,
@@ -222,13 +221,6 @@ class TestObjectiveOrdering:
         b = self._candidate(area=700.0, symmetry=5.0, v=70.0)
         winner = min([a, b], key=lambda c: objective_key("area", c))
         assert winner is b
-
-    def test_eligibility(self):
-        infeasible = self._candidate(area=1.0, symmetry=1.0, feasible=False)
-        no_sym = self._candidate(area=1.0, symmetry=None)
-        assert not objective_eligible("area", infeasible)
-        assert objective_eligible("area", no_sym)
-        assert not objective_eligible("symmetry", no_sym)
 
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="objective"):

@@ -6,6 +6,8 @@ with exact float equality, the one built by build_profile -> simulate ->
 compute_metrics -> check_limits -> reflow_area -> symmetry_score.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -188,8 +190,9 @@ def test_vectorised_crossings_equal_the_loop(seed, dt):
     rows = awkward_rows(rng, int(rng.integers(2, 80)))
     times = np.arange(rows.shape[1]) * dt
     batched_metrics = metrics_rows(times, rows, dt)
-    batched, passes = optimize._symmetry_rows(times, rows)
-    for row, metrics, score, count in zip(rows, batched_metrics, batched, passes):
+    batched, passes = optimize._symmetry_columns(times, rows)
+    for row, metrics, score, count in zip(rows, batched_metrics, batched.tolist(), passes):
+        score = None if math.isnan(score) else score
         trace = ThermalTrace.from_temps(dt, 80.0, row)
         want, want_count = loop_symmetry(trace.times, trace.temps)
         assert (score, count) == (want, want_count)
