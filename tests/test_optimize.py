@@ -222,6 +222,19 @@ class TestObjectiveOrdering:
         winner = min([a, b], key=lambda c: objective_key("area", c))
         assert winner is b
 
+    def test_eligibility(self):
+        # one setpoint row at three speeds: infeasible, undefined symmetry, both fine
+        metrics = [2.0, -2.0, 80.0, 60.0, 245.0, 100.0]
+        values = np.array([metrics + [1.0, 1.0], metrics + [1.0, np.nan],
+                           metrics + [1.0, 2.0]]).T
+        columns = optimize._SweepColumns([(165.0, 185.0, 225.0, 265.0, 265.0)],
+                                         (70.0, 75.0, 80.0), values,
+                                         np.array([False, True, True]))
+        assert columns.eligible("area").tolist() == [False, True, True]
+        assert columns.eligible("symmetry").tolist() == [False, False, True]
+        infeasible, no_sym, _ = columns
+        assert not infeasible.feasible and no_sym.symmetry is None
+
     def test_unknown_objective(self):
         with pytest.raises(ValueError, match="objective"):
             objective_key("peak", self._candidate(1.0, 1.0))
