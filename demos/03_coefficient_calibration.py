@@ -27,7 +27,7 @@ profile = build_profile(layout, params, weight=0.8)
 hidden = 0.021
 rng = np.random.default_rng(11)
 clean = simulate(profile, params, WeldingModel(hidden))
-measured = ThermalTrace.from_temps(
+measured = ThermalTrace(
     clean.dt, clean.belt_speed, clean.temps + rng.normal(0.0, 1.0, len(clean))
 )
 print(f"synthetic measurement: coefficient {hidden}, noise sigma = 1 degC")

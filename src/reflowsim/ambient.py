@@ -19,8 +19,8 @@ and calibration run it on many profiles at once, and ``ambient_at`` is its
 one-row case.  Each segment's ``evaluate`` states its formula on its own.
 
 Profiles share a *segment geometry* when their segments match one for one
-in type, x_start and x_end (and a sigmoid's centre), and their cooling
-blends are equal whole: its exponential depends on its endpoint
+in type, x_start and x_end (which fix a sigmoid's centre), and their
+cooling blends are equal whole: its exponential depends on its endpoint
 temperatures.  Such profiles differ only in plateau levels and in sigmoid
 t_before/t_after, the ``_level_columns`` that ``FieldRows`` batches over.
 """
@@ -61,14 +61,10 @@ class SigmoidSegment:
     x_end: float
     t_before: float
     t_after: float
-    center: float
 
-    def __post_init__(self):
-        mid = 0.5 * (self.x_start + self.x_end)
-        if abs(self.center - mid) > 1e-9:
-            raise ValueError(
-                f"sigmoid center {self.center} must be the segment midpoint {mid}"
-            )
+    @property
+    def center(self) -> float:
+        return 0.5 * (self.x_start + self.x_end)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
         denominator = 1.0 + np.exp(-(np.asarray(x, dtype=float) - self.center))
@@ -79,17 +75,15 @@ class SigmoidSegment:
 class ExpLinearBlendSegment:
     """Cooling-region model: weight * line + (1 - weight) * exponential.
 
-    Both components interpolate (x_pre, t_hot) and (x_post, t_cold) exactly,
-    so the blend does too for any weight.  The exponential requires strictly
-    positive endpoint temperatures.
+    Both components, so the blend at any weight, interpolate (x_start, t_hot)
+    and (x_end, t_cold), the ends of the stretch it models.  The exponential
+    requires strictly positive endpoint temperatures.
     """
 
     x_start: float
     x_end: float
     t_hot: float
     t_cold: float
-    x_pre: float
-    x_post: float
     weight: float
 
     def __post_init__(self):
@@ -100,26 +94,26 @@ class ExpLinearBlendSegment:
                 "blend endpoint temperatures must be positive for the "
                 f"exponential component, got {self.t_hot}, {self.t_cold}"
             )
-        if not self.x_pre < self.x_post:
-            raise ValueError("blend anchors must satisfy x_pre < x_post")
+        if not self.x_start < self.x_end:
+            raise ValueError("blend segment must satisfy x_start < x_end")
 
     @property
     def rate(self) -> float:
-        """Exponential rate: t_hot * exp(rate * (x - x_pre)) hits t_cold at x_post."""
-        return (math.log(self.t_hot) - math.log(self.t_cold)) / (self.x_pre - self.x_post)
+        """Exponential rate: t_hot * exp(rate * (x - x_start)) hits t_cold at x_end."""
+        return (math.log(self.t_hot) - math.log(self.t_cold)) / (self.x_start - self.x_end)
 
     def evaluate(self, x: np.ndarray) -> np.ndarray:
-        """weight * (t_hot + (t_cold - t_hot) * (x - x_pre) / (x_post - x_pre))
-        + (1 - weight) * t_hot * exp(rate * (x - x_pre)), operation by
+        """weight * (t_hot + (t_cold - t_hot) * (x - x_start) / (x_end - x_start))
+        + (1 - weight) * t_hot * exp(rate * (x - x_start)), operation by
         operation, in two arrays."""
-        linear = np.asarray(np.asarray(x, dtype=float) - self.x_pre)
+        linear = np.asarray(np.asarray(x, dtype=float) - self.x_start)
         exponential = linear.copy()
         exponential *= self.rate
         np.exp(exponential, out=exponential)
         exponential *= self.t_hot
         exponential *= 1.0 - self.weight
         linear *= self.t_cold - self.t_hot
-        linear /= self.x_post - self.x_pre
+        linear /= self.x_end - self.x_start
         linear += self.t_hot
         linear *= self.weight
         linear += exponential
@@ -324,11 +318,7 @@ def _assemble(layout: OvenLayout, params: ProcessParameters, weight: float):
                 )
             segments.append(ConstantSegment(run_start, gap_start, run_temp))
             sources.append((run_slot, run_slot))
-            segments.append(
-                SigmoidSegment(
-                    gap_start, gap_end, run_temp, temp, 0.5 * (gap_start + gap_end)
-                )
-            )
+            segments.append(SigmoidSegment(gap_start, gap_end, run_temp, temp))
             sources.append((run_slot, slots[i]))
             run_start = gap_end
             run_temp, run_slot = temp, slots[i]
@@ -339,17 +329,8 @@ def _assemble(layout: OvenLayout, params: ProcessParameters, weight: float):
     blend_start = heated[hot_idx].end_cm
     blend_end = heated[-1].end_cm
     if hot_idx < len(heated) - 1:
-        segments.append(
-            ExpLinearBlendSegment(
-                blend_start,
-                blend_end,
-                t_hot=temps[hot_idx],
-                t_cold=cold,
-                x_pre=blend_start,
-                x_post=blend_end,
-                weight=weight,
-            )
-        )
+        segments.append(ExpLinearBlendSegment(blend_start, blend_end, t_hot=temps[hot_idx],
+                                              t_cold=cold, weight=weight))
         sources.append(None)
     if blend_end < layout.total_length_cm:
         segments.append(ConstantSegment(blend_end, layout.total_length_cm, cold))

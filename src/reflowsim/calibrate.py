@@ -18,7 +18,7 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, simulator
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, check_step, simulator
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
 
@@ -178,13 +178,6 @@ def _best(scores, name: str):
     return min(scores, key=lambda s: (s.discrepancy, getattr(s, name)))
 
 
-def _check_best(result, name: str) -> None:
-    """Freeze a grid-search result's scores; its best_<name> must be _best's."""
-    object.__setattr__(result, "scores", tuple(result.scores))
-    if getattr(_best(result.scores, name), name) != getattr(result, f"best_{name}"):
-        raise ValueError(f"best_{name} does not attain the minimum discrepancy")
-
-
 def _start_search(measured, params, candidates: list, name: str, grid):
     """What both grid searches check first: a non-empty candidate list (the
     argument ``name``) and the trace's speed.  Returns the grid to run on
@@ -206,11 +199,14 @@ class CandidateScore:
 class CalibrationResult:
     """Grid-search outcome; ties in discrepancy go to the smaller coefficient."""
 
-    best_coefficient: float
     scores: tuple[CandidateScore, ...]
 
     def __post_init__(self):
-        _check_best(self, "coefficient")
+        object.__setattr__(self, "scores", tuple(self.scores))
+
+    @property
+    def best_coefficient(self) -> float:
+        return _best(self.scores, "coefficient").coefficient
 
 
 def calibrate_coefficient(
@@ -242,7 +238,8 @@ def calibrate_coefficient(
         After the coarse pass, re-grid one coarse step around the incumbent
         at 1/REFINE_FACTOR (a tenth) of the step and re-evaluate; repeated
         per round with ever finer steps, until the rounds run out or one
-        adds no candidate.  Pass 0 to restrict the search to the given grid.
+        adds no candidate.  A refined candidate that ``check_step`` refuses
+        is skipped.  Pass 0 to restrict the search to the given grid.
 
     Returns
     -------
@@ -272,9 +269,12 @@ def calibrate_coefficient(
         fine = step / REFINE_FACTOR
         seen_before = len(seen)
         for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1):
-            q = incumbent.coefficient + k * fine
-            q = round(q, 12)
+            q = round(incumbent.coefficient + k * fine, 12)
             if q <= 0 or q in seen:
+                continue
+            try:  # a refined candidate past the RK4 stability bound is skipped
+                check_step(q, grid.dt)
+            except ValueError:
                 continue
             seen.add(q)
             scores.append(evaluate(q))
@@ -283,8 +283,7 @@ def calibrate_coefficient(
             break
         step = fine
 
-    best = _best(scores, "coefficient")
-    return CalibrationResult(best.coefficient, tuple(scores))
+    return CalibrationResult(scores)
 
 
 def _grid_step(candidates: list[float]) -> float | None:
@@ -305,11 +304,14 @@ class WeightScore:
 class BlendFit:
     """Result of the blend-weight grid search; ties go to the smaller weight."""
 
-    best_weight: float
     scores: tuple[WeightScore, ...]
 
     def __post_init__(self):
-        _check_best(self, "weight")
+        object.__setattr__(self, "scores", tuple(self.scores))
+
+    @property
+    def best_weight(self) -> float:
+        return _best(self.scores, "weight").weight
 
 
 def fit_blend_weight(
@@ -337,5 +339,4 @@ def fit_blend_weight(
     traces = simulator(profiles, params, grid)(model)
     scores = [WeightScore(w, score.discrepancy(score.simulated(trace)))
               for w, trace in zip(candidates, traces)]
-    best = _best(scores, "weight")
-    return BlendFit(best.weight, tuple(scores))
+    return BlendFit(scores)

@@ -42,7 +42,7 @@ loop, both on a field evaluated segment by segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -110,79 +110,46 @@ class SimulationGrid:
         return int(round(self.dt_out / self.dt))
 
 
-def _check_timing(dt: float, belt_speed: float) -> None:
-    for name, value in (("dt", dt), ("belt_speed", belt_speed)):
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
-
-
-def _check_finite(temps: np.ndarray) -> None:
-    if not np.isfinite(temps).all():
-        bad = np.flatnonzero(~np.isfinite(temps))
-        raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ThermalTrace:
     """Uniformly sampled weld-center temperature series.
 
-    times[i] = i * dt and positions[i] = (belt_speed/60) * times[i]; both are
-    validated on construction (or derived, by ``from_temps``), so every
-    trace in the system obeys the same time/position bookkeeping.
-    Arrays are read-only.
+    Built from dt, belt_speed and a copy of temps: times[i] = i * dt and
+    positions[i] = (belt_speed/60) * times[i] are derived, so every trace
+    obeys the same time/position bookkeeping.  Arrays are read-only.  Traces
+    are equal when dt, belt_speed and temps are, bit for bit; they do not hash.
     """
 
     dt: float
     belt_speed: float
-    times: np.ndarray
-    positions: np.ndarray
     temps: np.ndarray
+    times: np.ndarray = field(init=False)
+    positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        positions = np.asarray(self.positions, dtype=float)
-        temps = np.asarray(self.temps, dtype=float)
-        if times.size == 0:
-            raise ValueError("trace must not be empty")
-        if not (times.shape == positions.shape == temps.shape):
-            raise ValueError("times, positions and temps must have equal length")
-        _check_timing(self.dt, self.belt_speed)
-        expected_t = np.arange(times.size) * self.dt
-        # written as not-within so that a NaN time or position fails too
-        if not np.abs(times - expected_t).max() <= 1e-9:
-            raise ValueError("sample times must be uniform: t[i] = i * dt")
-        expected_x = cm_per_second(self.belt_speed) * times
-        if not np.abs(positions - expected_x).max() <= 1e-9:
-            raise ValueError("positions must satisfy x[i] = (belt_speed/60) * t[i]")
-        _check_finite(temps)
-        for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_temps(cls, dt: float, belt_speed: float, temps) -> "ThermalTrace":
-        """Build a trace from temperatures alone; times/positions are derived.
-
-        temps is copied, so later writes to the caller's array do not reach
-        the trace.  Derived times and positions need none of the
-        constructor's checks on them: only the timing, the shape of temps
-        and its values are checked."""
-        _check_timing(dt, belt_speed)  # before they scale the derived arrays
-        temps = np.array(temps, dtype=float)
+        for name in ("dt", "belt_speed"):  # before they scale the derived arrays
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value}")
+        temps = np.array(self.temps, dtype=float)
         if temps.size == 0:
             raise ValueError("trace must not be empty")
         if temps.ndim != 1:
-            raise ValueError("times, positions and temps must have equal length")
-        _check_finite(temps)
-        times = np.arange(temps.size) * dt
-        positions = cm_per_second(belt_speed) * times
-        for arr in (times, positions, temps):
+            raise ValueError(f"temps must be 1-D, got shape {temps.shape}")
+        if not np.isfinite(temps).all():
+            bad = np.flatnonzero(~np.isfinite(temps))
+            raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
+        times = np.arange(temps.size) * self.dt
+        positions = cm_per_second(self.belt_speed) * times
+        for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
             arr.setflags(write=False)
-        trace = object.__new__(cls)
-        vars(trace).update(dt=dt, belt_speed=belt_speed, times=times, positions=positions,
-                           temps=temps)
-        return trace
+            object.__setattr__(self, name, arr)
+
+    def __eq__(self, other):
+        if not isinstance(other, ThermalTrace):
+            return NotImplemented
+        return ((self.dt, self.belt_speed) == (other.dt, other.belt_speed)
+                and np.array_equal(self.temps, other.temps))
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -605,9 +572,8 @@ def simulator(profiles, params: ProcessParameters, grid: SimulationGrid):
     def run(model: WeldingModel) -> list[ThermalTrace]:
         check_step(model.coefficient, grid.dt)
         coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-        return [ThermalTrace.from_temps(grid.dt_out, v,
-                                        plan.integrate(field, levels, params.tt5, coefficients)[0])
-                for field in fields]
+        return [ThermalTrace(grid.dt_out, v, plan.integrate(f, levels, params.tt5, coefficients)[0])
+                for f in fields]
 
     return run
 

@@ -183,4 +183,4 @@ def load_trace_csv(path, belt_speed: float | None = None) -> ThermalTrace:
                 f"{path}: row {linenos[bad[0]]}: x column inconsistent with "
                 f"belt speed {speed:g} cm/min"
             )
-    return ThermalTrace.from_temps(dt, speed, temps)
+    return ThermalTrace(dt, speed, temps)

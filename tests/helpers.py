@@ -77,7 +77,7 @@ def piecewise_trace(dt: float, belt_speed: float, vertices) -> ThermalTrace:
     vt = np.array([v[0] for v in vertices])
     vy = np.array([v[1] for v in vertices])
     temps = np.interp(times, vt, vy)
-    return ThermalTrace.from_temps(dt, belt_speed, temps)
+    return ThermalTrace(dt, belt_speed, temps)
 
 
 def ambient_reference(profile, x):
@@ -131,7 +131,7 @@ def naive_rk4(profile, params, coefficient, dt, dt_out):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if (i + 1) % stride == 0:
             out.append(y)
-    return ThermalTrace.from_temps(dt_out, v, np.array(out))
+    return ThermalTrace(dt_out, v, np.array(out))
 
 
 def euler_reference(profile, params, model, dt: float) -> ThermalTrace:
@@ -163,7 +163,7 @@ def euler_reference(profile, params, model, dt: float) -> ThermalTrace:
     for i in range(n_steps):
         y = y + dt * q * (amb[i] - y)
         temps.append(y)
-    return ThermalTrace.from_temps(dt, v, np.array(temps))
+    return ThermalTrace(dt, v, np.array(temps))
 
 
 def resample(trace: ThermalTrace, dt_out: float) -> ThermalTrace:
@@ -177,8 +177,8 @@ def resample(trace: ThermalTrace, dt_out: float) -> ThermalTrace:
         raise ValueError(f"dt_out = {dt_out} s needs {n:.0f} intervals to span the trace; "
                          f"the limit is {_MAX_STEPS}")
     new_times = np.arange(int(n) + 1) * dt_out
-    return ThermalTrace.from_temps(dt_out, trace.belt_speed,
-                                   np.interp(new_times, trace.times, trace.temps))
+    return ThermalTrace(dt_out, trace.belt_speed,
+                        np.interp(new_times, trace.times, trace.temps))
 
 
 def stage_positions(total_cm: float, belt_speeds, dt: float):
@@ -581,4 +581,4 @@ def load_trace_rows(path, belt_speed: float | None = None) -> ThermalTrace:
                 f"{path}: row {rows[bad[0]][0]}: x column inconsistent with "
                 f"belt speed {speed:g} cm/min"
             )
-    return ThermalTrace.from_temps(dt, speed, temps)
+    return ThermalTrace(dt, speed, temps)

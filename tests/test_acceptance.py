@@ -154,7 +154,7 @@ def test_criterion_05_calibration_round_trip(layout, params, profile):
         sigma = 1.0
         assert gap > 10 * 2 * sigma * np.sqrt(gap / len(measured))
         rng = np.random.default_rng(20240817)
-        noisy = ThermalTrace.from_temps(
+        noisy = ThermalTrace(
             measured.dt, measured.belt_speed,
             measured.temps + rng.normal(0.0, sigma, len(measured)),
         )

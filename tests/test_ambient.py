@@ -31,12 +31,12 @@ from reflowsim.oven import OvenLayout, ZoneSpec, default_layout
 from helpers import ambient_reference
 
 
-def blend_scalar(x, t_hot=255.0, t_cold=25.0, x_pre=339.5, x_post=410.5, w=0.8):
+def blend_scalar(x, t_hot=255.0, t_cold=25.0, x_start=339.5, x_end=410.5, w=0.8):
     """Independent scalar evaluation of the cooling blend (line through the
     anchors plus exponential through the anchors)."""
-    lin = t_hot + (t_cold - t_hot) * (x - x_pre) / (x_post - x_pre)
-    b = (math.log(t_hot) - math.log(t_cold)) / (x_pre - x_post)
-    expo = t_hot * math.exp(b * x) / math.exp(b * x_pre)
+    lin = t_hot + (t_cold - t_hot) * (x - x_start) / (x_end - x_start)
+    b = (math.log(t_hot) - math.log(t_cold)) / (x_start - x_end)
+    expo = t_hot * math.exp(b * x) / math.exp(b * x_start)
     return w * lin + (1.0 - w) * expo
 
 
@@ -62,7 +62,7 @@ class TestDefaultProfileStructure:
 
     def test_first_sigmoid_center(self, profile):
         sig = profile.segments[2]
-        assert sig.center == 200.0
+        assert isinstance(sig, SigmoidSegment) and sig.center == 200.0
         assert (sig.t_before, sig.t_after) == (175.0, 195.0)
 
     def test_blend_parameters(self, layout, params):
@@ -70,7 +70,7 @@ class TestDefaultProfileStructure:
         blend = profile.segments[8]
         assert isinstance(blend, ExpLinearBlendSegment)
         assert (blend.t_hot, blend.t_cold) == (255.0, 25.0)
-        assert (blend.x_pre, blend.x_post) == (339.5, 410.5)
+        assert (blend.x_start, blend.x_end) == (339.5, 410.5)
         assert blend.weight == 0.8
 
 
@@ -203,9 +203,9 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="x = 0"):
             AmbientProfile((ConstantSegment(1.0, 10.0, 25.0),))
 
-    def test_sigmoid_center_must_be_midpoint(self):
-        with pytest.raises(ValueError, match="midpoint"):
-            SigmoidSegment(0.0, 5.0, 100.0, 120.0, 1.0)
+    def test_blend_needs_x_start_below_x_end(self):
+        with pytest.raises(ValueError, match="x_start < x_end"):
+            ExpLinearBlendSegment(5.0, 5.0, 255.0, 25.0, 0.8)
 
 
 class TestFitBlendWeight:
@@ -243,7 +243,7 @@ class TestFitBlendWeight:
         assert clean_scores[1] > 0.5  # second-best candidate is well separated
 
         rng = np.random.default_rng(7)
-        noisy = ThermalTrace.from_temps(
+        noisy = ThermalTrace(
             clean.dt, clean.belt_speed, clean.temps + rng.normal(0.0, 0.5, len(clean))
         )
         fit = fit_blend_weight(noisy, layout, params, 0.021, candidates)

@@ -60,7 +60,7 @@ class TestDefaultTrace:
 )
 def test_generated_traces_equal_the_oracle(tmp_path_factory, dt, speed, temps, chunk):
     directory = tmp_path_factory.mktemp("trace")
-    trace = ThermalTrace.from_temps(dt, speed, np.array(temps))
+    trace = ThermalTrace(dt, speed, np.array(temps))
     with patch.object(traceio, "_CHUNK_ROWS", chunk):
         path = assert_written_like_oracle(trace, directory)
         assert_matches_oracle(path)
@@ -126,7 +126,7 @@ class TestLongerThanOneChunk:
         return path
 
     def test_trace_written_like_the_oracle(self, tmp_path):
-        trace = ThermalTrace.from_temps(0.5, 70.0, 25.0 + np.sin(np.arange(self.N) * 0.01))
+        trace = ThermalTrace(0.5, 70.0, 25.0 + np.sin(np.arange(self.N) * 0.01))
         path = assert_written_like_oracle(trace, tmp_path)
         assert len(path.read_text().splitlines()) == self.N + 2
         assert not isinstance(assert_matches_oracle(path), str)

@@ -78,7 +78,7 @@ def test_columns_equal_each_rows_own_prefix(case):
     for r, (row, n) in enumerate(zip(temps, lengths.tolist())):
         own = metrics_rows(times[:n], row[None, :n], dt)[0]
         assert columns[r] == list(columns)[r] == own
-        assert own == compute_metrics(ThermalTrace.from_temps(dt, 80.0, row[:n]))
+        assert own == compute_metrics(ThermalTrace(dt, 80.0, row[:n]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -107,7 +107,7 @@ def full_field(ranges, weight, grid, limits, area_domain):
                                    FieldRows(group[0], x_mid[0]).fill(levels), y0, COEFFICIENT,
                                    grid)
             for i, row in zip(idx, temps):
-                trace = ThermalTrace.from_temps(grid.dt_out, v, row)
+                trace = ThermalTrace(grid.dt_out, v, row)
                 found[i, v] = measured(replace(params[i], belt_speed=v), trace, limits,
                                        area_domain)
     return [found[i, v] for i in range(len(params)) for v in speeds]

@@ -306,12 +306,12 @@ def test_models_through_one_simulator_equal_separate_simulates(params, grid):
     assert np.array_equal(traces[0][0].temps, traces[0][1].temps) == (profiles[0] == profiles[1])
 
 
-def test_kernel_traces_equal_their_from_temps_trace():
-    """A trace built from a kernel row holds what ``from_temps`` derives
+def test_kernel_traces_equal_the_trace_of_their_temps():
+    """A trace built from a kernel row holds what ``ThermalTrace`` derives
     from its temperatures."""
     params = replace(DEFAULT, belt_speed=83.7)
     trace = simulate(build_profile(LAYOUT, params, 0.8), params, MODEL)
-    again = thermal.ThermalTrace.from_temps(trace.dt, trace.belt_speed, trace.temps)
+    again = thermal.ThermalTrace(trace.dt, trace.belt_speed, trace.temps)
     assert (trace.dt, trace.belt_speed) == (again.dt, again.belt_speed) == (0.5, 83.7)
     for name in ("times", "positions", "temps"):
         assert np.array_equal(getattr(trace, name), getattr(again, name))
@@ -319,4 +319,4 @@ def test_kernel_traces_equal_their_from_temps_trace():
 
 def test_kernel_traces_keep_the_finite_check():
     with pytest.raises(ValueError, match="temps must be finite: sample 2 is nan"):
-        thermal.ThermalTrace.from_temps(0.5, 70.0, np.array([25.0, 26.0, np.nan]))
+        thermal.ThermalTrace(0.5, 70.0, np.array([25.0, 26.0, np.nan]))

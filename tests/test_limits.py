@@ -86,7 +86,7 @@ class TestComputeMetrics:
     def test_time_dilation_scales_metrics(self):
         vertices = [(0.0, 25.0), (220.0, 245.0), (440.0, 25.0)]
         base = piecewise_trace(0.5, 70.0, vertices)
-        dilated = ThermalTrace.from_temps(1.0, 70.0, base.temps)
+        dilated = ThermalTrace(1.0, 70.0, base.temps)
         mb = compute_metrics(base)
         md = compute_metrics(dilated)
         assert md.max_slope == pytest.approx(mb.max_slope / 2.0, rel=1e-12)
@@ -95,12 +95,12 @@ class TestComputeMetrics:
 
     def test_peak_time_earliest_on_ties(self):
         temps = np.array([25.0, 100.0, 100.0, 50.0])
-        trace = ThermalTrace.from_temps(0.5, 70.0, temps)
+        trace = ThermalTrace(0.5, 70.0, temps)
         m = compute_metrics(trace)
         assert m.peak_time == 0.5
 
     def test_requires_two_samples(self):
-        trace = ThermalTrace.from_temps(0.5, 70.0, [25.0])
+        trace = ThermalTrace(0.5, 70.0, [25.0])
         with pytest.raises(ValueError, match="2 samples"):
             compute_metrics(trace)
 
@@ -108,7 +108,7 @@ class TestComputeMetrics:
         st.lists(st.floats(min_value=0.0, max_value=400.0), min_size=2, max_size=60)
     )
     def test_duration_bounded_by_trace_length(self, values):
-        trace = ThermalTrace.from_temps(0.5, 70.0, np.array(values))
+        trace = ThermalTrace(0.5, 70.0, np.array(values))
         m = compute_metrics(trace)
         assert 0.0 <= m.duration_above_217 <= trace.duration + 1e-9
 

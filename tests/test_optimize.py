@@ -80,7 +80,7 @@ class TestReflowArea:
 
     def test_position_scaling_doubles_area(self):
         trace = piecewise_trace(0.5, 60.0, [(0.0, 197.0), (40.0, 237.0), (80.0, 197.0)])
-        stretched = ThermalTrace.from_temps(trace.dt, 120.0, trace.temps)
+        stretched = ThermalTrace(trace.dt, 120.0, trace.temps)
         assert reflow_area(stretched) == pytest.approx(2.0 * reflow_area(trace), rel=1e-12)
 
     def test_lead_in_below_melt_leaves_area_unchanged(self):

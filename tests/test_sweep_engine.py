@@ -193,7 +193,7 @@ def test_vectorised_crossings_equal_the_loop(seed, dt):
     batched, passes = optimize._symmetry_columns(times, rows)
     for row, metrics, score, count in zip(rows, batched_metrics, batched.tolist(), passes):
         score = None if math.isnan(score) else score
-        trace = ThermalTrace.from_temps(dt, 80.0, row)
+        trace = ThermalTrace(dt, 80.0, row)
         want, want_count = loop_symmetry(trace.times, trace.temps)
         assert (score, count) == (want, want_count)
         assert metrics == compute_metrics(trace)

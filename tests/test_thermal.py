@@ -14,9 +14,13 @@ from reflowsim import (
     ThermalTrace,
     WeldingModel,
     ambient_at,
+    calibrate_coefficient,
     feasible_speed_interval,
+    fit_blend_weight,
+    load_trace_csv,
     minimize_area,
     simulate,
+    write_trace_csv,
 )
 from reflowsim.thermal import (
     _MAX_CHUNK,
@@ -161,7 +165,7 @@ class TestResample:
         assert np.array_equal(again.times, default_trace.times)
 
     def test_linear_ramp_reproduced(self):
-        ramp = ThermalTrace.from_temps(0.5, 70.0, 25.0 + 1.5 * np.arange(100) * 0.5)
+        ramp = ThermalTrace(0.5, 70.0, 25.0 + 1.5 * np.arange(100) * 0.5)
         for dt_out in (0.25, 0.5, 1.0, 2.0):
             re = resample(ramp, dt_out)
             expected = 25.0 + 1.5 * re.times
@@ -178,64 +182,74 @@ class TestResample:
 
 
 class TestThermalTraceInvariants:
-    def test_from_temps_consistency(self):
-        trace = ThermalTrace.from_temps(0.5, 70.0, [25.0, 26.0, 27.0])
+    def test_times_and_positions_are_derived(self):
+        trace = ThermalTrace(0.5, 70.0, [25.0, 26.0, 27.0])
         np.testing.assert_allclose(trace.times, [0.0, 0.5, 1.0])
         np.testing.assert_allclose(trace.positions, (70.0 / 60.0) * trace.times)
+        assert not (trace.times.flags.writeable or trace.positions.flags.writeable)
 
-    def test_from_temps_copies_the_callers_array(self):
+    def test_copies_the_callers_array(self):
         temps = np.array([25.0, 26.0, 27.0])
-        trace = ThermalTrace.from_temps(0.5, 70.0, temps)
+        trace = ThermalTrace(0.5, 70.0, temps)
         temps[1] = 99.0
         assert trace.temps.tolist() == [25.0, 26.0, 27.0]
         assert temps.flags.writeable and not trace.temps.flags.writeable
 
-    def test_rejects_nonuniform_times(self):
-        with pytest.raises(ValueError, match="uniform"):
-            ThermalTrace(0.5, 70.0, np.array([0.0, 0.5, 1.1]),
-                         (70.0 / 60.0) * np.array([0.0, 0.5, 1.1]),
-                         np.array([25.0, 26.0, 27.0]))
-
-    def test_rejects_inconsistent_positions(self):
-        with pytest.raises(ValueError, match="positions"):
-            ThermalTrace(0.5, 70.0, np.array([0.0, 0.5]),
-                         np.array([0.0, 1.0]), np.array([25.0, 26.0]))
+    def test_equality_is_over_timing_and_temps(self):
+        temps = [25.0, 26.0, 27.0]
+        assert ThermalTrace(0.5, 70.0, temps) == ThermalTrace(0.5, 70.0, np.array(temps))
+        assert ThermalTrace(0.5, 70.0, temps) != ThermalTrace(0.5, 70.0, [25.0, 26.0, 27.5])
+        assert ThermalTrace(0.5, 70.0, temps) != ThermalTrace(0.5, 80.0, temps)
+        with pytest.raises(TypeError):
+            hash(ThermalTrace(0.5, 70.0, temps))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
-            ThermalTrace.from_temps(0.5, 70.0, [])
+            ThermalTrace(0.5, 70.0, [])
 
     @pytest.mark.parametrize("temps, message", [
         (np.empty((0, 3)), "trace must not be empty"),
-        (25.0, "times, positions and temps must have equal length"),
-        ([[25.0, 26.0], [27.0, 28.0]], "times, positions and temps must have equal length"),
+        (25.0, re.escape("temps must be 1-D, got shape ()")),
+        ([[25.0, 26.0], [27.0, 28.0]], re.escape("temps must be 1-D, got shape (2, 2)")),
     ], ids=["empty-2d", "0-d", "2-d"])
     def test_rejects_temps_that_are_not_1d(self, temps, message):
         with pytest.raises(ValueError, match=message):
-            ThermalTrace.from_temps(0.5, 70.0, temps)
+            ThermalTrace(0.5, 70.0, temps)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     @pytest.mark.parametrize("name", ["dt", "belt_speed"])
     def test_rejects_non_finite_timing(self, name, value):
         timing = {"dt": 0.5, "belt_speed": 70.0, name: value}
         with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
-            ThermalTrace.from_temps(timing["dt"], timing["belt_speed"], [25.0, 26.0])
+            ThermalTrace(timing["dt"], timing["belt_speed"], [25.0, 26.0])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_temps(self, value):
         with pytest.raises(ValueError, match=f"temps must be finite: sample 1 is {value}"):
-            ThermalTrace.from_temps(0.5, 70.0, [25.0, value, 230.0, 240.0, 200.0])
-
-    @pytest.mark.parametrize("name", ["times", "positions"])
-    def test_rejects_nan_times_and_positions(self, name):
-        arrays = {"times": np.array([0.0, 0.5]), "positions": np.array([0.0, 70.0 / 120.0])}
-        arrays[name][1] = float("nan")
-        with pytest.raises(ValueError, match=name[:-1]):
-            ThermalTrace(0.5, 70.0, arrays["times"], arrays["positions"], np.array([25.0, 26.0]))
+            ThermalTrace(0.5, 70.0, [25.0, value, 230.0, 240.0, 200.0])
 
     def test_arrays_read_only(self, default_trace):
         with pytest.raises(ValueError):
             default_trace.temps[0] = 0.0
+
+    def test_every_trace_goes_through_the_constructor(self, monkeypatch, tmp_path, layout,
+                                                      params, profile):
+        """simulate, load_trace_csv and both fits build each trace they return
+        or score by ``ThermalTrace(...)``, so its checks hold for all of them."""
+        built, post_init = [], ThermalTrace.__post_init__
+
+        def counted(trace):
+            built.append(trace)
+            post_init(trace)
+
+        monkeypatch.setattr(ThermalTrace, "__post_init__", counted)
+        trace = simulate(profile, params, WeldingModel(0.021))
+        write_trace_csv(trace, tmp_path / "t.csv")
+        loaded = load_trace_csv(tmp_path / "t.csv")
+        assert len(built) == 2 and built[0] is trace and built[1] is loaded
+        result = calibrate_coefficient(loaded, layout, params, 0.8, [0.0205, 0.021, 0.0215])
+        fit = fit_blend_weight(loaded, layout, params, 0.021, [0.7, 0.8, 0.9])
+        assert len(built) == 2 + len(result.scores) + len(fit.scores)
 
 
 class TestGridAndModelValidation:

@@ -7,7 +7,7 @@ from reflowsim import ThermalTrace, load_trace_csv, write_trace_csv
 @pytest.fixture
 def sample_trace():
     temps = 25.0 + 10.0 * np.sin(np.arange(40) * 0.13)
-    return ThermalTrace.from_temps(0.5, 70.0, temps)
+    return ThermalTrace(0.5, 70.0, temps)
 
 
 class TestRoundTrip:
