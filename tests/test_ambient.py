@@ -203,6 +203,18 @@ class TestProfileValidation:
         with pytest.raises(ValueError, match="x = 0"):
             AmbientProfile((ConstantSegment(1.0, 10.0, 25.0),))
 
+    def test_sigmoid_center_is_the_midpoint_of_its_ends(self):
+        sig = SigmoidSegment(10.0, 15.0, 25.0, 35.0)
+        assert sig.center == 12.5
+        assert sig.evaluate(12.5) == 30.0
+        with pytest.raises(TypeError, match="center"):
+            SigmoidSegment(10.0, 15.0, 25.0, 35.0, center=12.5)
+
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 1.0])
+    def test_blend_meets_its_ends_at_any_weight(self, weight):
+        blend = ExpLinearBlendSegment(339.5, 410.5, 255.0, 25.0, weight)
+        np.testing.assert_allclose(blend.evaluate([339.5, 410.5]), [255.0, 25.0], rtol=1e-12)
+
     def test_blend_needs_x_start_below_x_end(self):
         with pytest.raises(ValueError, match="x_start < x_end"):
             ExpLinearBlendSegment(5.0, 5.0, 255.0, 25.0, 0.8)

@@ -223,6 +223,18 @@ class TestThermalTraceInvariants:
         with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
             ThermalTrace(timing["dt"], timing["belt_speed"], [25.0, 26.0])
 
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    @pytest.mark.parametrize("name", ["dt", "belt_speed"])
+    def test_rejects_nonpositive_timing(self, name, value):
+        timing = {"dt": 0.5, "belt_speed": 70.0, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be positive and finite, got {value}"):
+            ThermalTrace(timing["dt"], timing["belt_speed"], [25.0, 26.0])
+
+    @pytest.mark.parametrize("name", ["times", "positions"])
+    def test_derived_arrays_are_not_arguments(self, name):
+        with pytest.raises(TypeError, match=name):
+            ThermalTrace(0.5, 70.0, [25.0, 26.0], **{name: np.array([0.0, 0.5])})
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_rejects_non_finite_temps(self, value):
         with pytest.raises(ValueError, match=f"temps must be finite: sample 1 is {value}"):
