@@ -18,7 +18,8 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import SimulationGrid, ThermalTrace, WeldingModel, check_step, simulator
+from .thermal import (SimulationGrid, ThermalTrace, WeldingModel, check_finite, check_step,
+                      simulator)
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
 
@@ -81,9 +82,9 @@ def align(measured: ThermalTrace, simulated: ThermalTrace) -> AlignedPair:
 _FLAT = "Pearson correlation undefined for a zero-variance series"
 
 
-def _squared_error(measured: np.ndarray, simulated: np.ndarray) -> float:
+def _squared_error(measured: np.ndarray, simulated: np.ndarray) -> np.ndarray:
     diff = measured - simulated
-    return float(np.mean(diff * diff))
+    return np.mean(diff * diff, axis=-1)
 
 
 def _centred_rows(measured: np.ndarray) -> np.ndarray:
@@ -111,7 +112,7 @@ def _correlation(rows: np.ndarray, simulated: np.ndarray) -> float:
 
 def discrepancy(pair: AlignedPair) -> float:
     """Mean squared error between the aligned series, in degC squared."""
-    return _squared_error(pair.measured, pair.simulated)
+    return float(_squared_error(pair.measured, pair.simulated))
 
 
 def pearson(pair: AlignedPair) -> float:
@@ -124,39 +125,47 @@ def pearson(pair: AlignedPair) -> float:
 
 
 class _Scorer:
-    """The scores of one grid search's simulated traces against its
-    measured trace, bit for bit those of ``align``, ``discrepancy`` and
-    ``pearson``, their one-pair case.
+    """The scores of one grid search's simulated rows against its measured
+    trace, bit for bit those of ``align``, ``discrepancy`` and ``pearson``,
+    their one-pair case.
 
-    A search's traces share one time axis (one grid, one belt speed), so
-    the measured side is prepared once, at the first trace: the samples in
-    the overlap (``_overlap``), whether they are flat, and their
-    ``_centred_rows``.  Each trace then only interpolates its temperatures
-    onto the measured times (``simulated``) and is scored.
+    A search's rows share one time axis (one grid, one belt speed; sample k
+    at k * dt, as in a ``ThermalTrace``), so the measured side is prepared
+    once, at the first block: the samples in the overlap (``_overlap``),
+    whether they are flat, and their ``_centred_rows``.  Each block passes
+    one finite check, then its rows are interpolated and scored.
     """
 
-    def __init__(self, measured: ThermalTrace):
-        self.measured = measured
-        self.times = None
+    def __init__(self, measured: ThermalTrace, dt: float):
+        self.measured, self.dt, self.times = measured, dt, None
 
-    def simulated(self, trace: ThermalTrace) -> np.ndarray:
-        """The trace's temperatures at the measured times in the overlap."""
+    def simulated(self, rows: np.ndarray) -> np.ndarray:
+        """Each row's temperatures at the measured times in the overlap."""
+        check_finite(rows)
         if self.times is None:
-            mask = _overlap(self.measured, trace.times)
+            self.axis = np.arange(rows.shape[1]) * self.dt
+            mask = _overlap(self.measured, self.axis)
             self.times, self.temps = self.measured.times[mask], self.measured.temps[mask]
             self.flat = np.ptp(self.temps) == 0.0
             self.rows = _centred_rows(self.temps)
-        return np.interp(self.times, trace.times, trace.temps)
+        return np.array([np.interp(self.times, self.axis, row) for row in rows])
 
-    def discrepancy(self, simulated: np.ndarray) -> float:
-        return _squared_error(self.temps, simulated)
+    def discrepancy(self, simulated: np.ndarray) -> list[float]:
+        return _squared_error(self.temps, simulated).tolist()
 
-    def pearson(self, simulated: np.ndarray) -> float:
-        """The correlation with a simulated series that is not flat (its
-        caller has refused one)."""
+    def pearson(self, simulated: np.ndarray) -> list[float]:
+        """Each row's correlation; the caller has refused a flat row."""
         if self.flat:
             raise ValueError(_FLAT)
-        return _correlation(self.rows, simulated)
+        return [_correlation(self.rows, row) for row in simulated]
+
+
+def distinct(values) -> list:
+    """The candidates without repeats by round(value, 12), each at its first occurrence."""
+    firsts = {}
+    for value in values:
+        firsts.setdefault(round(value, 12), value)
+    return list(firsts.values())
 
 
 def check_trace_speed(measured: ThermalTrace, belt_speed: float,
@@ -180,12 +189,13 @@ def _best(scores, name: str):
 
 def _start_search(measured, params, candidates: list, name: str, grid):
     """What both grid searches check first: a non-empty candidate list (the
-    argument ``name``) and the trace's speed.  Returns the grid to run on
-    and the search's ``_Scorer``."""
+    argument ``name``) and the trace's speed.  Returns the grid to run on,
+    the search's ``_Scorer`` and its ``distinct`` candidates."""
     if not candidates:
         raise ValueError(f"{name} must not be empty")
     check_trace_speed(measured, params.belt_speed)
-    return grid if grid is not None else SimulationGrid(), _Scorer(measured)
+    grid = grid if grid is not None else SimulationGrid()
+    return grid, _Scorer(measured, grid.dt_out), distinct(candidates)
 
 
 @dataclass(frozen=True)
@@ -230,12 +240,16 @@ def calibrate_coefficient(
         (``check_trace_speed``).
     candidates : iterable of float
         Coefficient grid to evaluate, e.g. 0.0200 to 0.0220 in steps of
-        0.0005.  A candidate whose trace stays at the start temperature
-        (its Pearson correlation undefined) is refused when it runs.
+        0.0005; a repeat is evaluated once (``distinct``).  It runs in RK4
+        blocks of at most 2 * REFINE_FACTOR + 1, as each refinement round
+        does.  When its block runs, the first candidate in evaluation order
+        that ``WeldingModel`` or ``check_step`` refuses is refused before
+        the block integrates; once it is out, the first whose trace stays
+        at the start temperature (its Pearson correlation undefined).
     grid : SimulationGrid, optional
         Integration/output grid (defaults to dt=0.1 s, dt_out=0.5 s).
     refine_rounds : int
-        After the coarse pass, re-grid one coarse step around the incumbent
+        After the base grid, re-grid one coarse step around the incumbent
         at 1/REFINE_FACTOR (a tenth) of the step and re-evaluate; repeated
         per round with ever finer steps, until the rounds run out or one
         adds no candidate.  A refined candidate that ``check_step`` refuses
@@ -248,26 +262,31 @@ def calibrate_coefficient(
         order and the best coefficient.
     """
     cands = [float(c) for c in candidates]
-    grid, score = _start_search(measured, params, cands, "candidates", grid)
+    grid, score, base = _start_search(measured, params, cands, "candidates", grid)
     if refine_rounds < 0:
         raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
     # one plan and field for every candidate: only the coefficient varies
     run = simulator([build_profile(layout, params, weight)], params, grid)
 
-    def evaluate(q: float) -> CandidateScore:
-        simulated = score.simulated(run(WeldingModel(q))[0])
-        if np.ptp(simulated) == 0.0:
-            raise ValueError(f"candidate coefficients: {q:g} leaves the board at its start "
-                             "temperature, where the Pearson correlation is undefined")
-        return CandidateScore(q, score.discrepancy(simulated), score.pearson(simulated))
+    def evaluate(qs: list[float]) -> list[CandidateScore]:  # one RK4 block
+        simulated = score.simulated(run([WeldingModel(q) for q in qs]))
+        flat = np.ptp(simulated, axis=1) == 0.0
+        # a flat measurement is refused at the first row's Pearson, after its flatness
+        if flat.any() and (flat[0] or not score.flat):
+            raise ValueError(f"candidate coefficients: {qs[flat.argmax()]:g} leaves the board at "
+                             "its start temperature, where the Pearson correlation is undefined")
+        return list(map(CandidateScore, qs, score.discrepancy(simulated),
+                        score.pearson(simulated)))
 
-    scores = [evaluate(q) for q in cands]
-    seen = {round(q, 12) for q in cands}
-    step = _grid_step(cands)
+    # a long grid runs in blocks no wider than a refinement round, which bounds their memory
+    width = 2 * REFINE_FACTOR + 1
+    scores = [s for i in range(0, len(base), width) for s in evaluate(base[i : i + width])]
+    seen = {round(q, 12) for q in base}
+    step = float(np.median(np.diff(sorted(base)))) if len(base) > 1 else None
     for _ in range(refine_rounds if step is not None else 0):
         incumbent = _best(scores, "coefficient")
         fine = step / REFINE_FACTOR
-        seen_before = len(seen)
+        fresh = []
         for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1):
             q = round(incumbent.coefficient + k * fine, 12)
             if q <= 0 or q in seen:
@@ -277,21 +296,14 @@ def calibrate_coefficient(
             except ValueError:
                 continue
             seen.add(q)
-            scores.append(evaluate(q))
+            fresh.append(q)
         # nothing new: the grid has collapsed onto seen values, as finer ones will
-        if len(seen) == seen_before:
+        if not fresh:
             break
+        scores += evaluate(fresh)
         step = fine
 
     return CalibrationResult(scores)
-
-
-def _grid_step(candidates: list[float]) -> float | None:
-    """Median adjacent spacing of the sorted grid; None when not refinable."""
-    uniq = sorted(set(candidates))
-    if len(uniq) < 2:
-        return None
-    return float(np.median(np.diff(uniq)))
 
 
 @dataclass(frozen=True)
@@ -324,19 +336,18 @@ def fit_blend_weight(
 ) -> BlendFit:
     """Grid-search the cooling-blend weight against a measured trace.
 
-    Integrates every candidate weight through one ``thermal.simulator``:
-    the profiles share one plan and one set of stage positions, and only
-    the cooling blend's field depends on the weight.  Each run is scored by
-    the mean squared error against the measured trace at its own timestamps.
-    params.belt_speed must be the trace's (``check_trace_speed``), and each
-    weight must lie in [0, 1]; both are checked before any simulation.
+    Integrates every weight, a repeat once (``distinct``), as one RK4 block
+    of one ``thermal.simulator``: the profiles share one plan and stage
+    positions; only the cooling blend's field depends on the weight.  Each
+    row is scored by the mean squared error at the measured timestamps.
+    params.belt_speed must be the trace's (``check_trace_speed``), each
+    weight in [0, 1] and the step stable (``check_step``), all checked
+    before the block integrates.
     """
-    candidates = list(weight_candidates)
-    grid, score = _start_search(measured, params, candidates, "weight_candidates", grid)
+    grid, score, weights = _start_search(measured, params, list(weight_candidates),
+                                         "weight_candidates", grid)
     model = WeldingModel(coefficient)
     # every profile first: build_profile refuses a bad weight before any run
-    profiles = [build_profile(layout, params, w) for w in candidates]
-    traces = simulator(profiles, params, grid)(model)
-    scores = [WeightScore(w, score.discrepancy(score.simulated(trace)))
-              for w, trace in zip(candidates, traces)]
-    return BlendFit(scores)
+    profiles = [build_profile(layout, params, w) for w in weights]
+    simulated = score.simulated(simulator(profiles, params, grid)([model]))
+    return BlendFit(map(WeightScore, weights, score.discrepancy(simulated)))

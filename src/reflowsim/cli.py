@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .ambient import build_profile
-from .calibrate import calibrate_coefficient, check_trace_speed, fit_blend_weight
+from .calibrate import calibrate_coefficient, check_trace_speed, distinct, fit_blend_weight
 from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (
@@ -179,7 +179,7 @@ def cmd_calibrate(args) -> int:
         refine_rounds=cfg.calibration_refine_rounds,
     )
     print(f"coefficient candidates: {len(result.scores)} evaluated "
-          f"({len(cfg.coefficient_candidates)} on the base grid, "
+          f"({len(distinct(cfg.coefficient_candidates))} on the base grid, "
           f"refine_rounds={cfg.calibration_refine_rounds})")
     print(f"{'coefficient':>12}{'discrepancy':>16}{'pearson':>12}")
     for s in result.scores:

@@ -31,12 +31,12 @@ profile at many speeds (the speed sweep) and the profiles of one segment
 geometry at one speed (the joint sweep).  One profile at one speed is one
 row, and ``simulator`` is the one single-speed path: it builds the plan,
 its stage positions and a field per profile once, for profiles that differ
-only in their cooling blends' weights, and integrates them for any number
-of welding models.  ``simulate`` (one profile, one model), the coefficient
-fit (one profile, many models) and the blend fit (many profiles, one
-model) all run through it.  The test suite judges this module against
-independent oracles of its own: a textbook RK4 loop and a forward-Euler
-loop, both on a field evaluated segment by segment.
+only in their cooling blends' weights, and integrates a sequence of welding
+models as one RK4 block.  ``simulate`` (one model, one profile), each round
+of the coefficient fit (many models, one profile) and the blend fit (one
+model, many profiles) all run through it.  The test suite judges this
+module against independent oracles of its own: a textbook RK4 loop and a
+forward-Euler loop, both on a field evaluated segment by segment.
 """
 
 from __future__ import annotations
@@ -136,9 +136,7 @@ class ThermalTrace:
             raise ValueError("trace must not be empty")
         if temps.ndim != 1:
             raise ValueError(f"temps must be 1-D, got shape {temps.shape}")
-        if not np.isfinite(temps).all():
-            bad = np.flatnonzero(~np.isfinite(temps))
-            raise ValueError(f"temps must be finite: sample {bad[0]} is {temps[bad[0]]}")
+        check_finite(temps)
         times = np.arange(temps.size) * self.dt
         positions = cm_per_second(self.belt_speed) * times
         for name, arr in (("times", times), ("positions", positions), ("temps", temps)):
@@ -157,6 +155,13 @@ class ThermalTrace:
     @property
     def duration(self) -> float:
         return float(self.times[-1])
+
+
+def check_finite(temps: np.ndarray) -> None:
+    """Refuse a non-finite temperature of a trace or a block, naming the first."""
+    if not np.isfinite(temps).all():
+        first = tuple(np.argwhere(~np.isfinite(temps))[0])
+        raise ValueError(f"temps must be finite: sample {first[-1]} is {temps[first]}")
 
 
 def _rk4_coefficients(e: float) -> tuple[float, float, float, float]:
@@ -290,7 +295,8 @@ def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g)
 
         g[k] = sum_j A**(s-1-j) * f[k*s + j],   s = stride,
 
-    for each k along the last axis of g, in Horner form.  Every sample of
+    for each k along the last axis of g, in Horner form; the coefficients
+    may broadcast over the leading axes (a set per model).  Every sample of
     ``_Plateaus``, a plateau's included, goes through here, so equal fields
     give equal sums bit for bit.
     """
@@ -463,41 +469,47 @@ class _Plateaus:
         own, blend = x[:, :end], x[:, end:]
         # per cooling blend segment, the columns of blend that lie in it
         stops = np.cumsum([0] + [part.size for part in parts[1:]]).tolist()
-        fields = []
-        for profile in profiles:
-            values = np.empty_like(blend)
+        values = np.empty((2 * s + 1, len(profiles), blend.shape[1]))
+        for j, profile in enumerate(profiles):
             for i, lo, hi in zip(self.blends, stops, stops[1:]):
-                values[:, lo:hi] = profile.segments[i].evaluate(blend[:, lo:hi])
-            fields.append((FieldRows(profile, own), source, values))
-        return fields
+                values[:, j, lo:hi] = profile.segments[i].evaluate(blend[:, lo:hi])
+        return [FieldRows(profile, own) for profile in profiles], source, values
 
     def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
-        """The RK4 samples of profiles with these ``_level_columns`` at the
-        speeds of ``field``: profiles * speeds rows of K + 1 columns, one RK4
-        block; y0 is a scalar or one per output row.
+        """The RK4 samples of each model (a ``_rk4_coefficients`` set each)
+        at each profile of ``field`` with each ``_level_columns`` row, at
+        its speeds: models * profiles * levels * speeds rows of K + 1
+        columns, one RK4 block; y0 is a scalar or one per row of a model.
 
-        Each profile's field at the plateau and own samples, then the
-        cooling blend's, go through one ``_forcing_sums``, a column per
-        sample; each sample of each output row then takes its column's
-        Horner sum.  Then ``_sample_scan``.
+        Each profile's stages are filled once, a column per sample; one
+        broadcast ``_forcing_sums`` gives every model's Horner sums, one
+        gather the rows, then one ``_sample_scan`` per model, at its A**s.
         """
-        s, profiles = self.stride, len(levels)
-        own, source, blend = field
+        s, models, rows = self.stride, len(coefficients), len(levels)
+        owns, source, blend = field
+        profiles, m = len(owns), owns[0].shape[1]
         speeds, k_end = source.shape
-        m = own.shape[1]
-        width = profiles * m
-        stages = np.empty((2 * s + 1, width + blend.shape[1]))
-        own.fill(levels, stages[:, :width].reshape(2 * s + 1, profiles, m).swapaxes(0, 1))
-        stages[:, width:] = blend
-        forcing = np.empty((s + 1, stages.shape[1]))
-        sums = _forcing_sums(stages[: s + 1].T, stages[s + 1 :].T, coefficients, s,
-                             forcing[:s].T, forcing[s:].T)[:, 0]
-        table = np.empty((profiles, m + blend.shape[1]))
-        table[:, :m] = sums[:width].reshape(profiles, m)
-        table[:, m:] = sums[width:]
-        out = np.empty((profiles * speeds, k_end + 1))
-        out[:, 1:].reshape(profiles, speeds, k_end)[...] = table.take(source, axis=1)
-        return _sample_scan(out, coefficients[0] ** s, y0)
+        width = profiles * rows * m
+        stages = np.empty((models, 2 * s + 1, width + profiles * blend.shape[2]))
+        fill = stages[0, :, :width].reshape(2 * s + 1, profiles, rows, m)
+        for p, own in enumerate(owns):
+            own.fill(levels, fill[:, p].swapaxes(0, 1))
+        stages[0, :, width:] = blend.reshape(2 * s + 1, -1)
+        stages[1:] = stages[0]  # _forcing_sums overwrites the stages: a copy per model
+        forcing = np.empty((models, s + 1, stages.shape[2]))
+        # one model's coefficients stay floats: numpy is faster with scalar operands
+        rk4 = coefficients[0] if models == 1 else np.array(coefficients).T[..., None, None]
+        sums = _forcing_sums(stages[:, : s + 1].swapaxes(1, 2), stages[:, s + 1 :].swapaxes(1, 2),
+                             rk4, s, forcing[:, :s].swapaxes(1, 2),
+                             forcing[:, s:].swapaxes(1, 2))[..., 0]
+        table = np.empty((models, profiles, rows, m + blend.shape[2]))
+        table[..., :m] = sums[:, :width].reshape(models, profiles, rows, m)
+        table[..., m:] = sums[:, width:].reshape(models, profiles, 1, -1)
+        out = np.empty((models * profiles * rows * speeds, k_end + 1))
+        out[:, 1:].reshape(models, profiles, rows, speeds, k_end)[...] = table.take(source, axis=-1)
+        for block, (a, *_) in zip(out.reshape(models, -1, k_end + 1), coefficients):
+            _sample_scan(block, a**s, y0)
+        return out
 
 
 def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingModel,
@@ -532,11 +544,11 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
     per = min(rows, len(speeds))
     for lo in range(0, len(speeds), per):
         block = slice(lo, min(lo + per, len(speeds)))
-        field, = plan.field(block, [template])
+        field = plan.field(block, [template])
         for first in range(0, len(levels), rows // per):
             part = slice(first, min(first + rows // per, len(levels)))
             temps = plan.integrate(field, levels[part], y0[part].repeat(block.stop - lo),
-                                   coefficients)
+                                   [coefficients])
             yield part, block, temps, plan.lengths[block]
         del field  # free before the next block's field is computed
 
@@ -550,30 +562,30 @@ def _unweighted(profile: AmbientProfile) -> list:
 def simulator(profiles, params: ProcessParameters, grid: SimulationGrid):
     """``simulate`` for many welding models at profiles that differ only in
     the weights of their cooling blends (``build_profile`` at several blend
-    weights), at one speed and grid: returns a function of a
-    ``WeldingModel`` that gives one trace per profile, in order, each bit
-    for bit the trace ``simulate`` gives.
+    weights), at one speed and grid: returns a function of a sequence of
+    ``WeldingModel`` that gives one temperature row per (model, profile),
+    model-major, each the temps of ``simulate`` bit for bit; sample k of
+    every row is at k * grid.dt_out.
 
     The plan, the stage positions, the level columns, the start
     temperature and each profile's field do not depend on the coefficient,
     so they are built once, here (``_Plateaus.field``), and profiles that
     differ off the blend, or a grid error, are refused here, before any
-    model runs.  Each call checks its own step (``check_step``) and
-    integrates one row per profile.
+    model runs.  A model is refused when it runs: each call checks every
+    step (``check_step``) before it integrates one block.
     """
     template = profiles[0]
     if any(_unweighted(p) != _unweighted(template) for p in profiles[1:]):
         raise ValueError("profiles must differ only in the weights of their cooling blends")
-    v = params.belt_speed
-    plan = _Plateaus(template, np.array([v], dtype=float), grid.dt, grid.stride)
-    fields = plan.field(slice(0, 1), profiles)
+    plan = _Plateaus(template, np.array([params.belt_speed], dtype=float), grid.dt, grid.stride)
+    field = plan.field(slice(0, 1), profiles)
     levels = _level_columns([template])
 
-    def run(model: WeldingModel) -> list[ThermalTrace]:
-        check_step(model.coefficient, grid.dt)
-        coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-        return [ThermalTrace(grid.dt_out, v, plan.integrate(f, levels, params.tt5, coefficients)[0])
-                for f in fields]
+    def run(models) -> np.ndarray:
+        for model in models:
+            check_step(model.coefficient, grid.dt)
+        return plan.integrate(field, levels, params.tt5,
+                              [_rk4_coefficients(model.coefficient * grid.dt) for model in models])
 
     return run
 
@@ -596,4 +608,6 @@ def simulate(
 
     Pure function: identical inputs produce bit-identical traces.
     """
-    return simulator([profile], params, grid if grid is not None else SimulationGrid())(model)[0]
+    grid = grid if grid is not None else SimulationGrid()
+    temps = simulator([profile], params, grid)([model])[0]
+    return ThermalTrace(grid.dt_out, params.belt_speed, temps)

@@ -308,16 +308,16 @@ def reference_calibration(measured, layout, params, weight, candidates, grid, re
 
 def counted_integrations(monkeypatch) -> list:
     """The coefficients of the candidates that ``calibrate_coefficient``
-    integrates, each recorded once its trace is out."""
+    integrates, a round's recorded once its block is out."""
     ran = []
 
     def counted(*args):
         run = thermal.simulator(*args)
 
-        def counted_run(model):
-            trace = run(model)
-            ran.append(model.coefficient)
-            return trace
+        def counted_run(models):
+            rows = run(models)
+            ran.extend(model.coefficient for model in models)
+            return rows
 
         return counted_run
 
@@ -354,7 +354,22 @@ class TestOnePlanPerCalibration:
                 "at or above 1.29559774")):
             calibrate_coefficient(default_trace, layout, params, 0.8,
                                   [0.021, thermal._MAX_E, 0.022], grid, refine_rounds=0)
-        assert len(ran) == 1  # the candidate before it ran
+        assert ran == []  # refused before any row of its round's block is integrated
+
+    def test_a_long_grid_runs_in_blocks_no_wider_than_a_round(
+            self, layout, params, default_trace, monkeypatch):
+        blocks, check_finite = [], calibrate_module.check_finite
+
+        def counted_check(rows):
+            blocks.append(len(rows))
+            check_finite(rows)
+
+        monkeypatch.setattr(calibrate_module, "check_finite", counted_check)
+        grid = [float(q) for q in np.linspace(0.018, 0.024, 45)]
+        result = calibrate_coefficient(default_trace, layout, params, 0.8, grid, refine_rounds=0)
+        assert blocks == [21, 21, 3]
+        assert result == reference_calibration(default_trace, layout, params, 0.8, grid,
+                                               SimulationGrid(), 0)
 
     @pytest.mark.parametrize("refine_rounds", [0, 1, 2])
     def test_one_plan_per_calibration(self, layout, params, default_trace, monkeypatch,
@@ -413,12 +428,11 @@ class TestOnePlanPerBlendFit:
         model = WeldingModel(0.021)
         # the first weight, the ends of [0, 1], and a repeat
         weights = [0.8, 0.0, 0.35, 1.0, 0.8]
-        traces = simulator([build_profile(layout, params, w) for w in weights], params,
-                           grid)(model)
-        for w, trace in zip(weights, traces, strict=True):
+        rows = simulator([build_profile(layout, params, w) for w in weights], params,
+                         grid)([model])
+        for w, row in zip(weights, rows, strict=True):
             alone = simulate(build_profile(layout, params, w), params, model, grid)
-            assert np.array_equal(trace.times, alone.times)
-            assert np.array_equal(trace.temps, alone.temps)
+            assert np.array_equal(row, alone.temps)
 
     def test_one_plan_per_fit(self, layout, params, default_trace, monkeypatch):
         plans = []
@@ -441,17 +455,18 @@ class TestOnePlanPerBlendFit:
 
 
 def assert_scorer_equals_one_pair_functions(measured, simulated):
-    """A scorer prepared at the first simulated trace scores each one as
-    align, discrepancy, pearson and np.corrcoef do, bit for bit."""
-    score = calibrate_module._Scorer(measured)
-    for trace in simulated:
-        values = score.simulated(trace)
+    """A scorer scores a block of the simulated traces' temps, row by row,
+    as align, discrepancy, pearson and np.corrcoef score each trace, bit
+    for bit."""
+    score = calibrate_module._Scorer(measured, simulated[0].dt)
+    values = score.simulated(np.array([trace.temps for trace in simulated]))
+    scores = zip(score.discrepancy(values), score.pearson(values), strict=True)
+    for trace, row, (d, r) in zip(simulated, values, scores, strict=True):
         pair = align(measured, trace)
         assert np.array_equal(score.times, pair.times)
         assert np.array_equal(score.temps, pair.measured)
-        assert np.array_equal(values, pair.simulated)
-        assert score.discrepancy(values) == discrepancy(pair)
-        r = score.pearson(values)
+        assert np.array_equal(row, pair.simulated)
+        assert d == discrepancy(pair)
         assert r == pearson(pair) == float(np.corrcoef(pair.measured, pair.simulated)[0, 1])
 
 
@@ -507,7 +522,7 @@ class TestPreparedScorer:
         with pytest.raises(ValueError,
                            match="^Pearson correlation undefined for a zero-variance series$"):
             calibrate_coefficient(flat, layout, params, 0.8, COARSE_GRID, refine_rounds=0)
-        assert ran == [0.02]
+        assert ran == COARSE_GRID  # refused after the round's block
 
     def test_a_flat_candidate_is_named_before_a_flat_measurement(self, layout, params,
                                                                  monkeypatch):
@@ -515,12 +530,68 @@ class TestPreparedScorer:
         flat = trace_from(np.full(400, 25.0), v=params.belt_speed)
         with pytest.raises(ValueError, match="^candidate coefficients: 1e-300 leaves the board"):
             calibrate_coefficient(flat, layout, params, 0.8, [1e-300, 0.021], refine_rounds=0)
-        assert ran == [1e-300]
+        assert ran == [1e-300, 0.021]  # refused after the round's block
+
+    def test_a_flat_measurement_is_named_before_a_later_flat_candidate(
+            self, layout, params, monkeypatch):
+        # the first candidate's Pearson refuses the measurement before the
+        # second candidate's flatness is looked at
+        ran = counted_integrations(monkeypatch)
+        flat = trace_from(np.full(400, 25.0), v=params.belt_speed)
+        with pytest.raises(ValueError,
+                           match="^Pearson correlation undefined for a zero-variance series$"):
+            calibrate_coefficient(flat, layout, params, 0.8, [0.021, 1e-300], refine_rounds=0)
+        assert ran == [0.021, 1e-300]
 
     def test_flat_series_raise_the_one_pair_message(self):
-        score = calibrate_module._Scorer(trace_from(np.full(10, 25.0)))
-        values = score.simulated(trace_from(np.arange(10.0)))
-        assert score.discrepancy(values) == discrepancy(
-            AlignedPair(np.arange(10) * 0.5, np.full(10, 25.0), np.arange(10.0)))
+        score = calibrate_module._Scorer(trace_from(np.full(10, 25.0)), 0.5)
+        values = score.simulated(np.arange(10.0)[None])
+        assert score.discrepancy(values) == [discrepancy(
+            AlignedPair(np.arange(10) * 0.5, np.full(10, 25.0), np.arange(10.0)))]
         with pytest.raises(ValueError, match="zero-variance"):
             score.pearson(values)
+
+
+class TestRowWiseScoring:
+    """A block's rows are scored at once: np.mean and np.ptp along each row
+    reduce it alone, in the order of their one-row calls."""
+
+    # numpy's pairwise sum changes blocks at 8 and 128 samples
+    @pytest.mark.parametrize("overlap", [2, 7, 8, 9, 127, 128, 129, 1000])
+    def test_rows_score_as_the_one_pair_functions(self, overlap):
+        rng = np.random.default_rng(overlap)
+        measured = trace_from(rng.normal(150.0, 60.0, overlap))
+        rows = rng.normal(150.0, 60.0, (5, overlap + 3))
+        score = calibrate_module._Scorer(measured, 0.5)
+        values = score.simulated(rows)
+        assert values.shape == (5, overlap)
+        assert np.array_equal(np.ptp(values, axis=1), [np.ptp(row) for row in values])
+        for row, d, r in zip(rows, score.discrepancy(values), score.pearson(values), strict=True):
+            pair = align(measured, trace_from(row))
+            assert (d, r) == (discrepancy(pair), pearson(pair))
+
+    def test_a_non_finite_row_is_refused_by_the_trace_message(self):
+        rows = np.full((3, 10), 25.0)
+        rows[1, 4] = np.inf
+        score = calibrate_module._Scorer(trace_from(np.arange(10.0)), 0.5)
+        with pytest.raises(ValueError, match="^temps must be finite: sample 4 is inf$"):
+            score.simulated(rows)
+
+
+class TestRepeatedCandidates:
+    """A value repeated in a candidate list (by round(value, 12), the key
+    of refinement) is integrated and scored once, at its first occurrence."""
+
+    def test_a_repeated_coefficient_is_scored_once(self, layout, params, default_trace):
+        result = calibrate_coefficient(default_trace, layout, params, 0.8, [0.021, 0.021])
+        assert [s.coefficient for s in result.scores] == [0.021]
+        grid = [0.0205, 0.021, 0.0215]
+        repeated = calibrate_coefficient(default_trace, layout, params, 0.8,
+                                         [0.0205, 0.021, 0.0205 + 1e-15, 0.0215, 0.021])
+        assert repeated == calibrate_coefficient(default_trace, layout, params, 0.8, grid)
+
+    def test_a_repeated_weight_is_scored_once(self, layout, params, default_trace):
+        fit = fit_blend_weight(default_trace, layout, params, 0.021, [0.8, 0.8])
+        assert [s.weight for s in fit.scores] == [0.8]
+        repeated = fit_blend_weight(default_trace, layout, params, 0.021, [0.9, 0.7, 0.9, 0.7])
+        assert repeated == fit_blend_weight(default_trace, layout, params, 0.021, [0.9, 0.7])

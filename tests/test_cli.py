@@ -15,6 +15,8 @@ from reflowsim.config import RunConfig, config_from_dict, load_config
 
 from helpers import ambient_reference
 
+DATA = Path(__file__).parent / "data"
+
 SMALL_SWEEP_YAML = """
 params: {tt1: 165, tt2: 185, tt3: 225, tt4: 265, belt_speed: 83}
 ranges:
@@ -193,6 +195,48 @@ class TestCalibrateCommand:
         # the first line echoes the rounds asked for
         assert endless.splitlines()[1:] == capped.splitlines()[1:]
         assert capped.startswith("coefficient candidates: 157 evaluated")
+
+    def test_a_repeated_candidate_is_counted_once(self, capsys, tmp_path):
+        trace_path = tmp_path / "measured.csv"
+        run_cli(capsys, "simulate", "--out", str(trace_path))
+        config_path = tmp_path / "c.yaml"
+        config_path.write_text("calibration: {coefficients: [0.021, 0.0205, 0.021],"
+                               " weights: [0.8, 0.8]}\n")
+        code, out, _ = run_cli(capsys, "calibrate", str(trace_path), "--config",
+                               str(config_path), "--refine-rounds", "0", "--fit-blend")
+        assert code == 0
+        assert out.splitlines() == [
+            "coefficient candidates: 2 evaluated (2 on the base grid, refine_rounds=0)",
+            " coefficient     discrepancy     pearson",
+            "    0.021000        0.000000    1.000000",
+            "    0.020500        0.748499    0.999923",
+            "best coefficient: 0.021000",
+            "blend_weight     discrepancy",
+            "      0.8000        0.000000",
+            "best blend weight: 0.8000",
+        ]
+
+    # measured traces simulated at the hidden coefficient and weight, then
+    # the calibrate arguments; the goldens were written by the version
+    # that integrated each candidate on its own
+    GOLDEN = {
+        "default": ([], ["--fit-blend"]),
+        "speed90": (["--belt-speed", "90", "--blend-weight", "0.9", "--coefficient", "0.0205"],
+                    ["--belt-speed", "90", "--blend-weight", "0.9", "--fit-blend"]),
+        "refine3": (["--dt", "0.05", "--dt-out", "0.25", "--blend-weight", "0.6",
+                     "--coefficient", "0.0215"],
+                    ["--dt", "0.05", "--dt-out", "0.25", "--blend-weight", "0.6",
+                     "--refine-rounds", "3", "--fit-blend"]),
+    }
+
+    @pytest.mark.parametrize("name", GOLDEN)
+    def test_stdout_equals_the_golden(self, capsys, tmp_path, name):
+        simulate_args, calibrate_args = self.GOLDEN[name]
+        trace_path = tmp_path / "measured.csv"
+        assert run_cli(capsys, "simulate", *simulate_args, "--out", str(trace_path))[0] == 0
+        code, out, _ = run_cli(capsys, "calibrate", str(trace_path), *calibrate_args)
+        assert code == 0
+        assert out == (DATA / f"calibrate_{name}.txt").read_text()
 
     def test_missing_file_names_path(self, capsys, tmp_path):
         missing = tmp_path / "missing.csv"

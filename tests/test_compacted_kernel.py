@@ -286,24 +286,28 @@ def test_one_row_simulate_equals_the_full_field(temps, weight, speed, grid):
 @pytest.mark.parametrize("grid", [(0.1, 0.5), (0.05, 0.25), (0.25, 30.0)])
 @pytest.mark.parametrize("params", [DEFAULT, MERGED, replace(COLD, belt_speed=100.0)])
 def test_models_through_one_simulator_equal_separate_simulates(params, grid):
-    """One plan and a field per blend weight serve every model: each
-    (profile, model) trace equals its own ``simulate`` call, in every
-    field, whatever ran before it."""
-    profiles = [build_profile(LAYOUT, params, w) for w in (0.8, 0.0, 1.0)]
+    """One plan and a field per blend weight serve every model, and one
+    call integrates its models as one block: each (model, profile) row
+    equals its own ``simulate`` call bit for bit, in every field, whatever
+    else the block holds and in whichever order.  The models span every
+    chunk width of the sample scan: a coefficient so small that A**stride
+    rounds to 1, the default, and one so large that the width drops below
+    2 (the plain loop); the default comes twice."""
+    profiles = [build_profile(LAYOUT, params, w) for w in (0.0, 0.5, 1.0)]
     grid = SimulationGrid(*grid)
+    models = [WeldingModel(q) for q in (1e-16, 0.021, 5.0, 0.021)]
+    widths = [thermal._chunk_width(thermal._rk4_coefficients(m.coefficient * grid.dt)[0]
+                                   ** grid.stride) for m in models]
+    assert widths[0] == thermal._MAX_CHUNK and widths[1] >= 2 and widths[2] < 2
     run = simulator(profiles, params, grid)
-    models = [WeldingModel(0.02), WeldingModel(0.0235), WeldingModel(0.02)]
-    traces = [run(model) for model in models]
-    for model, per_profile in zip(models, traces):
-        for profile, trace in zip(profiles, per_profile, strict=True):
-            alone = simulate(profile, params, model, grid)
-            assert (trace.dt, trace.belt_speed) == (alone.dt, alone.belt_speed)
-            for name in ("times", "positions", "temps"):
-                assert np.array_equal(getattr(trace, name), getattr(alone, name))
-                assert not getattr(trace, name).flags.writeable
-    assert not np.array_equal(traces[0][0].temps, traces[1][0].temps)
+    for order in (models, models[::-1]):
+        rows = run(order)
+        assert rows.shape[0] == len(order) * len(profiles)
+        for (model, profile), row in zip(product(order, profiles), rows, strict=True):
+            assert np.array_equal(row, simulate(profile, params, model, grid).temps)
+    assert not np.array_equal(rows[0], rows[len(profiles)])
     # COLD's furnace has no cooling blend, so there the weight changes nothing
-    assert np.array_equal(traces[0][0].temps, traces[0][1].temps) == (profiles[0] == profiles[1])
+    assert np.array_equal(rows[0], rows[1]) == (profiles[0] == profiles[1])
 
 
 def test_kernel_traces_equal_the_trace_of_their_temps():

@@ -54,8 +54,8 @@ def kernel_field(profile, speeds, grid):
     """Per row and sample, the field the compacted kernel takes at the
     sample's s + 1 nodes and s midpoints: shape (rows, samples, 2s + 1)."""
     plan = _Plateaus(profile, speeds, grid.dt, grid.stride)
-    (own, source, blend), = plan.field(slice(None), [profile])
-    columns = np.concatenate((own.fill(_level_columns([profile]))[0], blend), axis=1)
+    (own,), source, blend = plan.field(slice(None), [profile])
+    columns = np.concatenate((own.fill(_level_columns([profile]))[0], blend[:, 0]), axis=1)
     return columns[:, source].transpose(1, 2, 0)
 
 

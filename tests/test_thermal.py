@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import reflowsim.ambient
+import reflowsim.calibrate as calibrate_module
 from reflowsim import (
     AmbientProfile,
     ConstantSegment,
@@ -246,22 +247,32 @@ class TestThermalTraceInvariants:
 
     def test_every_trace_goes_through_the_constructor(self, monkeypatch, tmp_path, layout,
                                                       params, profile):
-        """simulate, load_trace_csv and both fits build each trace they return
-        or score by ``ThermalTrace(...)``, so its checks hold for all of them."""
+        """simulate and load_trace_csv build each trace they return by
+        ``ThermalTrace(...)``, so its checks hold for all of them.  The fits
+        build none per candidate: each block of rows they score passes the
+        same finite check, once."""
         built, post_init = [], ThermalTrace.__post_init__
+        checked, check_finite = [], calibrate_module.check_finite
 
         def counted(trace):
             built.append(trace)
             post_init(trace)
 
+        def counted_check(rows):
+            checked.append(len(rows))
+            check_finite(rows)
+
         monkeypatch.setattr(ThermalTrace, "__post_init__", counted)
+        monkeypatch.setattr(calibrate_module, "check_finite", counted_check)
         trace = simulate(profile, params, WeldingModel(0.021))
         write_trace_csv(trace, tmp_path / "t.csv")
         loaded = load_trace_csv(tmp_path / "t.csv")
         assert len(built) == 2 and built[0] is trace and built[1] is loaded
         result = calibrate_coefficient(loaded, layout, params, 0.8, [0.0205, 0.021, 0.0215])
         fit = fit_blend_weight(loaded, layout, params, 0.021, [0.7, 0.8, 0.9])
-        assert len(built) == 2 + len(result.scores) + len(fit.scores)
+        assert len(built) == 2
+        # the base grid, one refinement round, the weights
+        assert checked == [3, len(result.scores) - 3, len(fit.scores)] == [3, 18, 3]
 
 
 class TestGridAndModelValidation:
