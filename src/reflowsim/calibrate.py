@@ -18,8 +18,7 @@ import numpy as np
 
 from .ambient import build_profile
 from .oven import OvenLayout, ProcessParameters
-from .thermal import (SimulationGrid, ThermalTrace, WeldingModel, check_finite, check_step,
-                      simulator)
+from .thermal import SimulationGrid, ThermalTrace, WeldingModel, check_finite, check_step, simulator
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
 
@@ -160,11 +159,16 @@ class _Scorer:
         return [_correlation(self.rows, row) for row in simulated]
 
 
+def _key(value: float) -> float:
+    """Two candidates are the same when their first 12 significant digits are."""
+    return float(f"{value:.12g}")
+
+
 def distinct(values) -> list:
-    """The candidates without repeats by round(value, 12), each at its first occurrence."""
+    """The candidates without repeats by ``_key``, each at its first occurrence."""
     firsts = {}
     for value in values:
-        firsts.setdefault(round(value, 12), value)
+        firsts.setdefault(_key(value), value)
     return list(firsts.values())
 
 
@@ -275,13 +279,12 @@ def calibrate_coefficient(
         if flat.any() and (flat[0] or not score.flat):
             raise ValueError(f"candidate coefficients: {qs[flat.argmax()]:g} leaves the board at "
                              "its start temperature, where the Pearson correlation is undefined")
-        return list(map(CandidateScore, qs, score.discrepancy(simulated),
-                        score.pearson(simulated)))
+        return list(map(CandidateScore, qs, score.discrepancy(simulated), score.pearson(simulated)))
 
     # a long grid runs in blocks no wider than a refinement round, which bounds their memory
     width = 2 * REFINE_FACTOR + 1
     scores = [s for i in range(0, len(base), width) for s in evaluate(base[i : i + width])]
-    seen = {round(q, 12) for q in base}
+    seen = {_key(q) for q in base}
     step = float(np.median(np.diff(sorted(base)))) if len(base) > 1 else None
     for _ in range(refine_rounds if step is not None else 0):
         incumbent = _best(scores, "coefficient")
@@ -289,13 +292,13 @@ def calibrate_coefficient(
         fresh = []
         for k in range(-REFINE_FACTOR, REFINE_FACTOR + 1):
             q = round(incumbent.coefficient + k * fine, 12)
-            if q <= 0 or q in seen:
+            if q <= 0 or _key(q) in seen:
                 continue
             try:  # a refined candidate past the RK4 stability bound is skipped
                 check_step(q, grid.dt)
             except ValueError:
                 continue
-            seen.add(q)
+            seen.add(_key(q))
             fresh.append(q)
         # nothing new: the grid has collapsed onto seen values, as finer ones will
         if not fresh:

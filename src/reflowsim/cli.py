@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from .ambient import build_profile
-from .calibrate import calibrate_coefficient, check_trace_speed, distinct, fit_blend_weight
+from .calibrate import calibrate_coefficient, check_trace_speed, fit_blend_weight
 from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (
@@ -178,8 +178,9 @@ def cmd_calibrate(args) -> int:
         grid=cfg.grid,
         refine_rounds=cfg.calibration_refine_rounds,
     )
-    print(f"coefficient candidates: {len(result.scores)} evaluated "
-          f"({len(distinct(cfg.coefficient_candidates))} on the base grid, "
+    # refinement adds only values unlike every given one, so these are the base grid's
+    base = sum(s.coefficient in cfg.coefficient_candidates for s in result.scores)
+    print(f"coefficient candidates: {len(result.scores)} evaluated ({base} on the base grid, "
           f"refine_rounds={cfg.calibration_refine_rounds})")
     print(f"{'coefficient':>12}{'discrepancy':>16}{'pearson':>12}")
     for s in result.scores:

@@ -295,8 +295,7 @@ def _forcing_sums(t_amb_nodes, t_amb_mid, coefficients, stride: int, forcing, g)
 
         g[k] = sum_j A**(s-1-j) * f[k*s + j],   s = stride,
 
-    for each k along the last axis of g, in Horner form; the coefficients
-    may broadcast over the leading axes (a set per model).  Every sample of
+    for each k along the last axis of g, in Horner form.  Every sample of
     ``_Plateaus``, a plateau's included, goes through here, so equal fields
     give equal sums bit for bit.
     """
@@ -477,17 +476,15 @@ class _Plateaus:
 
     def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
         """The RK4 samples of each model (a ``_rk4_coefficients`` set each)
-        at each profile of ``field`` with each ``_level_columns`` row, at
-        its speeds: models * profiles * levels * speeds rows of K + 1
-        columns, one RK4 block; y0 is a scalar or one per row of a model.
-
-        Each profile's stages are filled once, a column per sample; one
-        broadcast ``_forcing_sums`` gives every model's Horner sums, one
-        gather the rows, then one ``_sample_scan`` per model, at its A**s.
+        at each profile of ``field`` with each ``_level_columns`` row, at its
+        speeds: models * profiles * levels * speeds rows of K + 1 columns, one
+        RK4 block; y0 is a scalar or one per row of a model.  Each profile's
+        stages are filled once, a column per sample; then each model, with
+        its coefficients as floats (faster than broadcast arrays), runs one
+        ``_forcing_sums``, one gather of its rows and one ``_sample_scan``.
         """
-        s, models, rows = self.stride, len(coefficients), len(levels)
-        owns, source, blend = field
-        profiles, m = len(owns), owns[0].shape[1]
+        (owns, source, blend), s = field, self.stride
+        models, profiles, rows, m = len(coefficients), len(owns), len(levels), owns[0].shape[1]
         speeds, k_end = source.shape
         width = profiles * rows * m
         stages = np.empty((models, 2 * s + 1, width + profiles * blend.shape[2]))
@@ -496,20 +493,17 @@ class _Plateaus:
             own.fill(levels, fill[:, p].swapaxes(0, 1))
         stages[0, :, width:] = blend.reshape(2 * s + 1, -1)
         stages[1:] = stages[0]  # _forcing_sums overwrites the stages: a copy per model
-        forcing = np.empty((models, s + 1, stages.shape[2]))
-        # one model's coefficients stay floats: numpy is faster with scalar operands
-        rk4 = coefficients[0] if models == 1 else np.array(coefficients).T[..., None, None]
-        sums = _forcing_sums(stages[:, : s + 1].swapaxes(1, 2), stages[:, s + 1 :].swapaxes(1, 2),
-                             rk4, s, forcing[:, :s].swapaxes(1, 2),
-                             forcing[:, s:].swapaxes(1, 2))[..., 0]
-        table = np.empty((models, profiles, rows, m + blend.shape[2]))
-        table[..., :m] = sums[:, :width].reshape(models, profiles, rows, m)
-        table[..., m:] = sums[:, width:].reshape(models, profiles, 1, -1)
-        out = np.empty((models * profiles * rows * speeds, k_end + 1))
-        out[:, 1:].reshape(models, profiles, rows, speeds, k_end)[...] = table.take(source, axis=-1)
-        for block, (a, *_) in zip(out.reshape(models, -1, k_end + 1), coefficients):
-            _sample_scan(block, a**s, y0)
-        return out
+        forcing = np.empty((s + 1, stages.shape[2]))
+        table = np.empty((profiles, rows, m + blend.shape[2]))
+        out = np.empty((models, profiles * rows * speeds, k_end + 1))
+        for st, block, rk4 in zip(stages, out, coefficients):
+            sums = _forcing_sums(st[: s + 1].T, st[s + 1 :].T, rk4, s,
+                                 forcing[:s].T, forcing[s:].T)[:, 0]
+            table[..., :m] = sums[:width].reshape(profiles, rows, m)
+            table[..., m:] = sums[width:].reshape(profiles, 1, -1)
+            block[:, 1:].reshape(profiles, rows, speeds, k_end)[...] = table.take(source, axis=-1)
+            _sample_scan(block, rk4[0] ** s, y0)
+        return out.reshape(-1, k_end + 1)
 
 
 def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingModel,

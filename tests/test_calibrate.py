@@ -579,8 +579,16 @@ class TestRowWiseScoring:
 
 
 class TestRepeatedCandidates:
-    """A value repeated in a candidate list (by round(value, 12), the key
-    of refinement) is integrated and scored once, at its first occurrence."""
+    """A value repeated in a candidate list (by its first 12 significant
+    digits, the key of refinement) is integrated and scored once, at its
+    first occurrence."""
+
+    def test_tiny_distinct_coefficients_are_both_scored(self, layout, params, default_trace):
+        # absolute rounding to 12 decimals would give both the key 0.0
+        for grid in ([1e-13, 2e-13], [1e-16, 3e-16]):
+            result = calibrate_coefficient(default_trace, layout, params, 0.8, grid,
+                                           refine_rounds=0)
+            assert [s.coefficient for s in result.scores] == grid
 
     def test_a_repeated_coefficient_is_scored_once(self, layout, params, default_trace):
         result = calibrate_coefficient(default_trace, layout, params, 0.8, [0.021, 0.021])
