@@ -204,7 +204,7 @@ def _row_metrics(max_slope, min_slope, rise, *rest) -> TraceMetrics:
     return TraceMetrics(max_slope, min_slope, rise if rise == rise else None, *rest)
 
 
-def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColumns:
+def metrics_rows(times, temps, lengths=None, melt=None) -> MetricColumns:
     """The five metrics of every row of temps, sampled at times, one array
     per metric.
 
@@ -215,10 +215,10 @@ def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColu
     padding, and the time above 217 degC sums each row's own terms (see
     ``_prefix_sums``).  Without lengths there is no padding, and the
     extremes and sums run on the rows as they are.  Slopes are forward
-    differences at the sample interval dt.  The rise time is measured on the
-    rising pass only: first upward crossings of 150 degC and 190 degC at or
-    before the peak.  melt is ``_super_level_segments(temps, MELT_C)`` when
-    the caller has it.
+    differences at the sample interval times[1] - times[0].  The rise time
+    is measured on the rising pass only: first upward crossings of 150 degC
+    and 190 degC at or before the peak.  melt is
+    ``_super_level_segments(temps, MELT_C)`` when the caller has it.
     """
     n_rows, width = temps.shape
     counts = np.full(n_rows, width) if lengths is None else np.asarray(lengths)
@@ -226,6 +226,7 @@ def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColu
         raise ValueError("metrics need at least 2 samples")
     if np.any(counts > width):
         raise ValueError(f"row lengths exceed the {width} columns of temps")
+    dt = times[1] - times[0]
     above = _time_above_terms(times, temps, MELT_C, melt)
     if lengths is None:
         max_slope, min_slope = _slope_extremes(temps, dt)
@@ -249,7 +250,7 @@ def metrics_rows(times, temps, dt: float, lengths=None, melt=None) -> MetricColu
 def compute_metrics(trace: ThermalTrace) -> TraceMetrics:
     """Extract the five manufacturability metrics from a trace: the one-row
     case of ``metrics_rows``."""
-    return metrics_rows(trace.times, trace.temps[None], trace.dt)[0]
+    return metrics_rows(trace.times, trace.temps[None])[0]
 
 
 def _bounds(limits: ProcessLimits):
@@ -279,17 +280,6 @@ def check_rows(columns: MetricColumns, limits: ProcessLimits | None = None) -> n
     limits = limits if limits is not None else ProcessLimits()
     return np.array([_within(getattr(columns, field), lower, upper)
                      for _, field, lower, upper in _bounds(limits)])
-
-
-def verdict_rows(rows, columns: MetricColumns, limits: ProcessLimits | None = None):
-    """The ``check_limits`` verdict of every row, from one ``check_rows``
-    call: the columnar case of ``check_limits``.  rows are the TraceMetrics
-    of columns, in order; each LimitCheck holds its row's own value."""
-    limits = limits if limits is not None else ProcessLimits()
-    bounds = _bounds(limits)
-    return [LimitVerdict(tuple(LimitCheck(name, getattr(m, field), lower, upper, ok)
-                               for (name, field, lower, upper), ok in zip(bounds, passed)))
-            for m, passed in zip(rows, check_rows(columns, limits).T.tolist())]
 
 
 def check_limits(metrics: TraceMetrics, limits: ProcessLimits | None = None) -> LimitVerdict:

@@ -43,7 +43,7 @@ the rows that compete under the objective, from which ``objective_key``
 picks the winner.  ``OptimizationResult.candidates`` and
 ``SpeedSweepResult.per_speed`` are tuples built on their first read
 (``_LazyTuple``).  That read builds the objects the sweep no longer does,
-about 7-8 ms per 1,000 candidates or 20 ms per 1,000 speeds (in-process,
+about 7-8 ms per 1,000 candidates or 9 ms per 1,000 speeds (in-process,
 2-core host); later reads reuse them.
 """
 
@@ -71,7 +71,6 @@ from .limits import (
     check_rows,
     crossing_time,
     metrics_rows,
-    verdict_rows,
 )
 from .oven import OvenLayout, ParameterRanges, ProcessParameters, cm_per_second
 from .thermal import (
@@ -376,22 +375,16 @@ def feasible_speed_interval(
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
     values = np.empty((len(_METRICS), len(speeds)))
-    for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), [params.tt5],
+    for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), params.tt5,
                                                model, grid, speeds):
         times = np.arange(temps.shape[1]) * grid.dt_out
-        metrics = metrics_rows(times, temps, grid.dt_out, lengths)
+        metrics = metrics_rows(times, temps, lengths)
         values[:, block] = [getattr(metrics, name) for name in _METRICS]
     metrics = MetricColumns(*values)
     feasible = tuple(compress(speeds, check_rows(metrics, limits).all(axis=0).tolist()))
-    return SpeedSweepResult(feasible, feasible[-1] if feasible else None,
-                            _LazyTuple(len(speeds), lambda: _speed_checks(speeds, metrics, limits)))
-
-
-def _speed_checks(speeds, metrics: MetricColumns, limits: ProcessLimits) -> list[SpeedCheck]:
-    """The SpeedChecks of the speeds, whose metrics are the columns metrics."""
-    # the verdicts hold the very values of the rows' TraceMetrics
-    rows = list(metrics)
-    return list(map(SpeedCheck, speeds, rows, verdict_rows(rows, metrics, limits)))
+    return SpeedSweepResult(feasible, feasible[-1] if feasible else None, _LazyTuple(
+        len(speeds), lambda: [SpeedCheck(v, m, check_limits(m, limits))
+                              for v, m in zip(speeds, metrics)]))
 
 
 @dataclass(frozen=True)
@@ -434,16 +427,13 @@ class _SweepColumns:
     values holds a column per metric (``_METRICS``), then the reflow area
     and the symmetry score (NaN where it is undefined); feasible is the
     limit pass mask.  ``candidates`` builds the SweepCandidates of any of
-    them; iterating yields them all.
+    them.
     """
 
     rows: list
     speeds: tuple[float, ...]
     values: np.ndarray
     feasible: np.ndarray
-
-    def __iter__(self):
-        return iter(self.candidates(range(len(self.feasible))))
 
     def eligible(self, objective: str) -> np.ndarray:
         """Per candidate, whether it can compete under the objective: a
@@ -473,30 +463,30 @@ def _evaluate_group(
     limits: ProcessLimits,
     area_domain: str,
     speeds: tuple[float, ...],
+    tt5: float,
     job: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a job of setpoint rows whose profiles share one segment
     geometry (defined in the ``ambient`` module docstring) at every sweep
-    speed: (template profile, rows (tt1..tt5), their
-    ``_level_columns``).  Returns the ``_SweepColumns`` values and the
-    feasible mask of the rows x speeds, with the rows and speeds in order.
-    Top-level so process pools can pickle it.
+    speed: (template profile, the rows' ``_level_columns``), every row
+    starting at the exterior temperature tt5.  Returns the ``_SweepColumns``
+    values and the feasible mask of the rows x speeds, with the rows and
+    speeds in order.  Top-level so process pools can pickle it.
 
     At each speed, ``thermal.rk4_blocks`` lays out the samples once and
     yields the rows in RK4 blocks of ``_Plateaus.block_rows`` rows.
     Metrics, limit checks, reflow area and symmetry run once per RK4 block,
     on one crossing of the melting line.
     """
-    template, rows, levels = job
-    y0 = np.array([row[4] for row in rows], dtype=float)
-    values = np.empty((len(_METRICS) + 2, len(rows), len(speeds)))
-    feasible = np.empty((len(rows), len(speeds)), dtype=bool)
+    template, levels = job
+    values = np.empty((len(_METRICS) + 2, len(levels), len(speeds)))
+    feasible = np.empty((len(levels), len(speeds)), dtype=bool)
     for at, speed in enumerate(speeds):
-        for part, _, temps, _ in rk4_blocks(template, levels, y0, model, grid, [speed]):
+        for part, _, temps, _ in rk4_blocks(template, levels, tt5, model, grid, [speed]):
             times = np.arange(temps.shape[1]) * grid.dt_out
             xs = _area_axis(area_domain, times, cm_per_second(speed) * times)
             melt = _super_level_segments(temps, MELT_C)
-            metrics = metrics_rows(times, temps, grid.dt_out, None, melt)
+            metrics = metrics_rows(times, temps, None, melt)
             feasible[part, at] = check_rows(metrics, limits).all(axis=0)
             values[:, part, at] = [*(getattr(metrics, name) for name in _METRICS),
                                    _reflow_area_rows(xs, temps, melt),
@@ -540,7 +530,7 @@ def _new_points(axes, seen) -> np.ndarray:
 
 def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, workers: int):
     """The lattice of the setpoint ranges, in sweep order, and the jobs that
-    cover it: (row indices, (template profile, rows, level columns)).
+    cover it: (row indices, (template profile, level columns)).
 
     The lattice is one list of setpoint rows (tt1..tt4 from the ranges'
     grids, tt5 the one value of ranges.tt5), grouped by the geometry of
@@ -555,7 +545,7 @@ def _sweep_jobs(layout: OvenLayout, ranges: ParameterRanges, weight: float, work
     for idx, template, levels in _lattice_groups(layout, rows, weight):
         for lo in range(0, len(idx), size):
             piece = idx[lo : lo + size]
-            jobs.append((piece, (template, [rows[i] for i in piece], levels[lo : lo + size])))
+            jobs.append((piece, (template, levels[lo : lo + size])))
     return rows, jobs
 
 
@@ -578,7 +568,8 @@ def _sweep_grid(
     # each speed gets a plan of its own, so a dt_out past the transit is
     # refused here, at the fastest speed, before any plan or pool starts
     step_counts(layout.total_length_cm, speeds, grid.dt, grid.stride)
-    evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds)
+    evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds,
+                       float(ranges.tt5[0]))
     if workers > 1:
         # imported here: the pool's modules cost a one-process run start-up time
         from concurrent.futures import ProcessPoolExecutor

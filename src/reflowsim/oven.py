@@ -40,6 +40,10 @@ class ZoneSpec:
     def __post_init__(self):
         if self.kind not in ZONE_KINDS:
             raise ValueError(f"unknown zone kind {self.kind!r}")
+        for key in ("start_cm", "end_cm"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"zone {self.name!r}: {key} must be finite, got {value}")
         if not self.end_cm > self.start_cm:
             raise ValueError(
                 f"zone {self.name!r}: end_cm ({self.end_cm}) must exceed "

@@ -474,13 +474,13 @@ class _Plateaus:
                 values[:, j, lo:hi] = profile.segments[i].evaluate(blend[:, lo:hi])
         return [FieldRows(profile, own) for profile in profiles], source, values
 
-    def integrate(self, field, levels: np.ndarray, y0, coefficients) -> np.ndarray:
+    def integrate(self, field, levels: np.ndarray, y0: float, coefficients) -> np.ndarray:
         """The RK4 samples of each model (a ``_rk4_coefficients`` set each)
         at each profile of ``field`` with each ``_level_columns`` row, at its
         speeds: models * profiles * levels * speeds rows of K + 1 columns, one
-        RK4 block; y0 is a scalar or one per row of a model.  Each profile's
-        stages are filled once, a column per sample; then each model, with
-        its coefficients as floats (faster than broadcast arrays), runs one
+        RK4 block, every row starting at y0.  Each profile's stages are
+        filled once, a column per sample; then each model, with its
+        coefficients as floats (faster than broadcast arrays), runs one
         ``_forcing_sums``, one gather of its rows and one ``_sample_scan``.
         """
         (owns, source, blend), s = field, self.stride
@@ -506,12 +506,12 @@ class _Plateaus:
         return out.reshape(-1, k_end + 1)
 
 
-def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingModel,
+def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0: float, model: WeldingModel,
                grid: SimulationGrid, belt_speeds):
     """RK4 traces of profiles that share ``template``'s segment geometry
-    (one ``_level_columns`` row and one start temperature y0 per profile)
-    at each belt speed, one RK4 block at a time: yields (profile slice,
-    speed slice, temps, lengths) per block.
+    (one ``_level_columns`` row per profile), all starting at the exterior
+    temperature y0, at each belt speed, one RK4 block at a time: yields
+    (profile slice, speed slice, temps, lengths) per block.
 
     Row i of temps is the profile slice's profile i // m at its speed
     slice's speed i % m, for the slice's m speeds.  It holds every
@@ -533,7 +533,6 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
     plan = _Plateaus(template, speeds, grid.dt, grid.stride)
     check_step(model.coefficient, grid.dt)
     coefficients = _rk4_coefficients(model.coefficient * grid.dt)
-    y0 = np.asarray(y0, dtype=float)
     rows = plan.block_rows()
     per = min(rows, len(speeds))
     for lo in range(0, len(speeds), per):
@@ -541,8 +540,7 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0, model: WeldingM
         field = plan.field(block, [template])
         for first in range(0, len(levels), rows // per):
             part = slice(first, min(first + rows // per, len(levels)))
-            temps = plan.integrate(field, levels[part], y0[part].repeat(block.stop - lo),
-                                   [coefficients])
+            temps = plan.integrate(field, levels[part], y0, [coefficients])
             yield part, block, temps, plan.lengths[block]
         del field  # free before the next block's field is computed
 

@@ -260,6 +260,14 @@ class TestOptimizeCommands:
         assert code == 0
         assert "max feasible: 80.0000" in out
 
+    def test_speed_candidates_csv_equals_the_golden(self, capsys, tmp_path):
+        # 351 speeds, 183 of them feasible, so the feasible column holds both
+        out_path = tmp_path / "speed.csv"
+        code, _, _ = run_cli(capsys, "optimize-speed", "--tt1", "165", "--tt2", "185",
+                             "--tt3", "225", "--tt4", "265", "--candidates-csv", str(out_path))
+        assert code == 0
+        assert out_path.read_bytes() == (DATA / "optimize_speed_pocket.csv").read_bytes()
+
     @pytest.mark.parametrize("command", ["optimize-area", "optimize-symmetry"])
     def test_output_interval_past_the_fastest_transit_is_refused_before_any_plan(
             self, capsys, monkeypatch, command):
@@ -362,6 +370,13 @@ class TestConfig:
         )
         assert code != 0
         assert "not valid YAML" in err
+
+    @pytest.mark.parametrize("command", ["simulate", "optimize-speed"])
+    def test_an_infinite_furnace_is_refused_naming_the_zone(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--config", str(DATA / "infinite_furnace.yaml"))
+        assert code == 2 and out == ""
+        assert "error: zone 'exit': end_cm must be finite, got inf" in err
+        assert "Traceback" not in err
 
     def test_incomplete_layout_section(self):
         with pytest.raises(ValueError, match="total_length_cm"):

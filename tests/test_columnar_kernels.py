@@ -35,7 +35,6 @@ from reflowsim.limits import (
     _time_above_terms,
     check_rows,
     metrics_rows,
-    verdict_rows,
 )
 
 from helpers import loop_above_intervals, loop_symmetry
@@ -73,10 +72,10 @@ def padded_rows(draw):
 @given(padded_rows())
 def test_columns_equal_each_rows_own_prefix(case):
     times, temps, lengths, dt = case
-    columns = metrics_rows(times, temps, dt, lengths)
+    columns = metrics_rows(times, temps, lengths)
     assert len(columns) == len(temps)
     for r, (row, n) in enumerate(zip(temps, lengths.tolist())):
-        own = metrics_rows(times[:n], row[None, :n], dt)[0]
+        own = metrics_rows(times[:n], row[None, :n])[0]
         assert columns[r] == list(columns)[r] == own
         assert own == compute_metrics(ThermalTrace(dt, 80.0, row[:n]))
 
@@ -84,9 +83,9 @@ def test_columns_equal_each_rows_own_prefix(case):
 @settings(max_examples=50, deadline=None)
 @given(padded_rows())
 def test_no_lengths_means_full_rows(case):
-    times, temps, _, dt = case
+    times, temps, _, _ = case
     full = np.full(len(temps), temps.shape[1])
-    assert list(metrics_rows(times, temps, dt)) == list(metrics_rows(times, temps, dt, full))
+    assert list(metrics_rows(times, temps)) == list(metrics_rows(times, temps, full))
 
 
 def loop_segments(xs, row, level):
@@ -128,11 +127,11 @@ def loop_rise(times, row):
 @settings(max_examples=100, deadline=None)
 @given(padded_rows())
 def test_segment_kernels_equal_the_loop(case):
-    times, temps, _, dt = case
+    times, temps, _, _ = case
     xs = times * 1.4
     terms = _time_above_terms(times, temps, 217.0)
     areas = optimize._reflow_area_rows(xs, temps)
-    rises = metrics_rows(times, temps, dt).rise_time_150_190
+    rises = metrics_rows(times, temps).rise_time_150_190
     for row, row_terms, area, rise in zip(temps, terms.tolist(), areas.tolist(), rises.tolist()):
         assert row_terms == loop_segments(times, row, 217.0)[0]
         assert area == np.sum(loop_segments(xs, row, 217.0)[1])
@@ -146,7 +145,7 @@ def test_segment_kernels_equal_the_loop(case):
 def test_bad_lengths_are_refused(lengths, message):
     temps = np.full((2, 4), 200.0)
     with pytest.raises(ValueError, match=message):
-        metrics_rows(np.arange(4) * 0.5, temps, 0.5, np.array(lengths))
+        metrics_rows(np.arange(4) * 0.5, temps, np.array(lengths))
 
 
 def bound_columns(limits):
@@ -185,22 +184,6 @@ def test_check_rows_equals_check_limits(limits):
         passed = [p + c.passed for p, c in zip(passed, verdict.checks)]
     # every limit both passes and fails somewhere
     assert all(0 < p < len(columns) for p in passed)
-
-
-@pytest.mark.parametrize("limits", [
-    ProcessLimits(),
-    ProcessLimits(slope_max=2.5, slope_min=-2.0, rise_150_190=(70.0, 70.0),
-                  time_above_217=(30.0, 100.0), peak=(235.0, 255.0)),
-], ids=["default", "custom"])
-def test_verdict_rows_equal_check_limits(limits):
-    columns = bound_columns(limits)
-    rows = list(columns)
-    verdicts = verdict_rows(rows, columns, limits)
-    assert verdicts == [check_limits(m, limits) for m in rows]
-    assert all(type(c.passed) is bool for v in verdicts for c in v.checks)
-    # a missing rise time is reported as None and fails
-    missing = [v.checks[2] for m, v in zip(rows, verdicts) if m.rise_time_150_190 is None]
-    assert missing and all(c.measured is None and c.passed is False for c in missing)
 
 
 def test_missing_rise_time_fails_its_limit():

@@ -57,7 +57,7 @@ def one_block(profile, y0, grid, speeds):
     """The rows ``rk4_blocks`` yields for one profile at the speeds, which
     fit one block: padded to the slowest row, and each row's sample
     count."""
-    [(_, _, temps, counts)] = rk4_blocks(profile, _level_columns([profile]), [y0], MODEL, grid,
+    [(_, _, temps, counts)] = rk4_blocks(profile, _level_columns([profile]), y0, MODEL, grid,
                                          speeds)
     return temps, counts
 
@@ -185,7 +185,7 @@ def yielded_rows(profiles, y0, grid, speeds):
         pairs = list(product(range(len(profiles))[part], range(len(speeds))[block]))
         assert temps.shape[0] == len(pairs)
         for row, (p, r) in enumerate(pairs):
-            params = ProcessParameters(tt5=y0[p], belt_speed=speeds[r])
+            params = ProcessParameters(tt5=y0, belt_speed=speeds[r])
             alone = simulate(profiles[p], params, MODEL, grid).temps
             assert lengths[r - block.start] == alone.size
             assert np.array_equal(temps[row, : alone.size], alone)
@@ -202,14 +202,14 @@ def test_rk4_blocks_cover_every_row_once(monkeypatch):
     profile = build_profile(LAYOUT, DEFAULT, 0.8)
     varying = plan_of(profile, grid, speeds).varying_counts()
     monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
-    rows, blocks = yielded_rows([profile], [DEFAULT.tt5], grid, speeds)
+    rows, blocks = yielded_rows([profile], DEFAULT.tt5, grid, speeds)
     assert rows == [(0, r) for r in range(13)] and blocks == [5, 5, 3]
 
     profiles = [build_profile(LAYOUT, replace(DEFAULT, tt1=140.0 + 5 * i), 0.8) for i in range(7)]
     assert len({geometry_key(p) for p in profiles}) == 1
     assert plan_of(profile, grid, [65.0]).block_rows() == 5
-    y0 = [20.0 + i for i in range(7)]
-    rows, blocks = yielded_rows(profiles, y0, grid, [65.0])
+    # an exterior temperature other than the default reaches every row
+    rows, blocks = yielded_rows(profiles, 20.0, grid, [65.0])
     assert rows == [(p, 0) for p in range(7)] and blocks == [5, 2]
 
 
@@ -221,7 +221,7 @@ def test_blocks_keep_their_rows_after_later_blocks(monkeypatch):
     profile = build_profile(LAYOUT, DEFAULT, 0.8)
     varying = plan_of(profile, grid, speeds).varying_counts()
     monkeypatch.setattr(thermal, "_BLOCK_BYTES", 5 * 8 * int(varying.max()) * (grid.stride + 1))
-    blocks = list(rk4_blocks(profile, _level_columns([profile]), [DEFAULT.tt5], MODEL, grid,
+    blocks = list(rk4_blocks(profile, _level_columns([profile]), DEFAULT.tt5, MODEL, grid,
                              speeds))
     assert len(blocks) == 3
     for _, block, temps, lengths in blocks:

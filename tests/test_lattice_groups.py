@@ -80,8 +80,7 @@ def assert_grouping(ranges, workers=1, layout=LAYOUT):
     for i, key in enumerate(keys):
         partition.setdefault(key, []).append(i)
     groups = {}
-    for idx, (template, job_rows, levels) in jobs:
-        assert job_rows == [rows[i] for i in idx]
+    for idx, (template, levels) in jobs:
         assert all(keys[i] == geometry_key(template) for i in idx)
         assert np.array_equal(levels, _level_columns([profiles[i] for i in idx]), equal_nan=True)
         groups.setdefault(id(template), []).extend(idx.tolist())
@@ -201,7 +200,7 @@ def test_each_group_is_assembled_once(monkeypatch, workers):
 
     monkeypatch.setattr(ambient, "_assemble", counted)
     _, jobs = optimize._sweep_jobs(LAYOUT, MERGED, WEIGHT, workers)
-    templates = {id(template) for _, (template, _, _) in jobs}
+    templates = {id(template) for _, (template, _) in jobs}
     assert len(calls) == len(templates) > 1
 
 

@@ -202,7 +202,11 @@ def test_sweep_report_builds_only_the_eligible_candidates(capsys, monkeypatch, c
 
 @pytest.mark.parametrize("params", [ProcessParameters(tt1=165.0, tt2=185.0, tt3=225.0,
                                                       tt4=265.0),
-                                    ProcessParameters()], ids=["pocket", "default"])
+                                    ProcessParameters(),
+                                    # never reaches 190 degC: no rise time at any speed
+                                    ProcessParameters(tt1=120.0, tt2=140.0, tt3=160.0,
+                                                      tt4=175.0)],
+                         ids=["pocket", "default", "cool"])
 def test_per_speed_reads_as_the_chain_tuple(layout, params):
     speed_range, speed_step = (70.0, 90.0), 0.5
     result = feasible_speed_interval(layout, params, WEIGHT, COEFFICIENT, speed_range,
@@ -224,6 +228,14 @@ def test_per_speed_reads_as_the_chain_tuple(layout, params):
     assert_reads_as(result.per_speed, tuple(checks))
     # a copy with other fields keeps the per-speed rows it was given
     assert replace(result, max_feasible=result.max_feasible).per_speed == tuple(checks)
+    # the verdicts pass exactly at the feasible speeds, as bools; a missing
+    # rise time reads None and fails
+    assert [c.speed for c in result.per_speed if c.verdict.passed] == feasible
+    assert all(type(c.passed) is bool for row in result.per_speed for c in row.verdict.checks)
+    missing = [row.verdict.checks[2] for row in result.per_speed
+               if row.metrics.rise_time_150_190 is None]
+    assert all(c.measured is None and c.passed is False for c in missing)
+    assert len(missing) == (len(result.per_speed) if params.tt4 == 175.0 else 0)
 
 
 def test_symmetry_columns_mark_undefined_rows_nan():

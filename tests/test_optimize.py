@@ -232,7 +232,7 @@ class TestObjectiveOrdering:
                                          np.array([False, True, True]))
         assert columns.eligible("area").tolist() == [False, True, True]
         assert columns.eligible("symmetry").tolist() == [False, False, True]
-        infeasible, no_sym, _ = columns
+        infeasible, no_sym, _ = columns.candidates(range(3))
         assert not infeasible.feasible and no_sym.symmetry is None
 
     def test_unknown_objective(self):
@@ -376,7 +376,8 @@ class TestJointSweeps:
 
         def counted(*args):
             batch = sweep_grid(*args)
-            keys = {tuple(round(x, 9) for x in c.key()) for c in batch}
+            candidates = batch.candidates(range(len(batch.feasible)))
+            keys = {tuple(round(x, 9) for x in c.key()) for c in candidates}
             added.append(len(keys - seen))
             seen.update(keys)
             return batch

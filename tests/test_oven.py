@@ -82,6 +82,18 @@ class TestZoneAndLayoutValidation:
         with pytest.raises(ValueError, match="end_cm"):
             ZoneSpec("bad", "gap", 10.0, 5.0)
 
+    @pytest.mark.parametrize("key, start, end", [
+        ("end_cm", 0.0, float("inf")),
+        ("end_cm", 0.0, float("nan")),
+        ("start_cm", float("-inf"), 10.0),
+        ("start_cm", float("nan"), 10.0),
+    ])
+    def test_zone_bounds_must_be_finite(self, key, start, end):
+        value = start if key == "start_cm" else end
+        with pytest.raises(ValueError) as info:
+            ZoneSpec("exit", "exit", start, end)
+        assert str(info.value) == f"zone 'exit': {key} must be finite, got {value}"
+
     def test_heated_zone_needs_slot(self):
         with pytest.raises(ValueError, match="setpoint slot"):
             ZoneSpec("bad", "heated", 0.0, 10.0)

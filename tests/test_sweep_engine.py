@@ -189,7 +189,7 @@ def test_vectorised_crossings_equal_the_loop(seed, dt):
     rng = np.random.default_rng(seed)
     rows = awkward_rows(rng, int(rng.integers(2, 80)))
     times = np.arange(rows.shape[1]) * dt
-    batched_metrics = metrics_rows(times, rows, dt)
+    batched_metrics = metrics_rows(times, rows)
     batched, passes = optimize._symmetry_columns(times, rows)
     for row, metrics, score, count in zip(rows, batched_metrics, batched.tolist(), passes):
         score = None if math.isnan(score) else score
