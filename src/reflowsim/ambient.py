@@ -166,13 +166,6 @@ def _check_inside(profile: AmbientProfile, arr: np.ndarray) -> None:
         )
 
 
-def _segment_index(profile: AmbientProfile, arr: np.ndarray) -> np.ndarray:
-    """Index of the segment holding each position; a domain error outside.
-    The furnace end, which no later segment starts, belongs to the last."""
-    _check_inside(profile, arr)
-    return profile._starts[1:].searchsorted(arr, side="right")
-
-
 def _level_columns(profiles) -> np.ndarray:
     """Per profile (rows) and segment, the two levels ``FieldRows.fill``
     reads: a plateau's level twice, a sigmoid's t_before and t_after, NaN on
@@ -197,7 +190,10 @@ class FieldRows:
     def __init__(self, template: AmbientProfile, x):
         x = np.asarray(x, dtype=float)
         self.shape = x.shape
-        segment = _segment_index(template, x)
+        _check_inside(template, x)
+        # each position's segment; the furnace end, which no later segment
+        # starts, belongs to the last
+        segment = template._starts[1:].searchsorted(x, side="right")
         # each position's t_before and t_after in a flat level columns row
         self._before = 2 * segment
         self._after = self._before + 1

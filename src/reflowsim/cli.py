@@ -26,6 +26,7 @@ from .config import RunConfig, load_config, merge_config
 from .limits import LimitVerdict, check_limits, compute_metrics
 from .optimize import (
     OptimizationResult,
+    _grid_size,
     feasible_speed_interval,
     inclusive_grid,
     minimize_area,
@@ -140,6 +141,8 @@ def _report_limits(cfg: RunConfig, trace, header: str) -> int:
 
 def cmd_field(args) -> int:
     cfg = _resolve_config(args)
+    # only this command builds the grid, so only it refuses a furnace too long for it
+    _grid_size(0.0, cfg.layout.total_length_cm, cfg.field_dx, "output.field_dx")
     profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
     xs = inclusive_grid(0.0, profile.total_length_cm, cfg.field_dx)
     temps = profile(np.array(xs)).tolist()

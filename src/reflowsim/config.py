@@ -79,8 +79,7 @@ class RunConfig:
                            ("sweep.speed_step", self.speed_sweep_step)):
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{key} must be positive and finite, got {value}")
-        # the grids the commands build: bounded before any of them exists
-        _grid_size(0.0, self.layout.total_length_cm, self.field_dx, "output.field_dx")
+        # the sweeps' grids: bounded before any of them exists (``field`` bounds its own)
         _grid_size(*self.ranges.belt_speed, self.speed_sweep_step, "sweep.speed_step")
         _sweep_size(self.ranges, "ranges.")
         for name in ("sweep_refine_rounds", "calibration_refine_rounds"):

@@ -130,14 +130,6 @@ def _first_crossings(times, temps, level, end_idx) -> np.ndarray:
     return out
 
 
-def _rise_times(times, temps, end_idx) -> np.ndarray:
-    """Per row, the time from the first upward crossing of 150 degC to that
-    of 190 degC, both within samples [0, end_idx[row]]; NaN where either
-    level is not reached there."""
-    return (_first_crossings(times, temps, RISE_BAND_HIGH_C, end_idx)
-            - _first_crossings(times, temps, RISE_BAND_LOW_C, end_idx))
-
-
 def _super_level_segments(temps, level):
     """The segments of each row's linear interpolant against the strict
     super-level set {T > level}: a mask of those whose two ends both lie
@@ -240,7 +232,8 @@ def metrics_rows(times, temps, lengths=None, melt=None) -> MetricColumns:
     return MetricColumns(
         max_slope,
         min_slope,
-        _rise_times(times, temps, peak_idx),
+        (_first_crossings(times, temps, RISE_BAND_HIGH_C, peak_idx)
+         - _first_crossings(times, temps, RISE_BAND_LOW_C, peak_idx)),
         duration,
         temps[np.arange(n_rows), peak_idx],
         times[peak_idx],

@@ -77,7 +77,8 @@ class OvenLayout:
             raise ValueError("layout must contain at least one zone")
         object.__setattr__(self, "zones", tuple(self.zones))
         if self.zones[0].start_cm != 0.0:
-            raise ValueError("first zone must start at 0 cm")
+            first = self.zones[0]
+            raise ValueError(f"first zone {first.name!r}: start_cm must be 0, got {first.start_cm}")
         for prev, cur in zip(self.zones, self.zones[1:]):
             if cur.start_cm != prev.end_cm:
                 raise ValueError(
@@ -86,8 +87,8 @@ class OvenLayout:
                 )
         if self.zones[-1].end_cm != self.total_length_cm:
             raise ValueError(
-                f"last zone ends at {self.zones[-1].end_cm} cm but "
-                f"total_length_cm is {self.total_length_cm}"
+                f"last zone {self.zones[-1].name!r}: end_cm ({self.zones[-1].end_cm}) must equal "
+                f"total_length_cm ({self.total_length_cm})"
             )
 
     def heated_zones(self) -> tuple[ZoneSpec, ...]:
@@ -157,6 +158,8 @@ class ParameterRanges:
                 raise ValueError(f"range for {name} must have finite bounds, got [{lo}, {hi}]")
             if lo > hi:
                 raise ValueError(f"range for {name} has lower bound above upper")
+            if name == "belt_speed" and not lo > 0:
+                raise ValueError(f"range for {name} must be positive, got [{lo}, {hi}]")
         if self.tt5[0] != self.tt5[1]:
             raise ValueError(
                 f"range for tt5 must be a single value, got [{self.tt5[0]}, {self.tt5[1]}]: "
@@ -168,9 +171,6 @@ class ParameterRanges:
                 raise ValueError(
                     f"enumeration steps must be positive and finite, got {name}={value}"
                 )
-
-    def interval(self, name: str) -> tuple[float, float]:
-        return getattr(self, name)
 
 
 @dataclass(frozen=True)
@@ -224,7 +224,7 @@ def validate_parameters(
     report = []
     for slot in _FIELDS:
         value = getattr(params, slot)
-        lo, hi = ranges.interval(slot)
+        lo, hi = getattr(ranges, slot)
         if not (lo <= value <= hi):
             report.append(RangeViolation(slot, value, lo, hi))
     return report

@@ -34,8 +34,10 @@ its stage positions and a field per profile once, for profiles that differ
 only in their cooling blends' weights, and integrates a sequence of welding
 models as one RK4 block.  ``simulate`` (one model, one profile), each round
 of the coefficient fit (many models, one profile) and the blend fit (one
-model, many profiles) all run through it.  The test suite judges this
-module against independent oracles of its own: a textbook RK4 loop and a
+model, many profiles) all run through it.  Every welding model enters the
+kernel at ``_Plateaus.integrate``, which checks its step (``check_step``)
+and builds its ``_rk4_coefficients``.  The test suite judges this module
+against independent oracles of its own: a textbook RK4 loop and a
 forward-Euler loop, both on a field evaluated segment by segment.
 """
 
@@ -43,6 +45,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -474,20 +477,23 @@ class _Plateaus:
                 values[:, j, lo:hi] = profile.segments[i].evaluate(blend[:, lo:hi])
         return [FieldRows(profile, own) for profile in profiles], source, values
 
-    def integrate(self, field, levels: np.ndarray, y0: float, coefficients) -> np.ndarray:
-        """The RK4 samples of each model (a ``_rk4_coefficients`` set each)
-        at each profile of ``field`` with each ``_level_columns`` row, at its
-        speeds: models * profiles * levels * speeds rows of K + 1 columns, one
-        RK4 block, every row starting at y0.  Each profile's stages are
+    def integrate(self, field, levels: np.ndarray, y0: float, models) -> np.ndarray:
+        """The RK4 samples of each ``WeldingModel`` at each profile of
+        ``field`` with each ``_level_columns`` row, at its speeds: models *
+        profiles * levels * speeds rows of K + 1 columns, one RK4 block,
+        every row starting at y0.  Every model's step is checked
+        (``check_step``) before any is integrated.  Each profile's stages are
         filled once, a column per sample; then each model, with its
-        coefficients as floats (faster than broadcast arrays), runs one
-        ``_forcing_sums``, one gather of its rows and one ``_sample_scan``.
+        ``_rk4_coefficients`` as floats (faster than broadcast arrays), runs
+        one ``_forcing_sums``, one gather of its rows and one ``_sample_scan``.
         """
+        for model in models:
+            check_step(model.coefficient, self.dt)
         (owns, source, blend), s = field, self.stride
-        models, profiles, rows, m = len(coefficients), len(owns), len(levels), owns[0].shape[1]
+        profiles, rows, m = len(owns), len(levels), owns[0].shape[1]
         speeds, k_end = source.shape
         width = profiles * rows * m
-        stages = np.empty((models, 2 * s + 1, width + profiles * blend.shape[2]))
+        stages = np.empty((len(models), 2 * s + 1, width + profiles * blend.shape[2]))
         fill = stages[0, :, :width].reshape(2 * s + 1, profiles, rows, m)
         for p, own in enumerate(owns):
             own.fill(levels, fill[:, p].swapaxes(0, 1))
@@ -495,8 +501,9 @@ class _Plateaus:
         stages[1:] = stages[0]  # _forcing_sums overwrites the stages: a copy per model
         forcing = np.empty((s + 1, stages.shape[2]))
         table = np.empty((profiles, rows, m + blend.shape[2]))
-        out = np.empty((models, profiles * rows * speeds, k_end + 1))
-        for st, block, rk4 in zip(stages, out, coefficients):
+        out = np.empty((len(models), profiles * rows * speeds, k_end + 1))
+        for st, block, model in zip(stages, out, models):
+            rk4 = _rk4_coefficients(model.coefficient * self.dt)
             sums = _forcing_sums(st[: s + 1].T, st[s + 1 :].T, rk4, s,
                                  forcing[:s].T, forcing[s:].T)[:, 0]
             table[..., :m] = sums[:width].reshape(profiles, rows, m)
@@ -523,16 +530,15 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0: float, model: W
     ``_Plateaus``).
 
     Blocks hold ``_Plateaus.block_rows`` rows, which bounds the memory of
-    one block; one row is one block.  They run over the
-    speeds of one profile when the speeds outnumber a block's rows, and
-    over profiles at every speed otherwise.  Each block of speeds computes
-    its field once, for all its profiles.  Every block's arrays are its
-    own: a later block leaves the temps of an earlier one as they were.
+    one block; one row is one block.  They run over the speeds of one
+    profile when the speeds outnumber a block's rows, and over profiles at
+    every speed otherwise.  Each block of speeds computes its field once,
+    for all its profiles.  Every block's arrays are its own: a later block
+    leaves the temps of an earlier one as they were.  The first block's
+    ``_Plateaus.integrate`` checks the model's step (``check_step``).
     """
     speeds = np.array(belt_speeds, dtype=float, ndmin=1)
     plan = _Plateaus(template, speeds, grid.dt, grid.stride)
-    check_step(model.coefficient, grid.dt)
-    coefficients = _rk4_coefficients(model.coefficient * grid.dt)
     rows = plan.block_rows()
     per = min(rows, len(speeds))
     for lo in range(0, len(speeds), per):
@@ -540,7 +546,7 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0: float, model: W
         field = plan.field(block, [template])
         for first in range(0, len(levels), rows // per):
             part = slice(first, min(first + rows // per, len(levels)))
-            temps = plan.integrate(field, levels[part], y0, [coefficients])
+            temps = plan.integrate(field, levels[part], y0, [model])
             yield part, block, temps, plan.lengths[block]
         del field  # free before the next block's field is computed
 
@@ -563,23 +569,15 @@ def simulator(profiles, params: ProcessParameters, grid: SimulationGrid):
     temperature and each profile's field do not depend on the coefficient,
     so they are built once, here (``_Plateaus.field``), and profiles that
     differ off the blend, or a grid error, are refused here, before any
-    model runs.  A model is refused when it runs: each call checks every
-    step (``check_step``) before it integrates one block.
+    model runs.  The function, ``_Plateaus.integrate`` on them, checks
+    every model's step (``check_step``) before it integrates.
     """
     template = profiles[0]
     if any(_unweighted(p) != _unweighted(template) for p in profiles[1:]):
         raise ValueError("profiles must differ only in the weights of their cooling blends")
     plan = _Plateaus(template, np.array([params.belt_speed], dtype=float), grid.dt, grid.stride)
-    field = plan.field(slice(0, 1), profiles)
-    levels = _level_columns([template])
-
-    def run(models) -> np.ndarray:
-        for model in models:
-            check_step(model.coefficient, grid.dt)
-        return plan.integrate(field, levels, params.tt5,
-                              [_rk4_coefficients(model.coefficient * grid.dt) for model in models])
-
-    return run
+    return partial(plan.integrate, plan.field(slice(0, 1), profiles), _level_columns([template]),
+                   params.tt5)
 
 
 def simulate(

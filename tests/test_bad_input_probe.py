@@ -1,10 +1,11 @@
-"""Every flag and every configuration key, fed each of a table of bad values.
+"""Every flag and every configuration key, and each key of three
+``oven.zones`` entries, fed each of a table of bad values.
 
 Each run must exit 0 or 2 without raising.  A refusal (2) prints nothing on
-stdout and names the key (or its flag) on stderr; a finished run (0) prints
-no NaN or infinity, except the value given where the output echoes it (a
-file name, or a limit's bound in the verdict table: a limit may be
-infinite).  Sweeps run on single-point ranges, so each run takes
+stdout and names the key (or its flag, or its zone) on stderr; a finished
+run (0) prints no NaN or infinity, except the value given where the output
+echoes it (a file name, or a limit's bound in the verdict table: a limit may
+be infinite).  Sweeps run on single-point ranges, so each run takes
 milliseconds, and no process pool starts: a recorder takes the pool's place
 and checks that the workers asked for are at most the cores.
 """
@@ -13,7 +14,7 @@ import argparse
 import concurrent.futures
 import os
 import re
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import product
 
 import pytest
@@ -21,6 +22,7 @@ import yaml
 
 from reflowsim.config import _RUN_FIELDS, SECTIONS, RunConfig
 from reflowsim.cli import FLAG_KEYS, build_parser, main
+from reflowsim.oven import ZoneSpec, default_layout
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "5e-324", "text"]
 
@@ -44,6 +46,10 @@ def _config_keys():
 
 
 CONFIG_KEYS = _config_keys()
+
+# The default furnace's zones as config entries, and the key types of one
+ZONES = [asdict(zone) for zone in default_layout().zones]
+ZONE_KEYS = {f.name: f.type for f in fields(ZoneSpec)}
 
 
 def _commands(section: str, key: str) -> list[list[str]]:
@@ -168,3 +174,25 @@ def test_config_key(capsys, monkeypatch, workdir, section, key):
 @pytest.mark.parametrize("dest", list(FLAG_KEYS))
 def test_flag(capsys, monkeypatch, workdir, dest):
     _probe(capsys, monkeypatch, workdir, *FLAG_KEYS[dest], dest)
+
+
+# the first zone, a heated zone and the last zone
+@pytest.mark.parametrize("index", [0, 1, len(ZONES) - 1])
+@pytest.mark.parametrize("key", list(ZONE_KEYS))
+def test_zone_key(capsys, monkeypatch, workdir, index, key):
+    """A key of one ``oven.zones`` entry of the default furnace: a refusal
+    names the key or the zone."""
+    monkeypatch.chdir(workdir)
+    problems = []
+    for token in BAD_VALUES:
+        zones = [dict(zone) for zone in ZONES]
+        zones[index][key] = _yaml_value(token, ZONE_KEYS[key])
+        data = {"ranges": dict(POINT_RANGES),
+                "oven": {"total_length_cm": default_layout().total_length_cm, "zones": zones}}
+        (workdir / "probe.yaml").write_text(yaml.safe_dump(data))
+        code, out, err = _run(capsys, ["simulate", "--config", "probe.yaml"])
+        problem = _check(code, out, err, [key, repr(ZONES[index]["name"])], token,
+                         echoed=False)
+        if problem:
+            problems.append(f"zones[{index}].{key} {token}: {problem}")
+    assert not problems, "\n".join(problems)

@@ -378,6 +378,26 @@ class TestConfig:
         assert "error: zone 'exit': end_cm must be finite, got inf" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "optimize-speed", "optimize-area"])
+    def test_a_huge_furnace_is_refused_for_its_step_count(self, capsys, command):
+        # only field builds the field-dump grid, so only field names output.field_dx
+        code, out, err = run_cli(capsys, command, "--config", str(DATA / "huge_furnace.yaml"))
+        assert code == 2 and out == ""
+        assert "error: dt = 0.1 s needs inf integration steps to cross the furnace" in err
+        assert "output.field_dx" not in err
+
+    def test_a_huge_furnace_is_checked_and_refused_by_field(self, capsys, tmp_path):
+        config = str(DATA / "huge_furnace.yaml")
+        trace = str(tmp_path / "t.csv")
+        assert run_cli(capsys, "simulate", "--out", trace)[0] == 0
+        code, out, _ = run_cli(capsys, "check", trace, "--config", config)
+        assert code == 0 and out.startswith(f"checked {trace}")
+        code, out, err = run_cli(capsys, "field", "--config", config,
+                                 "--out", str(tmp_path / "f.csv"))
+        assert (code, out) == (2, "")
+        assert "output.field_dx = 0.1 makes inf grid values over [0, 1e+308]" in err
+        assert not (tmp_path / "f.csv").exists()
+
     def test_incomplete_layout_section(self):
         with pytest.raises(ValueError, match="total_length_cm"):
             config_from_dict({"oven": {"zones": []}})

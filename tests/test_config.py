@@ -205,6 +205,9 @@ class TestSteps:
          "range for tt1 must have finite bounds, got [nan, 185.0]"),
         (["optimize-symmetry"], "ranges: {belt_speed: [-.inf, 100]}",
          "range for belt_speed must have finite bounds, got [-inf, 100.0]"),
+        *((command, "ranges: {belt_speed: [0, 100]}",
+           "range for belt_speed must be positive, got [0.0, 100.0]")
+          for command in (["simulate"], ["optimize-speed"], ["optimize-area"])),
         (["optimize-speed"], "ranges: {tt5: [25, .nan]}",
          "range for tt5 must have finite bounds, got [25.0, nan]"),
         (["optimize-area"], "ranges: {tt5: [20, 30]}",

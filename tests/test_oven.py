@@ -153,6 +153,14 @@ class TestValidateParameters:
             f"range for tt5 must be a single value, got [{bounds[0]}, {bounds[1]}]")
         assert ParameterRanges(tt5=(30.0, 30.0)).tt5 == (30.0, 30.0)
 
+    @pytest.mark.parametrize("bounds", [(0.0, 100.0), (-5.0, 0.0), (-1.0, 70.0)])
+    def test_ranges_refuse_a_belt_speed_bound_not_above_zero(self, bounds):
+        with pytest.raises(ValueError) as info:
+            ParameterRanges(belt_speed=bounds)
+        assert str(info.value) == (
+            f"range for belt_speed must be positive, got [{bounds[0]}, {bounds[1]}]")
+        assert ParameterRanges(belt_speed=(1e-300, 70.0)).belt_speed == (1e-300, 70.0)
+
     @pytest.mark.parametrize("bounds, shown", [
         ((165.0, float("inf")), "[165.0, inf]"),
         ((float("nan"), 185.0), "[nan, 185.0]"),

@@ -154,7 +154,7 @@ class TestMaximumPrinciple:
     )
     def test_trace_stays_within_the_ambient_range(self, layout, setpoints, speed, e, stride):
         ranges = ParameterRanges()
-        levels = [inclusive_grid(*ranges.interval(slot), ranges.temp_step)
+        levels = [inclusive_grid(*getattr(ranges, slot), ranges.temp_step)
                   for slot in ("tt1", "tt2", "tt3", "tt4")]
         tt = [lv[i] for lv, i in zip(levels, setpoints)]
         params = ProcessParameters(*tt, belt_speed=speed)
