@@ -205,9 +205,10 @@ def metrics_rows(times, temps, lengths=None, melt=None) -> MetricColumns:
     values and changes nothing.  Each row's values equal a one-row call on
     its own samples, bit for bit: the extremes see -inf or +inf in the
     padding, and the time above 217 degC sums each row's own terms (see
-    ``_prefix_sums``).  Without lengths there is no padding, and the
-    extremes and sums run on the rows as they are.  Slopes are forward
-    differences at the sample interval times[1] - times[0].  The rise time
+    ``_prefix_sums``).  Where every row fills temps (always without
+    lengths) there is no padding, and the extremes and sums run on the rows
+    as they are.  Slopes are forward differences at the sample interval
+    times[1] - times[0].  The rise time
     is measured on the rising pass only: first upward crossings of 150 degC
     and 190 degC at or before the peak.  melt is
     ``_super_level_segments(temps, MELT_C)`` when the caller has it.
@@ -220,7 +221,7 @@ def metrics_rows(times, temps, lengths=None, melt=None) -> MetricColumns:
         raise ValueError(f"row lengths exceed the {width} columns of temps")
     dt = times[1] - times[0]
     above = _time_above_terms(times, temps, MELT_C, melt)
-    if lengths is None:
+    if (counts == width).all():
         max_slope, min_slope = _slope_extremes(temps, dt)
         peak_idx = np.argmax(temps, axis=1)
         duration = np.sum(above, axis=1)

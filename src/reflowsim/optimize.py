@@ -10,32 +10,26 @@ Three strategies over simulated traces:
 * the same joint sweep minimizing the asymmetry of the above-217 pass, with
   reflow area as tie-breaker.
 
-Both kinds of sweep take their traces from one generator,
-``thermal.rk4_blocks``, which runs the plateau-compacted RK4 kernel in
-blocks of rows: field, forcing and Horner sums only for the samples that
-touch a sigmoid, the cooling blend or a segment join, and each plateau
-sample from its level's Horner sum.  Here each block is only measured, as
-it is yielded: metrics (one array per metric) and limit pass masks, and in
-the joint sweeps reflow area and symmetry, once on its samples.
-
-The joint sweeps enumerate the setpoint lattice as one array and group its
-rows by the segment geometry of their ambient profiles, with one template
-profile per group; at each belt speed, a group's rows are the profiles of
-the generator's blocks.  Rows never mix, so each candidate equals the one the
-per-candidate chain (build_profile, simulate, compute_metrics,
-check_limits, reflow_area, symmetry_score) builds, bit for bit; the scalar
-functions are the one-row cases of the same kernels.  Reductions use total
-deterministic orderings, so results do not depend on evaluation order or
-on the worker count.
-
-The speed sweep evaluates its one profile at every grid speed: the
-generator's blocks are padded rows of speeds, each measured over its own
-samples.  Padding only follows a row's end and the recursion is causal, so
-each SpeedCheck equals the one the per-speed chain (build_profile,
-simulate, compute_metrics, check_limits) builds, bit for bit.
+All three run one evaluator, ``_evaluate_group``: per job of profiles that
+share one segment geometry (defined in the ``ambient`` module docstring),
+one ``thermal.rk4_blocks`` call over every speed runs the plateau-compacted
+RK4 kernel in blocks of rows, and each block is measured as it is yielded,
+each row over its own samples: metrics, and in the joint sweeps reflow area
+and symmetry, on one crossing of the melting line; one ``check_rows`` call
+on the job's metric columns gives the limit pass masks.  The joint sweeps
+group the setpoint lattice, one array, by the geometry of its profiles, one
+job per group (or per piece of one, with a pool); the speed sweep is the
+job of its one profile, without area and symmetry.  Padding only follows a
+row's end, the recursion is causal and rows never mix, so each candidate
+equals the one the per-candidate chain (build_profile, simulate,
+compute_metrics, check_limits, reflow_area, symmetry_score) builds, bit for
+bit, and each SpeedCheck the one its first four build; the scalar functions
+are the one-row cases of the same kernels.  Reductions use total
+deterministic orderings, so results do not depend on evaluation order or on
+the worker count.
 
 Both kinds of sweep keep what they measure as columns (``_SweepColumns``
-for the joint sweeps, ``MetricColumns`` per block for the speed sweep) and
+for the joint sweeps, ``MetricColumns`` for the speed sweep) and
 build objects only where a caller reads them.  A joint sweep de-duplicates
 its candidates on the rounded grid values of each axis (``_new_points``),
 counts feasible ones from the pass mask, and builds SweepCandidates only for
@@ -104,7 +98,7 @@ def _grid_size(lo: float, hi: float, step: float, key: str = "step") -> int:
     if not step > 0:  # also refuses NaN
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
-        raise ValueError("grid upper bound below lower bound")
+        raise ValueError(f"grid upper bound below lower bound, got [{lo:g}, {hi:g}]")
     n = float(np.floor((hi - lo) / step + 1e-9))
     # hi is a value of its own unless the last step lands within 1e-9 of it
     size = n + 1 + (abs(round(lo + n * step, 9) - hi) > 1e-9) if n < 2**53 else n + 1
@@ -137,10 +131,11 @@ def _sweep_size(ranges: ParameterRanges, prefix: str = "") -> int:
     return combos * speeds
 
 
-def _melt_passes(times, temps, melt=None):
+def _melt_passes(times, temps, lengths=None, melt=None):
     """Per row: the number of maximal intervals where the linear interpolant
     strictly exceeds 217 degC, and the first start and last end among them.
 
+    Row r is read over its first lengths[r] samples (all without lengths).
     Crossing endpoints are interpolated; intervals that touch at a single
     point (the trace grazing the level from above) count as one.  melt is
     ``_super_level_segments(temps, MELT_C)`` when the caller has it.  A
@@ -148,39 +143,44 @@ def _melt_passes(times, temps, melt=None):
     crossing and one if it starts above, less its touching pairs.
     """
     level = MELT_C
+    n, width = temps.shape
+    last = np.full(n, width - 1) if lengths is None else np.asarray(lengths) - 1
     _, (r, c) = melt if melt is not None else _super_level_segments(temps, level)
+    if (last < width - 1).any():  # drop the crossings past a row's own end
+        own = c < last[r]
+        r, c = r[own], c[own]
     # negating both factors of the ratio is exact, so downward crossings
     # round as (y0 - level) / (y0 - y1) would
     at = crossing_time(times[c], times[c + 1], temps[r, c], temps[r, c + 1], level)
     up = temps[r, c + 1] > level
     first_in = temps[:, 0] > level
-    last_in = temps[:, -1] > level
+    last_in = temps[np.arange(n), last] > level
     # a downward crossing, then an upward one within 1e-9 s
     touching = (r[1:] == r[:-1]) & up[1:] & (at[1:] - at[:-1] <= 1e-9)
-    n = len(temps)
     passes = np.bincount(r[up], minlength=n) + first_in - np.bincount(r[1:][touching], minlength=n)
     if r.size == 0:  # every row lies above the level throughout or nowhere
-        return passes, np.full(n, times[0]), np.full(n, times[-1])
+        return passes, np.full(n, times[0]), times[last]
     # each row's crossings are at[edges[i]:edges[i + 1]]; a row without any
     # reads a neighbour's, which its own ends replace or nothing reads
     edges = np.searchsorted(r, np.arange(n + 1))
     starts = np.where(first_in, times[0], at[np.minimum(edges[:-1], r.size - 1)])
-    return passes, starts, np.where(last_in, times[-1], at[edges[1:] - 1])
+    return passes, starts, np.where(last_in, times[last], at[edges[1:] - 1])
 
 
-def _reflow_area_rows(xs, temps, melt=None) -> np.ndarray:
-    """Per row, the area between the interpolant over xs and the melting
-    line where the row exceeds it; melt as for ``_melt_passes``."""
-    h = np.diff(xs)
+def _reflow_area_rows(xs, temps, lengths=None, melt=None) -> np.ndarray:
+    """Per row, the area between the interpolant over xs (one row, or one
+    per row of temps) and the melting line where the row exceeds it, summed
+    over the row's own segments; lengths and melt as for ``_melt_passes``."""
+    h = np.diff(np.atleast_2d(xs))
     y = temps - MELT_C
     inside, (r, c) = melt if melt is not None else _super_level_segments(temps, MELT_C)
     area = y[:, :-1] + y[:, 1:]
     area *= 0.5 * h
     area[~inside] = 0.0
     # the few segments that cross the line hold a triangle
-    a, b, w = y[r, c], y[r, c + 1], 0.5 * h[c]
+    a, b, w = y[r, c], y[r, c + 1], 0.5 * h[r % len(h), c]
     area[r, c] = np.where(b > 0, w * b * b / (b - a), w * a * a / -(b - a))
-    return np.sum(area, axis=1)
+    return np.sum(area, axis=1) if lengths is None else _prefix_sums(area, np.asarray(lengths) - 1)
 
 
 def _area_axis(domain: str, times, positions):
@@ -191,17 +191,18 @@ def _area_axis(domain: str, times, positions):
     raise ValueError(f"domain must be 'position' or 'time', got {domain!r}")
 
 
-def _interp_rows(x, times, temps) -> np.ndarray:
-    """``np.interp(x[r], times, temps[r])`` for every row r, bit for bit.
+def _interp_rows(x, times, temps, counts=None) -> np.ndarray:
+    """``np.interp(x[r], times[:n], temps[r, :n])`` for every row r, with
+    n = counts[r] (all of times without counts), bit for bit.
 
     The bracketing sample j (times[j] <= x < times[j+1]) comes from one
     ``searchsorted``, then np.interp's own formula applies: a query on a
-    sample, at or past the last one or before the first returns that
+    sample, at or past the row's last one or before the first returns that
     sample, any other slope * (x - times[j]) + temps[j].  (np.interp's
     fallback for a NaN result needs non-finite samples.)
     """
     j = np.searchsorted(times, x, side="right") - 1
-    last = len(times) - 1
+    last = len(times) - 1 if counts is None else np.asarray(counts)[:, None] - 1
     rows = np.arange(len(temps))[:, None]
     on_sample = np.clip(j, 0, last)
     lo = np.minimum(on_sample, last - 1)
@@ -210,16 +211,17 @@ def _interp_rows(x, times, temps) -> np.ndarray:
     return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
 
 
-def _symmetry_columns(times, temps, melt=None):
+def _symmetry_columns(times, temps, lengths=None, melt=None):
     """Per row, the symmetry score (NaN unless the row has exactly one
-    above-217 pass) and the number of passes; melt as for ``_melt_passes``.
+    above-217 pass) and the number of passes; lengths and melt as for
+    ``_melt_passes``.
 
     The k offset pairs of all rows with one pass are interpolated at once,
     in a rows x max(k) array; each row's squares are summed over its own k
     columns, as ``symmetry_score`` sums them.  A k above _MAX_GRID is
     refused before that array exists.
     """
-    passes, t1s, t2s = _melt_passes(times, temps, melt)
+    passes, t1s, t2s = _melt_passes(times, temps, lengths, melt)
     one = np.flatnonzero(passes == 1)
     t1, t2 = t1s[one], t2s[one]
     center = (0.5 * (t1 + t2))[:, None]
@@ -229,8 +231,9 @@ def _symmetry_columns(times, temps, melt=None):
                          f"the limit is {_MAX_GRID}")
     k = k.astype(np.int64)
     offsets = (np.arange(k.max(initial=0)) + 1) * DEFAULT_OFFSET_STEP
-    left = _interp_rows(center - offsets, times, temps[one])
-    right = _interp_rows(center + offsets, times, temps[one])
+    counts = None if lengths is None else np.asarray(lengths)[one]
+    left = _interp_rows(center - offsets, times, temps[one], counts)
+    right = _interp_rows(center + offsets, times, temps[one], counts)
     scores = np.full(len(temps), np.nan)
     scores[one] = _prefix_sums((left - right) ** 2, k)
     return scores, passes
@@ -362,26 +365,19 @@ def feasible_speed_interval(
 
     params.belt_speed is ignored; each grid speed is simulated, measured and
     checked against the limits.  An empty feasible set is a valid result.
-    Speeds go through ``thermal.rk4_blocks`` in RK4 blocks of
-    ``_Plateaus.block_rows`` rows, each in arrays of its own.  Each block's
-    samples are as wide as its longest row; the metrics and the limit masks
-    run on them once per block, each row over its own samples, into one
-    column per metric.  The feasible speeds come from the limit masks; the
-    SpeedChecks are built from the columns when per_speed is first read.
+    It is the one-profile case of the joint sweeps' ``_evaluate_group``,
+    without area and symmetry; the SpeedChecks are built from its columns
+    when per_speed is first read.
     """
     grid = grid if grid is not None else SimulationGrid()
     limits = limits if limits is not None else ProcessLimits()
     profile = build_profile(layout, params, weight)
     model = WeldingModel(coefficient)
     speeds = inclusive_grid(speed_range[0], speed_range[1], speed_step)
-    values = np.empty((len(_METRICS), len(speeds)))
-    for _, block, temps, lengths in rk4_blocks(profile, _level_columns([profile]), params.tt5,
-                                               model, grid, speeds):
-        times = np.arange(temps.shape[1]) * grid.dt_out
-        metrics = metrics_rows(times, temps, lengths)
-        values[:, block] = [getattr(metrics, name) for name in _METRICS]
-    metrics = MetricColumns(*values)
-    feasible = tuple(compress(speeds, check_rows(metrics, limits).all(axis=0).tolist()))
+    values, passed = _evaluate_group(model, grid, limits, None, speeds, params.tt5,
+                                     (profile, _level_columns([profile])))
+    metrics = MetricColumns(*values[:, 0])
+    feasible = tuple(compress(speeds, passed[0].tolist()))
     return SpeedSweepResult(feasible, feasible[-1] if feasible else None, _LazyTuple(
         len(speeds), lambda: [SpeedCheck(v, m, check_limits(m, limits))
                               for v, m in zip(speeds, metrics)]))
@@ -461,37 +457,36 @@ def _evaluate_group(
     model: WeldingModel,
     grid: SimulationGrid,
     limits: ProcessLimits,
-    area_domain: str,
-    speeds: tuple[float, ...],
+    area_domain: str | None,
+    speeds: Sequence[float],
     tt5: float,
     job: tuple,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Evaluate a job of setpoint rows whose profiles share one segment
-    geometry (defined in the ``ambient`` module docstring) at every sweep
-    speed: (template profile, the rows' ``_level_columns``), every row
-    starting at the exterior temperature tt5.  Returns the ``_SweepColumns``
-    values and the feasible mask of the rows x speeds, with the rows and
-    speeds in order.  Top-level so process pools can pickle it.
-
-    At each speed, ``thermal.rk4_blocks`` lays out the samples once and
-    yields the rows in RK4 blocks of ``_Plateaus.block_rows`` rows.
-    Metrics, limit checks, reflow area and symmetry run once per RK4 block,
-    on one crossing of the melting line.
+    geometry at every sweep speed: (template profile, the rows'
+    ``_level_columns``), every row starting at the exterior temperature
+    tt5, in one ``thermal.rk4_blocks`` call.  Returns the ``_SweepColumns``
+    values (without area and symmetry when area_domain is None) and the
+    feasible mask of the rows x speeds, with the rows and speeds in order.
+    Top-level so process pools can pickle it.
     """
     template, levels = job
-    values = np.empty((len(_METRICS) + 2, len(levels), len(speeds)))
-    feasible = np.empty((len(levels), len(speeds)), dtype=bool)
-    for at, speed in enumerate(speeds):
-        for part, _, temps, _ in rk4_blocks(template, levels, tt5, model, grid, [speed]):
-            times = np.arange(temps.shape[1]) * grid.dt_out
-            xs = _area_axis(area_domain, times, cm_per_second(speed) * times)
-            melt = _super_level_segments(temps, MELT_C)
-            metrics = metrics_rows(times, temps, None, melt)
-            feasible[part, at] = check_rows(metrics, limits).all(axis=0)
-            values[:, part, at] = [*(getattr(metrics, name) for name in _METRICS),
-                                   _reflow_area_rows(xs, temps, melt),
-                                   _symmetry_columns(times, temps, melt)[0]]
-    return values, feasible
+    rates = cm_per_second(np.array(speeds))
+    values = np.empty((len(_METRICS) + 2 * (area_domain is not None), len(levels), len(speeds)))
+    for part, block, temps, lengths in rk4_blocks(template, levels, tt5, model, grid, speeds):
+        times = np.arange(temps.shape[1]) * grid.dt_out
+        shape = (part.stop - part.start, len(lengths))  # rows are profile-major
+        # only a block of one profile's speeds holds padding, a length per row
+        lengths = lengths if lengths.min() < temps.shape[1] else None
+        melt = _super_level_segments(temps, MELT_C)
+        metrics = metrics_rows(times, temps, lengths, melt)
+        columns = [getattr(metrics, name) for name in _METRICS]
+        if area_domain is not None:
+            xs = _area_axis(area_domain, times, rates[block, None] * times)
+            columns += [_reflow_area_rows(xs, temps, lengths, melt),
+                        _symmetry_columns(times, temps, lengths, melt)[0]]
+        values[:, part, block] = np.reshape(columns, (len(columns), *shape))
+    return values, check_rows(MetricColumns(*values[: len(_METRICS)]), limits).all(axis=0)
 
 
 def _grids(ranges: ParameterRanges) -> list[list[float]]:
@@ -565,8 +560,8 @@ def _sweep_grid(
     check_step(coefficient, grid.dt)
     rows, jobs = _sweep_jobs(layout, ranges, weight, workers)
     speeds = tuple(inclusive_grid(*ranges.belt_speed, ranges.speed_step))
-    # each speed gets a plan of its own, so a dt_out past the transit is
-    # refused here, at the fastest speed, before any plan or pool starts
+    # a dt_out past the transit at the fastest speed is refused here, before
+    # any job's plan or the pool starts
     step_counts(layout.total_length_cm, speeds, grid.dt, grid.stride)
     evaluate = partial(_evaluate_group, model, grid, limits, area_domain, speeds,
                        float(ranges.tt5[0]))

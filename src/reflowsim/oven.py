@@ -157,7 +157,7 @@ class ParameterRanges:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise ValueError(f"range for {name} must have finite bounds, got [{lo}, {hi}]")
             if lo > hi:
-                raise ValueError(f"range for {name} has lower bound above upper")
+                raise ValueError(f"range for {name} has lower bound above upper, got [{lo}, {hi}]")
             if name == "belt_speed" and not lo > 0:
                 raise ValueError(f"range for {name} must be positive, got [{lo}, {hi}]")
         if self.tt5[0] != self.tt5[1]:

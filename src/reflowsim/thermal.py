@@ -26,10 +26,10 @@ blend or a segment join; a sample inside a plateau takes its level's sum,
 computed by the same operations, so every value is bit-identical to the
 recursion on the field at every node and midpoint.  One generator,
 ``rk4_blocks``, runs it in RK4 blocks of rows, each in arrays of its own
-and with as many rows as ``_BLOCK_BYTES`` allows, for both sweeps: one
-profile at many speeds (the speed sweep) and the profiles of one segment
-geometry at one speed (the joint sweep).  One profile at one speed is one
-row, and ``simulator`` is the one single-speed path: it builds the plan,
+and with as many rows as ``_BLOCK_BYTES`` allows, on one plan: one
+profile at many speeds (the speed sweep, a joint-sweep group of one row)
+and the profiles of one segment geometry at one speed (the joint sweep's
+other groups).  One profile at one speed is one row, and ``simulator`` is the one single-speed path: it builds the plan,
 its stage positions and a field per profile once, for profiles that differ
 only in their cooling blends' weights, and integrates a sequence of welding
 models as one RK4 block.  ``simulate`` (one model, one profile), each round
@@ -415,19 +415,19 @@ class _Plateaus:
             codes.append(_OWN)
         self.codes = np.array(codes)
 
-    def varying_counts(self) -> np.ndarray:
-        """Per row, the samples that need their own field when every row is
-        padded to the slowest; a block pads to its own slowest, so its rows
-        need no more."""
-        return _runs(self.reach, self.k_end)[:, self.codes < 0].sum(axis=1)
+    def varying_counts(self, speeds: slice = slice(None)) -> np.ndarray:
+        """Per row at the speeds, the samples that need their own field in a
+        block of those speeds, padded to the slowest of them."""
+        k_end = int(self.lengths[speeds].max()) - 1
+        return _runs(self.reach[speeds], k_end)[:, self.codes < 0].sum(axis=1)
 
-    def block_rows(self) -> int:
-        """Output rows per RK4 block: as many as keep a block's largest array
-        per stage within _BLOCK_BYTES, at least one.  That array is the
-        nodes of a row's varying samples (s + 1 per sample) or its samples,
-        at the row that needs the most."""
-        s, varying = self.stride, int(self.varying_counts().max())
-        return max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), self.k_end + 1)))
+    def block_rows(self, speeds: slice = slice(None)) -> int:
+        """Output rows per RK4 block over the speeds: as many as keep a
+        block's largest array per stage within _BLOCK_BYTES, at least one.
+        That array is the nodes of a row's varying samples (s + 1 per
+        sample) or its samples, at the row that needs the most."""
+        s, varying = self.stride, int(self.varying_counts(speeds).max())
+        return max(1, _BLOCK_BYTES // (8 * max(varying * (s + 1), int(self.lengths[speeds].max()))))
 
     def field(self, speeds: slice, profiles) -> list:
         """For the rows of a block of speeds, one field per profile of
@@ -530,22 +530,26 @@ def rk4_blocks(template: AmbientProfile, levels: np.ndarray, y0: float, model: W
     ``_Plateaus``).
 
     Blocks hold ``_Plateaus.block_rows`` rows, which bounds the memory of
-    one block; one row is one block.  They run over the speeds of one
-    profile when the speeds outnumber a block's rows, and over profiles at
-    every speed otherwise.  Each block of speeds computes its field once,
-    for all its profiles.  Every block's arrays are its own: a later block
-    leaves the temps of an earlier one as they were.  The first block's
-    ``_Plateaus.integrate`` checks the model's step (``check_step``).
+    one block; one row is one block.  One profile runs in blocks of speeds,
+    more in blocks of profiles at one speed: the shape depends on the
+    profile count alone, and only blocks of speeds hold padding.  One plan
+    serves every block, and each speed slice computes its field once.  Every
+    block's arrays are its own: a later block leaves the temps of an earlier
+    one as they were.  The first block's ``_Plateaus.integrate`` checks the
+    model's step (``check_step``).
     """
     speeds = np.array(belt_speeds, dtype=float, ndmin=1)
     plan = _Plateaus(template, speeds, grid.dt, grid.stride)
-    rows = plan.block_rows()
-    per = min(rows, len(speeds))
-    for lo in range(0, len(speeds), per):
-        block = slice(lo, min(lo + per, len(speeds)))
+    if len(levels) == 1:
+        per = plan.block_rows()
+        blocks = [(slice(lo, min(lo + per, len(speeds))), 1) for lo in range(0, len(speeds), per)]
+    else:
+        blocks = [(slice(at, at + 1), plan.block_rows(slice(at, at + 1)))
+                  for at in range(len(speeds))]
+    for block, rows in blocks:
         field = plan.field(block, [template])
-        for first in range(0, len(levels), rows // per):
-            part = slice(first, min(first + rows // per, len(levels)))
+        for first in range(0, len(levels), rows):
+            part = slice(first, min(first + rows, len(levels)))
             temps = plan.integrate(field, levels[part], y0, [model])
             yield part, block, temps, plan.lengths[block]
         del field  # free before the next block's field is computed

@@ -7,7 +7,8 @@ run (0) prints no NaN or infinity, except the value given where the output
 echoes it (a file name, or a limit's bound in the verdict table: a limit may
 be infinite).  Sweeps run on single-point ranges, so each run takes
 milliseconds, and no process pool starts: a recorder takes the pool's place
-and checks that the workers asked for are at most the cores.
+and checks that the workers asked for are at most the cores.  A range given
+the wrong way round to the API is refused with both of its bounds named.
 """
 
 import argparse
@@ -22,7 +23,8 @@ import yaml
 
 from reflowsim.config import _RUN_FIELDS, SECTIONS, RunConfig
 from reflowsim.cli import FLAG_KEYS, build_parser, main
-from reflowsim.oven import ZoneSpec, default_layout
+from reflowsim.optimize import feasible_speed_interval
+from reflowsim.oven import ParameterRanges, ProcessParameters, ZoneSpec, default_layout
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "5e-324", "text"]
 
@@ -196,3 +198,16 @@ def test_zone_key(capsys, monkeypatch, workdir, index, key):
         if problem:
             problems.append(f"zones[{index}].{key} {token}: {problem}")
     assert not problems, "\n".join(problems)
+
+
+@pytest.mark.parametrize("refuse, message", [
+    (lambda: feasible_speed_interval(default_layout(), ProcessParameters(), 0.8, 0.021,
+                                     speed_range=(100, 65)),
+     "grid upper bound below lower bound, got [100, 65]"),
+    (lambda: ParameterRanges(tt1=(185, 165)),
+     "range for tt1 has lower bound above upper, got [185, 165]"),
+], ids=["speed_range", "tt1"])
+def test_reversed_range_names_both_bounds(refuse, message):
+    with pytest.raises(ValueError) as info:
+        refuse()
+    assert str(info.value) == message

@@ -268,11 +268,25 @@ class TestOptimizeCommands:
         assert code == 0
         assert out_path.read_bytes() == (DATA / "optimize_speed_pocket.csv").read_bytes()
 
+    @pytest.mark.parametrize("command, golden", [
+        (["optimize-area"], "refine_sweep_area"),
+        (["optimize-symmetry", "--area-domain", "time"], "refine_sweep_symmetry_time"),
+    ], ids=["area", "symmetry-time"])
+    def test_refine_sweep_equals_the_golden(self, capsys, tmp_path, command, golden):
+        # a coarse lattice and a refinement round: stdout and the candidates
+        # CSV, byte for byte
+        out_path = tmp_path / "candidates.csv"
+        code, out, _ = run_cli(capsys, *command, "--config", str(DATA / "refine_sweep.yaml"),
+                               "--workers", "1", "--candidates-csv", str(out_path))
+        assert code == 0
+        assert out.encode() == (DATA / f"{golden}.txt").read_bytes()
+        assert out_path.read_bytes() == (DATA / f"{golden}.csv").read_bytes()
+
     @pytest.mark.parametrize("command", ["optimize-area", "optimize-symmetry"])
     def test_output_interval_past_the_fastest_transit_is_refused_before_any_plan(
             self, capsys, monkeypatch, command):
-        # each sweep speed has a plan of its own; 88 cm/min was the first to
-        # refuse, after the slower speeds had run
+        # each geometry group's plan covers every sweep speed, and would
+        # refuse the fastest; the sweep refuses it before any plan
         plans = []
         monkeypatch.setattr(thermal, "_Plateaus", lambda *args: plans.append(args))
         code, out, err = run_cli(capsys, command, "--dt-out", "300")

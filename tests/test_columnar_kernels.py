@@ -5,7 +5,9 @@ columns, and the joint sweep's symmetry finds every row's above-217 passes
 from one crossing list and interpolates every offset pair of a block at
 once.  Each must equal, with exact float equality, what the one-row
 functions (or a crossing loop and np.interp) give row by row, whatever the
-padding holds.
+padding holds.  The sweeps' padding lies at the furnace end, below 217
+degC; here it also lies above it, where a crossing or a sample read past a
+row's end would show.
 """
 
 import itertools
@@ -192,6 +194,27 @@ def test_missing_rise_time_fails_its_limit():
     assert check_rows(columns).tolist() == [[True], [True], [False], [True], [True]]
 
 
+def assert_padded_rows_equal_their_own(times, temps, lengths):
+    """``_melt_passes``, ``_reflow_area_rows`` (over one xs row per row) and
+    ``_symmetry_columns`` of padded rows with their lengths against the
+    one-row calls on each row's own samples, bit for bit; a row's pass
+    start and end only where it has a pass."""
+    xs = times * np.linspace(1.0, 1.7, len(temps))[:, None]
+    passes, starts, ends = optimize._melt_passes(times, temps, lengths)
+    areas = optimize._reflow_area_rows(xs, temps, lengths)
+    scores, counts = optimize._symmetry_columns(times, temps, lengths)
+    assert counts.tolist() == passes.tolist()
+    for r, n in enumerate(lengths.tolist()):
+        row = temps[r : r + 1, :n]
+        own_passes, own_starts, own_ends = optimize._melt_passes(times[:n], row)
+        assert passes[r] == own_passes[0]
+        if passes[r]:
+            assert (starts[r], ends[r]) == (own_starts[0], own_ends[0])
+        assert areas[r] == optimize._reflow_area_rows(xs[r, :n], row)[0]
+        own_score, _ = optimize._symmetry_columns(times[:n], row)
+        assert undefined_as_none(scores[r : r + 1]) == undefined_as_none(own_score)
+
+
 def assert_passes_equal_the_loop(times, rows):
     """``_melt_passes`` against the crossing loop: the number of passes,
     and the first start and last end where there is one, bit for bit."""
@@ -221,6 +244,10 @@ SYMMETRY_CASES = {
     "ends on the line": ([200, 210, 220, 230, 235, 236, 237, 236, 233, 229, 225, 220, 217], 1),
     # two touching passes, then a third apart from them
     "grazing, a third": ([200, 220, 225, 217, 226, 217, 222, 210, 200, 224, 230, 210, 190], 2),
+    # the pass starts 1e-10 s after sample 2 and runs to the end: k rounds
+    # up to 5, and the last right query lies 5e-11 s past the last sample
+    "past the last sample": ([200, 210, 216.999999999, 222, 230, 235, 236, 237, 238, 236, 233,
+                              229, 225], 1),
 }
 
 
@@ -242,15 +269,28 @@ def test_symmetry_pairs_equal_np_interp():
     named = dict(zip(SYMMETRY_CASES, scores))
     assert named["k = 0"] == 0.0
     assert named["two passes"] is None and named["never above"] is None
+    # each case whole and cut short, in blocks padded above 217 degC: with
+    # 250 degC, and with the last own sample repeated
+    lengths = np.array([13 - i % 7 for i in range(len(rows))])
+    for full in (np.full(len(rows), 13), lengths):
+        padded = np.hstack([rows, np.zeros((len(rows), 3))])
+        beyond = np.arange(padded.shape[1]) >= full[:, None]
+        padded[beyond] = 250.0
+        times = np.arange(padded.shape[1]) * 0.5
+        assert_padded_rows_equal_their_own(times, padded, full)
+        padded[beyond] = np.repeat(padded[np.arange(len(rows)), full - 1],
+                                   padded.shape[1] - full)
+        assert_padded_rows_equal_their_own(times, padded, full)
 
 
 @settings(max_examples=100, deadline=None)
 @given(padded_rows())
 def test_symmetry_of_random_rows_equals_the_loop(case):
-    times, temps, _, _ = case
+    times, temps, lengths, _ = case
     scores, _ = optimize._symmetry_columns(times, temps)
     assert undefined_as_none(scores) == [loop_symmetry(times, row)[0] for row in temps]
     assert_passes_equal_the_loop(times, temps)
+    assert_padded_rows_equal_their_own(times, temps, lengths)
 
 
 def test_interp_rows_equals_np_interp():

@@ -1,10 +1,11 @@
 """The plateau-compacted joint sweep against two references.
 
-Per geometry group and belt speed, the joint sweep computes the field,
-forcing and Horner sums only for the samples that touch a sigmoid, the
-cooling blend or a segment join (``thermal._Plateaus``); every sample wholly
-inside a plateau takes its level's Horner sum.  Every candidate must equal,
-with exact float equality:
+Per geometry group, with one plan for all belt speeds, the joint sweep
+computes the field, forcing and Horner sums only for the samples that touch
+a sigmoid, the cooling blend or a segment join (``thermal._Plateaus``);
+every sample wholly inside a plateau takes its level's Horner sum.  A group
+of one row runs as the speed sweep does, in padded blocks of speeds.  Every
+candidate must equal, with exact float equality:
 
 * the per-candidate chain: build_profile -> simulate -> compute_metrics ->
   check_limits -> reflow_area -> symmetry_score;
@@ -35,6 +36,7 @@ from reflowsim import (
     check_limits,
     compute_metrics,
     default_layout,
+    feasible_speed_interval,
     inclusive_grid,
     minimize_area,
     most_symmetric,
@@ -137,6 +139,31 @@ def test_merged_plateaus():
                          ids=["stride-1", "dt-0.05", "dt-0.25", "dt-out-5", "dt-out-30"])
 def test_other_integration_grids(grid):
     assert_equals_both(MERGED, grid=SimulationGrid(*grid))
+
+
+def test_one_plan_per_geometry_group_and_one_evaluator(monkeypatch):
+    """The joint sweep evaluates each geometry group, one-row groups
+    included, with one ``_Plateaus`` plan over all its speeds; the speed
+    sweep is a one-profile call of the same ``_evaluate_group``."""
+    plans, jobs = [], []
+    plateaus, evaluate = thermal._Plateaus, optimize._evaluate_group
+
+    def counted_plan(template, speeds, *args):
+        plans.append(len(speeds))
+        return plateaus(template, speeds, *args)
+
+    def counted_evaluate(*args):
+        jobs.append(len(args[-1][1]))
+        return evaluate(*args)
+
+    monkeypatch.setattr(thermal, "_Plateaus", counted_plan)
+    monkeypatch.setattr(optimize, "_evaluate_group", counted_evaluate)
+    minimize_area(LAYOUT, MERGED, 0.8, COEFFICIENT, workers=1)
+    assert jobs == [3, 6, 3, 1, 2, 1] and plans == [3] * 6
+    plans.clear()
+    jobs.clear()
+    feasible_speed_interval(LAYOUT, ProcessParameters(), 0.8, COEFFICIENT, speed_step=5.0)
+    assert jobs == [1] and plans == [8]
 
 
 def test_ragged_rk4_blocks(monkeypatch):
