@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ambient import build_profile
-from .oven import OvenLayout, ProcessParameters
+from .oven import OvenLayout, ProcessParameters, check_count
 from .thermal import SimulationGrid, ThermalTrace, WeldingModel, check_finite, check_step, simulator
 
 REFINE_FACTOR = 10  # finer steps per step of the grid, at each refinement round
@@ -267,8 +267,7 @@ def calibrate_coefficient(
     """
     cands = [float(c) for c in candidates]
     grid, score, base = _start_search(measured, params, cands, "candidates", grid)
-    if refine_rounds < 0:
-        raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
+    check_count("refine_rounds", refine_rounds, 0)
     # one plan and field for every candidate: only the coefficient varies
     run = simulator([build_profile(layout, params, weight)], params, grid)
 

@@ -102,20 +102,20 @@ def crossing_time(t0, t1, y0, y1, level):
 def _slope_extremes(temps, dt: float, segments=None):
     """Per row, the largest and the smallest forward-difference slope over
     the segments where ``segments`` holds (all of them without it); the
-    others count as -inf and +inf, so padding never wins."""
-    slopes = np.diff(temps, axis=1)
-    slopes /= dt
-    if segments is None:
-        return np.max(slopes, axis=1), np.min(slopes, axis=1)
-    return (np.max(slopes, axis=1, where=segments, initial=-np.inf),
-            np.min(slopes, axis=1, where=segments, initial=np.inf))
+    others count as -inf and +inf, so padding never wins.  Division by a
+    positive dt is monotone, so only the extreme differences are divided."""
+    diffs = np.diff(temps, axis=1)
+    where = True if segments is None else segments
+    return (np.max(diffs, axis=1, where=where, initial=-np.inf) / dt,
+            np.min(diffs, axis=1, where=where, initial=np.inf) / dt)
 
 
 def _first_crossings(times, temps, level, end_idx) -> np.ndarray:
     """Per row, the first upward crossing of level within samples
     [0, end_idx[row]]; NaN where the row does not reach it there.  A row
     already at or above level at its first sample crosses it at t[0]."""
-    reached = temps >= level
+    # no crossing past a row's end_idx counts, nor any past the latest
+    reached = temps[:, : np.max(end_idx, initial=0) + 1] >= level
     # the first sample at or above level, or 0 if none is
     first = np.argmax(reached, axis=1)
     rows = np.arange(len(temps))
@@ -134,10 +134,11 @@ def _super_level_segments(temps, level):
     """The segments of each row's linear interpolant against the strict
     super-level set {T > level}: a mask of those whose two ends both lie
     above level, and the row-major (row, segment) indices of those with one
-    end above it, which cross it.  A crossing segment has y1 != y0."""
+    end above it, which cross it (a flat search finds them several times
+    faster than a 2-D ``np.nonzero``).  A crossing segment has y1 != y0."""
     above = temps > level
     above0, above1 = above[:, :-1], above[:, 1:]
-    return above0 & above1, np.nonzero(above0 != above1)
+    return above0 & above1, np.divmod(np.flatnonzero(above0 != above1), above0.shape[1])
 
 
 def _time_above_terms(times, temps, level, segments=None) -> np.ndarray:
@@ -220,22 +221,19 @@ def metrics_rows(times, temps, lengths=None, melt=None) -> MetricColumns:
     if np.any(counts > width):
         raise ValueError(f"row lengths exceed the {width} columns of temps")
     dt = times[1] - times[0]
-    above = _time_above_terms(times, temps, MELT_C, melt)
     if (counts == width).all():
         max_slope, min_slope = _slope_extremes(temps, dt)
         peak_idx = np.argmax(temps, axis=1)
-        duration = np.sum(above, axis=1)
     else:
         valid = np.arange(width) < counts[:, None]
         max_slope, min_slope = _slope_extremes(temps, dt, valid[:, 1:])
         peak_idx = np.argmax(np.where(valid, temps, -np.inf), axis=1)
-        duration = _prefix_sums(above, counts - 1)
     return MetricColumns(
         max_slope,
         min_slope,
         (_first_crossings(times, temps, RISE_BAND_HIGH_C, peak_idx)
          - _first_crossings(times, temps, RISE_BAND_LOW_C, peak_idx)),
-        duration,
+        _prefix_sums(_time_above_terms(times, temps, MELT_C, melt), counts - 1),
         temps[np.arange(n_rows), peak_idx],
         times[peak_idx],
     )

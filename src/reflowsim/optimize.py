@@ -46,7 +46,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import partial, reduce
 from itertools import compress, product
 
@@ -66,7 +66,7 @@ from .limits import (
     crossing_time,
     metrics_rows,
 )
-from .oven import OvenLayout, ParameterRanges, ProcessParameters, cm_per_second
+from .oven import OvenLayout, ParameterRanges, ProcessParameters, check_count, cm_per_second
 from .thermal import (
     SimulationGrid,
     ThermalTrace,
@@ -174,9 +174,9 @@ def _reflow_area_rows(xs, temps, lengths=None, melt=None) -> np.ndarray:
     h = np.diff(np.atleast_2d(xs))
     y = temps - MELT_C
     inside, (r, c) = melt if melt is not None else _super_level_segments(temps, MELT_C)
-    area = y[:, :-1] + y[:, 1:]
+    area = np.zeros(inside.shape)  # +0.0 outside the super-level segments
+    np.add(y[:, :-1], y[:, 1:], out=area, where=inside)
     area *= 0.5 * h
-    area[~inside] = 0.0
     # the few segments that cross the line hold a triangle
     a, b, w = y[r, c], y[r, c + 1], 0.5 * h[r % len(h), c]
     area[r, c] = np.where(b > 0, w * b * b / (b - a), w * a * a / -(b - a))
@@ -191,24 +191,33 @@ def _area_axis(domain: str, times, positions):
     raise ValueError(f"domain must be 'position' or 'time', got {domain!r}")
 
 
-def _interp_rows(x, times, temps, counts=None) -> np.ndarray:
-    """``np.interp(x[r], times[:n], temps[r, :n])`` for every row r, with
-    n = counts[r] (all of times without counts), bit for bit.
+def _interp_rows(x, times, temps, rows, counts=None) -> np.ndarray:
+    """``np.interp(x[i], times[:n], temps[rows[i], :n])`` for every row i
+    of x, with n = counts[i] (all of times without counts), bit for bit.
 
-    The bracketing sample j (times[j] <= x < times[j+1]) comes from one
-    ``searchsorted``, then np.interp's own formula applies: a query on a
-    sample, at or past the row's last one or before the first returns that
-    sample, any other slope * (x - times[j]) + temps[j].  (np.interp's
-    fallback for a NaN result needs non-finite samples.)
+    times is ``np.arange(width) * dt`` (width >= 2), so floor(x / dt),
+    clipped to the row's segments before the cast (x / dt overflows for a
+    subnormal dt), is off by one at most from the segment j holding x; the
+    samples around it correct it.  Samples come by flat ``take``s, then
+    np.interp's own formula applies, edge rules included.
     """
-    j = np.searchsorted(times, x, side="right") - 1
-    last = len(times) - 1 if counts is None else np.asarray(counts)[:, None] - 1
-    rows = np.arange(len(temps))[:, None]
-    on_sample = np.clip(j, 0, last)
-    lo = np.minimum(on_sample, last - 1)
-    slope = (temps[rows, lo + 1] - temps[rows, lo]) / (times[lo + 1] - times[lo])
-    between = (j >= 0) & (j < last) & (x != times[on_sample])
-    return np.where(between, slope * (x - times[lo]) + temps[rows, lo], temps[rows, on_sample])
+    width = temps.shape[1]
+    last = width - 1 if counts is None else np.asarray(counts)[:, None] - 1
+    j = x / (times[1] - times[0])
+    j = np.clip(j, 0, last - 1, out=j).astype(np.intp)  # truncating floors it
+    j += x >= times.take(j + 1)
+    j -= x < times.take(j)
+    np.clip(j, 0, last - 1, out=j)
+    t0, t1 = times.take(j), times.take(j + 1)
+    j += (np.asarray(rows) * width)[:, None]
+    y0, y1 = temps.take(j), temps.take(j + 1)
+    out = (y1 - y0) / (t1 - t0)
+    out *= x - t0
+    out += y0
+    # before the first sample or on sample j x <= t0; at or past the last x >= t1
+    np.copyto(out, y0, where=x <= t0)
+    np.copyto(out, y1, where=x >= t1)
+    return out
 
 
 def _symmetry_columns(times, temps, lengths=None, melt=None):
@@ -216,10 +225,10 @@ def _symmetry_columns(times, temps, lengths=None, melt=None):
     above-217 pass) and the number of passes; lengths and melt as for
     ``_melt_passes``.
 
-    The k offset pairs of all rows with one pass are interpolated at once,
-    in a rows x max(k) array; each row's squares are summed over its own k
-    columns, as ``symmetry_score`` sums them.  A k above _MAX_GRID is
-    refused before that array exists.
+    Both sides of the k offset pairs of all rows with one pass are
+    interpolated at once, in a rows x 2 max(k) array; each row's squares
+    are summed over its own k pairs, as ``symmetry_score`` sums them.  A k
+    above _MAX_GRID is refused before that array exists.
     """
     passes, t1s, t2s = _melt_passes(times, temps, lengths, melt)
     one = np.flatnonzero(passes == 1)
@@ -232,8 +241,9 @@ def _symmetry_columns(times, temps, lengths=None, melt=None):
     k = k.astype(np.int64)
     offsets = (np.arange(k.max(initial=0)) + 1) * DEFAULT_OFFSET_STEP
     counts = None if lengths is None else np.asarray(lengths)[one]
-    left = _interp_rows(center - offsets, times, temps[one], counts)
-    right = _interp_rows(center + offsets, times, temps[one], counts)
+    # left, then right queries; a one-sample row has no segment and no pair
+    x = center + np.concatenate((-offsets, offsets))
+    left, right = np.hsplit(_interp_rows(x, times, temps, one, counts) if x.size else x, 2)
     scores = np.full(len(temps), np.nan)
     scores[one] = _prefix_sums((left - right) ** 2, k)
     return scores, passes
@@ -584,19 +594,14 @@ def _sweep_grid(
 def _refined_ranges(ranges: ParameterRanges, best: ProcessParameters) -> ParameterRanges:
     """Shrink the grids to +/- one step around the incumbent at step/REFINE_FACTOR."""
 
-    def narrow(interval, center, step):
-        return (max(interval[0], center - step), min(interval[1], center + step))
+    def narrow(name, step):
+        (lo, hi), center = getattr(ranges, name), getattr(best, name)
+        return (max(lo, center - step), min(hi, center + step))
 
-    return ParameterRanges(
-        tt1=narrow(ranges.tt1, best.tt1, ranges.temp_step),
-        tt2=narrow(ranges.tt2, best.tt2, ranges.temp_step),
-        tt3=narrow(ranges.tt3, best.tt3, ranges.temp_step),
-        tt4=narrow(ranges.tt4, best.tt4, ranges.temp_step),
-        tt5=ranges.tt5,
-        belt_speed=narrow(ranges.belt_speed, best.belt_speed, ranges.speed_step),
-        temp_step=ranges.temp_step / REFINE_FACTOR,
-        speed_step=ranges.speed_step / REFINE_FACTOR,
-    )
+    temps = {name: narrow(name, ranges.temp_step) for name in ("tt1", "tt2", "tt3", "tt4")}
+    return replace(ranges, **temps, belt_speed=narrow("belt_speed", ranges.speed_step),
+                   temp_step=ranges.temp_step / REFINE_FACTOR,
+                   speed_step=ranges.speed_step / REFINE_FACTOR)
 
 
 def objective_key(objective: str, candidate: SweepCandidate) -> tuple:
@@ -629,10 +634,8 @@ def _optimize(
     limits = limits if limits is not None else ProcessLimits()
     if objective not in ("area", "symmetry"):
         raise ValueError(f"unknown objective {objective!r}")
-    if refine_rounds < 0:
-        raise ValueError(f"refine_rounds must be 0 or positive, got {refine_rounds}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
+    check_count("refine_rounds", refine_rounds, 0)
+    check_count("workers", workers, 1)
     # a pool starts all its processes at once, and more than the cores only
     # split the jobs finer
     workers = min(workers, os.cpu_count() or 1)

@@ -9,6 +9,7 @@ an unheated exit region.  Zone setpoints are wired to five controller slots
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -228,6 +229,16 @@ def validate_parameters(
         if not (lo <= value <= hi):
             report.append(RangeViolation(slot, value, lo, hi))
     return report
+
+
+def check_count(name: str, value, least: int) -> None:
+    """Refuse a count that is not an integer (a numpy integer is one, a bool
+    or a float is not) or lies below least, naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if value < least:
+        bound = "0 or positive" if least == 0 else f"at least {least}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
 
 
 def cm_per_second(belt_speed):

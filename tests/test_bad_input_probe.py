@@ -8,7 +8,9 @@ echoes it (a file name, or a limit's bound in the verdict table: a limit may
 be infinite).  Sweeps run on single-point ranges, so each run takes
 milliseconds, and no process pool starts: a recorder takes the pool's place
 and checks that the workers asked for are at most the cores.  A range given
-the wrong way round to the API is refused with both of its bounds named.
+the wrong way round to the API is refused with both of its bounds named, and
+a refinement round or worker count given to it that is not an integer with
+the argument named.
 """
 
 import argparse
@@ -18,12 +20,15 @@ import re
 from dataclasses import asdict, fields
 from itertools import product
 
+import numpy as np
 import pytest
 import yaml
 
+import reflowsim.optimize
+from reflowsim import WeldingModel, build_profile, calibrate_coefficient, simulate
 from reflowsim.config import _RUN_FIELDS, SECTIONS, RunConfig
 from reflowsim.cli import FLAG_KEYS, build_parser, main
-from reflowsim.optimize import feasible_speed_interval
+from reflowsim.optimize import feasible_speed_interval, minimize_area
 from reflowsim.oven import ParameterRanges, ProcessParameters, ZoneSpec, default_layout
 
 BAD_VALUES = ["nan", "inf", "-inf", "-1", "0", "1e308", "1e-300", "5e-324", "text"]
@@ -211,3 +216,36 @@ def test_reversed_range_names_both_bounds(refuse, message):
     with pytest.raises(ValueError) as info:
         refuse()
     assert str(info.value) == message
+
+
+POINT = ParameterRanges(**{k: tuple(v) for k, v in POINT_RANGES.items()})
+
+
+def _calibrate(**kwargs):
+    params = ProcessParameters()
+    trace = simulate(build_profile(default_layout(), params, 0.8), params, WeldingModel(0.021))
+    return calibrate_coefficient(trace, default_layout(), params, 0.8, [0.021], **kwargs)
+
+
+def _sweep(**kwargs):
+    return minimize_area(default_layout(), POINT, 0.8, 0.021, **kwargs)
+
+
+@pytest.mark.parametrize("run", [_sweep, _calibrate], ids=["minimize_area", "calibrate"])
+@pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)], ids=["1.5", "True", "float64"])
+def test_refine_rounds_must_be_an_integer(run, value):
+    with pytest.raises(ValueError, match=f"^refine_rounds must be an integer, got {value}$"):
+        run(refine_rounds=value)
+
+
+@pytest.mark.parametrize("value", [1.5, True, np.float64(2.0)], ids=["1.5", "True", "float64"])
+def test_workers_must_be_an_integer(monkeypatch, value):
+    # refused before any job is built or any pool starts
+    monkeypatch.setattr(reflowsim.optimize, "_sweep_jobs", None)
+    with pytest.raises(ValueError, match=f"^workers must be an integer, got {value}$"):
+        _sweep(workers=value)
+
+
+def test_numpy_integer_counts_are_accepted():
+    assert _sweep(refine_rounds=np.int64(0), workers=np.int32(1)).candidates_evaluated == 1
+    assert len(_calibrate(refine_rounds=np.int64(0)).scores) == 1

@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reflowsim.limits as limits
 import reflowsim.optimize as optimize
 import reflowsim.thermal as thermal
 from reflowsim import (
@@ -300,9 +301,61 @@ def test_interp_rows_equals_np_interp():
     # every sample, beyond both ends, and in between
     x = np.concatenate((times, [-0.2, times[-1] + 0.1], rng.uniform(0.0, times[-1], 30)))
     queries = np.array([rng.permutation(x) for _ in temps])
-    got = optimize._interp_rows(queries, times, temps)
+    got = optimize._interp_rows(queries, times, temps, np.arange(len(temps)))
     for q, row, g in zip(queries, temps, got):
         assert g.tolist() == np.interp(q, times, row).tolist()
+
+
+@pytest.mark.parametrize("dt", [0.1, 0.25, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("padded", [False, True])
+def test_interp_rows_brackets_at_sample_boundaries(dt, padded):
+    """Queries on every sample, one ulp either side of it, before the first
+    and past the last: where the floor(x / dt) estimate needs its
+    correction.  Padded rows hold 250 degC past their own samples."""
+    rng = np.random.default_rng(int(dt * 10) + padded)
+    width = 60
+    times = np.arange(width) * dt
+    temps = rng.uniform(100.0, 250.0, (4, width))
+    counts = np.array([width, 2, 31, 59]) if padded else None
+    own = counts if padded else np.full(4, width)
+    for row, n in zip(temps, own):
+        row[n:] = 250.0
+    x = np.concatenate((times, np.nextafter(times, -np.inf), np.nextafter(times, np.inf),
+                        [-dt, -1e-300, times[-1] + dt, 1e300]))
+    queries = np.array([rng.permutation(x) for _ in temps])
+    rows = np.array([2, 0, 3, 1])  # each row of x reads another row of temps
+    got = optimize._interp_rows(queries, times, temps, rows,
+                                None if counts is None else counts[rows])
+    for q, r, g in zip(queries, rows, got):
+        n = own[r]
+        assert g.tolist() == np.interp(q, times[:n], temps[r, :n]).tolist()
+
+
+def loop_slope_extremes(row, dt):
+    slopes = np.diff(row) / dt
+    return np.max(slopes), np.min(slopes)
+
+
+def test_slope_extremes_equal_those_of_the_divided_differences():
+    """Only the two extremes are divided by dt, bit for bit as the extremes
+    of ``np.diff(temps) / dt``: on rows with tied extremes, all rising, all
+    falling, and padded rows read over their own segments."""
+    rng = np.random.default_rng(5)
+    rows = [rng.uniform(20.0, 250.0, 40), np.tile([20.0, 23.0, 19.0], 14)[:40],
+            np.cumsum(rng.uniform(0.01, 3.0, 40)), -np.cumsum(rng.uniform(0.01, 3.0, 40)),
+            np.full(40, 217.0), np.linspace(0.0, 1.0, 40) ** 3]
+    temps = np.array(rows)
+    for dt in (0.1, 0.3, 0.5, 1.0 / 3.0):
+        hi, lo = limits._slope_extremes(temps, dt)
+        assert list(zip(hi.tolist(), lo.tolist())) == [loop_slope_extremes(r, dt) for r in temps]
+        lengths = np.array([40, 2, 17, 33, 3, 25])
+        padded = temps.copy()
+        for row, n in zip(padded, lengths):
+            row[n:] = [1e6, -1e6] * ((40 - n) // 2) + [1e6] * ((40 - n) % 2)
+        segments = (np.arange(40) < lengths[:, None])[:, 1:]
+        hi, lo = limits._slope_extremes(padded, dt, segments)
+        assert list(zip(hi.tolist(), lo.tolist())) == [
+            loop_slope_extremes(r[:n], dt) for r, n in zip(temps, lengths)]
 
 
 # RK4 blocks of 12 rows in the speed sweep below, where a row's largest
