@@ -91,7 +91,10 @@ def _resolve_config(args) -> RunConfig:
 
 
 def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -144,11 +147,9 @@ def cmd_field(args) -> int:
     # only this command builds the grid, so only it refuses a furnace too long for it
     _grid_size(0.0, cfg.layout.total_length_cm, cfg.field_dx, "output.field_dx")
     profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
-    xs = inclusive_grid(0.0, profile.total_length_cm, cfg.field_dx)
-    temps = profile(np.array(xs)).tolist()
-    lines = ["position_cm,temp_c"]
-    lines += [f"{x:.1f},{temp:.4f}" for x, temp in zip(xs, temps)]
-    _write_lines(cfg.field_csv, lines)
+    xs = np.array(inclusive_grid(0.0, profile.total_length_cm, cfg.field_dx))
+    rows = np.column_stack((xs, profile(xs))).ravel().tolist()
+    _write_text(cfg.field_csv, "position_cm,temp_c\n" + "%.1f,%.4f\n" * len(xs) % tuple(rows))
     return 0
 
 

@@ -111,8 +111,14 @@ def _grid_size(lo: float, hi: float, step: float, key: str = "step") -> int:
 
 def inclusive_grid(lo: float, hi: float, step: float) -> list[float]:
     """Uniform grid from lo by step, always containing both endpoints; at
-    most _MAX_GRID values (see ``_grid_size``)."""
-    return [round(lo + i * step, 9) for i in range(_grid_size(lo, hi, step) - 1)] + [hi]
+    most _MAX_GRID values (see ``_grid_size``).
+
+    Each value below hi is ``round(lo + i * step, 9)``, computed for the
+    whole grid at once: ``float("%.9f" % x)`` is the same correctly rounded
+    decimal conversion read back, sign of zero included.
+    """
+    below = (lo + np.arange(_grid_size(lo, hi, step) - 1) * step).tolist()
+    return list(map(float, ("%.9f\n" * len(below) % tuple(below)).split())) + [hi]
 
 
 def _sweep_size(ranges: ParameterRanges, prefix: str = "") -> int:

@@ -515,6 +515,10 @@ def load_trace_rows(path, belt_speed: float | None = None) -> ThermalTrace:
                 continue
             rows.append((lineno, line.split(",")))
 
+    if header is None:
+        raise ValueError(
+            f"{path}: no header line; expected 't_s,x_cm,temp_c' or 't_s,temp_c'"
+        )
     if header not in ("t_s,x_cm,temp_c", "t_s,temp_c"):
         raise ValueError(
             f"{path}: malformed header {header!r}; expected "

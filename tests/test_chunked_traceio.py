@@ -158,9 +158,9 @@ class TestLongerThanOneChunk:
 
 
 class TestByteOrderMark:
-    BODY = ["t_s,temp_c", "0.0,25.0", "0.5,26.0", "1.0,27.0"]
+    BODY = ["t_s,temp_c", "0.0,25.0", "0.5,26.0", "# a comment", "", "1.0,27.0"]
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
     @pytest.mark.parametrize("comment", [True, False], ids=["comment-first", "header-first"])
     def test_loads_like_the_plain_file(self, tmp_path, newline, comment):
         lines = (["# belt_speed_cm_min = 70"] if comment else []) + self.BODY
@@ -178,3 +178,95 @@ class TestByteOrderMark:
         marked = tmp_path / "marked.csv"
         marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes().replace(b"\n", b"\r\n"))
         assert outcome(load_trace_csv, marked) == outcome(load_trace_csv, path)
+
+
+# Values whose six-decimal text is the hardest to get right: both zeros,
+# values within 1e-7 of a rounding boundary (k + 0.5) * 1e-6, huge values
+# and subnormals.
+def _near_boundary(k, offset):
+    return (k + 0.5) * 1e-6 + offset
+
+
+ODD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e15, -1e15, 5e-324, -5e-324, 2.2250738585072e-308]),
+    st.builds(_near_boundary, st.integers(-10**9, 10**9), st.floats(-1e-7, 1e-7)),
+    st.floats(-1e-300, 1e-300),
+    st.floats(-1e15, 1e15),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    dt=st.sampled_from([1e-7, 0.05, 0.1, 0.5, 1.0]),
+    speed=st.floats(10.0, 200.0),
+    temps=st.lists(ODD_VALUES, min_size=1, max_size=40),
+    chunk=st.integers(1, 8),
+)
+def test_odd_values_are_written_like_the_oracle(tmp_path_factory, dt, speed, temps, chunk):
+    directory = tmp_path_factory.mktemp("odd")
+    with patch.object(traceio, "_CHUNK_ROWS", chunk):
+        assert_written_like_oracle(ThermalTrace(dt, speed, np.array(temps)), directory)
+
+
+class TestLinesAroundTheData:
+    ROWS = ["0.0,25.0", "0.5,26.0", "1.0,27.5", "1.5,28.0"]
+
+    def _load_both(self, tmp_path, text, belt_speed=None):
+        """The loader's outcome on ``text``, after checking it equals the
+        oracle's."""
+        path = tmp_path / "trace.csv"
+        path.write_bytes(text.encode("utf-8"))
+        return assert_matches_oracle(path, belt_speed), path
+
+    def test_blank_and_comment_lines_between_and_after_the_rows(self, tmp_path):
+        plain, _ = self._load_both(tmp_path, "\n".join(["t_s,temp_c", *self.ROWS]) + "\n", 70.0)
+        lines = ["", "# first", "t_s,temp_c", self.ROWS[0], "", "   ", self.ROWS[1],
+                 "# between", "  # indented", self.ROWS[2], "\t", self.ROWS[3],
+                 "", "# after", "   ", ""]
+        got, _ = self._load_both(tmp_path, "\n".join(lines), 70.0)
+        assert got == plain
+
+    def test_a_bad_row_after_skipped_lines_names_its_file_line(self, tmp_path):
+        lines = ["# c", "", "t_s,temp_c", self.ROWS[0], "# c", "", "0.5,hot", *self.ROWS[2:]]
+        got, path = self._load_both(tmp_path, "\n".join(lines) + "\n", 70.0)
+        assert got == f"{path}: row 7: non-numeric value"
+
+    def test_a_bad_speed_comment_after_the_data_is_refused(self, tmp_path):
+        # found although the rows and the other comment are fine
+        lines = ["# belt_speed_cm_min = 70", "t_s,temp_c", *self.ROWS, "",
+                 "# belt_speed_cm_min = fast"]
+        got, path = self._load_both(tmp_path, "\n".join(lines) + "\n")
+        assert got == f"{path}: line 8: belt speed comment 'fast' is not a number"
+
+    def test_the_first_bad_speed_comment_is_named(self, tmp_path):
+        lines = ["t_s,temp_c", "# belt_speed_cm_min = x", *self.ROWS,
+                 "# belt_speed_cm_min = y"]
+        got, path = self._load_both(tmp_path, "\n".join(lines) + "\n")
+        assert got == f"{path}: line 2: belt speed comment 'x' is not a number"
+
+    def test_the_last_of_two_speed_comments_wins(self, tmp_path):
+        lines = ["# belt_speed_cm_min = 70", "t_s,temp_c", *self.ROWS[:2],
+                 "  # belt_speed_cm_min = 65.5  ", *self.ROWS[2:]]
+        got, _ = self._load_both(tmp_path, "\n".join(lines) + "\n")
+        assert float.fromhex(got[1]) == 65.5
+
+    @pytest.mark.parametrize("separator", ["\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028"])
+    def test_only_line_ends_split_lines(self, tmp_path, separator):
+        # str.splitlines would also split the comment here, and make its
+        # second half a one-column row 3
+        lines = ["t_s,temp_c", f"# a note{separator}continued", self.ROWS[0], "0.5,hot",
+                 *self.ROWS[2:]]
+        got, path = self._load_both(tmp_path, "\n".join(lines) + "\n", 70.0)
+        assert got == f"{path}: row 4: non-numeric value"
+
+    def test_a_lone_cr_ends_a_line_for_the_row_numbers(self, tmp_path):
+        got, path = self._load_both(tmp_path, "t_s,temp_c\r0.0,25.0\r\r0.5,hot\r")
+        assert got == f"{path}: row 4: non-numeric value"
+
+    @pytest.mark.parametrize("text", ["", "\ufeff", "\n\n", "# only a comment\n",
+                                      "# belt_speed_cm_min = 70\n\n  # another\n"],
+                             ids=["empty", "bom-only", "blank", "comment", "comments"])
+    def test_no_header_line_is_named(self, tmp_path, text):
+        got, path = self._load_both(tmp_path, text, 70.0)
+        assert got == (f"{path}: no header line; expected 't_s,x_cm,temp_c' "
+                       f"or 't_s,temp_c'")

@@ -72,6 +72,23 @@ class TestFieldCommand:
         expected = ["position_cm,temp_c"] + [f"{x:.1f},{ambient_reference(profile, x):.4f}" for x in xs]
         assert out_path.read_text().splitlines() == expected
 
+    @pytest.mark.parametrize("dx", [None, "0.37"], ids=["default", "dx-0.37"])
+    def test_bytes_equal_per_row_f_strings(self, capsys, tmp_path, dx):
+        out_path = tmp_path / "field.csv"
+        flags = [] if dx is None else ["--dx", dx]
+        code, _, _ = run_cli(capsys, "field", "--out", str(out_path), *flags)
+        assert code == 0
+        cfg = config_from_dict({})
+        profile = build_profile(cfg.layout, cfg.params, cfg.blend_weight)
+        step = cfg.field_dx if dx is None else float(dx)
+        hi = profile.total_length_cm
+        xs = [round(i * step, 9) for i in range(int(hi / step + 1e-9) + 1)]
+        xs += [hi] if xs[-1] != hi else []
+        temps = profile(np.array(xs)).tolist()
+        expected = "position_cm,temp_c\n" + "".join(
+            f"{x:.1f},{temp:.4f}\n" for x, temp in zip(xs, temps))
+        assert out_path.read_bytes() == expected.encode()
+
 
 class TestSimulateCommand:
     def test_writes_trace_and_verdict(self, capsys, tmp_path):
@@ -146,6 +163,16 @@ class TestCheckCommand:
         code, _, err = run_cli(capsys, "check", str(tmp_path / "nope.csv"))
         assert code != 0
         assert "nope.csv" in err
+
+    @pytest.mark.parametrize("text", ["", "# belt_speed_cm_min = 70\n# nothing else\n"],
+                             ids=["empty", "comments-only"])
+    def test_file_without_header_line_exits_2_naming_it(self, capsys, tmp_path, text):
+        path = tmp_path / "headless.csv"
+        path.write_text(text)
+        code, out, err = run_cli(capsys, "check", str(path))
+        assert code == 2 and out == ""
+        assert err == (f"error: {path}: no header line; expected 't_s,x_cm,temp_c' "
+                       f"or 't_s,temp_c'\n")
 
 
 class TestCalibrateCommand:

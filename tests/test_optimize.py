@@ -2,6 +2,7 @@ import concurrent.futures
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reflowsim.optimize as optimize
 from reflowsim import (
@@ -62,6 +63,32 @@ class TestInclusiveGrid:
             inclusive_grid(0.0, 1.0, 0.0)
         with pytest.raises(ValueError, match="below"):
             inclusive_grid(1.0, 0.0, 0.1)
+
+
+def rounded_grid(lo, hi, step):
+    """The grid rounded value by value: ``round(lo + i * step, 9)`` below hi."""
+    return [round(lo + i * step, 9) for i in range(optimize._grid_size(lo, hi, step) - 1)] + [hi]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lo=st.one_of(st.floats(-1e6, 1e6), st.floats(-1e-8, 0.0), st.sampled_from([-0.0, -5e-10])),
+    step=st.one_of(st.floats(1e-12, 1e-8), st.floats(1e-8, 100.0), st.sampled_from([0.1, 1e-10])),
+    steps=st.integers(0, 300),
+    beyond=st.floats(0.0, 0.999),
+)
+def test_inclusive_grid_equals_rounding_value_by_value(lo, step, steps, beyond):
+    hi = lo + (steps + beyond) * step
+    # float.hex tells -0.0 from 0.0
+    assert list(map(float.hex, inclusive_grid(lo, hi, step))) == list(
+        map(float.hex, rounded_grid(lo, hi, step)))
+
+
+def test_inclusive_grid_keeps_the_sign_of_zero():
+    grid = inclusive_grid(-4e-10, 2e-10, 1e-10)
+    # -4e-10 .. -1e-10 round to -0.0
+    assert list(map(float.hex, grid[:4])) == [(-0.0).hex()] * 4
+    assert list(map(float.hex, grid)) == list(map(float.hex, rounded_grid(-4e-10, 2e-10, 1e-10)))
 
 
 class TestReflowArea:
